@@ -6,10 +6,10 @@ Python tiers actually hurt:
 * **Window resolution** — the multichannel winner-resolution sweep of
   :func:`repro.spad.array.detect_multichannel` on an *afterpulsing-heavy*
   workload: most windows arm a trap and release it within the next couple of
-  windows, so the Python fast path's exception sweep
-  (``_resolve_windows_fast``) degenerates toward per-window Python work.
-  The native kernel (numba or the self-compiled C extension) runs the same
-  sequential physics without the interpreter.
+  windows, so the speculate-then-correct exception sweep of the
+  ``"python"`` tier (:mod:`repro.kernels.speculative`) degenerates toward
+  per-window Python work.  The ``"cext"`` tier (the self-compiled C
+  extension) runs the same sequential physics without the interpreter.
 * **Arbitration scheduling** — the per-slot
   :meth:`~repro.noc.arbitration.RoundRobinArbiter.grant` loop of
   :meth:`~repro.noc.bus.OpticalBus.run` against the vectorised
@@ -33,7 +33,6 @@ from repro.analysis.report import ReportTable, TextReport
 from repro.analysis.units import format_si
 from repro.kernels import available_kernels, get_kernel, round_robin_schedule
 from repro.noc.arbitration import RoundRobinArbiter
-from repro.spad.array import _resolve_windows_fast
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
@@ -58,11 +57,8 @@ def _update_record(key, payload):
 
 
 def native_resolver_kernel():
-    """The fastest registered kernel carrying a native window resolver."""
-    for name in ("numba", "cext"):
-        if name in available_kernels() and get_kernel(name).resolve_windows is not None:
-            return get_kernel(name)
-    return None
+    """The C-extension kernel, or ``None`` on a host without a C compiler."""
+    return get_kernel("cext") if "cext" in available_kernels() else None
 
 
 # -- window resolution --------------------------------------------------------
@@ -89,17 +85,15 @@ def resolve_workload(seed=3):
         counts = rng.poisson(mean, shape)
         bounds = np.zeros(shape[0] * shape[1] + 1, dtype=np.int64)
         np.cumsum(counts.ravel(), out=bounds[1:])
-        return counts, bounds, rng.uniform(0.0, DURATION, int(bounds[-1]))
+        return bounds, rng.uniform(0.0, DURATION, int(bounds[-1]))
 
-    dark_counts, dark_bounds, dark_rel = sparse_events(0.03)
-    background_counts, background_bounds, background_rel = sparse_events(0.03)
+    dark_bounds, dark_rel = sparse_events(0.03)
+    background_bounds, background_rel = sparse_events(0.03)
     return {
         "primary": candidates(0.8),
-        "secondary": [candidates(0.25) for _ in range(SECONDARIES)],
-        "dark_counts": dark_counts,
+        "secondary": np.stack([candidates(0.25) for _ in range(SECONDARIES)]),
         "dark_bounds": dark_bounds,
         "dark_rel": dark_rel,
-        "background_counts": background_counts,
         "background_bounds": background_bounds,
         "background_rel": background_rel,
         "trap_filled": rng.random(shape) < 0.7,
@@ -110,25 +104,19 @@ def resolve_workload(seed=3):
 def run_resolve_comparison(kernel):
     """Resolve one workload on both paths; returns (python_s, native_s)."""
     load = resolve_workload()
-    start = time.perf_counter()
-    python_times, python_origins = _resolve_windows_fast(
+    args = (
         load["primary"], load["secondary"],
-        load["dark_counts"], load["dark_bounds"], load["dark_rel"],
-        load["background_counts"], load["background_bounds"], load["background_rel"],
-        load["trap_filled"], load["trap_release"],
-        DEAD_TIME, GATE_RECOVERY, DURATION, 0.0,
-    )
-    python_elapsed = time.perf_counter() - start
-
-    stacked = np.stack(load["secondary"])
-    start = time.perf_counter()
-    native_times, native_origins = kernel.resolve_windows(
-        load["primary"], stacked,
         load["dark_rel"], load["dark_bounds"],
         load["background_rel"], load["background_bounds"],
         load["trap_filled"], load["trap_release"],
         DEAD_TIME, GATE_RECOVERY, DURATION, 0.0,
     )
+    start = time.perf_counter()
+    python_times, python_origins = get_kernel("python").resolve_windows(*args)
+    python_elapsed = time.perf_counter() - start
+
+    start = time.perf_counter()
+    native_times, native_origins = kernel.resolve_windows(*args)
     native_elapsed = time.perf_counter() - start
 
     # Bit-identity first: a fast wrong answer is not a speedup.
@@ -171,13 +159,13 @@ def test_resolver_kernel_speedup(benchmark):
 
     report = TextReport(
         "RESOLVER KERNEL",
-        f"native '{kernel.name}' window resolution vs. the Python fast path",
+        f"native '{kernel.name}' window resolution vs. the 'python' tier",
         paper_claim="SPAD arrays whose dead time and afterpulsing shape the "
                     "achievable optical link BER",
     )
     table = ReportTable(columns=["path", "wall time", "windows/sec"])
     table.add_row(
-        "python fast path", f"{python_elapsed:.3f} s",
+        "python tier", f"{python_elapsed:.3f} s",
         format_si(windows / python_elapsed, "win/s"),
     )
     table.add_row(
@@ -339,7 +327,7 @@ def test_arbitration_schedule_speedup(benchmark):
 if __name__ == "__main__":
     kernel = native_resolver_kernel()
     if kernel is not None:
-        run_resolve_comparison(kernel)  # warm-up (imports, JIT, caches)
+        run_resolve_comparison(kernel)  # warm-up (imports, C build, caches)
         python_elapsed, native_elapsed = run_resolve_comparison(kernel)
         print(
             f"resolver: python {python_elapsed:.3f} s  "

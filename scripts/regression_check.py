@@ -26,8 +26,8 @@ Two modes (``--mode``):
 The scratch run repeats once per *available compute kernel*
 (:func:`repro.kernels.available_kernels`, forced via ``REPRO_KERNEL``), so
 the gate simultaneously checks that the simulation has not drifted *and*
-that every kernel — python reference, vectorised, numba, C extension —
-still reproduces the committed artefact bit for bit.
+that every kernel — ``python``, ``vector`` and, when the host has a C
+compiler, ``cext`` — still reproduces the committed artefact bit for bit.
 
 Exit status: 0 when the gate holds, 1 on drift, 3 when the reference
 artefact is missing or unreadable (a broken *gate*, not a regression — fix

@@ -13,8 +13,11 @@ optical interconnect depends on:
   alternative line codes.
 * :mod:`repro.electrical` — conventional electrical baselines (wire-bond pads,
   TSVs, inductive and capacitive coupling) used for comparison.
-* :mod:`repro.simulation` — discrete-event simulation kernel and Monte-Carlo
-  tooling used by the stochastic device models.
+* :mod:`repro.simulation` — seeded random streams and the chunked
+  Monte-Carlo runner and trials the experiment layer runs on.
+* :mod:`repro.kernels` — interchangeable implementations of the sequential
+  hot loops (pure Python, NumPy and a self-compiled C tier), all
+  bit-identical.
 * :mod:`repro.noc` — multi-chip vertical optical bus, broadcast and arbitration.
 * :mod:`repro.core` — the paper's contribution: the end-to-end optical link,
   the link-backend registry (:func:`make_link`), its throughput/design-space

@@ -11,7 +11,9 @@ that the photon budget closes with margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Optional
 
 from repro.analysis.units import NM, NS, PS
@@ -65,20 +67,29 @@ class LinkConfig:
     extra_guard: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.ppm_bits <= 0:
+        # Every check is written so that NaN fails it.
+        if isinstance(self.ppm_bits, bool) or not isinstance(self.ppm_bits, Integral):
+            raise ValueError(f"ppm_bits must be an int, got {self.ppm_bits!r}")
+        if not self.ppm_bits > 0:
             raise ValueError("ppm_bits must be positive")
         if self.ppm_bits > 16:
             raise ValueError("ppm_bits above 16 is not supported (2^K slots explode)")
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
-        if self.spad_dead_time <= 0:
-            raise ValueError("spad_dead_time must be positive")
-        if self.mean_detected_photons < 0:
-            raise ValueError("mean_detected_photons must be non-negative")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.extra_guard < 0:
-            raise ValueError("extra_guard must be non-negative")
+        for name in ("slot_duration", "spad_dead_time", "wavelength"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # An unbounded photon budget (+inf) is valid: a pulse that always
+        # fires, which the multichannel engine supports on purpose.
+        if not self.mean_detected_photons >= 0:
+            raise ValueError(
+                f"mean_detected_photons must be non-negative, got {self.mean_detected_photons!r}"
+            )
+        for name in ("temperature", "excess_bias"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not (self.extra_guard >= 0 and math.isfinite(self.extra_guard)):
+            raise ValueError(f"extra_guard must be non-negative and finite, got {self.extra_guard!r}")
         if self.tdc_design is not None and self.tdc_design.resolution > self.slot_duration:
             raise ValueError(
                 "the TDC resolution (element delay) must not exceed the slot duration"

@@ -47,7 +47,7 @@ from repro.scenarios.runner import (
     ExperimentRunner,
     resolve_scenario_backend,
 )
-from repro.scenarios.scenario import Scenario
+from repro.scenarios.scenario import Scenario, require_positive_int
 from repro.scenarios.store import ReportStore, run_digest
 
 
@@ -217,8 +217,7 @@ class RunRequest:
             resolved = resolved.with_kernel(kernel)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"seed must be an int, got {seed!r}")
-        if not isinstance(chunk_symbols, int) or chunk_symbols <= 0:
-            raise ValueError(f"chunk_symbols must be a positive int, got {chunk_symbols!r}")
+        require_positive_int("chunk_symbols", chunk_symbols)
         return cls(
             scenario=resolved,
             backend=resolve_scenario_backend(resolved, backend),

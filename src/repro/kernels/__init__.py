@@ -9,30 +9,29 @@ window resolution behind
 :meth:`~repro.noc.arbitration.RoundRobinArbiter.grant` walk of
 :meth:`~repro.noc.bus.OpticalBus.run`.  This package makes those loops
 *pluggable*: callers resolve a :class:`Kernel` by name and the engine
-dispatches through it, with the ``"python"`` reference defining semantics and
-every other implementation locked bit-identical to it by
-``tests/test_kernels.py`` and ``scripts/regression_check.py``.
+dispatches through it.  :mod:`repro.kernels.reference` defines the semantics
+of the scan and the resolver, and every registered implementation is locked
+bit-identical to it by ``tests/test_kernels.py`` and
+``scripts/regression_check.py``.
 
 Kernels
 -------
 ``"python"``
-    The loops as they shipped — extracted to :mod:`repro.kernels.reference`.
-    Always available; the semantic ground truth.
+    The reference scan (:mod:`repro.kernels.reference`) and the
+    speculate-then-correct resolver (:mod:`repro.kernels.speculative`).
+    Always available.
 ``"vector"``
-    NumPy-only acceleration: the vectorised arbitration schedule of
-    :mod:`repro.kernels.arbitration` (scan/resolve stay on the in-module
-    Python fast paths).  Always available.
-``"numba"``
-    ``@njit(cache=True, nogil=True)`` ports of the scan and resolver plus the
-    vectorised arbitration.  Registered only when :mod:`numba` is importable
-    (``pip install repro[fast]``).
+    The ``"python"`` loops plus the vectorised arbitration schedule of
+    :mod:`repro.kernels.arbitration`.  Always available; the fallback for
+    hosts without a C compiler.
 ``"cext"``
-    ctypes-bound C ports compiled on first use with the host toolchain
-    (:mod:`repro.kernels.cext`).  Registered only when a C compiler is
-    available and the build succeeds.
+    ctypes-bound C ports of the scan and the resolver, compiled on first use
+    with the host toolchain (:mod:`repro.kernels.cext`), plus the vectorised
+    arbitration.  Registered only when a C compiler is available and the
+    build succeeds.
 ``"auto"``
     Not a kernel but a resolution rule: the fastest available tier,
-    preferring ``numba`` > ``cext`` > ``vector`` > ``python``.
+    preferring ``cext`` > ``vector`` > ``python``.
 
 Selection order: an explicit ``kernel=`` argument (threaded through
 ``make_link``, ``Scenario``, the CLI ``--kernel`` flag and the service) beats
@@ -40,10 +39,9 @@ the ``REPRO_KERNEL`` environment variable, which beats the ``"auto"``
 default.  Naming an unavailable kernel falls back to ``"python"`` with a
 one-time :class:`RuntimeWarning` — runs degrade, they don't die.
 
-The native tiers (``numba``/``cext``) release the GIL while a chunk is inside
-a kernel, which is what makes
-:class:`~repro.scenarios.executors.ThreadExecutor` worthwhile: threads run
-grid points genuinely in parallel with zero pickling/IPC cost.
+The ``cext`` tier releases the GIL while a chunk is inside a kernel, which
+is what makes :class:`~repro.scenarios.executors.ThreadExecutor` worthwhile:
+threads run grid points genuinely in parallel with zero pickling/IPC cost.
 
 This package is a leaf — it imports NumPy and nothing from the rest of
 :mod:`repro`, so any layer (including ``Scenario`` validation) can import it
@@ -60,6 +58,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import arbitration as _arbitration
 from . import reference as _reference
+from . import speculative as _speculative
 
 __all__ = [
     "KERNEL_NAMES",
@@ -70,10 +69,10 @@ __all__ = [
 ]
 
 #: Every name ``get_kernel`` accepts (``"auto"`` resolves, the rest select).
-KERNEL_NAMES: Tuple[str, ...] = ("auto", "python", "vector", "numba", "cext")
+KERNEL_NAMES: Tuple[str, ...] = ("auto", "python", "vector", "cext")
 
 #: ``"auto"`` preference order, fastest first.
-_AUTO_ORDER: Tuple[str, ...] = ("numba", "cext", "vector", "python")
+_AUTO_ORDER: Tuple[str, ...] = ("cext", "vector", "python")
 
 round_robin_schedule = _arbitration.round_robin_schedule
 
@@ -82,16 +81,15 @@ round_robin_schedule = _arbitration.round_robin_schedule
 class Kernel:
     """One named set of hot-loop implementations.
 
-    ``scan_windows`` is always present (every kernel can run the device
-    scan).  ``resolve_windows`` is ``None`` when the kernel has no native
-    resolver — the array layer then keeps its in-module Python fast path.
-    ``arbitrate`` is ``None`` when the kernel has no schedule-at-once
-    arbitration — the bus then keeps its per-slot grant loop.
+    Every kernel runs the device scan (``scan_windows``) and the multichannel
+    window resolution (``resolve_windows``).  ``arbitrate`` is ``None`` when
+    the kernel has no schedule-at-once arbitration — the bus then keeps its
+    per-slot grant loop.
     """
 
     name: str
     scan_windows: Callable = field(repr=False)
-    resolve_windows: Optional[Callable] = field(default=None, repr=False)
+    resolve_windows: Callable = field(repr=False)
     arbitrate: Optional[Callable] = field(default=None, repr=False)
 
 
@@ -101,22 +99,15 @@ def _registry() -> Dict[str, Kernel]:
         "python": Kernel(
             name="python",
             scan_windows=_reference.scan_windows,
+            resolve_windows=_speculative.resolve_windows,
         ),
         "vector": Kernel(
             name="vector",
             scan_windows=_reference.scan_windows,
+            resolve_windows=_speculative.resolve_windows,
             arbitrate=round_robin_schedule,
         ),
     }
-    from . import numba_kernels as _numba
-
-    if _numba.NUMBA_AVAILABLE:
-        kernels["numba"] = Kernel(
-            name="numba",
-            scan_windows=_numba.scan_windows,
-            resolve_windows=_numba.resolve_windows,
-            arbitrate=round_robin_schedule,
-        )
     from . import cext as _cext
 
     native = _cext.load()
@@ -140,7 +131,7 @@ def _warn_unavailable(requested: str) -> None:
     warnings.warn(
         f"kernel {requested!r} is not available in this environment "
         f"(available: {', '.join(available_kernels())}); "
-        "falling back to the 'python' reference kernel",
+        "falling back to the 'python' kernel",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -151,8 +142,8 @@ def get_kernel(name: Optional[str] = None) -> Kernel:
 
     ``name=None`` defers to ``$REPRO_KERNEL``, and absent that to
     ``"auto"`` — which picks the fastest registered tier.  Unknown names
-    raise :class:`ValueError`; known-but-unavailable names (e.g. ``"numba"``
-    without numba installed) fall back to ``"python"`` with a one-time
+    raise :class:`ValueError`; known-but-unavailable names (``"cext"`` on a
+    host without a C compiler) fall back to ``"python"`` with a one-time
     :class:`RuntimeWarning`.
     """
     requested = name or os.environ.get("REPRO_KERNEL") or "auto"

@@ -13,8 +13,7 @@ on doubles — the exact operations CPython floats perform.  The equivalence is
 locked by ``tests/test_kernels.py``.
 
 ctypes releases the GIL for the duration of every foreign call, so these
-kernels parallelise under :class:`~repro.scenarios.executors.ThreadExecutor`
-exactly like the ``nogil`` numba tier.
+kernels parallelise under :class:`~repro.scenarios.executors.ThreadExecutor`.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
-"""The ``"python"`` compute kernels — today's loops, extracted verbatim.
+"""The reference compute kernels — the plain window-by-window loops.
 
 These are the *semantics-defining* implementations of the two sequential hot
 loops the kernel layer accelerates: the dead-time winner scan of
 :meth:`~repro.spad.device.SpadDevice.detect_in_windows` and the per-channel
 window resolution of :func:`~repro.spad.array.detect_in_windows_multichannel`.
-Every other kernel (``"numba"``, ``"cext"``) must match them **bit for bit**
-on the same pre-drawn inputs (locked by ``tests/test_kernels.py``); any
-behaviour change lands here first and propagates outward.
+:func:`scan_windows` is also the ``"python"`` tier's scan; the registered
+resolvers (:mod:`repro.kernels.speculative`, ``"cext"``) must match
+:func:`resolve_windows` **bit for bit** on the same pre-drawn inputs (locked
+by ``tests/test_kernels.py``); any behaviour change lands here first and
+propagates outward.
 
 Sentinel convention at the kernel boundary
 ------------------------------------------
@@ -135,15 +137,15 @@ def resolve_windows(
     ``primary`` is ``(S, C)`` absolute candidate times (``inf`` = none),
     ``secondary`` the interference candidates stacked to ``(K, S, C)``, dark
     and background events CSR-indexed over the flat ``(S*C,)`` window/channel
-    grid.  Channels are independent pixels, so the scan runs channel-major;
-    the candidate precedence (primary, secondaries in order, darks,
-    background, pending afterpulse — later sources win only strictly earlier)
-    is exactly that of ``_resolve_windows_reference`` in
-    :mod:`repro.spad.array`, which stays the semantic ground truth.
+    grid.  Channels are independent pixels, so the scan runs channel-major.
+    Candidate precedence: primary, secondaries in order, darks, background,
+    pending afterpulse — later sources win only when strictly earlier.  A
+    trap release before a window's end is consumed whether or not it fired;
+    a firing window samples the next release.
 
-    This Python port exists as the like-for-like reference for the native
-    kernels; the production ``"python"`` resolver remains the
-    speculate-then-correct fast path in :mod:`repro.spad.array`.
+    No tier registers this loop; it is the oracle the registered resolvers
+    are tested against (``"python"``/``"vector"`` run
+    :mod:`repro.kernels.speculative`, ``"cext"`` a C port of this loop).
     """
     windows, channels = primary.shape
     n_secondary = int(secondary.shape[0])

@@ -12,11 +12,10 @@ photon count at the link wavelength.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.analysis.units import NM, NS, PS, UM, photon_energy
+from repro.analysis.units import NM, PS, UM, photon_energy
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,10 @@ class MicroLed:
         return current
 
     def pulse_shape(self, drive_current: float, pulse_width: float, points: int = 64) -> np.ndarray:
-        """Normalised optical pulse shape sampled at ``points`` instants.
+        """Optical pulse power [W] sampled at ``points`` instants.
 
-        Trapezoidal pulse with the configured rise/fall time; used by the
-        event-driven simulation to draw photon emission times within a pulse.
+        A trapezoid over ``[0, pulse_width + rise_time]`` with the configured
+        rise/fall time, peaking at :meth:`optical_power` of ``drive_current``.
         """
         if points < 2:
             raise ValueError("points must be at least 2")

@@ -623,12 +623,12 @@ class ThreadExecutor:
     """Dispatches tasks across a thread pool in the calling process.
 
     Threads share the interpreter, so this only pays off when point
-    evaluation spends its time *outside* the GIL — which the native compute
-    kernels do (:mod:`repro.kernels`: numba ``nogil=True`` functions and
-    ``ctypes`` C-extension calls both release the GIL for the duration of a
-    window scan).  Under the pure-``"python"`` kernel the threads serialise
-    on the GIL and a thread pool is no faster than :class:`SerialExecutor`;
-    use :class:`ProcessExecutor` there instead.
+    evaluation spends its time *outside* the GIL — which the ``"cext"``
+    compute kernel does (:mod:`repro.kernels`: its ``ctypes`` calls release
+    the GIL for the duration of a window scan).  Under the ``"python"`` and
+    ``"vector"`` kernels the threads serialise on the GIL and a thread pool
+    is no faster than :class:`SerialExecutor`; use :class:`ProcessExecutor`
+    there instead.
 
     What threads buy over processes: zero pickling, zero IPC, zero worker
     start-up, and no picklability contract at all — subclassed scenarios and

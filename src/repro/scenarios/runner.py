@@ -43,7 +43,7 @@ from repro.scenarios.executors import (
 )
 from repro.scenarios.faults import PointFailure, RetryPolicy
 from repro.scenarios.metrics import PointOutcome, evaluate_metrics, metric_allows_nan
-from repro.scenarios.scenario import Scenario
+from repro.scenarios.scenario import Scenario, require_positive_int
 from repro.scenarios.session import ExperimentSession
 
 if False:  # pragma: no cover - typing only, avoids a runtime cycle
@@ -315,8 +315,7 @@ class ExperimentRunner:
         retry: Optional[RetryPolicy] = None,
         failure_policy: Optional[str] = None,
     ) -> None:
-        if chunk_symbols <= 0:
-            raise ValueError("chunk_symbols must be positive")
+        require_positive_int("chunk_symbols", chunk_symbols)
         self.scenario = scenario
         self.seed = seed
         self.backend = resolve_scenario_backend(scenario, backend)

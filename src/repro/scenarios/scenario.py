@@ -93,6 +93,16 @@ def _known_parameters() -> Tuple[str, ...]:
     return _CONFIG_FIELDS + SPECIAL_PARAMETERS
 
 
+def require_positive_int(name: str, value: Any) -> None:
+    """Raise :class:`ValueError` unless ``value`` is an int above zero.
+
+    ``bool`` is rejected although it subclasses ``int``: ``True`` as a budget
+    or chunk size is a malformed request, not a request for one.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
 def _validate_noc_parameter(name: str, value: Any) -> None:
     """Early validation of one ``noc_*`` override or sweep value."""
     if name == "noc_traffic":
@@ -207,13 +217,20 @@ class Scenario:
         if overlap:
             raise ValueError(f"parameter(s) both overridden and swept: {', '.join(overlap)}")
         declared = set(self.link_overrides) | set(self.sweep_axes)
+        # Each LinkConfig value is checked on its own (NaN, ranges), so a
+        # hostile override or sweep value fails here rather than mid-run.
+        for name in sorted(declared & set(_CONFIG_FIELDS)):
+            for value in self._declared_values(name):
+                try:
+                    LinkConfig(**{name: value})
+                except TypeError:  # a string or null from a scenario file
+                    raise ValueError(f"{name} must be a number, got {value!r}") from None
         if "stack_thickness" in declared and "stack_dies" not in declared:
             raise ValueError(
                 "stack_thickness has no effect without stack_dies "
                 "(no die-stack channel is built)"
             )
-        if not isinstance(self.channels, int) or self.channels < 1:
-            raise ValueError(f"channels must be a positive int, got {self.channels!r}")
+        require_positive_int("channels", self.channels)
         crosstalk_keys = declared & {"crosstalk_pitch", "crosstalk_floor"}
         if crosstalk_keys and self.channels < 2:
             raise ValueError(
@@ -251,12 +268,7 @@ class Scenario:
                     f"network metrics ({', '.join(NOC_METRICS)}) or ber"
                 )
             for name in NOC_PARAMETERS:
-                values: Tuple[Any, ...] = ()
-                if name in self.link_overrides:
-                    values = (self.link_overrides[name],)
-                elif name in self.sweep_axes:
-                    values = self.sweep_axes[name]
-                for value in values:
+                for value in self._declared_values(name):
                     _validate_noc_parameter(name, value)
         if not self.metrics:
             raise ValueError("a scenario needs at least one metric")
@@ -266,8 +278,7 @@ class Scenario:
                 f"unknown metric(s) {', '.join(missing)}; "
                 f"available: {', '.join(sorted(available_metrics()))}"
             )
-        if self.bits_per_point <= 0:
-            raise ValueError("bits_per_point must be positive")
+        require_positive_int("bits_per_point", self.bits_per_point)
         resolve_backend(self.backend)  # raises on unknown names
         if self.seed_policy not in SEED_POLICIES:
             raise ValueError(
@@ -306,10 +317,7 @@ class Scenario:
                     "NoC traffic points do not support them"
                 )
         if self.max_symbols is not None:
-            if not isinstance(self.max_symbols, int) or self.max_symbols <= 0:
-                raise ValueError(
-                    f"max_symbols must be a positive int, got {self.max_symbols!r}"
-                )
+            require_positive_int("max_symbols", self.max_symbols)
             if self.ci_target is None:
                 raise ValueError(
                     "max_symbols caps an adaptive budget and has no effect "
@@ -353,6 +361,12 @@ class Scenario:
         )
 
     # -- grid --------------------------------------------------------------------
+    def _declared_values(self, name: str) -> Tuple[Any, ...]:
+        """Every value parameter ``name`` takes on the grid (empty if undeclared)."""
+        if name in self.link_overrides:
+            return (self.link_overrides[name],)
+        return tuple(self.sweep_axes.get(name, ()))
+
     @property
     def axis_names(self) -> Tuple[str, ...]:
         """Sweep axis names, in declaration order."""

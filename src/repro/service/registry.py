@@ -173,7 +173,7 @@ class RunRegistry:
             "executor": {"name": self._executor_name(), **executor_stats},
             # The compute kernels this server can dispatch ("auto" resolves
             # to the fastest of these) — clients use it to decide whether a
-            # kernel="numba" request is worth sending here.
+            # kernel="cext" request is worth sending here.
             "kernels": list(available_kernels()),
         }
 

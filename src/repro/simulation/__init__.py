@@ -1,17 +1,12 @@
-"""Discrete-event simulation kernel and Monte-Carlo utilities.
+"""Monte-Carlo utilities and reproducible randomness.
 
 The stochastic parts of the link model (photon arrivals, SPAD avalanches,
-afterpulsing, TDC sampling) are driven either analytically or through the
-small event-driven engine defined here.  The engine is deliberately minimal:
-time-ordered event queue, processes that schedule further events, and a trace
-recorder for post-processing.
+afterpulsing, TDC sampling) are drawn in bulk by the link backends; this
+package supplies the seeded random streams they draw from and the chunked
+Monte-Carlo runner and trials the experiment layer compiles scenarios onto.
 """
 
-from repro.simulation.engine import Simulator
-from repro.simulation.events import Event, EventQueue
-from repro.simulation.process import Process, ProcessState
 from repro.simulation.randomness import RandomSource, split_seed
-from repro.simulation.recorder import TraceRecorder, TraceSample
 from repro.simulation.montecarlo import (
     TRAFFIC_PATTERNS,
     MonteCarloResult,
@@ -22,15 +17,8 @@ from repro.simulation.montecarlo import (
 )
 
 __all__ = [
-    "Simulator",
-    "Event",
-    "EventQueue",
-    "Process",
-    "ProcessState",
     "RandomSource",
     "split_seed",
-    "TraceRecorder",
-    "TraceSample",
     "MonteCarloRunner",
     "MonteCarloResult",
     "NocTrafficTrial",

@@ -43,7 +43,6 @@ def detect_in_windows_multichannel(
     secondary_photons: Sequence[float] = (),
     background_mean=0.0,
     start_time: float = 0.0,
-    resolver: str = "fast",
     importance: Optional[ImportanceSettings] = None,
     kernel: Optional[str] = None,
 ) -> Tuple[np.ndarray, ...]:
@@ -57,11 +56,10 @@ def detect_in_windows_multichannel(
     pre-drawn as ``(S, C)`` bulk arrays — one draw per physical process, the
     same layout as the single-channel batch pass.
 
-    Where the single-channel engine scans the windows of one device as a
-    scalar Python loop, the dead-time/afterpulse recursion here is only
-    sequential *along the window axis*: the loop runs over the ``S`` windows
-    and resolves all ``C`` channels per step with array operations (the
-    shared-pipeline fold that makes wide SPAD arrays cheap to simulate).
+    Channels never couple through the detector state, so after the bulk
+    draws the only sequential work — the dead-time/afterpulse recursion
+    along each channel's windows — is one call to the resolved compute
+    kernel's ``resolve_windows`` (:mod:`repro.kernels`).
 
     Parameters
     ----------
@@ -92,19 +90,11 @@ def detect_in_windows_multichannel(
         floor of many far channels.  Also reported as crosstalk.
     start_time:
         Absolute start of window 0 [s].
-    resolver:
-        ``"fast"`` (default) resolves windows speculatively in one vectorised
-        pass and sequentially corrects only the rare windows where dead time
-        or a pending afterpulse couples consecutive windows; ``"reference"``
-        scans every window.  Both consume the same pre-drawn randomness and
-        produce bit-identical output (locked by ``tests/test_spad_array.py``);
-        the seam exists so the equivalence stays testable.
     kernel:
         Compute-kernel name (see :func:`repro.kernels.get_kernel`; ``None``
-        defers to ``$REPRO_KERNEL`` / ``"auto"``).  When the resolved kernel
-        carries a native resolver and ``resolver`` is ``"fast"``, the window
-        resolution runs natively; all kernels are bit-identical to the
-        Python paths, so the choice affects speed only.
+        defers to ``$REPRO_KERNEL`` / ``"auto"``).  Every kernel's resolver
+        is bit-identical to :func:`repro.kernels.reference.resolve_windows`
+        on the same pre-drawn randomness, so the choice affects speed only.
 
     Returns ``(times, origins)``: ``(S, C)`` absolute detection times (``NaN``
     when a window reported nothing) and int8 origin codes (see
@@ -165,10 +155,10 @@ def detect_in_windows_multichannel(
         if np.asarray(sec).shape != offsets.shape:
             raise ValueError("secondary offsets must match photon_offsets' shape")
     primary = pulse_candidates(offsets, mean_photons)
-    secondary = [
-        pulse_candidates(np.asarray(sec, dtype=float), photons)
-        for sec, photons in zip(secondary_offsets, secondary_photons)
-    ]
+    # Interference candidates stacked to (K, S, C), the kernel layout.
+    secondary = np.empty((len(secondary_offsets), windows, channels))
+    for k, (sec, photons) in enumerate(zip(secondary_offsets, secondary_photons)):
+        secondary[k] = pulse_candidates(np.asarray(sec, dtype=float), photons)
 
     dark_rate = device.dark_counts.rate(device.config.temperature, device.config.excess_bias)
     dark_counts = rng.poisson(dark_rate * duration, shape)
@@ -185,41 +175,13 @@ def detect_in_windows_multichannel(
     background_bounds = np.zeros(windows * channels + 1, dtype=np.int64)
     np.cumsum(background_counts.ravel(), out=background_bounds[1:])
 
-    if resolver not in ("fast", "reference"):
-        raise ValueError(f"resolver must be 'fast' or 'reference', got {resolver!r}")
-    native = get_kernel(kernel).resolve_windows
-    if native is not None and resolver == "fast":
-        # Native kernels take the interference candidates stacked to
-        # (K, S, C) and skip the per-window count arrays (bounds suffice).
-        stacked = (
-            np.stack(secondary)
-            if secondary
-            else np.empty((0, windows, channels))
-        )
-        return native(
-            primary,
-            stacked,
-            dark_rel,
-            dark_bounds,
-            background_rel,
-            background_bounds,
-            trap_filled,
-            trap_release,
-            device.quenching.dead_time,
-            device.quenching.effective_gate_recovery,
-            duration,
-            base,
-        )
-    resolve = _resolve_windows_fast if resolver == "fast" else _resolve_windows_reference
-    return resolve(
+    return get_kernel(kernel).resolve_windows(
         primary,
         secondary,
-        dark_counts,
-        dark_bounds,
         dark_rel,
-        background_counts,
-        background_bounds,
+        dark_bounds,
         background_rel,
+        background_bounds,
         trap_filled,
         trap_release,
         device.quenching.dead_time,
@@ -227,91 +189,6 @@ def detect_in_windows_multichannel(
         duration,
         base,
     )
-
-
-def _resolve_windows_reference(
-    primary,
-    secondary,
-    dark_counts,
-    dark_bounds,
-    dark_rel,
-    background_counts,
-    background_bounds,
-    background_rel,
-    trap_filled,
-    trap_release,
-    dead_time,
-    gate_recovery,
-    duration,
-    base,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Window-by-window winner resolution (the straightforward scan).
-
-    ``primary``/``secondary`` hold absolute avalanche-candidate times per
-    window and channel (``inf`` = none); dark and background events come as
-    CSR-indexed window-relative times.  This is the semantics-defining
-    implementation: the fast resolver must match it bit for bit on the same
-    pre-drawn inputs.
-    """
-    windows, channels = primary.shape
-    dark_in_row = dark_counts.any(axis=1)
-    background_in_row = background_counts.any(axis=1)
-    last_fire = np.full(channels, -np.inf)
-    pending = np.full(channels, np.inf)  # inf = no trap release pending
-    out_times = np.full(primary.shape, np.nan)
-    out_origins = np.full(primary.shape, ORIGIN_CODE_MISSED, dtype=np.int8)
-
-    def apply_sparse(index, counts_row, bounds, relative, ready, best, origin, code, ws):
-        for c in np.flatnonzero(counts_row):
-            flat = index * channels + c
-            for t in relative[bounds[flat] : bounds[flat + 1]]:
-                t_abs = ws + t
-                if t_abs >= ready[c] and t_abs < best[c]:
-                    best[c] = t_abs
-                    origin[c] = code
-
-    # Sequential-dependency scan along the window axis only: the gated re-arm
-    # and pending afterpulse of window s depend on when window s-1 fired, but
-    # channels never couple, so each step resolves all C channels vectorised.
-    for s in range(windows):
-        ws = base + s * duration
-        we = ws + duration
-        ready = np.where(ws - last_fire >= gate_recovery, ws, last_fire + dead_time)
-
-        candidate = primary[s]
-        wins = (candidate >= ready) & np.isfinite(candidate)
-        best = np.where(wins, candidate, np.inf)
-        origin = np.where(wins, 0, ORIGIN_CODE_MISSED)
-        for sec in secondary:
-            candidate = sec[s]
-            wins = (candidate >= ready) & (candidate < best)
-            best = np.where(wins, candidate, best)
-            origin = np.where(wins, 3, origin)
-        if dark_in_row[s]:
-            apply_sparse(s, dark_counts[s], dark_bounds, dark_rel, ready, best, origin, 1, ws)
-        if background_in_row[s]:
-            apply_sparse(
-                s, background_counts[s], background_bounds, background_rel,
-                ready, best, origin, 3, ws,
-            )
-        wins = (pending >= ws) & (pending < we) & (pending >= ready) & (pending < best)
-        best = np.where(wins, pending, best)
-        origin = np.where(wins, 2, origin)
-
-        # A trap release before this window's end is consumed whether or not
-        # it fired; a firing window samples the next release (same trap
-        # semantics as the scalar and single-channel batch paths).
-        consumed = pending < we
-        fired = origin >= 0
-        out_times[s] = np.where(fired, best, np.nan)
-        out_origins[s] = origin
-        last_fire = np.where(fired, best, last_fire)
-        pending = np.where(
-            fired,
-            np.where(trap_filled[s], best + trap_release[s], np.inf),
-            np.where(consumed, np.inf, pending),
-        )
-    return out_times, out_origins
 
 
 def _detect_multichannel_importance(
@@ -391,8 +268,9 @@ def _detect_multichannel_importance(
     out_origins = np.full(shape, ORIGIN_CODE_MISSED, dtype=np.int8)
     out_weights = np.ones(shape)
 
-    # Same window-axis scan as _resolve_windows_reference, with per-channel
-    # weight bookkeeping folded in.
+    # Window-axis scan resolving all channels per step (the winner rules of
+    # repro.kernels.reference.resolve_windows), with per-channel weight
+    # bookkeeping folded in.
     for s in range(windows):
         ws = base + s * duration
         we = ws + duration
@@ -430,172 +308,6 @@ def _detect_multichannel_importance(
             np.where(consumed, np.inf, pending),
         )
     return out_times, out_origins, out_weights
-
-
-def _resolve_windows_fast(
-    primary,
-    secondary,
-    dark_counts,
-    dark_bounds,
-    dark_rel,
-    background_counts,
-    background_bounds,
-    background_rel,
-    trap_filled,
-    trap_release,
-    dead_time,
-    gate_recovery,
-    duration,
-    base,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Speculate-then-correct winner resolution, bit-identical to the reference.
-
-    Every candidate time lies inside its own window, so whenever a window's
-    gated re-arm succeeds at the window start (``ready == window_start``) and
-    no afterpulse is pending, the winner is simply the earliest candidate —
-    computable for *all* windows and channels in one vectorised pass.  The
-    sequential sweep then walks the windows touching only the exceptions:
-
-    * channels whose previous avalanche happened within ``gate_recovery`` of
-      this window's start (the dead time reaches in; candidates before
-      ``last_fire + dead_time`` must be refiltered), and
-    * channels with a pending trap release landing in this window (it may
-      pre-empt the speculative winner, or fire a speculatively-missed window).
-
-    Both are rare — a few percent of windows even with heavy afterpulsing —
-    so the sweep is O(exceptions) Python work plus O(1) bookkeeping per
-    window, instead of the reference's O(channels) array work per window.
-    """
-    windows, channels = primary.shape
-    out_times = primary.copy()
-    out_origins = np.where(np.isfinite(primary), 0, ORIGIN_CODE_MISSED).astype(np.int8)
-    for sec in secondary:
-        better = sec < out_times
-        out_times[better] = sec[better]
-        out_origins[better] = 3
-    # Sparse dark/background candidates fold in with the same strict-< tie
-    # rule the reference applies (primary, then secondaries, darks, floor).
-    for flat in np.flatnonzero(dark_counts.ravel()):
-        s, c = divmod(int(flat), channels)
-        ws = base + s * duration
-        for t in dark_rel[dark_bounds[flat] : dark_bounds[flat + 1]]:
-            if ws + t < out_times[s, c]:
-                out_times[s, c] = ws + t
-                out_origins[s, c] = 1
-    for flat in np.flatnonzero(background_counts.ravel()):
-        s, c = divmod(int(flat), channels)
-        ws = base + s * duration
-        for t in background_rel[background_bounds[flat] : background_bounds[flat + 1]]:
-            if ws + t < out_times[s, c]:
-                out_times[s, c] = ws + t
-                out_origins[s, c] = 3
-    out_times[out_origins < 0] = np.nan
-    # Row-wise latest speculative fire (for the scalar gate-violation check)
-    # and the trap releases the speculative fires would sample.
-    row_latest = np.max(np.where(out_origins >= 0, out_times, -np.inf), axis=1)
-    trap_s, trap_c = np.nonzero(trap_filled & (out_origins >= 0))
-    trap_row_bounds = np.searchsorted(trap_s, np.arange(windows + 1))
-
-    def candidates_for(s, c, ws, ready):
-        """Earliest valid candidate of (s, c) given a re-filter threshold."""
-        best = np.inf
-        origin = ORIGIN_CODE_MISSED
-        t = primary[s, c]
-        if np.isfinite(t) and t >= ready:
-            best, origin = t, 0
-        for sec in secondary:
-            t = sec[s, c]
-            if t >= ready and t < best:
-                best, origin = t, 3
-        flat = s * channels + c
-        for t in dark_rel[dark_bounds[flat] : dark_bounds[flat + 1]]:
-            if ws + t >= ready and ws + t < best:
-                best, origin = ws + t, 1
-        for t in background_rel[background_bounds[flat] : background_bounds[flat + 1]]:
-            if ws + t >= ready and ws + t < best:
-                best, origin = ws + t, 3
-        return best, origin
-
-    last_fire = np.full(channels, -np.inf)
-    max_last_fire = -np.inf
-    pending: dict = {}  # channel -> absolute trap-release time
-    for s in range(windows):
-        ws = base + s * duration
-        we = ws + duration
-        resolve: dict = {}  # channel -> ready threshold (gate-blocked channels)
-        if not ws - max_last_fire >= gate_recovery:
-            # Same float expression as the reference's ready computation, so
-            # borderline comparisons resolve identically.
-            for c in np.flatnonzero(~(ws - last_fire >= gate_recovery)):
-                resolve[int(c)] = last_fire[c] + dead_time
-        resolved = ()
-        row_changed = False
-        if resolve:
-            resolved = tuple(resolve)
-            row_changed = True
-            for c, ready in resolve.items():
-                best, origin = candidates_for(s, c, ws, ready)
-                release = pending.get(c)
-                if (
-                    release is not None
-                    and ws <= release < we
-                    and release >= ready
-                    and release < best
-                ):
-                    best, origin = release, 2
-                if origin >= 0:
-                    out_times[s, c] = best
-                    out_origins[s, c] = origin
-                    # _register_fire: the fire consumes/replaces any pending
-                    # release and samples the next one.
-                    if trap_filled[s, c]:
-                        pending[c] = best + trap_release[s, c]
-                    else:
-                        pending.pop(c, None)
-                else:
-                    out_times[s, c] = np.nan
-                    out_origins[s, c] = ORIGIN_CODE_MISSED
-                    if release is not None and release < we:
-                        del pending[c]  # consumed without firing
-        if pending:
-            # Unblocked channels: every speculative candidate was valid, so a
-            # pending release wins exactly when it is strictly earliest — an
-            # O(1) comparison against the speculative winner, no recompute.
-            for c in list(pending):
-                if c in resolved:
-                    continue
-                release = pending[c]
-                if release < we:
-                    speculative = out_times[s, c]
-                    if release >= ws and (np.isnan(speculative) or release < speculative):
-                        out_times[s, c] = release
-                        out_origins[s, c] = 2
-                        row_changed = True
-                        if trap_filled[s, c]:
-                            pending[c] = release + trap_release[s, c]
-                        else:
-                            del pending[c]
-                    else:
-                        del pending[c]  # consumed: lost the race or stale
-                elif out_origins[s, c] >= 0:
-                    del pending[c]  # replaced by this window's fire
-        # Bookkeeping from the row's final outcomes.
-        row = out_times[s]
-        if row_changed:
-            finite = row[~np.isnan(row)]
-            latest = finite.max() if finite.size else -np.inf
-        else:
-            latest = row_latest[s]
-        if latest > -np.inf:
-            fired_row = ~np.isnan(row)
-            last_fire[fired_row] = row[fired_row]
-            if latest > max_last_fire:
-                max_last_fire = latest
-        for i in range(trap_row_bounds[s], trap_row_bounds[s + 1]):
-            c = int(trap_c[i])
-            if c not in resolved and out_origins[s, c] >= 0:
-                pending[c] = out_times[s, c] + trap_release[s, c]
-    return out_times, out_origins
 
 
 class SpadArray:

@@ -2,14 +2,11 @@
 
 :class:`SpadDevice` combines the photon detection probability, dead-time
 (quenching), dark-count, afterpulsing and jitter sub-models into a stochastic
-detector with two interfaces:
-
-* a *per-window* interface (:meth:`detect_in_window`) used by the PPM link
-  simulator: given the arrival time of the (attenuated) optical pulse within
-  one measurement window, return which detection — signal photon, dark count
-  or afterpulse — the SPAD actually reports first, if any; and
-* a *continuous* interface (:meth:`first_detection`) used by the event-driven
-  simulation.
+detector with one interface, the measurement window: given the arrival time
+of the (attenuated) optical pulse within a window, :meth:`detect_in_window`
+returns which detection — signal photon, dark count or afterpulse — the SPAD
+actually reports first, if any.  :meth:`detect_in_windows` is its batch
+analogue over many consecutive windows.
 
 The device keeps the time of its last avalanche so that dead time and
 afterpulsing carry over from one window to the next, exactly the coupling that
@@ -19,13 +16,13 @@ forces the paper to match the detection cycle to the TDC range.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf, isinf, nan
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.units import NM, NS, UM
+from repro.analysis.units import NM, UM
 from repro.kernels import get_kernel
 from repro.simulation.randomness import RandomSource
 from repro.spad.afterpulsing import AfterpulsingModel
@@ -571,21 +568,7 @@ class SpadDevice:
             np.asarray(out_weights, dtype=float),
         )
 
-    # -- continuous detection -------------------------------------------------------
-    def first_detection(
-        self,
-        start: float,
-        duration: float,
-        photon_times: Optional[np.ndarray] = None,
-        mean_photons_per_pulse: float = 1.0,
-    ) -> Optional[DetectionEvent]:
-        """First detection in ``[start, start + duration)`` given a photon-pulse train."""
-        photon_time = None
-        if photon_times is not None and len(photon_times) > 0:
-            in_window = [t for t in np.asarray(photon_times, dtype=float) if start <= t < start + duration]
-            photon_time = min(in_window) if in_window else None
-        return self.detect_in_window(start, duration, photon_time, mean_photons_per_pulse)
-
+    # -- aggregate characteristics ---------------------------------------------------
     def saturated_count_rate(self) -> float:
         """Maximum sustainable detection rate [counts/s]."""
         return self.quenching.max_count_rate()

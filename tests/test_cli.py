@@ -127,6 +127,23 @@ class TestRun:
         assert run_cli("run", "--file", str(path)) == 1
         assert "unknown metric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"bits_per_point": True},
+            {"bits_per_point": 64.5},
+            {"bits_per_point": "64"},
+            {"sweep_axes": {"mean_detected_photons": [float("nan")]}},
+            {"link_overrides": {"slot_duration": "1e-9"}},
+        ],
+    )
+    def test_run_file_hostile_values_are_one_line_errors(self, capsys, tmp_path, mapping):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({"name": "x", "metrics": ["ber"], **mapping}))
+        assert run_cli("run", "--file", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_unknown_scenario_exits_1_with_message(self, capsys):
         assert run_cli("run", "no-such-scenario") == 1
         assert "unknown scenario" in capsys.readouterr().err

@@ -91,3 +91,34 @@ class TestValidation:
             LinkConfig(mean_detected_photons=-1.0)
         with pytest.raises(ValueError):
             LinkConfig(extra_guard=-1.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "ppm_bits",
+            "slot_duration",
+            "spad_dead_time",
+            "mean_detected_photons",
+            "wavelength",
+            "temperature",
+            "excess_bias",
+            "extra_guard",
+        ],
+    )
+    def test_nan_rejected_in_every_numeric_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            LinkConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["slot_duration", "spad_dead_time", "wavelength", "extra_guard"])
+    def test_infinite_timing_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            LinkConfig(**{field: float("inf")})
+
+    def test_unbounded_photon_budget_is_valid(self):
+        # The multichannel engine handles a pulse that always fires on purpose.
+        assert LinkConfig(mean_detected_photons=float("inf")).mean_detected_photons == float("inf")
+
+    @pytest.mark.parametrize("ppm_bits", [True, 4.0, "4"])
+    def test_ppm_bits_must_be_an_int(self, ppm_bits):
+        with pytest.raises(ValueError, match="ppm_bits"):
+            LinkConfig(ppm_bits=ppm_bits)

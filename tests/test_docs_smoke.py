@@ -159,7 +159,7 @@ def test_docs_cover_the_kernel_layer():
     # (README install + kernels sections, ARCHITECTURE design section).
     readme = README.read_text()
     assert "## Compute kernels" in readme
-    for anchor in ("repro[fast]", "--kernel numba", "--executor thread", "REPRO_KERNEL"):
+    for anchor in ("--kernel cext", "--executor thread", "REPRO_KERNEL"):
         assert anchor in readme, f"README kernels section lost {anchor!r}"
     doc = (README.parent / "docs" / "ARCHITECTURE.md").read_text()
     assert "## Compute kernels" in doc
@@ -167,7 +167,8 @@ def test_docs_cover_the_kernel_layer():
         "get_kernel",
         "available_kernels",
         "REPRO_KERNEL",
-        "nogil",
+        "releases the GIL",
+        "repro.kernels.reference",
         "ThreadExecutor",
         "round_robin_schedule",
         "commit_grants",

@@ -1,12 +1,13 @@
 """Compute-kernel registry and bit-identity tests.
 
 The load-bearing contract of :mod:`repro.kernels`: every registered kernel
-is **bit-identical** to the ``"python"`` reference — same detection times,
+is **bit-identical** to :mod:`repro.kernels.reference` — same detection times,
 same origins, same carried detector state, same arbitration grants — so
 kernel selection (explicit, ``REPRO_KERNEL``, or ``"auto"``) can never change
 a report.  The suite locks that at three levels:
 
-* raw kernel functions on randomised inputs (scan, resolve, arbitration);
+* raw kernel functions on randomised inputs (scan, resolve, arbitration),
+  each tier against :mod:`repro.kernels.reference`;
 * the arbitration schedule against the scalar :class:`RoundRobinArbiter`
   grant loop, including committed queue/rotation state;
 * whole experiment reports across named scenarios, seed policies and the
@@ -22,7 +23,8 @@ from repro.kernels import (
     get_kernel,
     round_robin_schedule,
 )
-from repro.kernels import reference
+from repro import kernels
+from repro.kernels import reference, speculative
 from repro.noc.arbitration import RoundRobinArbiter
 from repro.scenarios import (
     ExperimentRunner,
@@ -61,10 +63,15 @@ def _scan_inputs(rng, windows=400):
 
 
 def _resolve_inputs(rng, windows=96, channels=5, secondaries=2):
-    """Randomised multichannel resolver inputs (inf = no candidate)."""
-    primary = rng.uniform(0.0, DURATION, (windows, channels))
+    """Randomised multichannel resolver inputs (inf = no candidate).
+
+    Pulse candidates are absolute times inside their own window (window
+    ``s`` starts at ``s * DURATION``), as the array pass draws them.
+    """
+    starts = np.arange(windows)[:, None] * DURATION
+    primary = starts + rng.uniform(0.0, DURATION, (windows, channels))
     primary[rng.random((windows, channels)) < 0.4] = np.inf
-    secondary = rng.uniform(0.0, DURATION, (secondaries, windows, channels))
+    secondary = starts + rng.uniform(0.0, DURATION, (secondaries, windows, channels))
     secondary[rng.random(secondary.shape) < 0.6] = np.inf
     cells = windows * channels
     dark_counts = rng.integers(0, 2, cells)
@@ -111,31 +118,26 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown kernel"):
             get_kernel()
 
-    def test_unavailable_kernel_warns_once_and_falls_back(self):
-        from repro.kernels import _warn_unavailable
-
-        missing = [
-            name
-            for name in KERNEL_NAMES
-            if name != "auto" and name not in available_kernels()
-        ]
-        if not missing:
-            pytest.skip("every kernel tier is available in this environment")
-        _warn_unavailable.cache_clear()
+    def test_unavailable_kernel_warns_once_and_falls_back(self, monkeypatch):
+        # A host without a C compiler: the cext tier is not registered.
+        monkeypatch.delitem(kernels._registry(), "cext", raising=False)
+        kernels._warn_unavailable.cache_clear()
         with pytest.warns(RuntimeWarning, match="falling back"):
-            assert get_kernel(missing[0]).name == "python"
+            assert get_kernel("cext").name == "python"
         # The degradation is reported once, not per chunk.
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert get_kernel(missing[0]).name == "python"
+            assert get_kernel("cext").name == "python"
+        kernels._warn_unavailable.cache_clear()
 
     def test_python_kernel_has_no_native_resolver_or_arbiter(self):
-        # By design: under "python" the array layer keeps its in-module fast
-        # path and the bus keeps its scalar grant loop.
+        # By design: under "python" the array layer runs the NumPy/Python
+        # speculate-then-correct resolver and the bus keeps its scalar grant
+        # loop.
         kernel = get_kernel("python")
-        assert kernel.resolve_windows is None
+        assert kernel.resolve_windows is speculative.resolve_windows
         assert kernel.arbitrate is None
 
 
@@ -191,13 +193,6 @@ class TestScanBitIdentity:
 class TestResolveBitIdentity:
     @pytest.mark.parametrize("seed", range(3))
     def test_native_resolvers_match_the_reference(self, seed):
-        natives = [
-            get_kernel(name)
-            for name in available_kernels()
-            if get_kernel(name).resolve_windows is not None
-        ]
-        if not natives:
-            pytest.skip("no native resolver kernel in this environment")
         rng = np.random.default_rng(seed)
         inputs = _resolve_inputs(rng)
         args = (
@@ -208,19 +203,12 @@ class TestResolveBitIdentity:
             DEAD_TIME, GATE_RECOVERY, DURATION, 0.0,
         )
         ref_times, ref_origins = reference.resolve_windows(*args)
-        for kernel in natives:
-            times, origins = kernel.resolve_windows(*args)
-            assert np.array_equal(times, ref_times, equal_nan=True), kernel.name
-            assert np.array_equal(origins, ref_origins), kernel.name
+        for name in available_kernels():
+            times, origins = get_kernel(name).resolve_windows(*args)
+            assert np.array_equal(times, ref_times, equal_nan=True), name
+            assert np.array_equal(origins, ref_origins), name
 
     def test_empty_secondary_stack(self):
-        natives = [
-            get_kernel(name)
-            for name in available_kernels()
-            if get_kernel(name).resolve_windows is not None
-        ]
-        if not natives:
-            pytest.skip("no native resolver kernel in this environment")
         rng = np.random.default_rng(11)
         inputs = _resolve_inputs(rng, windows=32, channels=3, secondaries=1)
         empty = np.empty((0,) + inputs["primary"].shape)
@@ -232,10 +220,10 @@ class TestResolveBitIdentity:
             DEAD_TIME, GATE_RECOVERY, DURATION, 0.0,
         )
         ref_times, ref_origins = reference.resolve_windows(*args)
-        for kernel in natives:
-            times, origins = kernel.resolve_windows(*args)
-            assert np.array_equal(times, ref_times, equal_nan=True), kernel.name
-            assert np.array_equal(origins, ref_origins), kernel.name
+        for name in available_kernels():
+            times, origins = get_kernel(name).resolve_windows(*args)
+            assert np.array_equal(times, ref_times, equal_nan=True), name
+            assert np.array_equal(origins, ref_origins), name
 
 
 def _loaded_arbiter(rng, nodes, requests, horizon):

@@ -16,7 +16,6 @@ from repro.modulation.error_correction import HammingSecDed
 from repro.modulation.ppm import PpmCodec
 from repro.modulation.scrambler import MultiplicativeScrambler
 from repro.modulation.symbols import SlotGrid, bits_to_int, int_to_bits
-from repro.simulation.events import EventQueue
 from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.nonlinearity import compute_dnl_inl
 from repro.tdc.thermometer import binary_to_thermometer, majority_filter, thermometer_to_binary
@@ -136,13 +135,3 @@ def test_dnl_properties(counts):
     assert np.all(dnl >= -1.0)
     # INL is the cumulative sum of DNL.
     assert inl[-1] == pytest.approx(np.sum(dnl))
-
-
-# ----------------------------------------------------------------------- event queue
-@given(times=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=50))
-def test_event_queue_pops_sorted(times):
-    queue = EventQueue()
-    for t in times:
-        queue.push(t)
-    popped = [queue.pop().time for _ in range(len(times))]
-    assert popped == sorted(popped)

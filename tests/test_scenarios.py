@@ -65,6 +65,21 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(name="x", seed_policy="chaotic")
 
+    @pytest.mark.parametrize("bits", [True, 64.5, "64", float("nan"), float("inf"), 0, -1])
+    def test_budget_must_be_a_positive_int(self, bits):
+        with pytest.raises(ValueError, match="bits_per_point must be a positive int"):
+            Scenario(name="x", bits_per_point=bits)
+
+    @pytest.mark.parametrize("where", ["link_overrides", "sweep_axes"])
+    def test_nan_link_value_rejected_at_build(self, where):
+        values = {"mean_detected_photons": float("nan")}
+        if where == "sweep_axes":
+            values = {"mean_detected_photons": (5.0, float("nan"))}
+        with pytest.raises(ValueError, match="mean_detected_photons"):
+            Scenario(name="x", **{where: values})
+        # An unbounded photon budget stays a valid sweep value.
+        Scenario(name="x", sweep_axes={"mean_detected_photons": (5.0, float("inf"))})
+
     def test_stack_thickness_without_stack_dies_rejected(self):
         with pytest.raises(ValueError, match="stack_dies"):
             Scenario(name="x", link_overrides={"stack_thickness": 30e-6})
@@ -282,8 +297,9 @@ class TestExperimentRunner:
         coarse = ExperimentRunner(scenario, seed=3, chunk_symbols=64).run()
         fine = ExperimentRunner(scenario, seed=3, chunk_symbols=64).run()
         assert coarse.to_mapping() == fine.to_mapping()
-        with pytest.raises(ValueError):
-            ExperimentRunner(scenario, chunk_symbols=0)
+        for bad in (0, True, 64.5):
+            with pytest.raises(ValueError, match="chunk_symbols"):
+                ExperimentRunner(scenario, chunk_symbols=bad)
 
     def test_summary_renders_axes_and_metrics(self):
         report = run_scenario(small_scenario(), seed=7)

@@ -276,6 +276,16 @@ class TestErrors:
             client._request("GET", "/compare?a=x")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "field, value", [("bits", True), ("bits", float("nan")), ("chunk_symbols", True)]
+    )
+    def test_non_int_budget_is_a_400(self, client, field, value):
+        # All three used to be accepted; the bits ran a 1-symbol budget.
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/runs", body={"scenario": SCENARIO, field: value})
+        assert excinfo.value.status == 400
+        assert "must be a positive int" in str(excinfo.value)
+
     def test_bind_failure_is_typed_and_maps_to_exit_4(self, tmp_path, capsys):
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))

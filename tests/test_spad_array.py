@@ -204,11 +204,15 @@ class TestBatchWindows:
         ],
     )
     def test_fast_resolver_is_bit_identical_to_reference(
-        self, label, device_kwargs, window, offset_span, photons, crosstalk, background
+        self, monkeypatch, label, device_kwargs, window, offset_span, photons, crosstalk, background
     ):
-        # The speculative fast resolver and the window-by-window reference
-        # consume the same pre-drawn randomness, so their outputs must match
-        # exactly — not just statistically — in every coupling regime.
+        # Every kernel's resolver and the window-by-window reference consume
+        # the same pre-drawn randomness, so their outputs must match exactly
+        # — not just statistically — in every coupling regime.
+        import dataclasses
+
+        from repro import kernels
+        from repro.kernels import reference
         from repro.spad.afterpulsing import AfterpulsingModel
         from repro.spad.dark_counts import DarkCountModel
         from repro.spad.quenching import QuenchingCircuit
@@ -229,9 +233,9 @@ class TestBatchWindows:
             if crosstalk
             else ([], [])
         )
-        outputs = {}
-        for resolver in ("fast", "reference"):
-            outputs[resolver] = detect_in_windows_multichannel(
+
+        def detect(kernel):
+            return detect_in_windows_multichannel(
                 device,
                 window,
                 offsets,
@@ -240,15 +244,26 @@ class TestBatchWindows:
                 secondary_offsets=secondary[0],
                 secondary_photons=secondary[1],
                 background_mean=background,
-                resolver=resolver,
+                kernel=kernel,
             )
-        assert np.array_equal(outputs["fast"][0], outputs["reference"][0], equal_nan=True), label
-        assert np.array_equal(outputs["fast"][1], outputs["reference"][1]), label
+
+        outputs = {name: detect(name) for name in kernels.available_kernels()}
+        # The reference resolver, reached through the registry.
+        registry = kernels._registry()
+        monkeypatch.setitem(
+            registry,
+            "python",
+            dataclasses.replace(registry["python"], resolve_windows=reference.resolve_windows),
+        )
+        expected = detect("python")
+        for name, (times, origins) in outputs.items():
+            assert np.array_equal(times, expected[0], equal_nan=True), (label, name)
+            assert np.array_equal(origins, expected[1]), (label, name)
 
     def test_unknown_resolver_rejected(self):
-        with pytest.raises(ValueError, match="resolver"):
+        with pytest.raises(ValueError, match="unknown kernel"):
             detect_in_windows_multichannel(
-                SpadDevice(), 32 * NS, np.full((2, 2), 1 * NS), resolver="psychic"
+                SpadDevice(), 32 * NS, np.full((2, 2), 1 * NS), kernel="psychic"
             )
 
     def test_dead_time_couples_consecutive_windows(self):

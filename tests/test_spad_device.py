@@ -130,11 +130,3 @@ class TestWindowDetection:
             if event is not None:
                 origins.append(event.origin)
         assert DetectionOrigin.AFTERPULSE in origins
-
-    def test_first_detection_picks_earliest_in_range_photon(self):
-        device = make_device()
-        event = device.first_detection(
-            0.0, 40 * NS, photon_times=[50 * NS, 12 * NS, 20 * NS], mean_photons_per_pulse=1000.0
-        )
-        assert event is not None
-        assert event.time == pytest.approx(12 * NS)
