@@ -88,6 +88,9 @@ class LinkBackend(Protocol):
     Both :class:`~repro.core.link.OpticalLink` and
     :class:`~repro.core.fastlink.FastOpticalLink` satisfy it; third-party
     backends registered through :func:`register_backend` must as well.
+    ``transmit_bits`` takes a list or array of 0/1, and the returned
+    :class:`~repro.core.link.TransmissionResult` carries ``transmitted_bits``
+    and ``received_bits`` as 1-D ``np.uint8`` arrays of payload length.
     """
 
     config: LinkConfig

@@ -84,7 +84,7 @@ def monte_carlo_bit_error_rate(
     symbols = -(-bits // config.ppm_bits)
     total_bits = symbols * config.ppm_bits
     source = RandomSource(seed)
-    payload = source.generator.integers(0, 2, size=total_bits).tolist()
+    payload = source.generator.integers(0, 2, size=total_bits)
     link = make_link(config, backend=backend, seed=seed + 1)
     result = link.transmit_bits(payload)
     return BerEstimate(bit_errors=result.bit_errors, bits_simulated=total_bits)

@@ -16,7 +16,8 @@ process) rather than interleaved per event, so the two paths produce different
 (equally valid) sample paths from the same seed.  Each path is individually
 deterministic given its seed.
 
-The pipeline is NumPy end to end:
+The pipeline is NumPy end to end, from the payload array the caller passes
+in to the ``uint8`` bit arrays of the result:
 
 1. PPM encoding packs the whole payload into a symbol-value array and a
    pulse-time array (``PpmCodec.encode_bits_to_values`` /
@@ -32,7 +33,7 @@ The pipeline is NumPy end to end:
 3. :meth:`TimeToDigitalConverter.convert_array` quantises every detection with
    a single ``np.searchsorted`` against the delay line's cached tap times.
 4. ``PpmCodec.decode_times`` maps the measured times back to slot values and
-   the bit matrix is unpacked in one shot.
+   the bit matrix is unpacked in one shot into ``received_bits``.
 
 The result is the same :class:`~repro.core.link.TransmissionResult` the scalar
 path returns, at a ≥10× (typically 30–100×) symbols/sec advantage on
@@ -87,21 +88,13 @@ class FastOpticalLink(OpticalLink):
         padded with zeros to a whole number of symbols and error statistics
         cover the original bit positions.
         """
-        raw = np.asarray(bits)
-        if raw.size == 0:
-            raise ValueError("bits must be non-empty")
-        # Validate before casting: an int64 cast would silently truncate
-        # fractional "bits" that the scalar path rejects.
-        if not np.isin(raw, (0, 1)).all():
-            raise ValueError("bits must be 0 or 1")
-        payload_arr = raw.astype(np.int64, copy=False)
-        payload = payload_arr.tolist()
+        payload = self._payload_array(bits)
         k = self.config.ppm_bits
-        remainder = len(payload) % k
+        remainder = payload.size % k
         if remainder:
-            padded = np.concatenate([payload_arr, np.zeros(k - remainder, dtype=np.int64)])
+            padded = np.concatenate([payload, np.zeros(k - remainder, dtype=np.uint8)])
         else:
-            padded = payload_arr
+            padded = payload
 
         values = self.codec.encode_bits_to_values(padded)
         symbol_count = int(values.size)
@@ -136,8 +129,7 @@ class FastOpticalLink(OpticalLink):
             )
             decoded[detected] = self.codec.decode_times(measured)
 
-        received_matrix = ints_to_bit_matrix(decoded, k)
-        received_bits = received_matrix.ravel().tolist()
+        received_bits = ints_to_bit_matrix(decoded, k).ravel()[: payload.size].astype(np.uint8)
 
         counts = {origin.value: 0 for origin in ORIGIN_BY_CODE.values()}
         counts["missed"] = int(np.count_nonzero(~detected))
@@ -147,7 +139,7 @@ class FastOpticalLink(OpticalLink):
 
         return TransmissionResult(
             transmitted_bits=payload,
-            received_bits=received_bits[: len(payload)],
+            received_bits=received_bits,
             symbols_sent=symbol_count,
             symbol_errors=int(np.count_nonzero(decoded != values)),
             detection_counts=counts,

@@ -38,10 +38,13 @@ class TransmissionResult:
     This is the shared result contract of every registered link backend
     (see :mod:`repro.core.backend`): whichever engine simulated the payload,
     consumers receive the same fields and derived figures of merit.
+    ``transmitted_bits`` and ``received_bits`` are 1-D ``np.uint8`` arrays
+    of payload length (the zero padding of a final partial symbol is not
+    included); ``transmitted_bits`` is the link's own copy of the payload.
     """
 
-    transmitted_bits: List[int]
-    received_bits: List[int]
+    transmitted_bits: np.ndarray
+    received_bits: np.ndarray
     symbols_sent: int
     symbol_errors: int
     detection_counts: Dict[str, int]
@@ -59,13 +62,13 @@ class TransmissionResult:
     @property
     def bit_errors(self) -> int:
         """Number of payload bit positions that differ."""
-        if not self.transmitted_bits:
+        if len(self.transmitted_bits) == 0:
             return 0
         return count_bit_errors(self.transmitted_bits, self.received_bits)
 
     @property
     def bit_error_rate(self) -> float:
-        if not self.transmitted_bits:
+        if len(self.transmitted_bits) == 0:
             raise ValueError("no bits were transmitted")
         return self.bit_errors / len(self.transmitted_bits)
 
@@ -159,19 +162,36 @@ class OpticalLink:
         return self.spad.detection_probability_for_photons(self.mean_photons_at_detector())
 
     # -- transmission -----------------------------------------------------------------
+    @staticmethod
+    def _payload_array(bits: Sequence[int]) -> np.ndarray:
+        """Validated ``uint8`` copy of a payload given as a list or array of 0/1.
+
+        Every backend's :meth:`transmit_bits` starts here, so all of them
+        accept and reject the same inputs.
+        """
+        raw = np.asarray(bits)
+        if raw.ndim != 1 or raw.size == 0:
+            raise ValueError("bits must be a non-empty 1-D sequence")
+        if np.issubdtype(raw.dtype, np.integer):
+            valid = int(raw.min()) >= 0 and int(raw.max()) <= 1
+        else:
+            # Validate before casting: the uint8 cast would silently truncate
+            # fractional "bits" and NaN.
+            valid = bool(np.isin(raw, (0, 1)).all())
+        if not valid:
+            raise ValueError("bits must be 0 or 1")
+        return raw.astype(np.uint8)
+
     def transmit_bits(self, bits: Sequence[int]) -> TransmissionResult:
         """Send a payload over the link and return the decoded result.
 
-        The payload is padded with zeros to a whole number of symbols; error
-        statistics are computed over the original (unpadded) bit positions.
+        ``bits`` is a list or array of 0/1.  The payload is padded with zeros
+        to a whole number of symbols; error statistics are computed over the
+        original (unpadded) bit positions.
         """
-        payload = list(bits)
-        if not payload:
-            raise ValueError("bits must be non-empty")
-        if any(bit not in (0, 1) for bit in payload):
-            raise ValueError("bits must be 0 or 1")
+        payload = self._payload_array(bits)
         k = self.config.ppm_bits
-        padded = list(payload)
+        padded = payload.tolist()
         remainder = len(padded) % k
         if remainder:
             padded += [0] * (k - remainder)
@@ -222,7 +242,7 @@ class OpticalLink:
         elapsed = len(symbols) * symbol_duration
         return TransmissionResult(
             transmitted_bits=payload,
-            received_bits=received_bits[: len(payload)],
+            received_bits=np.asarray(received_bits[: payload.size], dtype=np.uint8),
             symbols_sent=len(symbols),
             symbol_errors=symbol_errors,
             detection_counts=detection_counts,
@@ -234,8 +254,7 @@ class OpticalLink:
         if bit_count <= 0:
             raise ValueError("bit_count must be positive")
         source = RandomSource(payload_seed)
-        payload = source.generator.integers(0, 2, size=bit_count).tolist()
-        return self.transmit_bits(payload)
+        return self.transmit_bits(source.generator.integers(0, 2, size=bit_count))
 
     # -- figures of merit ----------------------------------------------------------------
     def raw_bit_rate(self) -> float:

@@ -48,7 +48,6 @@ from repro.core.link import OpticalLink, TransmissionResult
 from repro.modulation.symbols import ints_to_bit_matrix
 from repro.photonics.channel import OpticalChannel
 from repro.photonics.crosstalk import CrosstalkModel
-from repro.simulation.randomness import RandomSource
 from repro.spad.array import detect_in_windows_multichannel
 from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings
 
@@ -283,25 +282,13 @@ class MultichannelOpticalLink(OpticalLink):
         a whole number of parallel windows; error statistics cover the
         original payload symbols only.
         """
-        raw = np.asarray(bits)
-        if raw.size == 0:
-            raise ValueError("bits must be non-empty")
-        if np.issubdtype(raw.dtype, np.integer):
-            valid = int(raw.min()) >= 0 and int(raw.max()) <= 1
-        else:
-            # Validate before casting: an int64 cast would silently truncate
-            # fractional "bits" that the scalar path rejects.
-            valid = bool(np.isin(raw, (0, 1)).all())
-        if not valid:
-            raise ValueError("bits must be 0 or 1")
-        payload_arr = raw.astype(np.int64, copy=False)
-        payload = payload_arr.tolist()
+        payload = self._payload_array(bits)
         k = self.config.ppm_bits
-        remainder = len(payload) % k
+        remainder = payload.size % k
         if remainder:
-            padded = np.concatenate([payload_arr, np.zeros(k - remainder, dtype=np.int64)])
+            padded = np.concatenate([payload, np.zeros(k - remainder, dtype=np.uint8)])
         else:
-            padded = payload_arr
+            padded = payload
 
         values = self.codec.encode_bits_to_values(padded)
         symbol_count = int(values.size)
@@ -366,7 +353,6 @@ class MultichannelOpticalLink(OpticalLink):
         decoded_flat = decoded.reshape(-1)[:symbol_count]
         origins_flat = origins.reshape(-1)[:symbol_count]
         received_matrix = ints_to_bit_matrix(decoded_flat, k)
-        received_bits = received_matrix.ravel().tolist()
         elapsed = windows * symbol_duration
         channel_index = np.arange(symbol_count, dtype=np.int64) % self.channels
         errors_per_symbol = _POPCOUNT16[np.bitwise_xor(values, decoded_flat)]
@@ -377,7 +363,7 @@ class MultichannelOpticalLink(OpticalLink):
         # Per-channel counts cover payload positions only, like the aggregate
         # fields: back the final symbol's zero-pad bits (the low bits of its
         # big-endian group) out of its channel's counts.
-        pad_bits = symbol_count * k - len(payload)
+        pad_bits = symbol_count * k - payload.size
         if pad_bits:
             last_channel = (symbol_count - 1) % self.channels
             channel_bits[last_channel] -= pad_bits
@@ -388,7 +374,7 @@ class MultichannelOpticalLink(OpticalLink):
 
         return MultichannelResult(
             transmitted_bits=payload,
-            received_bits=received_bits[: len(payload)],
+            received_bits=received_matrix.ravel()[: payload.size].astype(np.uint8),
             symbols_sent=symbol_count,
             symbol_errors=int(np.count_nonzero(errors_per_symbol)),
             detection_counts=self._origin_counts(origins_flat),
@@ -398,18 +384,9 @@ class MultichannelOpticalLink(OpticalLink):
             channel_bits=channel_bits,
             channel_bit_errors=channel_bit_errors,
             _channel_results_builder=lambda: self._channel_results(
-                values, decoded_flat, origins_flat, received_matrix, elapsed
+                values, decoded_flat, origins_flat, received_matrix, channel_bits, elapsed
             ),
         )
-
-    def transmit_random(self, bit_count: int, payload_seed: int = 1234) -> MultichannelResult:
-        """Transmit ``bit_count`` random bits (convenience for benchmarks)."""
-        if bit_count <= 0:
-            raise ValueError("bit_count must be positive")
-        source = RandomSource(payload_seed)
-        # Same payload draw as the scalar convenience, minus one round trip
-        # through a Python list (the array pass consumes arrays natively).
-        return self.transmit_bits(source.generator.integers(0, 2, size=bit_count))
 
     # -- result assembly ---------------------------------------------------------
     @staticmethod
@@ -427,17 +404,21 @@ class MultichannelOpticalLink(OpticalLink):
         decoded: np.ndarray,
         origins: np.ndarray,
         received_matrix: np.ndarray,
+        channel_bits: np.ndarray,
         elapsed: float,
     ) -> Tuple[TransmissionResult, ...]:
         """Per-channel :class:`TransmissionResult` views of one array pass.
 
         One ``bincount`` pass splits the symbol stream back per channel (the
         flat symbol index ``i`` rode channel ``i % C``); the shared bit
-        matrices are sliced rather than rebuilt per channel.
+        matrices are sliced rather than rebuilt per channel.  Each view's bit
+        fields are cut to ``channel_bits[c]``, so the zero padding of a final
+        partial symbol is left out exactly as in the count split.
         """
         count = int(values.size)
         channels = self.channels
-        sent_matrix = ints_to_bit_matrix(values, self.config.ppm_bits)
+        sent_matrix = ints_to_bit_matrix(values, self.config.ppm_bits).astype(np.uint8)
+        received_matrix = received_matrix.astype(np.uint8)
         channel_index = np.arange(count) % channels
         symbol_errors = np.bincount(
             channel_index[decoded != values], minlength=channels
@@ -455,10 +436,11 @@ class MultichannelOpticalLink(OpticalLink):
             counts = {"missed": int(folded[channel, 0])}
             for position, code in enumerate(origin_codes, start=1):
                 counts[ORIGIN_BY_CODE[code].value] = int(folded[channel, position])
+            payload_bits = int(channel_bits[channel])
             results.append(
                 TransmissionResult(
-                    transmitted_bits=sent_matrix[channel::channels].ravel().tolist(),
-                    received_bits=received_matrix[channel::channels].ravel().tolist(),
+                    transmitted_bits=sent_matrix[channel::channels].ravel()[:payload_bits],
+                    received_bits=received_matrix[channel::channels].ravel()[:payload_bits],
                     symbols_sent=int(values[channel::channels].size),
                     symbol_errors=int(symbol_errors[channel]),
                     detection_counts=counts,

@@ -70,7 +70,7 @@ def bit_matrix_to_ints(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.int64)
     if bits.ndim != 2 or bits.shape[1] == 0:
         raise ValueError("bits must be a 2-D matrix with at least one column")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("bits must be 0 or 1")
     width = bits.shape[1]
     weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)

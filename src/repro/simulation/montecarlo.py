@@ -18,6 +18,9 @@ whole chunk internally (the same design as the batch link engine in
 :mod:`repro.core.fastlink`).  Results are deterministic in
 ``(seed, chunk_size)``; the two entry points sample the same distributions but
 are not draw-for-draw identical.
+
+:class:`LinkBatchTrial` keeps each chunk's bits as NumPy arrays from the
+payload draw through the link to the error count.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class LinkBatchTrial:
             importance=self.importance,
             kernel=self.kernel,
         )
-        payload = generator.integers(0, 2, size=count * self.config.ppm_bits).tolist()
+        payload = generator.integers(0, 2, size=count * self.config.ppm_bits)
         result = link.transmit_bits(payload)
         if self.on_result is not None:
             self.on_result(result)

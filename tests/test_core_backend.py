@@ -114,8 +114,63 @@ class TestMakeLink:
         a = make_link(MODERATE, backend="batch", seed=3).transmit_random(2000)
         b = make_link(MODERATE, backend="batch", seed=3).transmit_random(2000)
         c = make_link(MODERATE, backend="batch", seed=4).transmit_random(2000)
-        assert a.received_bits == b.received_bits
-        assert a.received_bits != c.received_bits
+        assert np.array_equal(a.received_bits, b.received_bits)
+        assert not np.array_equal(a.received_bits, c.received_bits)
+
+
+class TestArrayContract:
+    """Every backend takes a list or array of 0/1 and returns ``uint8`` bit arrays."""
+
+    LINKS = [
+        pytest.param("batch", None, id="batch"),
+        pytest.param("scalar", None, id="scalar"),
+        pytest.param("multichannel", 1, id="multichannel-C1"),
+        pytest.param("multichannel", 3, id="multichannel-C3"),
+    ]
+    #: Not a whole number of 4-bit symbols, so the final symbol is padded.
+    BITS = np.random.default_rng(0).integers(0, 2, size=403).tolist()
+
+    @staticmethod
+    def _link(backend, channels):
+        return make_link(MODERATE, backend=backend, channels=channels, seed=11)
+
+    @pytest.mark.parametrize("backend, channels", LINKS)
+    def test_bit_fields_are_uint8_payload_arrays(self, backend, channels):
+        payloads = [
+            self.BITS,
+            np.array(self.BITS, dtype=np.int64),
+            np.array(self.BITS, dtype=np.uint8),
+            np.array(self.BITS, dtype=bool),
+        ]
+        received = []
+        for payload in payloads:
+            result = self._link(backend, channels).transmit_bits(payload)
+            for bits in (result.transmitted_bits, result.received_bits):
+                assert isinstance(bits, np.ndarray)
+                assert bits.dtype == np.uint8
+                assert bits.shape == (len(self.BITS),)
+            assert np.array_equal(result.transmitted_bits, self.BITS)
+            received.append(result.received_bits)
+        assert result.bit_errors > 0  # the comparison below is not trivial
+        for other in received[1:]:
+            assert np.array_equal(other, received[0])
+
+    @pytest.mark.parametrize("backend, channels", LINKS)
+    def test_transmitted_bits_are_a_copy(self, backend, channels):
+        caller = np.array(self.BITS, dtype=np.uint8)
+        result = self._link(backend, channels).transmit_bits(caller)
+        caller ^= 1
+        assert np.array_equal(result.transmitted_bits, self.BITS)
+
+    @pytest.mark.parametrize("backend, channels", LINKS)
+    @pytest.mark.parametrize(
+        "bad",
+        [[], [2], [-1], [0.5], [float("nan")], np.zeros((4, 4), dtype=np.int64)],
+        ids=["empty", "two", "minus-one", "half", "nan", "2-D"],
+    )
+    def test_rejects_non_bits(self, backend, channels, bad):
+        with pytest.raises(ValueError):
+            self._link(backend, channels).transmit_bits(bad)
 
 
 class TestBackendParity:

@@ -66,7 +66,7 @@ class TestStatisticalEquivalence:
         batch = FastOpticalLink(config, seed=1).transmit_bits(payload)
         assert scalar.bit_errors == 0
         assert batch.bit_errors == 0
-        assert batch.received_bits == payload
+        assert np.array_equal(batch.received_bits, payload)
 
     def test_ber_estimator_backend_paths_agree(self):
         # backend= is the only engine selector (the legacy fast= boolean was
@@ -80,8 +80,8 @@ class TestDeterminism:
     def test_same_seed_identical_result(self):
         a = FastOpticalLink(MODERATE, seed=9).transmit_random(4000)
         b = FastOpticalLink(MODERATE, seed=9).transmit_random(4000)
-        assert a.received_bits == b.received_bits
-        assert a.transmitted_bits == b.transmitted_bits
+        assert np.array_equal(a.received_bits, b.received_bits)
+        assert np.array_equal(a.transmitted_bits, b.transmitted_bits)
         assert a.symbol_errors == b.symbol_errors
         assert a.detection_counts == b.detection_counts
         assert a.elapsed_time == b.elapsed_time
@@ -89,7 +89,7 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         a = FastOpticalLink(MODERATE, seed=9).transmit_random(4000)
         b = FastOpticalLink(MODERATE, seed=10).transmit_random(4000)
-        assert a.received_bits != b.received_bits
+        assert not np.array_equal(a.received_bits, b.received_bits)
 
 
 class TestBatchContract:
@@ -98,7 +98,7 @@ class TestBatchContract:
         payload = [1, 0, 1, 1, 0]  # 5 bits -> padded to 8
         result = link.transmit_bits(payload)
         assert isinstance(result, TransmissionResult)
-        assert result.transmitted_bits == payload
+        assert np.array_equal(result.transmitted_bits, payload)
         assert len(result.received_bits) == len(payload)
         assert result.symbols_sent == 2
 
@@ -125,9 +125,14 @@ class TestBatchContract:
         with pytest.raises(ValueError):
             link.transmit_random(0)
 
-    def test_received_bits_are_plain_ints(self):
-        result = FastOpticalLink(BRIGHT, seed=5).transmit_bits([1, 0, 1, 1])
-        assert all(isinstance(bit, int) for bit in result.received_bits)
+    def test_bit_fields_are_uint8_arrays(self):
+        payload = [1, 0, 1, 1, 0]
+        result = FastOpticalLink(BRIGHT, seed=5).transmit_bits(payload)
+        for bits in (result.transmitted_bits, result.received_bits):
+            assert isinstance(bits, np.ndarray)
+            assert bits.dtype == np.uint8
+            assert bits.shape == (len(payload),)
+            assert set(np.unique(bits).tolist()) <= {0, 1}
 
 
 class TestSpadBatchWindows:

@@ -85,7 +85,7 @@ class TestStatisticalEquivalence:
             payload
         )
         assert result.bit_errors == 0
-        assert result.received_bits == payload
+        assert np.array_equal(result.received_bits, payload)
         for channel_result in result.channel_results:
             assert channel_result.bit_errors == 0
 
@@ -95,16 +95,18 @@ class TestDeterminism:
         a = make_link(MODERATE, backend="multichannel", channels=CHANNELS, seed=9)
         b = make_link(MODERATE, backend="multichannel", channels=CHANNELS, seed=9)
         ra, rb = a.transmit_random(4000), b.transmit_random(4000)
-        assert ra.received_bits == rb.received_bits
+        assert np.array_equal(ra.received_bits, rb.received_bits)
         assert ra.detection_counts == rb.detection_counts
-        assert [c.received_bits for c in ra.channel_results] == [
-            c.received_bits for c in rb.channel_results
-        ]
+        assert len(ra.channel_results) == len(rb.channel_results) == CHANNELS
+        for ca, cb in zip(ra.channel_results, rb.channel_results):
+            assert np.array_equal(ca.received_bits, cb.received_bits)
 
     def test_different_seed_differs(self):
         a = make_link(MODERATE, backend="multichannel", channels=CHANNELS, seed=9)
         b = make_link(MODERATE, backend="multichannel", channels=CHANNELS, seed=10)
-        assert a.transmit_random(4000).received_bits != b.transmit_random(4000).received_bits
+        assert not np.array_equal(
+            a.transmit_random(4000).received_bits, b.transmit_random(4000).received_bits
+        )
 
     def test_crosstalk_is_deterministic_too(self):
         crosstalk = CrosstalkModel(channel_pitch=20e-6)
@@ -114,7 +116,7 @@ class TestDeterminism:
             ).transmit_random(4000)
             for _ in range(2)
         ]
-        assert results[0].received_bits == results[1].received_bits
+        assert np.array_equal(results[0].received_bits, results[1].received_bits)
         assert results[0].detection_counts == results[1].detection_counts
 
 
@@ -124,12 +126,13 @@ class TestMultichannelContract:
         payload = [1, 0, 1, 1, 0]  # 5 bits -> 2 symbols -> 1 window of 4 (2 padded)
         result = link.transmit_bits(payload)
         assert isinstance(result, MultichannelResult)
-        assert result.transmitted_bits == payload
+        assert np.array_equal(result.transmitted_bits, payload)
         assert len(result.received_bits) == len(payload)
         assert result.symbols_sent == 2
         assert result.channels == 4
-        # Channels 2 and 3 carried only grid padding: no payload bits.
-        assert [len(c.transmitted_bits) for c in result.channel_results] == [4, 4, 0, 0]
+        # Channel 1 carried the final partial symbol: only its one payload
+        # bit counts.  Channels 2 and 3 carried only grid padding.
+        assert [len(c.transmitted_bits) for c in result.channel_results] == [4, 1, 0, 0]
 
     def test_channel_results_interleave_back_to_the_payload(self):
         link = make_link(BRIGHT, backend="multichannel", channels=4, seed=3)
@@ -144,7 +147,7 @@ class TestMultichannelContract:
                 bits = channel_result.transmitted_bits
                 if window * k < len(bits):
                     rebuilt.extend(bits[window * k : (window + 1) * k])
-        assert rebuilt == result.transmitted_bits
+        assert np.array_equal(rebuilt, result.transmitted_bits)
 
     def test_aggregate_throughput_scales_with_channels(self):
         single = make_link(MODERATE, backend="multichannel", channels=1, seed=4)
@@ -184,6 +187,22 @@ class TestMultichannelContract:
         )
         assert int(result.channel_bits.sum()) == 9
         assert int(result.channel_bit_errors.sum()) == result.bit_errors
+
+    @pytest.mark.parametrize("payload_bits", [5, 6, 7, 13, 29, 2047])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_channel_views_match_count_split(self, payload_bits, seed):
+        # A payload that is not a whole number of symbols ends in a zero-padded
+        # partial symbol; its channel's view must leave the pad bits out, the
+        # same way channel_bits/channel_bit_errors do.
+        noisy = LinkConfig(ppm_bits=4, mean_detected_photons=1.0)
+        result = make_link(noisy, backend="multichannel", channels=3, seed=seed).transmit_random(
+            payload_bits, payload_seed=seed
+        )
+        for channel, view in enumerate(result.channel_results):
+            assert view.transmitted_bits.dtype == view.received_bits.dtype == np.uint8
+            assert len(view.transmitted_bits) == result.channel_bits[channel]
+            assert len(view.received_bits) == result.channel_bits[channel]
+            assert view.bit_errors == result.channel_bit_errors[channel]
 
     def test_count_accessors_do_not_materialise_channel_results(self):
         result = make_link(MODERATE, backend="multichannel", channels=8, seed=11).transmit_random(

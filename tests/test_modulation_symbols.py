@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.units import NS, PS
 from repro.modulation.ppm import PpmCodec
-from repro.modulation.symbols import SlotGrid, bits_to_int, int_to_bits
+from repro.modulation.symbols import SlotGrid, bit_matrix_to_ints, bits_to_int, int_to_bits
 
 
 class TestBitHelpers:
@@ -28,6 +28,11 @@ class TestBitHelpers:
             bits_to_int([])
         with pytest.raises(ValueError):
             bits_to_int([0, 2])
+
+    @pytest.mark.parametrize("matrix", [[[2, 0]], [[-1, 0]]])
+    def test_bit_matrix_rejects_non_bits(self, matrix):
+        with pytest.raises(ValueError):
+            bit_matrix_to_ints(np.array(matrix))
 
 
 class TestSlotGrid:
