@@ -131,11 +131,11 @@ class FastOpticalLink(OpticalLink):
 
         received_bits = ints_to_bit_matrix(decoded, k).ravel()[: payload.size].astype(np.uint8)
 
-        counts = {origin.value: 0 for origin in ORIGIN_BY_CODE.values()}
+        per_code = np.bincount(origins[detected], minlength=len(ORIGIN_BY_CODE))
+        counts = {
+            origin.value: int(per_code[code]) for code, origin in ORIGIN_BY_CODE.items()
+        }
         counts["missed"] = int(np.count_nonzero(~detected))
-        codes, code_counts = np.unique(origins[detected], return_counts=True)
-        for code, code_count in zip(codes, code_counts):
-            counts[ORIGIN_BY_CODE[int(code)].value] = int(code_count)
 
         return TransmissionResult(
             transmitted_bits=payload,

@@ -5,14 +5,17 @@ NumPy vectorisation because each iteration depends on detector/arbiter state
 carried from the previous one: the dead-time winner scan of
 :meth:`~repro.spad.device.SpadDevice.detect_in_windows`, the per-channel
 window resolution behind
-:func:`~repro.spad.array.detect_in_windows_multichannel`, and the per-slot
-:meth:`~repro.noc.arbitration.RoundRobinArbiter.grant` walk of
-:meth:`~repro.noc.bus.OpticalBus.run`.  This package makes those loops
-*pluggable*: callers resolve a :class:`Kernel` by name and the engine
-dispatches through it.  :mod:`repro.kernels.reference` defines the semantics
-of the scan and the resolver, and every registered implementation is locked
-bit-identical to it by ``tests/test_kernels.py`` and
+:func:`~repro.spad.array.detect_in_windows_multichannel`, and the round-robin
+arbitration of :meth:`~repro.noc.bus.OpticalBus.run`.  This package makes
+those loops *pluggable*: callers resolve a :class:`Kernel` by name and the
+engine dispatches through it.  :mod:`repro.kernels.reference` defines the
+semantics of the scan and the resolver, and every registered implementation
+is locked bit-identical to it by ``tests/test_kernels.py`` and
 ``scripts/regression_check.py``.
+
+Every tier arbitrates with the same exact walk,
+:func:`repro.kernels.arbitration.round_robin_schedule`, so the bus has one
+arbitration path.
 
 Kernels
 -------
@@ -21,14 +24,13 @@ Kernels
     speculate-then-correct resolver (:mod:`repro.kernels.speculative`).
     Always available.
 ``"vector"``
-    The ``"python"`` loops plus the vectorised arbitration schedule of
-    :mod:`repro.kernels.arbitration`.  Always available; the fallback for
-    hosts without a C compiler.
+    The same three functions as ``"python"``.  The name stays accepted by
+    ``--kernel``, the service and ``$REPRO_KERNEL``; it is the ``"auto"``
+    pick on hosts without a C compiler.
 ``"cext"``
     ctypes-bound C ports of the scan and the resolver, compiled on first use
-    with the host toolchain (:mod:`repro.kernels.cext`), plus the vectorised
-    arbitration.  Registered only when a C compiler is available and the
-    build succeeds.
+    with the host toolchain (:mod:`repro.kernels.cext`).  Registered only
+    when a C compiler is available and the build succeeds.
 ``"auto"``
     Not a kernel but a resolution rule: the fastest available tier,
     preferring ``cext`` > ``vector`` > ``python``.
@@ -81,16 +83,15 @@ round_robin_schedule = _arbitration.round_robin_schedule
 class Kernel:
     """One named set of hot-loop implementations.
 
-    Every kernel runs the device scan (``scan_windows``) and the multichannel
-    window resolution (``resolve_windows``).  ``arbitrate`` is ``None`` when
-    the kernel has no schedule-at-once arbitration — the bus then keeps its
-    per-slot grant loop.
+    Every kernel runs the device scan (``scan_windows``), the multichannel
+    window resolution (``resolve_windows``) and the bus arbitration
+    (``arbitrate``, :func:`round_robin_schedule` on every tier).
     """
 
     name: str
     scan_windows: Callable = field(repr=False)
     resolve_windows: Callable = field(repr=False)
-    arbitrate: Optional[Callable] = field(default=None, repr=False)
+    arbitrate: Callable = field(repr=False)
 
 
 @lru_cache(maxsize=1)
@@ -100,6 +101,7 @@ def _registry() -> Dict[str, Kernel]:
             name="python",
             scan_windows=_reference.scan_windows,
             resolve_windows=_speculative.resolve_windows,
+            arbitrate=round_robin_schedule,
         ),
         "vector": Kernel(
             name="vector",

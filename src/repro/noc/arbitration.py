@@ -163,7 +163,7 @@ class RoundRobinArbiter:
         return None
 
     def snapshot(self) -> Tuple[np.ndarray, List[object], np.ndarray]:
-        """Flatten the pending queues for the vectorised arbitration kernel.
+        """Flatten the pending queues for the arbitration kernel.
 
         Returns ``(arrivals, items, node_bounds)``: every queued item's
         arrival slot and payload grouped by node in queue order, with CSR

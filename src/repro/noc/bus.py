@@ -156,11 +156,11 @@ class OpticalBus:
         larger epochs amortise more link work per transmission.
     kernel:
         Compute-kernel name (see :func:`repro.kernels.get_kernel`; ``None``
-        defers to ``$REPRO_KERNEL`` / ``"auto"``).  Kernels carrying an
-        ``arbitrate`` implementation replace the per-slot grant loop of
-        :meth:`run` with one vectorised schedule per call — same grants,
-        same slots, same statistics (locked by ``tests/test_kernels.py``).
-        The kernel also flows into the links of kernel-capable backends.
+        defers to ``$REPRO_KERNEL`` / ``"auto"``).  :meth:`run` arbitrates
+        through the kernel's ``arbitrate``, the same exact walk on every
+        tier, so the kernel never changes grants, slots or statistics
+        (locked by ``tests/test_kernels.py``).  The kernel also flows into
+        the links of kernel-capable backends.
     """
 
     def __init__(
@@ -284,82 +284,20 @@ class OpticalBus:
     def run(self, max_slots: int = 10_000) -> BusStatistics:
         """Drain the queued packets through the bus.
 
-        The slot loop is two-phase.  **Arbitration** walks slots granting
-        packets (idle slots skip to the next arrival), fixing every packet's
+        The slot loop is two-phase.  **Arbitration** snapshots the arbiter's
+        queues once and computes every grant of the call with the kernel's
+        ``arbitrate`` (:func:`repro.kernels.round_robin_schedule` on every
+        tier: idle slots skip to the next arrival), fixing every packet's
         slot span — this phase is identical for every backend, so latencies
-        are too.  **Flushing** transmits each epoch's ``(source,
-        destination)`` groups: one vectorised call per group on batch
-        backends, packet at a time on the scalar reference.  Packets still
-        queued when ``max_slots`` runs out stay pending; a later ``run``
-        *continues* the slot clock where this one stopped (waiting time
-        spans runs), it never rewinds to slot 0.
+        are too.  **Flushing** replays the grants in order and transmits
+        each epoch's ``(source, destination)`` groups: one vectorised call
+        per group on batch backends, packet at a time on the scalar
+        reference.  Packets still queued when ``max_slots`` runs out stay
+        pending; a later ``run`` *continues* the slot clock where this one
+        stopped (waiting time spans runs), it never rewinds to slot 0.
         """
         if max_slots <= 0:
             raise ValueError("max_slots must be positive")
-        arbitrate = get_kernel(self.kernel).arbitrate
-        if arbitrate is not None:
-            return self._run_scheduled(max_slots, arbitrate)
-        slot = self._slot
-        horizon = slot + max_slots
-        epoch: List[_Grant] = []
-        while slot < horizon:
-            grant = self.arbiter.grant(slot)
-            if grant is None:
-                next_arrival = self.arbiter.next_arrival()
-                if next_arrival is None or next_arrival >= horizon:
-                    break
-                slot = max(slot + 1, next_arrival)
-                continue
-            source, (packet, arrival_slot) = grant
-            if not packet.is_broadcast and packet.destination >= self.topology.node_count:
-                # Undeliverable unicast address: the slot is burnt and the
-                # packet is recorded as corrupted (one outcome per offered
-                # packet, like every other path).
-                self._record(
-                    _Grant(
-                        packet=packet,
-                        source=source,
-                        arrival_slot=arrival_slot,
-                        start_slot=slot,
-                        end_slot=slot + 1,
-                    ),
-                    packet.destination,
-                    bit_errors=0,
-                    bits_delivered=0,
-                    delivered=False,
-                )
-                slot += 1
-                continue
-            slots_used = self.symbol_slots_per_packet(packet)
-            epoch.append(
-                _Grant(
-                    packet=packet,
-                    source=source,
-                    arrival_slot=arrival_slot,
-                    start_slot=slot,
-                    end_slot=slot + slots_used,
-                )
-            )
-            slot += slots_used
-            self.statistics.busy_slots += slots_used
-            if len(epoch) >= self.epoch_packets:
-                self._flush_epoch(epoch)
-                epoch = []
-        self._flush_epoch(epoch)
-        self.statistics.total_slots += max(slot - self._slot, 1)
-        self._slot = slot
-        return self.statistics
-
-    def _run_scheduled(self, max_slots: int, arbitrate) -> BusStatistics:
-        """Vectorised twin of :meth:`run`'s arbitration phase.
-
-        The arbiter's queues are snapshotted once, every grant of the call is
-        computed by the kernel's schedule (see
-        :func:`repro.kernels.round_robin_schedule`), and the grants are
-        replayed through the *same* record/epoch/flush code the scalar loop
-        uses — so outcomes, flush grouping, RNG consumption and statistics
-        are identical by construction.
-        """
         slot = self._slot
         horizon = slot + max_slots
         arrivals, items, bounds = self.arbiter.snapshot()
@@ -371,6 +309,7 @@ class OpticalBus:
             if packet.is_broadcast or packet.destination < node_count:
                 deliverable[index] = True
                 costs[index] = self.symbol_slots_per_packet(packet)
+        arbitrate = get_kernel(self.kernel).arbitrate
         granted, starts, final_slot, final_rotation = arbitrate(
             arrivals, costs, bounds, self.arbiter.next_node, slot, horizon
         )
@@ -381,6 +320,8 @@ class OpticalBus:
         ):
             packet, arrival_slot = items[index]
             if not deliverable[index]:
+                # Undeliverable unicast address: recorded as corrupted (one
+                # outcome per offered packet, like every other path).
                 self._record(
                     _Grant(
                         packet=packet,

@@ -7,6 +7,8 @@ from typing import List, Optional, Sequence
 
 from repro.modulation.symbols import bits_to_int, int_to_bits
 
+_BITS = frozenset((0, 1))
+
 
 @dataclass(frozen=True)
 class Packet:
@@ -34,7 +36,13 @@ class Packet:
             raise ValueError("sequence number out of range")
         if len(self.payload) == 0:
             raise ValueError("payload must be non-empty")
-        if any(bit not in (0, 1) for bit in self.payload):
+        try:
+            bits_only = _BITS.issuperset(self.payload)
+        except TypeError:
+            # An unhashable element: compare element by element instead, so
+            # exactly the elements equal to 0 or 1 are still accepted.
+            bits_only = all(bit in (0, 1) for bit in self.payload)
+        if not bits_only:
             raise ValueError("payload bits must be 0 or 1")
 
     @property

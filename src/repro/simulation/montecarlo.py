@@ -248,8 +248,8 @@ class NocTrafficTrial:
     emitted_photons: Optional[float] = None
     epoch_packets: int = 64
     on_result: Optional[Callable] = None
-    #: Optional compute-kernel name forwarded to the bus (vectorised
-    #: arbitration + link kernels); bit-identical by contract.
+    #: Optional compute-kernel name forwarded to the bus (arbitration +
+    #: link kernels); bit-identical by contract.
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -8,8 +8,9 @@ a report.  The suite locks that at three levels:
 
 * raw kernel functions on randomised inputs (scan, resolve, arbitration),
   each tier against :mod:`repro.kernels.reference`;
-* the arbitration schedule against the scalar :class:`RoundRobinArbiter`
-  grant loop, including committed queue/rotation state;
+* the arbitration walk against the scalar :class:`RoundRobinArbiter`
+  grant loop, including the final slot clock and committed queue/rotation
+  state;
 * whole experiment reports across named scenarios, seed policies and the
   importance trial mode.
 """
@@ -134,11 +135,12 @@ class TestRegistry:
 
     def test_python_kernel_has_no_native_resolver_or_arbiter(self):
         # By design: under "python" the array layer runs the NumPy/Python
-        # speculate-then-correct resolver and the bus keeps its scalar grant
-        # loop.
+        # speculate-then-correct resolver, and every tier arbitrates the bus
+        # with the one exact walk.
         kernel = get_kernel("python")
         assert kernel.resolve_windows is speculative.resolve_windows
-        assert kernel.arbitrate is None
+        for name in available_kernels():
+            assert get_kernel(name).arbitrate is round_robin_schedule, name
 
 
 class TestScanBitIdentity:
@@ -238,8 +240,8 @@ def _loaded_arbiter(rng, nodes, requests, horizon):
     return arbiter
 
 
-def _scalar_schedule(arbiter, costs, horizon, start_slot):
-    """The per-slot grant loop the vectorised schedule must reproduce."""
+def _scalar_run(arbiter, costs, horizon, start_slot):
+    """The per-slot grant loop the walk must reproduce, with its final clock."""
     items, starts = [], []
     slot = start_slot
     while slot < horizon:
@@ -254,7 +256,49 @@ def _scalar_schedule(arbiter, costs, horizon, start_slot):
         items.append(item)
         starts.append(slot)
         slot += int(costs[item])
+    return items, starts, slot
+
+
+def _scalar_schedule(arbiter, costs, horizon, start_slot):
+    """The grants and start slots of :func:`_scalar_run`."""
+    items, starts, _slot = _scalar_run(arbiter, costs, horizon, start_slot)
     return items, starts
+
+
+def _assert_walk_matches_grant_loop(arbiter, costs, start_slot, horizon):
+    """Walk a snapshot of ``arbiter``, then drain ``arbiter`` itself by grants.
+
+    Both must agree on every grant, start slot, the final slot clock and the
+    arbiter state left behind.  Returns the number of grants issued.
+    """
+    nodes = arbiter.node_count
+    walked = RoundRobinArbiter(nodes)
+    for node in range(nodes):
+        for arrival, item in arbiter._pending[node]:
+            walked.request(node, item, arrival=arrival)
+    walked.commit_grants([0] * nodes, arbiter.next_node)
+
+    arrivals, items, bounds = walked.snapshot()
+    slot_costs = np.asarray([costs[item] for item in items], dtype=np.int64)
+    granted, starts, final_slot, final_rotation = round_robin_schedule(
+        arrivals, slot_costs, bounds,
+        start_node=walked.next_node, start_slot=start_slot, horizon=horizon,
+    )
+    granted_nodes = np.searchsorted(bounds, granted, side="right") - 1
+    walked.commit_grants(np.bincount(granted_nodes, minlength=nodes), final_rotation)
+
+    scalar_items, scalar_starts, scalar_slot = _scalar_run(
+        arbiter, costs, horizon, start_slot
+    )
+    assert [items[index] for index in granted] == scalar_items
+    assert starts.tolist() == scalar_starts
+    assert final_slot == scalar_slot
+    assert walked.next_node == arbiter.next_node
+    assert walked.grants_issued == arbiter.grants_issued
+    assert walked.next_arrival() == arbiter.next_arrival()
+    for node in range(nodes):
+        assert list(walked._pending[node]) == list(arbiter._pending[node])
+    return len(scalar_items)
 
 
 class TestArbitrationSchedule:
@@ -302,6 +346,64 @@ class TestArbitrationSchedule:
         )
         assert granted.size == 0 and starts.size == 0
         assert final_rotation == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_start_node_and_start_slot(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        nodes = int(rng.integers(2, 9))
+        horizon = 700
+        arbiter = _loaded_arbiter(rng, nodes, requests=200, horizon=horizon)
+        arbiter.commit_grants([0] * nodes, int(rng.integers(0, nodes)))
+        costs = rng.integers(1, 5, 200)
+        start_slot = int(rng.integers(1, 80))
+        granted = _assert_walk_matches_grant_loop(arbiter, costs, start_slot, horizon)
+        assert granted == 200
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_horizon_cuts_the_queues_midway(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        nodes = 6
+        arbiter = _loaded_arbiter(rng, nodes, requests=300, horizon=400)
+        arbiter.commit_grants([0] * nodes, int(rng.integers(0, nodes)))
+        costs = rng.integers(1, 5, 300)
+        # About 750 slots of demand against a 200-slot horizon.
+        granted = _assert_walk_matches_grant_loop(arbiter, costs, 10, 210)
+        assert 0 < granted < 300
+        assert arbiter.pending_count() == 300 - granted
+
+    @pytest.mark.parametrize("horizon", [60, 10**6])
+    def test_single_node(self, horizon):
+        rng = np.random.default_rng(horizon)
+        arbiter = _loaded_arbiter(rng, 1, requests=60, horizon=100)
+        costs = rng.integers(1, 4, 60)
+        granted = _assert_walk_matches_grant_loop(arbiter, costs, 0, horizon)
+        assert (granted == 60) == (horizon > 100)
+
+    def test_idle_gaps_inside_and_beyond_the_horizon(self):
+        arbiter = RoundRobinArbiter(3)
+        for item, (node, arrival) in enumerate(
+            [(0, 0), (0, 2), (1, 30), (2, 12), (2, 95)]
+        ):
+            arbiter.request(node, item, arrival=arrival)
+        costs = [3] * 5
+        granted = _assert_walk_matches_grant_loop(arbiter, costs, 0, 40)
+        # Idles 6 -> 12 and 15 -> 30; the last request arrives past the
+        # horizon and stays queued, so the clock stops after slot 33.
+        assert granted == 4
+        assert arbiter.pending_count() == 1 and arbiter.next_arrival() == 95
+
+    def test_saturated_sixteen_node_drain(self):
+        rng = np.random.default_rng(7)
+        nodes, requests = 16, 5000
+        arbiter = RoundRobinArbiter(nodes)
+        floor = [0] * nodes
+        for item, node in enumerate(rng.integers(0, nodes, requests).tolist()):
+            # Arrivals creep forward far slower than service.
+            floor[node] += int(rng.random() < 0.1)
+            arbiter.request(node, item, arrival=floor[node])
+        costs = rng.integers(1, 5, requests)
+        granted = _assert_walk_matches_grant_loop(arbiter, costs, 0, 10**9)
+        assert granted == requests and arbiter.pending_count() == 0
 
 
 def _equivalence_scenario(seed_policy="per-point", trial_mode="naive"):

@@ -1,5 +1,6 @@
 """Tests for repro.noc.packet, topology and arbitration."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.units import MM, UM
@@ -38,6 +39,19 @@ class TestPacket:
             Packet(source=0, destination=0, payload=[2])
         with pytest.raises(ValueError):
             Packet.deserialize([0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "bit", [0.5, -1, float("nan"), "1", None, [0]], ids=repr
+    )
+    def test_payload_rejects_non_bits(self, bit):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Packet(source=0, destination=1, payload=[1, bit])
+
+    @pytest.mark.parametrize(
+        "bit", [True, 1.0, np.int64(1), np.array(1)], ids=repr
+    )
+    def test_payload_accepts_values_equal_to_a_bit(self, bit):
+        assert Packet(source=0, destination=1, payload=[0, bit]).total_bits == 34
 
 
 class TestTopology:

@@ -5,7 +5,9 @@ the shared data path (payload draw, PPM encode, error count) that moves every
 tier together passes all of them.  This table pins the content digest
 (:func:`repro.scenarios.store.report_digest`) of each named scenario at seed 5
 and 4,096 bits per point on the default kernel, plus ``ber-vs-photons`` on the
-scalar backend and under importance sampling.
+scalar backend and under importance sampling, and ``noc-load-latency`` on the
+scalar backend (its packet-at-a-time flush shares the bus's one arbitration
+path).
 
 A refactor must leave every entry unchanged.  A change that moves sample paths
 on purpose regenerates the table (``report_digest(ExperimentRunner(scenario,
@@ -37,6 +39,7 @@ DIGESTS = {
     ("noc-traffic-mix", "default"): "b5aabc374f5e",
     ("ppm-order-sweep", "default"): "7d1d29c674a1",
     ("ber-vs-photons", "scalar"): "f4163996e482",
+    ("noc-load-latency", "scalar"): "563720a7e857",
     ("ber-vs-photons", "importance"): "772b1274447a",
 }
 
