@@ -30,10 +30,13 @@ in to the ``uint8`` bit arrays of the result:
    trap release is pending — depends on *when* window ``i-1`` fired, which is
    itself a stochastic outcome.  No barrier of array passes can resolve that
    chain, so the scan walks the windows once over plain Python floats.
-3. :meth:`TimeToDigitalConverter.convert_array` quantises every detection with
-   a single ``np.searchsorted`` against the delay line's cached tap times.
-4. ``PpmCodec.decode_times`` maps the measured times back to slot values and
-   the bit matrix is unpacked in one shot into ``received_bits``.
+3. One ``decode_windows`` kernel call (:meth:`OpticalLink._decode_windows`)
+   runs the receiver over every window: each detection is quantised by the
+   two-level TDC, exactly as :meth:`TimeToDigitalConverter.convert_array`
+   does, and decided to a slot value, exactly as ``PpmCodec.decode_times``
+   does; a missed window decodes to 0.
+4. The bit matrix of the decoded values is unpacked in one shot into
+   ``received_bits``.
 
 The result is the same :class:`~repro.core.link.TransmissionResult` the scalar
 path returns, at a ≥10× (typically 30–100×) symbols/sec advantage on
@@ -117,20 +120,10 @@ class FastOpticalLink(OpticalLink):
                 symbol_duration, pulse_offsets, mean_photons, kernel=self.kernel
             )
 
-        detected = origins >= 0
-        decoded = np.zeros(symbol_count, dtype=np.int64)
-        if np.any(detected):
-            window_starts = np.flatnonzero(detected).astype(float) * symbol_duration
-            relative = times[detected] - window_starts
-            relative = np.clip(relative, 0.0, self.tdc.usable_range * 0.999999)
-            conversion = self.tdc.convert_array(relative)
-            measured = np.clip(
-                conversion.measured_times, 0.0, symbol_duration * 0.999999
-            )
-            decoded[detected] = self.codec.decode_times(measured)
-
+        decoded = self._decode_windows(times, origins, self.kernel)
         received_bits = ints_to_bit_matrix(decoded, k).ravel()[: payload.size].astype(np.uint8)
 
+        detected = origins >= 0
         per_code = np.bincount(origins[detected], minlength=len(ORIGIN_BY_CODE))
         counts = {
             origin.value: int(per_code[code]) for code, origin in ORIGIN_BY_CODE.items()

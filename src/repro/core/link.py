@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import LinkConfig
+from repro.kernels import get_kernel
 from repro.modulation.ppm import PpmCodec
 from repro.modulation.symbols import count_bit_errors, int_to_bits
 from repro.photonics.channel import OpticalChannel
@@ -181,6 +182,36 @@ class OpticalLink:
         if not valid:
             raise ValueError("bits must be 0 or 1")
         return raw.astype(np.uint8)
+
+    def _decode_windows(
+        self, times: np.ndarray, origins: np.ndarray, kernel: Optional[str], channels: int = 1
+    ) -> np.ndarray:
+        """Symbol values of a detection pass's windows through the receiver.
+
+        The batch engines' TDC-and-slot step, run by ``kernel``'s
+        ``decode_windows``: each detection is made window-relative, clipped
+        into the TDC range, converted as :meth:`TimeToDigitalConverter.convert_array`
+        does, clipped into the window and decoded as
+        :meth:`PpmCodec.decode_times` does.  A missed window decodes to 0.
+        """
+        if self.tdc.metastability is not None:
+            raise ValueError(
+                "the batch decode does not model TDC metastability; "
+                "use the scalar OpticalLink for a TDC with a metastability model"
+            )
+        grid = self.codec.grid
+        return get_kernel(kernel).decode_windows(
+            times,
+            origins,
+            channels,
+            self.config.symbol_duration,
+            self.tdc.coarse.period,
+            self.tdc.coarse.modulus,
+            self.tdc.delay_line.tap_times,
+            self.tdc.lsb,
+            grid.slot_duration,
+            grid.slot_count,
+        )
 
     def transmit_bits(self, bits: Sequence[int]) -> TransmissionResult:
         """Send a payload over the link and return the decoded result.

@@ -20,10 +20,10 @@ all ``C`` channels as ``(S, C)`` NumPy passes:
    array of randomness per physical process and resolves the winner of every
    window; only the window axis is sequential (dead time / afterpulsing), so
    the scan folds all ``C`` per-channel datapaths into one shared pipeline.
-4. One ``np.searchsorted`` TDC conversion
-   (:meth:`~repro.tdc.converter.TimeToDigitalConverter.convert_array`) runs
-   over the flattened ``(S*C,)`` hit times, and one vectorised PPM decode maps
-   them back to bits.
+4. One ``decode_windows`` kernel call
+   (:meth:`~repro.core.link.OpticalLink._decode_windows`) runs the TDC and
+   the slot decision over the flattened ``(S*C,)`` grid, and the decoded
+   values are unpacked back to bits.
 
 Contract
 --------
@@ -335,17 +335,7 @@ class MultichannelOpticalLink(OpticalLink):
                 kernel=self.kernel,
             )
 
-        detected = origins >= 0
-        decoded = np.zeros((windows, self.channels), dtype=np.int64)
-        if np.any(detected):
-            window_starts = np.arange(windows)[:, None] * symbol_duration
-            relative = (times - window_starts)[detected]
-            relative = np.clip(relative, 0.0, self.tdc.usable_range * 0.999999)
-            conversion = self.tdc.convert_array(relative)
-            measured = np.clip(
-                conversion.measured_times, 0.0, symbol_duration * 0.999999
-            )
-            decoded[detected] = self.codec.decode_times(measured)
+        decoded = self._decode_windows(times, origins, self.kernel, self.channels)
 
         # Statistics cover the real payload symbols only (flat symbol index
         # i = window*C + channel < symbol_count); grid-padding windows are

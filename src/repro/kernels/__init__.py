@@ -1,4 +1,4 @@
-"""Pluggable compute kernels for the simulator's sequential hot loops.
+"""Pluggable compute kernels for the simulator's hot loops.
 
 The per-core ceiling of the simulator is set by three loops that resist
 NumPy vectorisation because each iteration depends on detector/arbiter state
@@ -13,6 +13,14 @@ semantics of the scan and the resolver, and every registered implementation
 is locked bit-identical to it by ``tests/test_kernels.py`` and
 ``scripts/regression_check.py``.
 
+The fourth kernel, the detection decode (``decode_windows``: two-level TDC
+and PPM slot decision over every window), is not a sequential loop; every
+window decodes on its own.  It is a kernel because NumPy costs time per
+pass and per call: the decode is about 20 array passes, over a third of a
+short (118-symbol) NoC transmit.  Its NumPy form in
+:mod:`repro.kernels.reference` is also the body of
+``TimeToDigitalConverter.convert_array`` and ``SlotGrid.slots_of_times``.
+
 Every tier arbitrates with the same exact walk,
 :func:`repro.kernels.arbitration.round_robin_schedule`, so the bus has one
 arbitration path.
@@ -20,17 +28,17 @@ arbitration path.
 Kernels
 -------
 ``"python"``
-    The reference scan (:mod:`repro.kernels.reference`) and the
+    The reference scan and decode (:mod:`repro.kernels.reference`) and the
     speculate-then-correct resolver (:mod:`repro.kernels.speculative`).
     Always available.
 ``"vector"``
-    The same three functions as ``"python"``.  The name stays accepted by
+    The same four functions as ``"python"``.  The name stays accepted by
     ``--kernel``, the service and ``$REPRO_KERNEL``; it is the ``"auto"``
     pick on hosts without a C compiler.
 ``"cext"``
-    ctypes-bound C ports of the scan and the resolver, compiled on first use
-    with the host toolchain (:mod:`repro.kernels.cext`).  Registered only
-    when a C compiler is available and the build succeeds.
+    ctypes-bound C ports of the scan, the resolver and the decode, compiled
+    on first use with the host toolchain (:mod:`repro.kernels.cext`).
+    Registered only when a C compiler is available and the build succeeds.
 ``"auto"``
     Not a kernel but a resolution rule: the fastest available tier,
     preferring ``cext`` > ``vector`` > ``python``.
@@ -84,14 +92,17 @@ class Kernel:
     """One named set of hot-loop implementations.
 
     Every kernel runs the device scan (``scan_windows``), the multichannel
-    window resolution (``resolve_windows``) and the bus arbitration
-    (``arbitrate``, :func:`round_robin_schedule` on every tier).
+    window resolution (``resolve_windows``), the bus arbitration
+    (``arbitrate``, :func:`round_robin_schedule` on every tier) and the
+    detection decode (``decode_windows``).  The decode is no sequential
+    loop; it is here because its NumPy form pays per pass and per call.
     """
 
     name: str
     scan_windows: Callable = field(repr=False)
     resolve_windows: Callable = field(repr=False)
     arbitrate: Callable = field(repr=False)
+    decode_windows: Callable = field(repr=False)
 
 
 @lru_cache(maxsize=1)
@@ -102,12 +113,14 @@ def _registry() -> Dict[str, Kernel]:
             scan_windows=_reference.scan_windows,
             resolve_windows=_speculative.resolve_windows,
             arbitrate=round_robin_schedule,
+            decode_windows=_reference.decode_windows,
         ),
         "vector": Kernel(
             name="vector",
             scan_windows=_reference.scan_windows,
             resolve_windows=_speculative.resolve_windows,
             arbitrate=round_robin_schedule,
+            decode_windows=_reference.decode_windows,
         ),
     }
     from . import cext as _cext
@@ -119,6 +132,7 @@ def _registry() -> Dict[str, Kernel]:
             scan_windows=native.scan_windows,
             resolve_windows=native.resolve_windows,
             arbitrate=round_robin_schedule,
+            decode_windows=native.decode_windows,
         )
     return kernels
 

@@ -9,8 +9,12 @@ register the kernel and :func:`repro.kernels.get_kernel` resolves elsewhere.
 Bit-identity with the Python reference is a *compiler-flag* contract: the
 build pins ``-ffp-contract=off -fno-fast-math`` (no FMA contraction, strict
 IEEE-754 ordering), and the loop bodies are single adds/multiplies/compares
-on doubles — the exact operations CPython floats perform.  The equivalence is
-locked by ``tests/test_kernels.py``.
+on doubles — the exact operations CPython floats perform.  The decode adds
+``nextafter`` and ``fma``, which are exact in IEEE-754 (an explicit ``fma``
+call rounds once whatever the contraction flag; it computes ``np.mod``'s
+remainder exactly, see the source), and truncating casts of non-negative
+values, which equal ``np.floor`` and ``astype(np.int64)``.  The equivalence
+is locked by ``tests/test_kernels.py``.
 
 ctypes releases the GIL for the duration of every foreign call, so these
 kernels parallelise under :class:`~repro.scenarios.executors.ThreadExecutor`.
@@ -28,6 +32,8 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
+
+from .reference import check_decode_inputs
 
 _SOURCE = r"""
 #include <math.h>
@@ -154,6 +160,73 @@ void repro_resolve_windows(
         }
     }
 }
+
+/* Returns 0, or the first NumPy range check that would fail:
+ * 1 negative time, 2 coarse code out of range, 3 time outside the symbol. */
+int repro_decode_windows(
+    long long count,
+    long long channels,
+    const double *times,
+    const signed char *origins,
+    double window,
+    double period,
+    long long modulus,
+    const double *taps,
+    long long n_taps,
+    double lsb,
+    double slot_duration,
+    long long slot_count,
+    long long *out)
+{
+    /* 0.999999 is reference._EDGE: clip a time just inside its range. */
+    double time_limit = (double)modulus * period * 0.999999;
+    double clamp = nextafter((double)modulus * period, 0.0);
+    double measured_limit = window * 0.999999;
+    double data_window = (double)slot_count * slot_duration;
+    double inverse_lsb = 1.0 / lsb;
+    long long next_window = 0, channel = 0;   /* i / channels, no division */
+    int status = 0;
+    long long i;
+    for (i = 0; i < count; ++i) {
+        double t, phase, residual, guess, edge, measured;
+        long long w = next_window, coarse, fine, slot;
+        if (++channel == channels) { channel = 0; ++next_window; }
+        if (origins[i] < 0) { out[i] = 0; continue; }
+        t = times[i] - (double)w * window;
+        t = t > 0.0 ? t : 0.0;
+        t = t < time_limit ? t : time_limit;
+        if (t < 0.0) return 1;
+        t = t < clamp ? t : clamp;
+        coarse = (long long)(t / period);      /* floor, as t >= 0 */
+        /* phase = fmod(t, period), at a fraction of libm's cost: the rounded
+         * quotient is the true one or one more, so t - coarse * period is
+         * fmod or fmod - period, both representable, and fma rounds that
+         * exact value to itself. */
+        phase = fma(-(double)coarse, period, t);
+        if (phase < 0.0) phase += period;      /* exact: the sum is fmod */
+        if (coarse >= modulus) coarse %= modulus;
+        residual = period - phase;
+        /* Upper bound (count of taps <= residual) of the increasing taps,
+         * walked from the mean-LSB guess: a step or two, where a binary
+         * search mispredicts a branch per level. */
+        guess = residual * inverse_lsb;         /* NaN-safe: NaN starts at 0 */
+        fine = guess > 0.0 ? (guess < (double)n_taps ? (long long)guess : n_taps) : 0;
+        while (fine > 0 && taps[fine - 1] > residual) --fine;
+        while (fine < n_taps && taps[fine] <= residual) ++fine;
+        if (fine > n_taps - 1) fine = n_taps - 1;
+        if (coarse < 0 || coarse >= modulus) { status = 2; continue; }
+        edge = ((double)fine + 0.5) * lsb;
+        edge = edge < period ? edge : period;
+        measured = (double)(coarse + 1) * period - edge;
+        measured = measured > 0.0 ? measured : 0.0;
+        measured = measured < measured_limit ? measured : measured_limit;
+        if (measured < 0.0 || measured >= window) { if (!status) status = 3; continue; }
+        slot = (long long)(measured / slot_duration);
+        if (slot > slot_count - 1) slot = slot_count - 1;
+        out[i] = measured >= data_window ? slot_count - 1 : slot;
+    }
+    return status;
+}
 """
 
 #: IEEE-754-preserving build: optimise, but never contract into FMAs or
@@ -205,7 +278,7 @@ def _build_library() -> Optional[Path]:
         source.write_text(_SOURCE)
         built = scratch / library.name
         result = subprocess.run(
-            [compiler, *_CFLAGS, str(source), "-o", str(built)],
+            [compiler, *_CFLAGS, str(source), "-o", str(built), "-lm"],
             capture_output=True,
             timeout=120,
         )
@@ -238,6 +311,13 @@ class CExtKernels:
             _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
             _PTR, _PTR,
+        ]
+        self._decode = library.repro_decode_windows
+        self._decode.restype = ctypes.c_int
+        self._decode.argtypes = [
+            ctypes.c_longlong, ctypes.c_longlong, _PTR, _PTR,
+            ctypes.c_double, ctypes.c_double, ctypes.c_longlong, _PTR, ctypes.c_longlong,
+            ctypes.c_double, ctypes.c_double, ctypes.c_longlong, _PTR,
         ]
 
     def scan_windows(
@@ -326,6 +406,48 @@ class CExtKernels:
             out_origins.ctypes.data,
         )
         return out_times, out_origins
+
+    def decode_windows(
+        self,
+        times,
+        origins,
+        channels,
+        window,
+        period,
+        modulus,
+        taps,
+        lsb,
+        slot_duration,
+        slot_count,
+    ) -> np.ndarray:
+        """Native detection decode (see :func:`repro.kernels.reference.decode_windows`)."""
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        origins = np.ascontiguousarray(origins, dtype=np.int8)
+        taps = np.ascontiguousarray(taps, dtype=np.float64)
+        check_decode_inputs(times, origins, channels, modulus, taps)
+        out = np.empty(origins.shape, dtype=np.int64)
+        status = self._decode(
+            origins.size,
+            int(channels),
+            times.ctypes.data,
+            origins.ctypes.data,
+            float(window),
+            float(period),
+            int(modulus),
+            taps.ctypes.data,
+            taps.size,
+            float(lsb),
+            float(slot_duration),
+            int(slot_count),
+            out.ctypes.data,
+        )
+        if status == 1:
+            raise ValueError("arrival times must be non-negative")
+        if status == 2:
+            raise ValueError(f"coarse codes must be within [0, {modulus})")
+        if status == 3:
+            raise ValueError(f"times must lie within the symbol range [0, {window})")
+        return out
 
 
 def load() -> Optional[CExtKernels]:

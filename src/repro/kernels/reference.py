@@ -10,6 +10,16 @@ resolvers (:mod:`repro.kernels.speculative`, ``"cext"``) must match
 by ``tests/test_kernels.py``); any behaviour change lands here first and
 propagates outward.
 
+The detection decode (:func:`decode_windows`) is defined here too: the
+receiver's TDC and slot decision over every window, as NumPy array passes,
+and the ``"python"`` tier's decode.  Its three
+steps, :func:`split_times`, :func:`reconstruct_times` and
+:func:`slots_of_times`, are also the bodies of
+:meth:`~repro.tdc.converter.TimeToDigitalConverter.convert_array`,
+:meth:`~repro.tdc.converter.TimeToDigitalConverter.reconstruct_times` and
+:meth:`~repro.modulation.symbols.SlotGrid.slots_of_times`, so the engines'
+decode and the public converter share one NumPy definition.
+
 Sentinel convention at the kernel boundary
 ------------------------------------------
 The device's optional state crosses into kernels as floats: a ``None``
@@ -202,3 +212,102 @@ def resolve_windows(
             elif consumed:
                 pending = _INF
     return out_times, out_origins
+
+
+# -- detection decode: two-level TDC and slot decision ---------------------------
+
+#: The engines clip a time to this fraction of a range, so a detection on the
+#: range edge quantises inside it.
+_EDGE = 0.999999
+
+
+def split_times(
+    times: np.ndarray, period: float, modulus: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Coarse codes and time to the next clock edge of non-negative arrival times.
+
+    Times at or past the counter's range ``modulus * period`` clamp to just
+    below it.  A hit exactly on an edge (phase 0) measures one full period to
+    the next edge, which keeps the code-versus-time mapping monotonic.
+    """
+    if np.any(times < 0):
+        raise ValueError("arrival times must be non-negative")
+    clamped = np.minimum(times, np.nextafter(modulus * period, 0.0))
+    coarse_codes = np.floor(clamped / period).astype(int) % modulus
+    return coarse_codes, period - np.mod(clamped, period)
+
+
+def reconstruct_times(
+    coarse_codes: np.ndarray,
+    fine_codes: np.ndarray,
+    period: float,
+    modulus: int,
+    lsb: float,
+) -> np.ndarray:
+    """Mid-bin arrival-time estimate: next edge minus ``(fine + 0.5)·lsb``."""
+    if np.any((coarse_codes < 0) | (coarse_codes >= modulus)):
+        raise ValueError(f"coarse codes must be within [0, {modulus})")
+    fine_time_to_edge = np.minimum((fine_codes + 0.5) * lsb, period)
+    return (coarse_codes + 1) * period - fine_time_to_edge
+
+
+def slots_of_times(
+    times: np.ndarray, slot_duration: float, slot_count: int, symbol_duration: float
+) -> np.ndarray:
+    """Slot of each time within a symbol; the guard interval maps to the last slot."""
+    if times.size and (times.min() < 0 or times.max() >= symbol_duration):
+        raise ValueError(
+            f"times must lie within the symbol range [0, {symbol_duration})"
+        )
+    slots = np.minimum((times / slot_duration).astype(np.int64), slot_count - 1)
+    return np.where(times >= slot_count * slot_duration, slot_count - 1, slots)
+
+
+def check_decode_inputs(
+    times: np.ndarray, origins: np.ndarray, channels: int, modulus: int, taps: np.ndarray
+) -> None:
+    """Reject what no tier could index or divide by (every tier calls this)."""
+    if np.shape(times) != np.shape(origins):
+        raise ValueError("times and origins must have the same shape")
+    if channels < 1 or modulus < 1 or np.size(taps) < 1:
+        raise ValueError("channels, modulus and the tap count must be positive")
+
+
+def decode_windows(
+    times: np.ndarray,
+    origins: np.ndarray,
+    channels: int,
+    window: float,
+    period: float,
+    modulus: int,
+    taps: np.ndarray,
+    lsb: float,
+    slot_duration: float,
+    slot_count: int,
+) -> np.ndarray:
+    """PPM symbol value of every window's detection, ``0`` for a missed window.
+
+    ``times`` and ``origins`` are a detection pass's outputs, flat or
+    ``(S, C)``; flat element ``i`` lies in window ``i // channels``, which
+    starts at ``(i // channels) * window``.  Each detection is made
+    window-relative and clipped into the TDC range, quantised by the
+    two-level TDC (coarse code, residual to the next edge, tap search over
+    the delay line's cumulative ``taps``, mid-bin reconstruction), clipped
+    into the window and decided to a slot.  Returns ``int64`` values shaped
+    like ``origins``.  Detected windows carry finite times, as the detection
+    kernels produce them.
+    """
+    check_decode_inputs(times, origins, channels, modulus, taps)
+    flat_origins = np.asarray(origins).reshape(-1)
+    decoded = np.zeros(flat_origins.size, dtype=np.int64)
+    detected = np.flatnonzero(flat_origins >= 0)
+    if detected.size:
+        relative = np.asarray(times).reshape(-1)[detected] - (detected // channels) * window
+        relative = np.clip(relative, 0.0, modulus * period * _EDGE)
+        coarse_codes, residual = split_times(relative, period, modulus)
+        fine_codes = np.minimum(np.searchsorted(taps, residual, side="right"), np.size(taps) - 1)
+        measured = reconstruct_times(coarse_codes, fine_codes, period, modulus, lsb)
+        decoded[detected] = slots_of_times(
+            np.clip(measured, 0.0, window * _EDGE), slot_duration, slot_count, window
+        )
+    return decoded.reshape(np.shape(origins))

@@ -14,6 +14,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.kernels import reference as _reference
+
 
 def int_to_bits(value: int, width: int) -> List[int]:
     """Big-endian bit vector of ``value`` using exactly ``width`` bits.
@@ -192,15 +194,12 @@ class SlotGrid:
 
     def slots_of_times(self, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`slot_of_time` over an array of arrival times."""
-        times = np.asarray(times, dtype=float)
-        if times.size and (times.min() < 0 or times.max() >= self.symbol_duration):
-            raise ValueError(
-                f"times must lie within the symbol range [0, {self.symbol_duration})"
-            )
-        slots = np.minimum(
-            (times / self.slot_duration).astype(np.int64), self.slot_count - 1
+        return _reference.slots_of_times(
+            np.asarray(times, dtype=float),
+            self.slot_duration,
+            self.slot_count,
+            self.symbol_duration,
         )
-        return np.where(times >= self.data_window, self.slot_count - 1, slots)
 
     def with_guard(self, guard_time: float) -> "SlotGrid":
         """Copy of the grid with a different guard interval."""

@@ -369,16 +369,16 @@ class ReportStore:
         ``__<backend>__seed<seed>__<digest>`` triple, so names containing
         ``__`` filter correctly.
         """
-        if not self.root.is_dir():
+        # One scandir pass over bare names: no Path object per entry.
+        try:
+            with os.scandir(self.root) as entries:
+                names = [entry.name[:-5] for entry in entries if entry.name.endswith(".json")]
+        except OSError:  # a missing or unreadable root holds no artefacts
             return []
         # Structural filter: a real artefact id always has the trailing
         # __<backend>__seed<seed>__<digest> triple, so foreign .json files in
         # the (user-facing) store directory never masquerade as artefacts.
-        ids = [
-            path.stem
-            for path in self.root.glob("*.json")
-            if len(path.stem.rsplit("__", 3)) == 4
-        ]
+        ids = [name for name in names if len(name.rsplit("__", 3)) == 4]
         if scenario is not None:
             ids = [name for name in ids if name.rsplit("__", 3)[0] == scenario]
         return sorted(ids)

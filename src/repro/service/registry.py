@@ -169,6 +169,10 @@ class RunRegistry:
             "executions": self.executions,
             "runs": len(self._handles),
             "running": states.count(RUNNING),
+            # A full scan on every call, on purpose: the CLI and other
+            # processes write the same store, so a count kept here would miss
+            # their artefacts, and directory mtimes are too coarse to notice
+            # those writes.
             "artifacts": len(self.store.list()),
             "executor": {"name": self._executor_name(), **executor_stats},
             # The compute kernels this server can dispatch ("auto" resolves

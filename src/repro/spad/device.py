@@ -162,12 +162,21 @@ class SpadDevice:
         self._last_fire_time: Optional[float] = None
         self._pending_afterpulse: Optional[float] = None
         self._rearmed_at: Optional[float] = None
+        self._pdp_cache: Optional[Tuple[SpadConfig, PdpCurve, float]] = None
 
     # -- static characteristics ------------------------------------------------
     @property
     def detection_probability(self) -> float:
-        """PDP at the configured wavelength and excess bias."""
-        return self.pdp_curve.pdp(self.config.wavelength, self.config.excess_bias)
+        """PDP at the configured wavelength and excess bias.
+
+        Cached per ``(config, pdp_curve)`` pair: both are frozen, so the
+        value changes only when either attribute is rebound.
+        """
+        cached = self._pdp_cache
+        if cached is None or cached[0] is not self.config or cached[1] is not self.pdp_curve:
+            value = self.pdp_curve.pdp(self.config.wavelength, self.config.excess_bias)
+            cached = self._pdp_cache = (self.config, self.pdp_curve, value)
+        return cached[2]
 
     @property
     def dead_time(self) -> float:

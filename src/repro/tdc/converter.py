@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.kernels import reference as _reference
 from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.delay_line import TappedDelayLine
 from repro.tdc.metastability import MetastabilityModel
@@ -182,13 +183,13 @@ class TimeToDigitalConverter:
     def reconstruct_times(self, coarse_codes: np.ndarray, fine_codes: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`reconstruct_time` — the single mid-bin reconstruction
         shared by the scalar and batch conversion paths."""
-        coarse_codes = np.asarray(coarse_codes)
-        if np.any((coarse_codes < 0) | (coarse_codes >= self.coarse.modulus)):
-            raise ValueError(f"coarse codes must be within [0, {self.coarse.modulus})")
-        fine_time_to_edge = np.minimum(
-            (np.asarray(fine_codes) + 0.5) * self.lsb, self.coarse.period
+        return _reference.reconstruct_times(
+            np.asarray(coarse_codes),
+            np.asarray(fine_codes),
+            self.coarse.period,
+            self.coarse.modulus,
+            self.lsb,
         )
-        return (coarse_codes + 1) * self.coarse.period - fine_time_to_edge
 
     def convert_array(self, arrival_times: np.ndarray) -> TdcBatchConversion:
         """Convert a whole array of arrival times in one vectorised pass.
@@ -204,14 +205,9 @@ class TimeToDigitalConverter:
         equivalent.
         """
         times = np.asarray(arrival_times, dtype=float)
-        if np.any(times < 0):
-            raise ValueError("arrival times must be non-negative")
-        saturated = times >= self.usable_range
-        clamped = np.minimum(times, np.nextafter(self.usable_range, 0.0))
-        period = self.coarse.period
-        coarse_codes = np.floor(clamped / period).astype(int) % self.coarse.modulus
-        phase = np.mod(clamped, period)
-        residual = np.where(phase == 0.0, period, period - phase)
+        coarse_codes, residual = _reference.split_times(
+            times, self.coarse.period, self.coarse.modulus
+        )
         if self.metastability is not None:
             taps = self.delay_line.tap_times
             flat_residual = np.ravel(residual)
@@ -232,7 +228,7 @@ class TimeToDigitalConverter:
             codes=coarse_codes * self.fine_elements + (self.fine_elements - 1 - fine_codes),
             measured_times=self.reconstruct_times(coarse_codes, fine_codes),
             true_times=times.copy(),
-            saturated=saturated,
+            saturated=times >= self.usable_range,
         )
 
     def convert_many(self, arrival_times: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ class TappedDelayLine:
         self._scale = element_model.pvt_scale(self.temperature, self.voltage)
         self._element_delays_cache: Optional[np.ndarray] = None
         self._tap_times_cache: Optional[np.ndarray] = None
+        self._mean_resolution_cache: Optional[float] = None
 
     # -- geometry ---------------------------------------------------------
     @property
@@ -92,6 +93,7 @@ class TappedDelayLine:
         self._scale = self.element_model.pvt_scale(self.temperature, self.voltage)
         self._element_delays_cache = None
         self._tap_times_cache = None
+        self._mean_resolution_cache = None
 
     # -- measurement --------------------------------------------------------
     def taps_reached(self, elapsed: float) -> int:
@@ -137,8 +139,13 @@ class TappedDelayLine:
         return self.element_delays.copy()
 
     def mean_resolution(self) -> float:
-        """Average LSB width of the fine interpolator [s]."""
-        return float(np.mean(self.element_delays))
+        """Average LSB width of the fine interpolator [s].
+
+        Cached; invalidated by :meth:`set_operating_point`.
+        """
+        if self._mean_resolution_cache is None:
+            self._mean_resolution_cache = float(np.mean(self.element_delays))
+        return self._mean_resolution_cache
 
     def __len__(self) -> int:
         return self.length

@@ -25,6 +25,7 @@ are plain unit tests.
 """
 
 import random
+import threading
 import time
 
 import pytest
@@ -252,7 +253,9 @@ class TestClusterExecutor:
                                  workers=addresses)
         assert clustered.to_mapping() == serial.to_mapping()
 
-    def test_worker_death_mid_run_requeues_and_stays_bit_identical(self, fleet):
+    def test_worker_death_mid_run_requeues_and_stays_bit_identical(self):
+        died = threading.Event()
+
         class DoomedWorker(ClusterWorker):
             def __init__(self, **kwargs):
                 super().__init__(**kwargs)
@@ -261,11 +264,22 @@ class TestClusterExecutor:
             def evaluate(self, task, attempt):
                 if self.fuse:
                     self.fuse -= 1
+                    died.set()
                     raise WorkerDeath("simulated SIGKILL")
                 return super().evaluate(task, attempt)
 
+        class PatientWorker(ClusterWorker):
+            def evaluate(self, task, attempt):
+                # Hold every chunk until the doomed worker has died: idle
+                # healthy workers steal, and could otherwise drain the doomed
+                # worker's queue before its handshake completes.
+                died.wait(timeout=30.0)
+                return super().evaluate(task, attempt)
+
         doomed = DoomedWorker(listen="127.0.0.1:0", name="doomed")
+        healthy = [PatientWorker(listen="127.0.0.1:0", name=f"patient{i}") for i in range(2)]
         address = doomed.start()
+        fleet = [worker.start() for worker in healthy]
         try:
             scenario = small_scenario()
             serial = run_scenario(scenario, seed=4, chunk_symbols=64)
@@ -279,6 +293,8 @@ class TestClusterExecutor:
             assert clustered.to_mapping() == serial.to_mapping()
         finally:
             doomed.stop()
+            for worker in healthy:
+                worker.stop()
 
     def test_retryable_worker_errors_replay_bit_identically(self, fleet):
         class FlakyWorker(ClusterWorker):

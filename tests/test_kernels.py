@@ -8,6 +8,9 @@ a report.  The suite locks that at three levels:
 
 * raw kernel functions on randomised inputs (scan, resolve, arbitration),
   each tier against :mod:`repro.kernels.reference`;
+* the detection decode on every tier against the composition the engines
+  ran before it existed (clip, ``convert_array``, clip, ``decode_times``),
+  on random and boundary inputs;
 * the arbitration walk against the scalar :class:`RoundRobinArbiter`
   grant loop, including the final slot clock and committed queue/rotation
   state;
@@ -25,8 +28,17 @@ from repro.kernels import (
     round_robin_schedule,
 )
 from repro import kernels
+from repro.core import FastOpticalLink, LinkConfig, MultichannelOpticalLink
 from repro.kernels import reference, speculative
+from repro.modulation.ppm import PpmCodec
+from repro.modulation.symbols import SlotGrid
 from repro.noc.arbitration import RoundRobinArbiter
+from repro.simulation.randomness import RandomSource
+from repro.tdc.coarse_counter import CoarseCounter
+from repro.tdc.converter import TimeToDigitalConverter
+from repro.tdc.delay_element import DelayElementModel
+from repro.tdc.delay_line import TappedDelayLine
+from repro.tdc.metastability import MetastabilityModel
 from repro.scenarios import (
     ExperimentRunner,
     Scenario,
@@ -226,6 +238,253 @@ class TestResolveBitIdentity:
             times, origins = get_kernel(name).resolve_windows(*args)
             assert np.array_equal(times, ref_times, equal_nan=True), name
             assert np.array_equal(origins, ref_origins), name
+
+
+class _Receiver:
+    """A TDC, a slot grid and the window both decode against."""
+
+    def __init__(self, tdc, grid):
+        self.tdc = tdc
+        self.codec = PpmCodec(grid)
+        self.window = grid.symbol_duration
+
+    def oracle(self, times, origins, channels=1):
+        """The engines' decode before the kernel: clip, convert, clip, decode."""
+        flat_origins = origins.reshape(-1)
+        detected = flat_origins >= 0
+        decoded = np.zeros(flat_origins.size, dtype=np.int64)
+        if np.any(detected):
+            windows = np.flatnonzero(detected) // channels
+            relative = times.reshape(-1)[detected] - windows.astype(float) * self.window
+            relative = np.clip(relative, 0.0, self.tdc.usable_range * 0.999999)
+            conversion = self.tdc.convert_array(relative)
+            measured = np.clip(conversion.measured_times, 0.0, self.window * 0.999999)
+            decoded[detected] = self.codec.decode_times(measured)
+        return decoded.reshape(origins.shape)
+
+    def decode(self, name, times, origins, channels=1):
+        grid = self.codec.grid
+        return get_kernel(name).decode_windows(
+            times, origins, channels, self.window,
+            self.tdc.coarse.period, self.tdc.coarse.modulus,
+            self.tdc.delay_line.tap_times, self.tdc.lsb,
+            grid.slot_duration, grid.slot_count,
+        )
+
+    def assert_tiers_match(self, times, origins, channels=1):
+        expected = self.oracle(times, origins, channels)
+        for name in available_kernels():
+            decoded = self.decode(name, times, origins, channels)
+            assert decoded.dtype == np.int64, name
+            assert np.array_equal(decoded, expected), name
+        return expected
+
+    def assert_window_zero_matches(self, relative):
+        """Every time in window 0, one channel each, so no offset rounds it."""
+        times = np.asarray(relative, dtype=float)[None, :]
+        origins = np.zeros(times.shape, dtype=np.int8)
+        return self.assert_tiers_match(times, origins, channels=times.size)[0]
+
+
+def _link_receiver():
+    """The receiver of a real link: mismatched taps and a guard interval."""
+    link = FastOpticalLink(LinkConfig(ppm_bits=4, extra_guard=2e-9), seed=3)
+    return _Receiver(link.tdc, link.codec.grid)
+
+
+#: Unit of the binary-exact receivers: ``2**-33`` s.  Their clock period is
+#: 64 units and their taps are 2 units apart, so every mid-bin time is an
+#: odd number of units and every product and quotient below is exact.
+_UNIT = 2.0**-33
+
+
+def _exact_receiver():
+    """A line that exactly covers the period, slot boundaries on odd units.
+
+    Eight slots of 13 units put boundaries 13, 39, 65 and 91 on mid-bin
+    times, and the guard (104 to 120 units) inside the TDC range.  A hit on
+    a clock edge reaches past the last tap, so its fine code is capped: edge
+    ``k`` measures ``64k + 1`` units, which is slot boundary 65 for ``k = 1``.
+    """
+    line = TappedDelayLine(DelayElementModel(nominal_delay=2 * _UNIT, mismatch_sigma=0.0), 32)
+    tdc = TimeToDigitalConverter(line, CoarseCounter(clock_frequency=1 / (64 * _UNIT), bits=3))
+    grid = SlotGrid(bits_per_symbol=3, slot_duration=13 * _UNIT, guard_time=16 * _UNIT)
+    return _Receiver(tdc, grid)
+
+
+def _long_line_receiver():
+    """A line longer than the period, as the links' margin makes it.
+
+    A hit on a clock edge reaches tap 32, whose mid-bin (65 units) lies past
+    the edge, so the time to the edge is capped at the period: edge ``k``
+    measures ``64k`` units, a boundary of the 16-unit slots.
+    """
+    line = TappedDelayLine(DelayElementModel(nominal_delay=2 * _UNIT, mismatch_sigma=0.0), 36)
+    tdc = TimeToDigitalConverter(line, CoarseCounter(clock_frequency=1 / (64 * _UNIT), bits=2))
+    grid = SlotGrid(bits_per_symbol=3, slot_duration=16 * _UNIT, guard_time=16 * _UNIT)
+    return _Receiver(tdc, grid)
+
+
+def _random_detections(rng, receiver, windows, channels=1, missed=0.3):
+    """Absolute detection times inside their windows, and origin codes."""
+    starts = (np.arange(windows) * receiver.window)[:, None]
+    times = starts + rng.uniform(0.0, receiver.window, (windows, channels))
+    origins = rng.integers(0, 4, (windows, channels)).astype(np.int8)
+    times[rng.random((windows, channels)) < missed] = np.nan
+    origins[np.isnan(times)] = -1
+    return times, origins
+
+
+class TestDecodeBitIdentity:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_detections_match_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for receiver in (_link_receiver(), _exact_receiver(), _long_line_receiver()):
+            times, origins = _random_detections(rng, receiver, 2000)
+            receiver.assert_tiers_match(times.ravel(), origins.ravel())
+
+    def test_channels_stripe_windows_row_major(self):
+        rng = np.random.default_rng(4)
+        receiver = _link_receiver()
+        times, origins = _random_detections(rng, receiver, 300, channels=5)
+        decoded = receiver.assert_tiers_match(times, origins, channels=5)
+        assert decoded.shape == (300, 5)
+
+    def test_residuals_exactly_on_tap_times(self):
+        for receiver in (_link_receiver(), _exact_receiver(), _long_line_receiver()):
+            period = receiver.tdc.coarse.period
+            taps = receiver.tdc.delay_line.tap_times
+            inside = period - taps[taps < period]
+            relative = np.concatenate(
+                [inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0)]
+            )
+            relative = np.concatenate([relative + k * period for k in range(3)])
+            phase = np.mod(relative, period)
+            assert np.isin(np.where(phase == 0.0, period, period - phase), taps).any()
+            receiver.assert_window_zero_matches(relative)
+
+    def test_times_on_coarse_edges_before_the_window_and_past_the_range(self):
+        for receiver in (_link_receiver(), _exact_receiver(), _long_line_receiver()):
+            period = receiver.tdc.coarse.period
+            usable = receiver.tdc.usable_range
+            edges = np.arange(receiver.tdc.coarse.modulus + 2) * period
+            relative = np.concatenate([
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, np.inf),
+                [usable, usable * 0.999999, np.nextafter(usable * 0.999999, 0.0),
+                 np.nextafter(usable, 0.0), usable * 1.5, receiver.window * 3.0],
+                [-period, -1e-12, np.nextafter(0.0, -1.0)],  # before the window
+            ])
+            receiver.assert_window_zero_matches(relative)
+
+    def test_clock_phase_across_many_clock_periods(self):
+        # The coarse phase is a remainder: check it around every clock edge
+        # for clock periods that are not binary fractions.
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            period = 1.0 / rng.uniform(1e8, 1e9)
+            model = DelayElementModel(nominal_delay=period / 30, mismatch_sigma=0.05)
+            line = TappedDelayLine(model, 34, random_source=RandomSource(int(rng.integers(1 << 30))))
+            tdc = TimeToDigitalConverter(line, CoarseCounter(clock_frequency=1 / period, bits=4))
+            grid = SlotGrid(bits_per_symbol=3, slot_duration=2.1 * period)
+            receiver = _Receiver(tdc, grid)
+            edges = np.arange(tdc.coarse.modulus) * period
+            receiver.assert_window_zero_matches(np.concatenate([
+                rng.uniform(0.0, receiver.window, 200),
+                np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf),
+            ]))
+
+    @pytest.mark.parametrize(
+        "make_receiver, edge_units, slot",
+        ((_exact_receiver, 65, 5), (_long_line_receiver, 64, 4)),
+        ids=("fine-code-cap", "edge-time-cap"),
+    )
+    def test_a_hit_on_a_clock_edge_lands_on_a_slot_boundary(
+        self, make_receiver, edge_units, slot
+    ):
+        receiver = make_receiver()
+        period = receiver.tdc.coarse.period
+        measured = receiver.tdc.convert_array(np.array([period])).measured_times
+        assert measured[0] == edge_units * _UNIT
+        assert receiver.assert_window_zero_matches([period])[0] == slot
+
+    def test_measured_times_in_the_guard_and_on_slot_boundaries(self):
+        receiver = _exact_receiver()
+        relative = np.arange(0, 2100) * 2.0**-33 * 0.125
+        decoded = receiver.assert_window_zero_matches(relative)
+        measured = np.clip(
+            receiver.tdc.convert_array(relative).measured_times, 0.0, receiver.window * 0.999999
+        )
+        grid = receiver.codec.grid
+        for boundary in (1, 3, 5, 7):
+            assert np.any(measured == boundary * grid.slot_duration), boundary
+        assert np.any(measured >= grid.data_window)
+        assert set(decoded.tolist()) == set(range(grid.slot_count))
+
+    def test_window_indices_up_to_two_to_the_twentieth(self):
+        rng = np.random.default_rng(5)
+        receiver = _link_receiver()
+        windows = (1 << 20) + 1
+        origins = np.full(windows, -1, dtype=np.int8)
+        hit = np.concatenate([rng.choice(windows, 4000, replace=False), [windows - 1]])
+        origins[hit] = 0
+        times = np.full(windows, np.nan)
+        times[hit] = hit * receiver.window + rng.uniform(0.0, receiver.window, hit.size)
+        receiver.assert_tiers_match(times, origins)
+
+    def test_all_missed_and_empty_inputs(self):
+        receiver = _link_receiver()
+        missed = np.full((40, 3), -1, dtype=np.int8)
+        decoded = receiver.assert_tiers_match(np.full((40, 3), np.nan), missed, channels=3)
+        assert not decoded.any()
+        for shape in ((0,), (0, 3)):
+            decoded = receiver.assert_tiers_match(
+                np.empty(shape), np.empty(shape, dtype=np.int8), channels=shape[-1] or 1
+            )
+            assert decoded.shape == shape
+
+    def test_every_tier_keeps_the_range_checks(self):
+        receiver = _link_receiver()
+        times = np.array([0.5 * receiver.window])
+        origins = np.zeros(1, dtype=np.int8)
+        grid = receiver.codec.grid
+        tdc = receiver.tdc
+        for name in available_kernels():
+            decode = get_kernel(name).decode_windows
+            # A negative period drives the clipped time below zero...
+            with pytest.raises(ValueError, match="non-negative"):
+                decode(times, origins, 1, receiver.window, -tdc.coarse.period,
+                       tdc.coarse.modulus, tdc.delay_line.tap_times, tdc.lsb,
+                       grid.slot_duration, grid.slot_count)
+            # ...and a negative window the measured time out of the symbol.
+            with pytest.raises(ValueError, match="symbol range"):
+                decode(times, origins, 1, -receiver.window, tdc.coarse.period,
+                       tdc.coarse.modulus, tdc.delay_line.tap_times, tdc.lsb,
+                       grid.slot_duration, grid.slot_count)
+            # Inputs no tier could index or divide by are refused up front.
+            with pytest.raises(ValueError, match="same shape"):
+                decode(np.zeros(2), origins, 1, receiver.window, tdc.coarse.period,
+                       tdc.coarse.modulus, tdc.delay_line.tap_times, tdc.lsb,
+                       grid.slot_duration, grid.slot_count)
+            with pytest.raises(ValueError, match="must be positive"):
+                decode(times, origins, 0, receiver.window, tdc.coarse.period,
+                       tdc.coarse.modulus, tdc.delay_line.tap_times, tdc.lsb,
+                       grid.slot_duration, grid.slot_count)
+
+    @pytest.mark.parametrize(
+        "make_link",
+        (
+            lambda: FastOpticalLink(LinkConfig(ppm_bits=4), seed=1),
+            lambda: MultichannelOpticalLink(LinkConfig(ppm_bits=4), seed=1, channels=4),
+        ),
+        ids=("batch", "multichannel"),
+    )
+    def test_engines_refuse_a_metastable_tdc(self, make_link):
+        link = make_link()
+        link.tdc.metastability = MetastabilityModel()
+        with pytest.raises(ValueError, match="metastability"):
+            link.transmit_bits(np.ones(64, dtype=np.uint8))
 
 
 def _loaded_arbiter(rng, nodes, requests, horizon):

@@ -176,6 +176,33 @@ class TestRobustness:
         # ...and prefixes of it do not accidentally match.
         assert store.list("store") == []
 
+    def test_list_returns_only_artifact_ids_whatever_else_the_root_holds(
+        self, report, tmp_path
+    ):
+        import dataclasses
+
+        store = ReportStore(tmp_path)
+        saved = store.save(report, run_key="a" * 64)  # also writes index/
+        tricky = dataclasses.replace(
+            Scenario.from_mapping(report.scenario), name="store__tricky__name"
+        )
+        tricky_saved = store.save(ExperimentRunner(tricky, seed=1).run())
+        (tmp_path / "notes.json").write_text("{}")
+        (tmp_path / "a__b__c.json").write_text("{}")  # too few __ parts
+        (tmp_path / f".{saved.stem}.json.tmp-1-0").write_text("{")  # half-written temp file
+        assert (tmp_path / "index").is_dir()
+        expected = sorted([saved.stem, tricky_saved.stem])
+        assert store.list() == expected
+        # The same ids, in the same order, as a Path.glob listing.
+        assert store.list() == sorted(
+            path.stem
+            for path in tmp_path.glob("*.json")
+            if len(path.stem.rsplit("__", 3)) == 4
+        )
+        assert store.list("store__tricky__name") == [tricky_saved.stem]
+        assert store.list("store-roundtrip") == [saved.stem]
+        assert ReportStore(tmp_path / "absent").list() == []
+
 
 class TestCorruption:
     """Typed corruption detection: truncation, digest mismatch, quarantine."""

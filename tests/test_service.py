@@ -30,7 +30,7 @@ import pytest
 
 from repro import frontdoor, run_scenario
 from repro.cli import EXIT_PORT_BIND, main as cli_main
-from repro.scenarios import get_scenario
+from repro.scenarios import ReportStore, get_scenario
 from repro.service import (
     ExperimentService,
     ServiceBindError,
@@ -133,6 +133,14 @@ class TestRunLifecycle:
         # Serial runs still surface their executor telemetry on /stats.
         assert stats["executor"]["name"] == "serial"
         assert stats["executor"]["failures"] == 0
+
+    def test_stats_counts_artifacts_another_store_wrote(self, service, client):
+        # /stats rescans the store, so a CLI run (another process, another
+        # ReportStore on the same root) shows up on the next request.
+        before = client.stats()["artifacts"]
+        other = ReportStore(service.store.root)
+        other.save(run_scenario(get_scenario(SCENARIO).with_budget(BITS), seed=4))
+        assert client.stats()["artifacts"] == before + 1
 
 
 class TestDedupe:

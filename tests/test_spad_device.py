@@ -8,6 +8,7 @@ from repro.spad.afterpulsing import AfterpulsingModel
 from repro.spad.dark_counts import DarkCountModel
 from repro.spad.device import DetectionOrigin, SpadConfig, SpadDevice
 from repro.spad.jitter import JitterModel
+from repro.spad.pdp import PdpCurve
 from repro.spad.quenching import QuenchingCircuit
 
 
@@ -40,6 +41,19 @@ class TestStaticCharacteristics:
     def test_detection_probability_uses_pdp_curve(self):
         device = make_device()
         assert 0.1 < device.detection_probability < 0.5
+
+    def test_detection_probability_follows_rebound_config_and_curve(self):
+        # The PDP is cached, but rebinding either frozen input recomputes it.
+        device = make_device()
+        first = device.detection_probability
+        assert device.detection_probability == first
+        device.config = SpadConfig(wavelength=450 * NM)
+        assert device.detection_probability > first
+        assert device.detection_probability == device.pdp_curve.pdp(
+            450 * NM, device.config.excess_bias
+        )
+        device.pdp_curve = PdpCurve(wavelengths=(400 * NM, 500 * NM), pdp_values=(0.5, 0.5))
+        assert device.detection_probability == pytest.approx(0.5)
 
     def test_detection_probability_for_photons_saturates(self):
         device = make_device()

@@ -114,11 +114,15 @@ class TestGeometryCaching:
         line = TappedDelayLine(model, length=16, random_source=RandomSource(1), temperature=20.0)
         cold_taps = line.tap_times
         cold_delays = line.element_delays
+        cold_lsb = line.mean_resolution()
         line.set_operating_point(temperature=80.0)
         hot_taps = line.tap_times
         assert hot_taps is not cold_taps
         assert np.all(hot_taps > cold_taps)
         assert line.element_delays is not cold_delays
+        assert line.mean_resolution() > cold_lsb
+        assert line.mean_resolution() == float(np.mean(line.element_delays))
         # Moving back re-derives the original geometry from the frozen mismatch.
         line.set_operating_point(temperature=20.0)
         assert np.allclose(line.tap_times, cold_taps)
+        assert line.mean_resolution() == pytest.approx(cold_lsb)
