@@ -1,12 +1,12 @@
 """KERNELS — native compute kernels vs. the last Python hot loop.
 
 Times the multichannel winner-resolution sweep of
-:func:`repro.spad.array.detect_multichannel` on an *afterpulsing-heavy*
-workload: most windows arm a trap and release it within the next couple of
-windows, so the speculate-then-correct exception sweep of the ``"python"``
-tier (:mod:`repro.kernels.speculative`) degenerates toward per-window Python
-work.  The ``"cext"`` tier (the self-compiled C extension) runs the same
-sequential physics without the interpreter.
+:func:`repro.spad.array.detect_in_windows_multichannel` on an
+*afterpulsing-heavy* workload: most windows arm a trap and release it within
+the next couple of windows, so the speculate-then-correct exception sweep of
+the ``"python"`` tier (:mod:`repro.kernels.speculative`) degenerates toward
+per-window Python work.  The ``"cext"`` tier (the self-compiled C extension)
+runs the same sequential physics without the interpreter.
 
 The comparison asserts bit-identical outputs before it asserts speed —
 kernels are an optimisation, never a physics change.  Measurements land in

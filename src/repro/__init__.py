@@ -9,8 +9,8 @@ optical interconnect depends on:
   optical channel models (thinned die stacks, micro-optics, crosstalk).
 * :mod:`repro.tdc` — time-to-digital converter: tapped delay line, coarse
   counter, thermometer decoding, DNL/INL analysis and calibration.
-* :mod:`repro.modulation` — pulse-position modulation (PPM) coder/decoder and
-  alternative line codes.
+* :mod:`repro.modulation` — pulse-position modulation (PPM) coder/decoder,
+  symbol/bit primitives and the on-off-keying ablation baseline.
 * :mod:`repro.electrical` — conventional electrical baselines (wire-bond pads,
   TSVs, inductive and capacitive coupling) used for comparison.
 * :mod:`repro.simulation` — seeded random streams and the chunked
@@ -27,7 +27,7 @@ optical interconnect depends on:
   :class:`~repro.scenarios.Scenario` descriptions of the paper's sweeps,
   compiled onto the batch Monte-Carlo machinery by
   :class:`~repro.scenarios.ExperimentRunner`.
-* :mod:`repro.analysis` — units, sweeps, statistics and report helpers.
+* :mod:`repro.analysis` — units, confidence intervals, plotting and report helpers.
 * :mod:`repro.frontdoor` — the shared run/list/show/compare layer the CLI
   and the experiment service both consume (scenario resolution, the
   machine-readable catalogue, pre-run cache keys).

@@ -1,4 +1,4 @@
-"""Analysis helpers: units, statistics, parameter sweeps, plotting and reports."""
+"""Analysis helpers: units, confidence intervals, plotting and reports."""
 
 from repro.analysis.units import (
     GHZ,
@@ -12,15 +12,8 @@ from repro.analysis.units import (
     format_si,
     linear_to_db,
 )
-from repro.analysis.statistics import (
-    Histogram,
-    RunningStats,
-    binomial_confidence_95,
-    bootstrap_confidence_interval,
-    percentile,
-)
-from repro.analysis.sweep import Sweep, SweepResult, grid_sweep, link_ber_sweep
-from repro.analysis.plotting import ascii_heatmap, ascii_histogram, ascii_line_plot
+from repro.analysis.statistics import binomial_confidence_95
+from repro.analysis.plotting import ascii_heatmap, ascii_line_plot
 from repro.analysis.report import ReportTable, TextReport
 
 __all__ = [
@@ -34,36 +27,9 @@ __all__ = [
     "linear_to_db",
     "format_si",
     "format_engineering",
-    "Histogram",
-    "RunningStats",
-    "percentile",
     "binomial_confidence_95",
-    "bootstrap_confidence_interval",
-    "Sweep",
-    "SweepResult",
-    "grid_sweep",
-    "link_ber_sweep",
     "ascii_heatmap",
-    "ascii_histogram",
     "ascii_line_plot",
     "TextReport",
     "ReportTable",
 ]
-
-
-def __getattr__(name: str):
-    if name == "ExperimentReport":
-        # Warn here (not via repro.analysis.report's own __getattr__) so the
-        # DeprecationWarning is attributed to the caller's line, not to this
-        # shim.
-        import warnings
-
-        warnings.warn(
-            "repro.analysis.ExperimentReport was renamed to TextReport; "
-            "the ExperimentReport name now belongs to the structured "
-            "repro.scenarios.ExperimentReport data artefact",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TextReport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

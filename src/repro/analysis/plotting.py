@@ -13,35 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 
-def ascii_histogram(
-    values: Sequence[float],
-    labels: Optional[Sequence[str]] = None,
-    width: int = 50,
-    fill: str = "#",
-) -> str:
-    """Render a horizontal bar chart of ``values``.
-
-    >>> print(ascii_histogram([1.0, 2.0], labels=["a", "b"], width=4))
-    a |##   1
-    b |#### 2
-    """
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        return "(empty)"
-    if labels is None:
-        labels = [str(i) for i in range(array.size)]
-    if len(labels) != array.size:
-        raise ValueError("labels length must match values length")
-    peak = float(np.max(np.abs(array))) or 1.0
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, value in zip(labels, array):
-        bar_length = int(round(abs(value) / peak * width))
-        bar = fill * bar_length
-        lines.append(f"{label:<{label_width}} |{bar:<{width}} {value:g}")
-    return "\n".join(lines)
-
-
 def ascii_line_plot(
     x: Sequence[float],
     y: Sequence[float],

@@ -5,15 +5,12 @@ output of ``pytest benchmarks/ --benchmark-only`` reads like the paper's
 evaluation section: one titled report per experiment with aligned tables and
 a paper-vs-measured comparison line.
 
-The text-rendering accumulator here is :class:`TextReport` (formerly
-``ExperimentReport`` — that name now belongs to the structured data artefact
-:class:`repro.scenarios.ExperimentReport`; the old spelling survives as a
-deprecated module-level alias).
+The text-rendering accumulator here is :class:`TextReport`; the structured
+data artefact of a scenario run is :class:`repro.scenarios.ExperimentReport`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence
 
@@ -94,16 +91,3 @@ class TextReport:
 
     def print(self) -> None:  # pragma: no cover - thin convenience wrapper
         print(self.render())
-
-
-def __getattr__(name: str):
-    if name == "ExperimentReport":
-        warnings.warn(
-            "repro.analysis.report.ExperimentReport was renamed to TextReport; "
-            "the ExperimentReport name now belongs to the structured "
-            "repro.scenarios.ExperimentReport data artefact",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TextReport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,184 +1,15 @@
-"""Light-weight statistics helpers used by the device models and benchmarks.
+"""Confidence intervals for the Monte-Carlo error-rate estimates.
 
-The library relies on two recurring statistical patterns:
-
-* streaming accumulation of moments (:class:`RunningStats`) so that long
-  Monte-Carlo runs do not need to keep every sample in memory, and
-* binned counting (:class:`Histogram`) for code-density tests and
-  time-of-arrival distributions.
+:func:`binomial_confidence_95` is the error bar of a plain Monte-Carlo
+estimate; :func:`weighted_mean_confidence_95` is its importance-sampling
+counterpart.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-
-class RunningStats:
-    """Online mean/variance accumulator (Welford's algorithm).
-
-    >>> stats = RunningStats()
-    >>> for x in [1.0, 2.0, 3.0]:
-    ...     stats.add(x)
-    >>> stats.mean
-    2.0
-    >>> round(stats.variance, 6)
-    1.0
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._minimum = math.inf
-        self._maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        """Add a single sample."""
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-        self._minimum = min(self._minimum, value)
-        self._maximum = max(self._maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Add all samples from an iterable."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        if self._count == 0:
-            raise ValueError("no samples accumulated")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample (unbiased) variance; zero for a single sample."""
-        if self._count == 0:
-            raise ValueError("no samples accumulated")
-        if self._count == 1:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if self._count == 0:
-            raise ValueError("no samples accumulated")
-        return self._minimum
-
-    @property
-    def maximum(self) -> float:
-        if self._count == 0:
-            raise ValueError("no samples accumulated")
-        return self._maximum
-
-    def standard_error(self) -> float:
-        """Standard error of the mean."""
-        if self._count == 0:
-            raise ValueError("no samples accumulated")
-        return self.std / math.sqrt(self._count)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._count == 0:
-            return "RunningStats(empty)"
-        return (
-            f"RunningStats(count={self._count}, mean={self._mean:.6g}, "
-            f"std={self.std:.6g})"
-        )
-
-
-@dataclass
-class Histogram:
-    """Fixed-bin histogram over ``[low, high)``.
-
-    Used for TDC code-density tests, photon time-of-arrival distributions and
-    error bookkeeping.  Out-of-range samples are counted separately instead of
-    being silently dropped.
-    """
-
-    low: float
-    high: float
-    bins: int
-    counts: np.ndarray = field(init=False)
-    underflow: int = field(init=False, default=0)
-    overflow: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self.bins <= 0:
-            raise ValueError(f"bins must be positive, got {self.bins}")
-        if not self.high > self.low:
-            raise ValueError(f"high ({self.high}) must exceed low ({self.low})")
-        self.counts = np.zeros(self.bins, dtype=np.int64)
-
-    @property
-    def bin_width(self) -> float:
-        return (self.high - self.low) / self.bins
-
-    def bin_index(self, value: float) -> Optional[int]:
-        """Index of the bin containing ``value``; ``None`` if out of range."""
-        if value < self.low:
-            return None
-        if value >= self.high:
-            return None
-        return int((value - self.low) / self.bin_width)
-
-    def add(self, value: float) -> None:
-        index = self.bin_index(value)
-        if index is None:
-            if value < self.low:
-                self.underflow += 1
-            else:
-                self.overflow += 1
-        else:
-            self.counts[index] += 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        array = np.asarray(list(values), dtype=float)
-        if array.size == 0:
-            return
-        self.underflow += int(np.count_nonzero(array < self.low))
-        self.overflow += int(np.count_nonzero(array >= self.high))
-        in_range = array[(array >= self.low) & (array < self.high)]
-        if in_range.size:
-            indices = ((in_range - self.low) / self.bin_width).astype(int)
-            indices = np.clip(indices, 0, self.bins - 1)
-            np.add.at(self.counts, indices, 1)
-
-    @property
-    def total(self) -> int:
-        """Number of in-range samples."""
-        return int(self.counts.sum())
-
-    def bin_centers(self) -> np.ndarray:
-        edges = np.linspace(self.low, self.high, self.bins + 1)
-        return (edges[:-1] + edges[1:]) / 2.0
-
-    def normalized(self) -> np.ndarray:
-        """Counts normalised to a probability mass function (sums to 1)."""
-        total = self.total
-        if total == 0:
-            return np.zeros(self.bins)
-        return self.counts / total
-
-    def mean(self) -> float:
-        """Mean of the binned distribution (bin-center approximation)."""
-        total = self.total
-        if total == 0:
-            raise ValueError("histogram is empty")
-        return float(np.dot(self.bin_centers(), self.counts) / total)
 
 
 def binomial_confidence_95(successes: int, total: int) -> float:
@@ -222,59 +53,3 @@ def weighted_mean_confidence_95(
     if variance <= 0.0:
         return 0.0
     return 1.96 * math.sqrt(variance / count)
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Return the ``q``-th percentile (0..100) of ``samples``."""
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile must be within [0, 100], got {q}")
-    array = np.asarray(samples, dtype=float)
-    if array.size == 0:
-        raise ValueError("cannot take the percentile of an empty sequence")
-    return float(np.percentile(array, q))
-
-
-def bootstrap_confidence_interval(
-    samples: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 1000,
-    seed: int = 0,
-) -> Tuple[float, float]:
-    """Bootstrap confidence interval for the mean of ``samples``.
-
-    Returns the ``(low, high)`` bounds of the two-sided interval.
-    """
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    array = np.asarray(samples, dtype=float)
-    if array.size == 0:
-        raise ValueError("cannot bootstrap an empty sequence")
-    rng = np.random.default_rng(seed)
-    means = np.empty(resamples)
-    for i in range(resamples):
-        draw = rng.choice(array, size=array.size, replace=True)
-        means[i] = draw.mean()
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(np.percentile(means, 100 * alpha)),
-        float(np.percentile(means, 100 * (1 - alpha))),
-    )
-
-
-def geometric_mean(samples: Sequence[float]) -> float:
-    """Geometric mean of strictly positive samples."""
-    array = np.asarray(samples, dtype=float)
-    if array.size == 0:
-        raise ValueError("cannot take the geometric mean of an empty sequence")
-    if np.any(array <= 0):
-        raise ValueError("geometric mean requires strictly positive samples")
-    return float(np.exp(np.mean(np.log(array))))
-
-
-def cumulative_distribution(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF of ``samples`` as ``(sorted_values, cumulative_probability)``."""
-    array = np.sort(np.asarray(samples, dtype=float))
-    if array.size == 0:
-        raise ValueError("cannot compute the CDF of an empty sequence")
-    probabilities = np.arange(1, array.size + 1) / array.size
-    return array, probabilities

@@ -61,7 +61,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import frontdoor
 from repro.analysis.report import ReportTable
@@ -557,8 +557,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
         return EXIT_CORRUPT_ARTIFACT
-    except (ValueError, FileNotFoundError) as error:
-        # Domain errors (unknown scenario/metric/artefact, bad values) — not
+    except ValueError as error:
+        # Domain errors (unknown scenario/metric, bad values) — not
         # tracebacks.  KeyError is deliberately absent: curated lookups
         # convert theirs at the call site, so an internal KeyError anywhere
         # else surfaces as a real traceback instead of `error: 'somekey'`.
@@ -572,6 +572,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except OSError as error:
+        if error.filename is not None:
+            # A file boundary (a missing or directory --file, a --store path
+            # through a regular file): name the path, not args[0], the errno.
+            message = f"{error.filename!r}: {error.strerror}"
+        elif isinstance(error, FileNotFoundError):
+            message = error.args[0]  # an unknown artefact, raised with a message
+        else:
+            raise
+        print(f"error: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

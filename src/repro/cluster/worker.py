@@ -35,7 +35,7 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Set, Union
 
 from repro.cluster.protocol import (
     Address,

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.analysis.units import UM
 from repro.core.throughput import TdcDesign
-from repro.electrical.pad import IoPad, PadConfig
+from repro.electrical.pad import IoPad
 from repro.photonics.driver import LedDriver
 from repro.spad.device import SpadConfig
 

@@ -8,8 +8,8 @@ consumer hard-coding which class it instantiates, this module defines the
 :class:`LinkBackend` protocol the engines satisfy, a registry of named
 backends with :class:`BackendCapabilities` flags, and the :func:`make_link`
 factory that all library code (``repro.core.ber``,
-``repro.simulation.montecarlo``, ``repro.analysis.sweep``,
-``repro.scenarios``) and all examples/benchmarks construct links through.
+``repro.simulation.montecarlo``, ``repro.noc``, ``repro.scenarios``) and all
+examples/benchmarks construct links through.
 
 Backend contract
 ----------------

@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.analysis.statistics import binomial_confidence_95
-from repro.core.backend import make_link, resolve_backend
+from repro.core.backend import make_link
 from repro.core.config import LinkConfig
 from repro.core.error_model import symbol_error_budget
 from repro.simulation.randomness import RandomSource
@@ -88,27 +86,3 @@ def monte_carlo_bit_error_rate(
     link = make_link(config, backend=backend, seed=seed + 1)
     result = link.transmit_bits(payload)
     return BerEstimate(bit_errors=result.bit_errors, bits_simulated=total_bits)
-
-
-def ber_vs_photons(
-    config: LinkConfig,
-    photon_levels,
-    bits_per_point: int = 5_000,
-    seed: int = 0,
-    backend: Optional[str] = None,
-):
-    """Monte-Carlo BER sweep versus received pulse energy.
-
-    Returns a list of ``(mean_detected_photons, BerEstimate)`` pairs — the
-    waterfall curve every optical link is characterised by.  ``backend``
-    selects the link backend for every point (default: batch engine).
-    """
-    backend = resolve_backend(backend)
-    results = []
-    for index, photons in enumerate(photon_levels):
-        point_config = config.with_detected_photons(float(photons))
-        estimate = monte_carlo_bit_error_rate(
-            point_config, bits=bits_per_point, seed=seed + index, backend=backend
-        )
-        results.append((float(photons), estimate))
-    return results

@@ -11,7 +11,6 @@ receivers that regenerate the clock locally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 

@@ -12,7 +12,7 @@ that the photon budget closes with margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import Optional
 

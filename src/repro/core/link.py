@@ -14,7 +14,7 @@ in the hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from repro.modulation.ppm import PpmCodec
 from repro.modulation.symbols import count_bit_errors, int_to_bits
 from repro.photonics.channel import OpticalChannel
 from repro.simulation.randomness import RandomSource
-from repro.spad.device import DetectionOrigin, SpadDevice
+from repro.spad.device import SpadDevice
 from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.converter import TimeToDigitalConverter
 from repro.tdc.delay_element import DelayElementModel

@@ -15,12 +15,22 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.config import LinkConfig
 from repro.photonics.channel import OpticalChannel
 from repro.photonics.led import MicroLed, MicroLedConfig
-from repro.photonics.photon_stream import photons_for_detection_probability
-from repro.photonics.stack import DieStack
 from repro.spad.pdp import PdpCurve, default_cmos_pdp
+
+
+def photons_for_detection_probability(target_probability: float, pdp: float) -> float:
+    """Mean photons per pulse needed to reach a target detection probability.
+
+    Inverts ``1 - exp(-pdp · photons)``, the probability that a Poisson pulse
+    triggers a detector with efficiency ``pdp``.
+    """
+    if not 0 < target_probability < 1:
+        raise ValueError("target_probability must be within (0, 1)")
+    if not 0 < pdp <= 1:
+        raise ValueError("pdp must be within (0, 1]")
+    return float(-np.log(1.0 - target_probability) / pdp)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ die-edge length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.units import UM

@@ -86,10 +86,13 @@ def resolve_scenario(
         scenario = Scenario.from_mapping(_unwrap_scenario_mapping(mapping))
     else:
         try:
-            with open(file) as handle:
+            with open(file, encoding="utf-8") as handle:
                 data = json.load(handle)
         except json.JSONDecodeError as error:
             raise ValueError(f"scenario file {file!r} is not valid JSON: {error}") from error
+        except UnicodeDecodeError as error:
+            # Carries no filename (an OSError does, for the CLI to report).
+            raise ValueError(f"scenario file {file!r} is not UTF-8 text: {error.reason}") from error
         if not isinstance(data, dict):
             raise ValueError(f"scenario file {file!r} must hold a JSON object")
         scenario = Scenario.from_mapping(_unwrap_scenario_mapping(data))

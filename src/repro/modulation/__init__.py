@@ -1,20 +1,16 @@
-"""Modulation and coding substrate.
+"""Modulation substrate.
 
 Pulse-position modulation (PPM) is the paper's chosen line code: K bits are
 encoded as the position of a single optical pulse within 2^K time slots of a
 range R, which lets the link amortise the SPAD's long detection cycle over
-several bits per detected photon.  The subpackage also provides the framing
-needed to delimit symbols, alternative line codes used as ablation baselines
-(on-off keying, differential PPM), a self-synchronising scrambler and an
-optional Hamming SEC-DED error-correction layer.
+several bits per detected photon.  The subpackage also provides the
+symbol/bit primitives the codec is built on and on-off keying, the ablation
+baseline PPM is compared against.
 """
 
 from repro.modulation.symbols import SlotGrid, bits_to_int, int_to_bits
 from repro.modulation.ppm import PpmCodec, PpmSymbol
-from repro.modulation.framing import Frame, FrameSync, Preamble
-from repro.modulation.line_coding import DifferentialPpmCodec, OnOffKeyingCodec
-from repro.modulation.scrambler import MultiplicativeScrambler
-from repro.modulation.error_correction import HammingSecDed
+from repro.modulation.line_coding import OnOffKeyingCodec
 
 __all__ = [
     "SlotGrid",
@@ -22,11 +18,5 @@ __all__ = [
     "int_to_bits",
     "PpmCodec",
     "PpmSymbol",
-    "Frame",
-    "FrameSync",
-    "Preamble",
     "OnOffKeyingCodec",
-    "DifferentialPpmCodec",
-    "MultiplicativeScrambler",
-    "HammingSecDed",
 ]

@@ -1,24 +1,18 @@
-"""Alternative line codes used as ablation baselines.
+"""On-off keying, the ablation baseline for PPM.
 
 The paper argues for PPM because the SPAD's long detection cycle makes
 per-slot on-off keying (OOK) hopelessly slow: at most one detection per
 detection cycle means one *bit* per cycle for OOK versus K bits per cycle for
-2^K-PPM.  The two codecs here make that comparison concrete:
-
-* :class:`OnOffKeyingCodec` — one pulse (or none) per bit period.
-* :class:`DifferentialPpmCodec` — like PPM but the range of each symbol ends
-  at the detected pulse (the next symbol starts immediately), trading a
-  variable symbol duration for higher average throughput.
+2^K-PPM.  :class:`OnOffKeyingCodec` — one pulse (or none) per bit period —
+makes that comparison concrete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
-
-from repro.modulation.symbols import SlotGrid, bits_to_int, int_to_bits
 
 
 @dataclass(frozen=True)
@@ -68,69 +62,3 @@ class OnOffKeyingCodec:
         if not 0 <= ones_density <= 1:
             raise ValueError("ones_density must be within [0, 1]")
         return ones_density
-
-
-@dataclass(frozen=True)
-class DifferentialPpmCodec:
-    """Differential PPM: the symbol ends when the pulse is detected.
-
-    The average symbol duration is the average pulse position plus the
-    mandatory reset time, so throughput exceeds plain PPM whose range must
-    always cover the worst-case (last) slot.
-    """
-
-    grid: SlotGrid
-    reset_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.reset_time < 0:
-            raise ValueError("reset_time must be non-negative")
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.grid.bits_per_symbol
-
-    def symbol_duration(self, value: int) -> float:
-        """Duration of the symbol encoding ``value`` (ends one slot after the pulse)."""
-        if not 0 <= value < self.grid.slot_count:
-            raise ValueError(f"value must be within [0, {self.grid.slot_count})")
-        return (value + 1) * self.grid.slot_duration + self.reset_time
-
-    def average_symbol_duration(self) -> float:
-        """Mean symbol duration for uniformly distributed data."""
-        durations = [self.symbol_duration(v) for v in range(self.grid.slot_count)]
-        return float(np.mean(durations))
-
-    def average_bit_rate(self) -> float:
-        """Average throughput for uniformly distributed data [bits/s]."""
-        return self.bits_per_symbol / self.average_symbol_duration()
-
-    def worst_case_bit_rate(self) -> float:
-        """Throughput when every symbol is the worst-case (last) slot [bits/s]."""
-        return self.bits_per_symbol / self.symbol_duration(self.grid.slot_count - 1)
-
-    def encode_bits(self, bits: Sequence[int]) -> Tuple[np.ndarray, float]:
-        """Encode a bit stream; returns ``(pulse_times, total_duration)``."""
-        if len(bits) == 0 or len(bits) % self.bits_per_symbol != 0:
-            raise ValueError("bit count must be a positive multiple of K")
-        pulse_times = []
-        cursor = 0.0
-        for start in range(0, len(bits), self.bits_per_symbol):
-            value = bits_to_int(list(bits[start : start + self.bits_per_symbol]))
-            pulse_times.append(cursor + self.grid.slot_center(value))
-            cursor += self.symbol_duration(value)
-        return np.asarray(pulse_times), cursor
-
-    def decode_intervals(self, intervals: Sequence[float]) -> List[int]:
-        """Decode pulse-to-pulse intervals back into bits.
-
-        Each interval is the time from the start of a symbol to its detected
-        pulse; the slot index is recovered by quantising to the slot grid.
-        """
-        bits: List[int] = []
-        for interval in intervals:
-            if interval < 0:
-                raise ValueError("intervals must be non-negative")
-            slot = min(int(interval / self.grid.slot_duration), self.grid.slot_count - 1)
-            bits.extend(int_to_bits(slot, self.bits_per_symbol))
-        return bits

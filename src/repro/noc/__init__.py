@@ -4,29 +4,24 @@ The paper's system-level promise is an "entirely optical through-chip bus that
 could service hundreds of thinned stacked dies", supporting broadcast, optical
 clock distribution and both vertical and horizontal buses.  This subpackage
 provides the system-level pieces needed to exercise that promise: die-stack
-topologies, packets, a time-slotted vertical optical bus with arbitration, a
-broadcast primitive and a simple router for combined vertical/horizontal
-(intra-chip) traffic.
+topologies, packets, a time-slotted vertical optical bus with arbitration and
+a broadcast primitive.
 """
 
 from repro.noc.packet import Packet
 from repro.noc.topology import NodeAddress, StackTopology
-from repro.noc.arbitration import RoundRobinArbiter, TdmaSchedule
+from repro.noc.arbitration import RoundRobinArbiter
 from repro.noc.bus import BusStatistics, OpticalBus, PacketOutcome
 from repro.noc.broadcast import BroadcastResult, broadcast
-from repro.noc.router import OpticalRouter, Route
 
 __all__ = [
     "Packet",
     "NodeAddress",
     "StackTopology",
     "RoundRobinArbiter",
-    "TdmaSchedule",
     "OpticalBus",
     "BusStatistics",
     "PacketOutcome",
     "broadcast",
     "BroadcastResult",
-    "OpticalRouter",
-    "Route",
 ]

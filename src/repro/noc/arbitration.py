@@ -1,83 +1,18 @@
 """Bus arbitration.
 
 The optical bus is a shared broadcast medium: every die's SPAD sees every
-pulse, so only one transmitter may own a symbol slot at a time.  Two classic
-schemes are provided:
-
-* :class:`TdmaSchedule` — a fixed time-division schedule (each die owns a
-  recurring slot), zero arbitration latency but wasted slots under asymmetric
-  load; and
-* :class:`RoundRobinArbiter` — a work-conserving round-robin over the dies
-  that actually have pending packets.
+pulse, so only one transmitter may own a symbol slot at a time.
+:class:`RoundRobinArbiter` is a work-conserving round-robin over the dies
+that actually have pending packets.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TdmaSchedule:
-    """Static slot ownership: slot ``t`` belongs to ``owners[t % len(owners)]``."""
-
-    owners: Sequence[int]
-
-    def __post_init__(self) -> None:
-        if len(self.owners) == 0:
-            raise ValueError("a TDMA schedule needs at least one owner")
-        if any(owner < 0 for owner in self.owners):
-            raise ValueError("owner ids must be non-negative")
-
-    @property
-    def frame_length(self) -> int:
-        return len(self.owners)
-
-    def owner_of_slot(self, slot: int) -> int:
-        if slot < 0:
-            raise ValueError("slot must be non-negative")
-        return self.owners[slot % self.frame_length]
-
-    def owners_of_slots(self, slots: Sequence[int]) -> np.ndarray:
-        """Vectorised :meth:`owner_of_slot` over an array of slots."""
-        slots = np.asarray(slots, dtype=np.int64)
-        if slots.size and int(slots.min()) < 0:
-            raise ValueError("slot must be non-negative")
-        return np.asarray(self.owners, dtype=np.int64)[slots % self.frame_length]
-
-    def slots_for(self, owner: int) -> List[int]:
-        """Slot offsets within a frame owned by ``owner``."""
-        return [index for index, candidate in enumerate(self.owners) if candidate == owner]
-
-    def share_of(self, owner: int) -> float:
-        """Fraction of the bus bandwidth allocated to ``owner``."""
-        return len(self.slots_for(owner)) / self.frame_length
-
-    def next_slot_for(self, owner: int, from_slot: int) -> int:
-        """First slot at or after ``from_slot`` owned by ``owner``."""
-        offsets = self.slots_for(owner)
-        if not offsets:
-            raise ValueError(f"owner {owner} has no slots in the schedule")
-        if from_slot < 0:
-            raise ValueError("from_slot must be non-negative")
-        frame_start = (from_slot // self.frame_length) * self.frame_length
-        for frame in (frame_start, frame_start + self.frame_length):
-            for offset in offsets:
-                slot = frame + offset
-                if slot >= from_slot:
-                    return slot
-        raise RuntimeError("unreachable")  # pragma: no cover
-
-    @classmethod
-    def uniform(cls, node_count: int) -> "TdmaSchedule":
-        """One slot per node, in node order."""
-        if node_count <= 0:
-            raise ValueError("node_count must be positive")
-        return cls(owners=tuple(range(node_count)))
 
 
 class RoundRobinArbiter:

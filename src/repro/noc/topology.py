@@ -1,8 +1,8 @@
 """Die-stack topology.
 
 Maps logical node addresses onto physical positions in the 3-D stack (which
-die, and where on that die) so that the bus and router can translate traffic
-into optical channels with the right stack spans and horizontal distances.
+die, and where on that die) so that the bus can translate traffic into
+optical channels with the right stack spans and horizontal distances.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.units import MM, NM, UM
+from repro.analysis.units import MM
 from repro.photonics.stack import DieStack
 
 

@@ -13,7 +13,6 @@ from repro.photonics.microoptics import MicroLens, coupling_efficiency
 from repro.photonics.stack import DieLayer, DieStack
 from repro.photonics.channel import OpticalChannel, ChannelBudget
 from repro.photonics.crosstalk import CrosstalkModel
-from repro.photonics.photon_stream import PhotonPulse, poisson_photon_count, pulse_arrival_times
 
 __all__ = [
     "SiliconAbsorption",
@@ -29,7 +28,4 @@ __all__ = [
     "OpticalChannel",
     "ChannelBudget",
     "CrosstalkModel",
-    "PhotonPulse",
-    "poisson_photon_count",
-    "pulse_arrival_times",
 ]

@@ -11,12 +11,11 @@ transmission figure plus a propagation delay, summarised in a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.units import NM, UM, linear_to_db
 from repro.photonics.microoptics import MicroLens, coupling_efficiency
-from repro.photonics.photon_stream import PhotonPulse
 from repro.photonics.stack import DieStack
 
 #: Effective refractive index used for the propagation delay through silicon.
@@ -154,16 +153,6 @@ class OpticalChannel:
     def transmission(self, temperature: Optional[float] = None) -> float:
         """Overall power transmission of the channel (0..1)."""
         return self.budget(temperature).total_transmission
-
-    def propagate(self, pulse: PhotonPulse, temperature: Optional[float] = None) -> PhotonPulse:
-        """Apply the channel to a transmitted pulse: attenuate and delay it."""
-        attenuated = pulse.attenuated(self.transmission(temperature))
-        return PhotonPulse(
-            emission_time=attenuated.emission_time + self.propagation_delay(),
-            duration=attenuated.duration,
-            mean_photons=attenuated.mean_photons,
-            wavelength=attenuated.wavelength,
-        )
 
     def required_photons_at_source(self, photons_at_detector: float,
                                     temperature: Optional[float] = None) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.units import NS, PS, UM
+from repro.analysis.units import UM
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,10 @@ silicon data) and Beer–Lambert transmission helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.units import NM, UM
+from repro.analysis.units import NM
 
 # Wavelength [m] and absorption coefficient [1/m] sample points for crystalline
 # silicon at 300 K (order-of-magnitude fit to standard tabulations; the link

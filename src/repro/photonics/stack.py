@@ -13,7 +13,7 @@ the TXT-STACK benchmark are built on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np

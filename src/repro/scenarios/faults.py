@@ -42,7 +42,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.simulation.randomness import split_seed

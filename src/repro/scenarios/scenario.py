@@ -44,6 +44,7 @@ Everything in a scenario is plain data, so :meth:`Scenario.to_mapping` /
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -380,14 +381,13 @@ class Scenario:
         return count
 
     def grid(self) -> Iterator[Dict[str, Any]]:
-        """Iterate the parameter combinations in deterministic axis order."""
-        if not self.sweep_axes:
-            yield {}
-            return
-        # Reuse the analysis-layer sweep so ordering semantics stay in one place.
-        from repro.analysis.sweep import Sweep
+        """Iterate the parameter combinations in deterministic axis order.
 
-        yield from Sweep(dict(self.sweep_axes)).combinations()
+        The last axis varies fastest; an axis-free scenario yields one ``{}``.
+        """
+        names = self.axis_names
+        for combo in itertools.product(*self.sweep_axes.values()):
+            yield dict(zip(names, combo))
 
     def point_label(self, parameters: Mapping[str, Any]) -> str:
         """Deterministic label of one grid point (used for per-point seeding)."""

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.analysis.statistics import RunningStats
 from repro.simulation.randomness import RandomSource, split_seed
 
 
@@ -482,28 +481,3 @@ class MonteCarloRunner:
             if progress is not None:
                 progress(start + count, trials)
         return MonteCarloResult(samples=values)
-
-    def estimate_probability(
-        self,
-        predicate: Callable[[RandomSource], bool],
-        trials: int,
-    ) -> float:
-        """Estimate ``P(predicate)`` by simple Monte-Carlo counting."""
-        result = self.run(lambda source: 1.0 if predicate(source) else 0.0, trials)
-        return result.mean
-
-    def sweep(
-        self,
-        trial_factory: Callable[[float], Callable[[RandomSource], object]],
-        parameter_values: Sequence[float],
-        trials_per_point: int,
-    ) -> Dict[float, MonteCarloResult]:
-        """Run a Monte-Carlo experiment at each parameter value."""
-        results: Dict[float, MonteCarloResult] = {}
-        for value in parameter_values:
-            runner = MonteCarloRunner(
-                seed=split_seed(self._seed, f"{self._label}:param:{value}"),
-                label=f"{self._label}:{value}",
-            )
-            results[value] = runner.run(trial_factory(value), trials_per_point)
-        return results

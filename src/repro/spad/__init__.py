@@ -16,8 +16,8 @@ on:
 
 Each effect has its own module; :class:`~repro.spad.device.SpadDevice`
 composes them into a stochastic detector usable by the link simulator, and
-:class:`~repro.spad.array.SpadArray` aggregates devices into the receiver
-arrays used for parallel optical buses.
+:func:`~repro.spad.array.detect_in_windows_multichannel` runs one device model
+over every pixel of the receiver arrays used for parallel optical buses.
 """
 
 from repro.spad.pdp import PdpCurve, default_cmos_pdp
@@ -26,7 +26,6 @@ from repro.spad.afterpulsing import AfterpulsingModel
 from repro.spad.jitter import JitterModel
 from repro.spad.quenching import QuenchingCircuit, QuenchingMode
 from repro.spad.device import DetectionEvent, SpadConfig, SpadDevice
-from repro.spad.array import SpadArray
 
 __all__ = [
     "PdpCurve",
@@ -39,5 +38,4 @@ __all__ = [
     "SpadConfig",
     "SpadDevice",
     "DetectionEvent",
-    "SpadArray",
 ]

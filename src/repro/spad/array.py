@@ -1,14 +1,9 @@
 """SPAD receiver arrays.
 
 The paper's optical bus services many channels; each channel terminates on a
-SPAD pixel.  A :class:`SpadArray` groups pixels and provides aggregate
-figures: total area, aggregate throughput when channels run in parallel, and
-coincidence (M-of-N) detection, which is a standard way to suppress dark
-counts at the cost of requiring more optical power.
-
-:func:`detect_in_windows_multichannel` is the array analogue of the batch
-window pass :meth:`~repro.spad.device.SpadDevice.detect_in_windows`: one
-``(symbols, channels)`` pass over every pixel of a parallel channel array,
+SPAD pixel.  :func:`detect_in_windows_multichannel` is the array analogue of
+the batch window pass :meth:`~repro.spad.device.SpadDevice.detect_in_windows`:
+one ``(symbols, channels)`` pass over every pixel of a parallel channel array,
 with the per-element datapaths folded into a shared pipeline the way hardware
 arrays fold them.  It is the detection core of the ``"multichannel"`` link
 backend (:mod:`repro.core.multilink`).
@@ -16,21 +11,12 @@ backend (:mod:`repro.core.multilink`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels import get_kernel
-from repro.simulation.randomness import RandomSource
-from repro.spad.device import (
-    ORIGIN_CODE_MISSED,
-    DetectionEvent,
-    DetectionOrigin,
-    ImportanceSettings,
-    SpadConfig,
-    SpadDevice,
-)
+from repro.spad.device import ORIGIN_CODE_MISSED, ImportanceSettings, SpadDevice
 
 
 def detect_in_windows_multichannel(
@@ -308,155 +294,3 @@ def _detect_multichannel_importance(
             np.where(consumed, np.inf, pending),
         )
     return out_times, out_origins, out_weights
-
-
-class SpadArray:
-    """A rectangular array of identical SPAD pixels.
-
-    Parameters
-    ----------
-    rows, columns:
-        Array geometry; ref [5] demonstrated a 64x64 array.
-    pixel_pitch:
-        Centre-to-centre pixel spacing [m].
-    config:
-        Per-pixel configuration shared by all pixels.
-    seed:
-        Seed used to derive independent random streams per pixel.
-    """
-
-    def __init__(
-        self,
-        rows: int,
-        columns: int,
-        pixel_pitch: float = 25e-6,
-        config: SpadConfig = SpadConfig(),
-        seed: int = 0,
-    ) -> None:
-        if rows <= 0 or columns <= 0:
-            raise ValueError("rows and columns must be positive")
-        if pixel_pitch <= 0:
-            raise ValueError("pixel_pitch must be positive")
-        self.rows = rows
-        self.columns = columns
-        self.pixel_pitch = pixel_pitch
-        self.config = config
-        root = RandomSource(seed)
-        self._pixels: List[SpadDevice] = [
-            SpadDevice(config=config, random_source=root.spawn(f"pixel:{index}"))
-            for index in range(rows * columns)
-        ]
-        # Bulk stream for the vectorised multichannel window pass; independent
-        # of the per-pixel streams so scalar and batch use stay reproducible.
-        self._batch_source = root.spawn("batch")
-
-    # -- geometry -------------------------------------------------------------
-    @property
-    def pixel_count(self) -> int:
-        return self.rows * self.columns
-
-    @property
-    def footprint_area(self) -> float:
-        """Total silicon area of the array [m^2]."""
-        return self.rows * self.columns * self.pixel_pitch ** 2
-
-    def pixel(self, row: int, column: int) -> SpadDevice:
-        if not (0 <= row < self.rows and 0 <= column < self.columns):
-            raise IndexError(f"pixel ({row}, {column}) outside {self.rows}x{self.columns} array")
-        return self._pixels[row * self.columns + column]
-
-    def pixels(self) -> Sequence[SpadDevice]:
-        return tuple(self._pixels)
-
-    def reset(self) -> None:
-        for pixel in self._pixels:
-            pixel.reset()
-
-    # -- aggregate behaviour -----------------------------------------------------
-    def aggregate_dark_count_rate(self) -> float:
-        """Total DCR of the array [counts/s]."""
-        return sum(pixel.dark_count_rate for pixel in self._pixels)
-
-    def detect_in_window(
-        self,
-        window_start: float,
-        window_duration: float,
-        photon_time: Optional[float],
-        mean_photons_per_pixel: float,
-    ) -> List[Optional[DetectionEvent]]:
-        """Run the same measurement window on every pixel (broadcast pulse)."""
-        return [
-            pixel.detect_in_window(window_start, window_duration, photon_time, mean_photons_per_pixel)
-            for pixel in self._pixels
-        ]
-
-    def detect_in_windows(
-        self,
-        window_duration: float,
-        photon_offsets: np.ndarray,
-        mean_photons_per_pixel=1.0,
-        start_time: float = 0.0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised batch window pass over the first ``C`` pixels.
-
-        ``photon_offsets`` has shape ``(symbols, C)`` with ``C`` at most
-        :attr:`pixel_count` — column ``c`` is the per-window pulse offset seen
-        by pixel ``c`` (``NaN`` = no pulse), as in
-        :meth:`SpadDevice.detect_in_windows`.  All pixels are simulated in one
-        :func:`detect_in_windows_multichannel` pass; statistically equivalent
-        to running each pixel's scalar window loop, deterministic per array
-        seed, and stateless (per-pixel scalar state is untouched).
-        """
-        offsets = np.asarray(photon_offsets, dtype=float)
-        if offsets.ndim != 2:
-            raise ValueError("photon_offsets must have shape (symbols, channels)")
-        if offsets.shape[1] > self.pixel_count:
-            raise ValueError(
-                f"array has {self.pixel_count} pixels, got {offsets.shape[1]} channels"
-            )
-        return detect_in_windows_multichannel(
-            self._pixels[0],
-            window_duration,
-            offsets,
-            mean_photons=mean_photons_per_pixel,
-            generator=self._batch_source.generator,
-            start_time=start_time,
-        )
-
-    def coincidence_detect(
-        self,
-        window_start: float,
-        window_duration: float,
-        photon_time: Optional[float],
-        mean_photons_per_pixel: float,
-        required: int,
-        coincidence_window: float,
-    ) -> Optional[float]:
-        """M-of-N coincidence detection across the array.
-
-        Returns the median detection time of the earliest group of at least
-        ``required`` pixels whose detections fall within ``coincidence_window``
-        of each other, or ``None``.  Dark counts are uncorrelated between
-        pixels, so requiring a coincidence suppresses them exponentially.
-        """
-        if required <= 0 or required > self.pixel_count:
-            raise ValueError("required must be within [1, pixel_count]")
-        if coincidence_window <= 0:
-            raise ValueError("coincidence_window must be positive")
-        events = self.detect_in_window(
-            window_start, window_duration, photon_time, mean_photons_per_pixel
-        )
-        times = np.sort(np.asarray([e.time for e in events if e is not None], dtype=float))
-        if times.size < required:
-            return None
-        for i in range(times.size - required + 1):
-            group = times[i : i + required]
-            if group[-1] - group[0] <= coincidence_window:
-                return float(np.median(group))
-        return None
-
-    def channel_slice(self, count: int) -> List[SpadDevice]:
-        """The first ``count`` pixels, used as independent parallel channels."""
-        if not 0 < count <= self.pixel_count:
-            raise ValueError(f"count must be within [1, {self.pixel_count}]")
-        return list(self._pixels[:count])

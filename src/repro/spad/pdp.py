@@ -10,7 +10,7 @@ blue/green, falling towards the red and near infrared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

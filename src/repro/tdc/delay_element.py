@@ -24,7 +24,7 @@ saw-tooth DNL of Figure 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -12,7 +12,7 @@ time into the number of taps the hit signal has propagated through.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

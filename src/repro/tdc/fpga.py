@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.units import MHZ, NS, PS
+from repro.analysis.units import MHZ, PS
 from repro.simulation.randomness import RandomSource
 from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.converter import TimeToDigitalConverter

@@ -15,7 +15,7 @@ which is what makes the reproduction faithful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

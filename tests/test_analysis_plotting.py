@@ -5,29 +5,9 @@ import pytest
 
 from repro.analysis.plotting import (
     ascii_heatmap,
-    ascii_histogram,
     ascii_line_plot,
     series_csv,
 )
-
-
-class TestAsciiHistogram:
-    def test_bars_scale_with_values(self):
-        output = ascii_histogram([1.0, 2.0], labels=["a", "b"], width=10)
-        lines = output.splitlines()
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
-
-    def test_empty_input(self):
-        assert ascii_histogram([]) == "(empty)"
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_histogram([1.0, 2.0], labels=["only-one"])
-
-    def test_default_labels(self):
-        output = ascii_histogram([3.0, 1.0])
-        assert output.splitlines()[0].startswith("0")
 
 
 class TestAsciiLinePlot:

@@ -51,23 +51,3 @@ class TestTextReport:
     def test_report_without_claim(self):
         report = TextReport("X", "title")
         assert "Paper claim" not in report.render()
-
-
-class TestDeprecatedExperimentReportAlias:
-    def test_alias_resolves_to_textreport_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="renamed to TextReport"):
-            from repro.analysis.report import ExperimentReport
-        assert ExperimentReport is TextReport
-
-    def test_package_level_alias_also_resolves(self):
-        import repro.analysis
-
-        with pytest.warns(DeprecationWarning):
-            alias = repro.analysis.ExperimentReport
-        assert alias is TextReport
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.analysis.report as report_module
-
-        with pytest.raises(AttributeError):
-            report_module.NoSuchThing

@@ -3,141 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.statistics import (
-    Histogram,
-    RunningStats,
-    binomial_confidence_95,
-    bootstrap_confidence_interval,
-    cumulative_distribution,
-    geometric_mean,
-    percentile,
-    weighted_mean_confidence_95,
-)
-
-
-class TestRunningStats:
-    def test_mean_and_variance(self):
-        stats = RunningStats()
-        stats.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stats.mean == pytest.approx(5.0)
-        assert stats.variance == pytest.approx(32.0 / 7.0)
-        assert stats.count == 8
-
-    def test_min_max_tracking(self):
-        stats = RunningStats()
-        stats.extend([3.0, -1.0, 10.0])
-        assert stats.minimum == -1.0
-        assert stats.maximum == 10.0
-
-    def test_single_sample_variance_is_zero(self):
-        stats = RunningStats()
-        stats.add(5.0)
-        assert stats.variance == 0.0
-
-    def test_empty_raises(self):
-        stats = RunningStats()
-        with pytest.raises(ValueError):
-            _ = stats.mean
-
-    def test_matches_numpy_on_random_data(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(3.0, 2.0, size=500)
-        stats = RunningStats()
-        stats.extend(data)
-        assert stats.mean == pytest.approx(float(np.mean(data)))
-        assert stats.std == pytest.approx(float(np.std(data, ddof=1)))
-
-    def test_standard_error(self):
-        stats = RunningStats()
-        stats.extend([1.0, 2.0, 3.0, 4.0])
-        assert stats.standard_error() == pytest.approx(stats.std / 2.0)
-
-
-class TestHistogram:
-    def test_basic_binning(self):
-        hist = Histogram(low=0.0, high=10.0, bins=10)
-        hist.extend([0.5, 1.5, 1.6, 9.9])
-        assert hist.counts[0] == 1
-        assert hist.counts[1] == 2
-        assert hist.counts[9] == 1
-        assert hist.total == 4
-
-    def test_out_of_range_counted_separately(self):
-        hist = Histogram(low=0.0, high=1.0, bins=4)
-        hist.add(-0.1)
-        hist.add(1.0)  # high edge is exclusive
-        assert hist.underflow == 1
-        assert hist.overflow == 1
-        assert hist.total == 0
-
-    def test_add_and_extend_agree(self):
-        values = [0.1, 0.25, 0.33, 0.7, 0.99]
-        one = Histogram(low=0.0, high=1.0, bins=5)
-        two = Histogram(low=0.0, high=1.0, bins=5)
-        for v in values:
-            one.add(v)
-        two.extend(values)
-        assert np.array_equal(one.counts, two.counts)
-
-    def test_normalized_sums_to_one(self):
-        hist = Histogram(low=0.0, high=1.0, bins=4)
-        hist.extend([0.1, 0.3, 0.6, 0.9])
-        assert hist.normalized().sum() == pytest.approx(1.0)
-
-    def test_mean_estimate(self):
-        hist = Histogram(low=0.0, high=10.0, bins=100)
-        hist.extend(np.full(1000, 5.0))
-        assert hist.mean() == pytest.approx(5.05, abs=0.06)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            Histogram(low=1.0, high=0.0, bins=4)
-        with pytest.raises(ValueError):
-            Histogram(low=0.0, high=1.0, bins=0)
-
-    def test_empty_mean_raises(self):
-        hist = Histogram(low=0.0, high=1.0, bins=4)
-        with pytest.raises(ValueError):
-            hist.mean()
-
-
-class TestPercentileAndBootstrap:
-    def test_percentile_median(self):
-        assert percentile([1.0, 2.0, 3.0], 50) == pytest.approx(2.0)
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_bootstrap_brackets_true_mean(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(10.0, 1.0, size=200)
-        low, high = bootstrap_confidence_interval(data, confidence=0.95, resamples=300, seed=2)
-        assert low < 10.0 < high
-        assert high - low < 1.0
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_confidence_interval([], 0.95)
-        with pytest.raises(ValueError):
-            bootstrap_confidence_interval([1.0], confidence=1.5)
-
-
-class TestOtherHelpers:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 10.0, 100.0]) == pytest.approx(10.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_cumulative_distribution(self):
-        xs, ps = cumulative_distribution([3.0, 1.0, 2.0])
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert ps[-1] == pytest.approx(1.0)
-        assert ps[0] == pytest.approx(1.0 / 3.0)
+from repro.analysis.statistics import binomial_confidence_95, weighted_mean_confidence_95
 
 
 class TestBinomialConfidence:

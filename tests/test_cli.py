@@ -126,6 +126,25 @@ class TestRun:
         path.write_text(json.dumps({"name": "x", "metrics": ["no-such-metric"]}))
         assert run_cli("run", "--file", str(path)) == 1
         assert "unknown metric" in capsys.readouterr().err
+        # Unreadable files: one error line naming the path, never an errno,
+        # a codec name or a traceback.
+        undecodable = tmp_path / "latin1.json"
+        undecodable.write_bytes(b'{"name": "caf\xe9"}')
+        for bad in (tmp_path / "missing.json", tmp_path, undecodable):
+            assert run_cli("run", "--file", str(bad)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert repr(str(bad)) in err
+
+    def test_run_store_that_is_a_file_is_one_line_error(self, capsys, tmp_path):
+        regular = tmp_path / "not-a-directory"
+        regular.write_text("")
+        for store in (regular, regular / "sub"):
+            assert run_cli("run", "ber-vs-photons", "--bits", "64", "--quiet",
+                           "--store", str(store)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(store) in err and "Not a directory" in err
 
     @pytest.mark.parametrize(
         "mapping",

@@ -6,7 +6,6 @@ from repro.analysis.units import NS, PS
 from repro.core.ber import (
     BerEstimate,
     analytic_bit_error_rate,
-    ber_vs_photons,
     monte_carlo_bit_error_rate,
 )
 from repro.core.config import LinkConfig
@@ -96,11 +95,6 @@ class TestBerEstimators:
     def test_zero_errors_confidence_rule_of_three(self):
         estimate = BerEstimate(bit_errors=0, bits_simulated=3000)
         assert estimate.confidence_95 == pytest.approx(0.001)
-
-    def test_ber_vs_photons_waterfall(self):
-        config = LinkConfig(ppm_bits=4)
-        points = ber_vs_photons(config, photon_levels=[0.5, 50.0], bits_per_point=2000, seed=0)
-        assert points[0][1].ber > points[1][1].ber
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for repro.core.power, area, link_budget, calibration and clocking."""
 
+import math
+
 import pytest
 
 from repro.analysis.units import MHZ, NM, NS, UM
@@ -11,7 +13,11 @@ from repro.core.clocking import (
     compare_clock_distribution,
 )
 from repro.core.config import LinkConfig
-from repro.core.link_budget import close_link_budget, max_stack_depth
+from repro.core.link_budget import (
+    close_link_budget,
+    max_stack_depth,
+    photons_for_detection_probability,
+)
 from repro.core.power import PowerBreakdown, link_power, pad_power_comparison
 from repro.core.throughput import TdcDesign
 from repro.electrical.pad import IoPad
@@ -107,6 +113,12 @@ class TestLinkBudget:
             return DieStack.uniform(count=count, thickness=50 * UM, wavelength=850 * NM)
 
         assert max_stack_depth(thin, max_dies=64) >= max_stack_depth(thick, max_dies=64)
+
+    def test_photons_for_detection_probability_inverse(self):
+        photons = photons_for_detection_probability(0.999, 0.25)
+        assert 1 - math.exp(-0.25 * photons) == pytest.approx(0.999)
+        with pytest.raises(ValueError):
+            photons_for_detection_probability(1.0, 0.25)
 
     def test_validation(self):
         stack = DieStack.uniform(count=2)

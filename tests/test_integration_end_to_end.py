@@ -8,9 +8,6 @@ from repro.core.config import LinkConfig
 from repro.core.design_space import DesignSpace
 from repro.core.link import OpticalLink
 from repro.core.throughput import TdcDesign
-from repro.modulation.error_correction import HammingSecDed
-from repro.modulation.framing import Frame, FrameSync, Preamble
-from repro.modulation.scrambler import MultiplicativeScrambler
 from repro.noc.broadcast import broadcast
 from repro.noc.packet import Packet
 from repro.noc.topology import StackTopology
@@ -45,39 +42,6 @@ class TestDesignFlow:
             analytic = analytic_bit_error_rate(config)
             simulated = OpticalLink(config, seed=5).transmit_random(4000).bit_error_rate
             assert simulated == pytest.approx(analytic, abs=0.05)
-
-
-class TestFramedTransfer:
-    """Scrambling + FEC + framing over the stochastic link."""
-
-    def test_protected_frame_survives_a_noisy_link(self):
-        payload = [1, 0, 1, 1, 0, 0, 1, 0] * 8
-        scrambler = MultiplicativeScrambler()
-        fec = HammingSecDed()
-        protected = fec.encode(scrambler.scramble(payload))
-
-        # A marginal link: few photons and narrow slots.
-        config = LinkConfig(ppm_bits=4, mean_detected_photons=30.0, slot_duration=1 * NS)
-        link = OpticalLink(config, seed=21)
-        result = link.transmit_bits(protected)
-
-        decoded, corrected, double_errors = fec.decode(result.received_bits)
-        recovered = scrambler.descramble(decoded)[: len(payload)]
-        # FEC cleans up the occasional symbol error.
-        errors = sum(1 for a, b in zip(payload, recovered) if a != b)
-        assert errors <= sum(
-            1 for a, b in zip(protected, result.received_bits) if a != b
-        )
-
-    def test_frame_sync_after_ppm_decoding(self):
-        sync = FrameSync(Preamble(symbols=(0, 3, 0, 3, 2, 1)))
-        frame = Frame(payload_bits=[1, 0, 1, 1, 0, 1, 0, 0])
-        symbols = sync.frame_symbols(bits_per_symbol=2, frame=frame)
-        # Prepend noise symbols, as a receiver would see before locking.
-        stream = [2, 1, 3] + symbols
-        start = sync.find(stream)
-        assert start is not None
-        assert stream[start:] == symbols[len(sync.preamble):]
 
 
 class TestReceiverCalibrationFlow:

@@ -1,12 +1,10 @@
-"""Tests for repro.modulation.line_coding, scrambler and error_correction."""
+"""Tests for repro.modulation.line_coding."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.units import NS, PS
-from repro.modulation.error_correction import HammingSecDed
-from repro.modulation.line_coding import DifferentialPpmCodec, OnOffKeyingCodec
-from repro.modulation.scrambler import MultiplicativeScrambler
+from repro.modulation.line_coding import OnOffKeyingCodec
 from repro.modulation.symbols import SlotGrid
 
 
@@ -43,122 +41,3 @@ class TestOnOffKeying:
             OnOffKeyingCodec(bit_period=1e-9).pulse_schedule([2])
         with pytest.raises(ValueError):
             OnOffKeyingCodec(bit_period=1e-9).pulses_per_bit(1.5)
-
-
-class TestDifferentialPpm:
-    @pytest.fixture
-    def codec(self):
-        return DifferentialPpmCodec(
-            grid=SlotGrid(bits_per_symbol=3, slot_duration=1 * NS), reset_time=2 * NS
-        )
-
-    def test_symbol_duration_depends_on_value(self, codec):
-        assert codec.symbol_duration(0) < codec.symbol_duration(7)
-
-    def test_average_beats_worst_case(self, codec):
-        assert codec.average_bit_rate() > codec.worst_case_bit_rate()
-
-    def test_dppm_beats_plain_ppm_on_average(self, codec):
-        plain_rate = codec.bits_per_symbol / (
-            codec.grid.slot_count * codec.grid.slot_duration + 2 * NS
-        )
-        assert codec.average_bit_rate() > plain_rate
-
-    def test_encode_decode_roundtrip(self, codec):
-        bits = [1, 0, 1, 0, 1, 1, 0, 0, 1]
-        pulse_times, total = codec.encode_bits(bits)
-        assert pulse_times.size == 3
-        assert total > 0
-        # Reconstruct the per-symbol intervals and decode.
-        starts = [0.0]
-        from repro.modulation.symbols import bits_to_int
-        values = [bits_to_int(bits[i:i + 3]) for i in range(0, 9, 3)]
-        for value in values[:-1]:
-            starts.append(starts[-1] + codec.symbol_duration(value))
-        intervals = [pulse - start for pulse, start in zip(pulse_times, starts)]
-        assert codec.decode_intervals(intervals) == bits
-
-    def test_validation(self, codec):
-        with pytest.raises(ValueError):
-            codec.symbol_duration(8)
-        with pytest.raises(ValueError):
-            codec.encode_bits([1, 0])
-        with pytest.raises(ValueError):
-            codec.decode_intervals([-1.0])
-
-
-class TestScrambler:
-    def test_roundtrip(self):
-        scrambler = MultiplicativeScrambler()
-        bits = [0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1] * 4
-        assert scrambler.descramble(scrambler.scramble(bits)) == bits
-
-    def test_whitens_constant_input(self):
-        scrambler = MultiplicativeScrambler()
-        zeros = [0] * 256
-        scrambled = scrambler.scramble(zeros, initial_state=0b1010101)
-        ones_fraction = sum(scrambled) / len(scrambled)
-        assert 0.3 < ones_fraction < 0.7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiplicativeScrambler(taps=())
-        with pytest.raises(ValueError):
-            MultiplicativeScrambler(taps=(9,), register_length=7)
-        with pytest.raises(ValueError):
-            MultiplicativeScrambler().scramble([2])
-        with pytest.raises(ValueError):
-            MultiplicativeScrambler().scramble([0], initial_state=1 << 10)
-
-
-class TestHammingSecDed:
-    def test_roundtrip_all_bytes(self):
-        code = HammingSecDed()
-        for value in range(256):
-            data = [(value >> i) & 1 for i in range(8)]
-            decoded = code.decode_block(code.encode_block(data))
-            assert decoded.data_bits == data
-            assert not decoded.corrected
-            assert not decoded.double_error_detected
-
-    def test_corrects_any_single_error(self):
-        code = HammingSecDed()
-        data = [1, 0, 1, 1, 0, 0, 1, 0]
-        for position in range(code.CODEWORD_BITS):
-            corrupted = code.encode_block(data)
-            corrupted[position] ^= 1
-            decoded = code.decode_block(corrupted)
-            assert decoded.data_bits == data
-            assert decoded.corrected
-
-    def test_detects_double_errors(self):
-        code = HammingSecDed()
-        data = [0, 1, 1, 0, 1, 0, 1, 1]
-        corrupted = code.encode_block(data)
-        corrupted[0] ^= 1
-        corrupted[5] ^= 1
-        decoded = code.decode_block(corrupted)
-        assert decoded.double_error_detected
-
-    def test_stream_encode_decode(self):
-        code = HammingSecDed()
-        bits = [1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1]  # not a byte multiple -> padded
-        encoded = code.encode(bits)
-        assert len(encoded) % code.CODEWORD_BITS == 0
-        decoded, corrected, double = code.decode(encoded)
-        assert decoded[: len(bits)] == bits
-        assert corrected == 0 and double == 0
-
-    def test_code_rate(self):
-        assert HammingSecDed().code_rate == pytest.approx(8 / 13)
-
-    def test_validation(self):
-        code = HammingSecDed()
-        with pytest.raises(ValueError):
-            code.encode_block([1] * 7)
-        with pytest.raises(ValueError):
-            code.decode_block([1] * 5)
-        with pytest.raises(ValueError):
-            code.encode([])
-        with pytest.raises(ValueError):
-            code.decode([0] * 14)

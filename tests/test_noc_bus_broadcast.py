@@ -1,4 +1,4 @@
-"""Tests for repro.noc.bus, broadcast and router."""
+"""Tests for repro.noc.bus and broadcast."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.config import LinkConfig
 from repro.noc.broadcast import broadcast, minimum_photons_for_full_coverage
 from repro.noc.bus import OpticalBus
 from repro.noc.packet import Packet
-from repro.noc.router import OpticalRouter
 from repro.noc.topology import StackTopology
 from repro.photonics.stack import DieStack
 
@@ -105,54 +104,3 @@ class TestBroadcast:
             broadcast(small_topology, 0, packet, emitted_photons=0.0)
         with pytest.raises(ValueError):
             broadcast(small_topology, 99, packet)
-
-
-class TestRouter:
-    def test_same_die_routes_horizontally(self):
-        topology = StackTopology(DieStack.uniform(count=2), nodes_per_die=4)
-        router = OpticalRouter(topology)
-        nodes = topology.nodes_on_die(0)
-        route = router.route(nodes[0], nodes[1])
-        assert route.hops == ("horizontal",)
-        assert 0 < route.transmission <= 1
-
-    def test_same_position_routes_vertically(self):
-        topology = StackTopology(DieStack.uniform(count=4), nodes_per_die=1)
-        router = OpticalRouter(topology)
-        route = router.route(0, 3)
-        assert route.hops == ("vertical",)
-
-    def test_diagonal_needs_two_hops(self):
-        topology = StackTopology(DieStack.uniform(count=3), nodes_per_die=4)
-        router = OpticalRouter(topology)
-        source = topology.nodes_on_die(0)[0]
-        destination = topology.nodes_on_die(2)[3]
-        route = router.route(source, destination)
-        assert route.hop_count == 2
-        assert route.latency > 0
-
-    def test_two_hop_loss_includes_relay_penalty(self):
-        topology = StackTopology(DieStack.uniform(count=3), nodes_per_die=4)
-        router = OpticalRouter(topology, relay_efficiency=0.5)
-        lossless_router = OpticalRouter(topology, relay_efficiency=1.0)
-        source = topology.nodes_on_die(0)[0]
-        destination = topology.nodes_on_die(2)[3]
-        assert router.best_transmission(source, destination) == pytest.approx(
-            0.5 * lossless_router.best_transmission(source, destination)
-        )
-
-    def test_reachable_nodes(self):
-        topology = StackTopology(DieStack.uniform(count=3), nodes_per_die=1)
-        router = OpticalRouter(topology)
-        reachable = router.reachable_nodes(0, minimum_transmission=1e-6)
-        assert set(reachable) <= {1, 2}
-
-    def test_validation(self):
-        topology = StackTopology(DieStack.uniform(count=2), nodes_per_die=1)
-        router = OpticalRouter(topology)
-        with pytest.raises(ValueError):
-            router.route(0, 0)
-        with pytest.raises(ValueError):
-            OpticalRouter(topology, relay_efficiency=0.0)
-        with pytest.raises(ValueError):
-            router.reachable_nodes(0, minimum_transmission=0.0)

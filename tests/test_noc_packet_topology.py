@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.units import MM, UM
-from repro.noc.arbitration import RoundRobinArbiter, TdmaSchedule
+from repro.noc.arbitration import RoundRobinArbiter
 from repro.noc.packet import Packet
 from repro.noc.topology import NodeAddress, StackTopology
 from repro.photonics.stack import DieStack
@@ -105,38 +105,6 @@ class TestTopology:
             topology.nodes_on_die(9)
         with pytest.raises(ValueError):
             NodeAddress(die=-1)
-
-
-class TestTdmaSchedule:
-    def test_slot_ownership(self):
-        schedule = TdmaSchedule(owners=(0, 1, 2))
-        assert schedule.owner_of_slot(0) == 0
-        assert schedule.owner_of_slot(4) == 1
-        assert schedule.frame_length == 3
-
-    def test_share_and_slots(self):
-        schedule = TdmaSchedule(owners=(0, 1, 0, 2))
-        assert schedule.share_of(0) == pytest.approx(0.5)
-        assert schedule.slots_for(0) == [0, 2]
-
-    def test_next_slot_for(self):
-        schedule = TdmaSchedule(owners=(0, 1, 2, 1))
-        assert schedule.next_slot_for(1, from_slot=0) == 1
-        assert schedule.next_slot_for(1, from_slot=2) == 3
-        assert schedule.next_slot_for(0, from_slot=1) == 4
-        with pytest.raises(ValueError):
-            schedule.next_slot_for(9, from_slot=0)
-
-    def test_uniform_constructor(self):
-        schedule = TdmaSchedule.uniform(5)
-        assert schedule.frame_length == 5
-        assert all(schedule.share_of(node) == pytest.approx(0.2) for node in range(5))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TdmaSchedule(owners=())
-        with pytest.raises(ValueError):
-            TdmaSchedule(owners=(0,)).owner_of_slot(-1)
 
 
 class TestRoundRobinArbiter:

@@ -1,21 +1,10 @@
-"""Tests for repro.photonics.channel, crosstalk and photon_stream."""
+"""Tests for repro.photonics.channel."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.analysis.units import NM, UM
 from repro.photonics.channel import ChannelBudget, OpticalChannel
-from repro.photonics.photon_stream import (
-    PhotonPulse,
-    detection_probability,
-    photons_for_detection_probability,
-    poisson_photon_count,
-    pulse_arrival_times,
-)
 from repro.photonics.stack import DieStack
-from repro.simulation.randomness import RandomSource
 
 
 class TestChannelBudget:
@@ -54,14 +43,6 @@ class TestOpticalChannel:
         assert 0 < channel.transmission() <= 1
         assert channel.propagation_delay() == pytest.approx(1e-3 / 299792458.0)
 
-    def test_propagate_attenuates_and_delays(self):
-        stack = DieStack.uniform(count=3, wavelength=850 * NM)
-        channel = OpticalChannel(stack=stack, source_layer=0, destination_layer=2)
-        pulse = PhotonPulse(emission_time=0.0, duration=1e-9, mean_photons=1000.0, wavelength=850 * NM)
-        received = channel.propagate(pulse)
-        assert received.mean_photons < pulse.mean_photons
-        assert received.emission_time > 0.0
-
     def test_required_photons_at_source(self):
         stack = DieStack.uniform(count=4, wavelength=850 * NM)
         channel = OpticalChannel(stack=stack, source_layer=0, destination_layer=3)
@@ -80,45 +61,3 @@ class TestOpticalChannel:
 
 # CrosstalkModel has its own dedicated suite in tests/test_photonics_crosstalk.py
 # (matrix invariants, coupling profile, isolation pitch, validation).
-
-
-class TestPhotonStream:
-    def test_pulse_energy_consistency(self):
-        pulse = PhotonPulse(emission_time=0.0, duration=1e-9, mean_photons=100.0, wavelength=650 * NM)
-        assert pulse.mean_energy == pytest.approx(100.0 * 3.06e-19, rel=0.01)
-
-    def test_attenuated(self):
-        pulse = PhotonPulse(0.0, 1e-9, 100.0, 650 * NM)
-        assert pulse.attenuated(0.1).mean_photons == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            pulse.attenuated(2.0)
-
-    def test_poisson_count_statistics(self):
-        source = RandomSource(0)
-        counts = [poisson_photon_count(20.0, source) for _ in range(2000)]
-        assert np.mean(counts) == pytest.approx(20.0, rel=0.05)
-
-    def test_arrival_times_within_pulse(self):
-        pulse = PhotonPulse(emission_time=5e-9, duration=1e-9, mean_photons=50.0, wavelength=650 * NM)
-        times = pulse_arrival_times(pulse, RandomSource(1))
-        assert np.all((times >= 5e-9) & (times < 6e-9))
-        assert np.all(np.diff(times) >= 0)
-
-    def test_arrival_times_with_explicit_count(self):
-        pulse = PhotonPulse(0.0, 1e-9, 5.0, 650 * NM)
-        assert pulse_arrival_times(pulse, RandomSource(2), count=7).size == 7
-        assert pulse_arrival_times(pulse, RandomSource(2), count=0).size == 0
-
-    def test_detection_probability_formula(self):
-        assert detection_probability(0.0, 0.3) == 0.0
-        assert detection_probability(10.0, 0.3) == pytest.approx(1 - math.exp(-3.0))
-        with pytest.raises(ValueError):
-            detection_probability(-1.0, 0.3)
-        with pytest.raises(ValueError):
-            detection_probability(1.0, 1.5)
-
-    def test_photons_for_detection_probability_inverse(self):
-        photons = photons_for_detection_probability(0.999, 0.25)
-        assert detection_probability(photons, 0.25) == pytest.approx(0.999)
-        with pytest.raises(ValueError):
-            photons_for_detection_probability(1.0, 0.25)

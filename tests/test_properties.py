@@ -12,9 +12,7 @@ from repro.core.throughput import (
     measurement_window,
     throughput,
 )
-from repro.modulation.error_correction import HammingSecDed
 from repro.modulation.ppm import PpmCodec
-from repro.modulation.scrambler import MultiplicativeScrambler
 from repro.modulation.symbols import SlotGrid, bits_to_int, int_to_bits
 from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.nonlinearity import compute_dnl_inl
@@ -59,24 +57,6 @@ def test_ppm_pulse_time_within_data_window(value):
     codec = PpmCodec(grid)
     symbol = codec.encode_value(value)
     assert 0 <= symbol.pulse_time < grid.data_window
-
-
-# ----------------------------------------------------------------- scrambler / FEC
-@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=200), state=st.integers(0, 127))
-def test_scrambler_roundtrip(bits, state):
-    scrambler = MultiplicativeScrambler()
-    assert scrambler.descramble(scrambler.scramble(bits, state), state) == bits
-
-
-@given(
-    data=st.lists(st.integers(0, 1), min_size=8, max_size=8),
-    error_position=st.integers(0, 12),
-)
-def test_hamming_corrects_any_single_error(data, error_position):
-    code = HammingSecDed()
-    codeword = code.encode_block(data)
-    codeword[error_position] ^= 1
-    assert code.decode_block(codeword).data_bits == data
 
 
 # ------------------------------------------------------------------ paper equations

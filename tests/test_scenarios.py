@@ -124,14 +124,66 @@ class TestScenarioValidation:
         assert len({scenario, Scenario.from_mapping(scenario.to_mapping())}) == 1
 
     def test_axis_order_is_declaration_order(self):
+        # Axis order is the mapping's insertion order, not alphabetical, and
+        # the last axis varies fastest.
         scenario = Scenario(
             name="x",
-            sweep_axes={"spad_dead_time": (8 * NS,), "ppm_bits": (2, 4)},
+            sweep_axes={"spad_dead_time": (8 * NS, 16 * NS), "ppm_bits": (4, 2)},
         )
         assert scenario.axis_names == ("spad_dead_time", "ppm_bits")
         grid = list(scenario.grid())
-        assert [tuple(p) for p in grid] == [("spad_dead_time", "ppm_bits")] * 2
-        assert scenario.point_count() == 2
+        assert [tuple(p) for p in grid] == [("spad_dead_time", "ppm_bits")] * 4
+        assert [tuple(p.values()) for p in grid] == [
+            (8 * NS, 4), (8 * NS, 2), (16 * NS, 4), (16 * NS, 2)
+        ]
+        assert scenario.point_count() == 4
+        assert list(scenario.grid()) == grid
+
+        # A one-shot iterable axis is materialised once, so it survives
+        # repeated traversals instead of being silently exhausted.
+        generated = Scenario(name="g", sweep_axes={"ppm_bits": (b for b in (2, 3, 4))})
+        assert list(generated.grid()) == list(generated.grid()) == [
+            {"ppm_bits": 2}, {"ppm_bits": 3}, {"ppm_bits": 4}
+        ]
+
+        # An axis-free scenario is one point with no parameters.
+        assert list(Scenario(name="single").grid()) == [{}]
+        assert Scenario(name="single").point_count() == 1
+
+
+class TestDeterministicOrdering:
+    def test_mapping_axes_preserve_insertion_order(self):
+        # Report points follow the axes' insertion order, not alphabetical.
+        scenario = small_scenario(
+            sweep_axes={"spad_dead_time": (16 * NS, 8 * NS), "ppm_bits": (4, 2)},
+            link_overrides={"mean_detected_photons": 20.0},
+            metrics=("ber",),
+        )
+        report = run_scenario(scenario, seed=1)
+        assert [tuple(p.parameters.items()) for p in report.points] == [
+            (("spad_dead_time", 16 * NS), ("ppm_bits", 4)),
+            (("spad_dead_time", 16 * NS), ("ppm_bits", 2)),
+            (("spad_dead_time", 8 * NS), ("ppm_bits", 4)),
+            (("spad_dead_time", 8 * NS), ("ppm_bits", 2)),
+        ]
+
+    def test_one_shot_iterables_are_materialised(self):
+        # A generator-valued axis survives the point_count()/run() double
+        # traversal instead of being silently exhausted.
+        scenario = small_scenario(
+            sweep_axes={"mean_detected_photons": (x for x in (5.0, 20.0, 50.0))},
+        )
+        assert scenario.point_count() == 3
+        report = run_scenario(scenario, seed=2)
+        assert [p.parameters["mean_detected_photons"] for p in report.points] == [
+            5.0, 20.0, 50.0
+        ]
+
+    def test_repeated_runs_identical(self):
+        axes = {"mean_detected_photons": (50.0, 5.0), "ppm_bits": (4, 2)}
+        first = run_scenario(small_scenario(sweep_axes=axes, link_overrides={}), seed=3)
+        second = run_scenario(small_scenario(sweep_axes=axes, link_overrides={}), seed=3)
+        assert first.to_mapping() == second.to_mapping()
 
 
 class TestScenarioMappingRoundTrip:

@@ -40,21 +40,6 @@ class TestMonteCarloRunner:
         with pytest.raises(ValueError):
             MonteCarloRunner().run(lambda source: 1.0, trials=0)
 
-    def test_estimate_probability(self):
-        runner = MonteCarloRunner(seed=4)
-        estimate = runner.estimate_probability(lambda source: source.uniform() < 0.25, trials=3000)
-        assert estimate == pytest.approx(0.25, abs=0.03)
-
-    def test_sweep_runs_each_parameter(self):
-        runner = MonteCarloRunner(seed=5)
-        results = runner.sweep(
-            lambda scale: (lambda source: scale * source.uniform()),
-            parameter_values=[1.0, 2.0],
-            trials_per_point=200,
-        )
-        assert set(results) == {1.0, 2.0}
-        assert results[2.0].mean == pytest.approx(2 * results[1.0].mean, rel=0.2)
-
 
 class TestRunBatch:
     def test_reproducible_for_same_seed_and_chunking(self):

@@ -1,97 +1,22 @@
-"""Tests for repro.spad.array."""
+"""Tests for repro.spad.array: the multichannel batch window pass."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.units import NS
-from repro.spad.array import SpadArray, detect_in_windows_multichannel
-from repro.spad.device import DetectionOrigin, SpadConfig, SpadDevice
-
-
-class TestGeometry:
-    def test_pixel_count_and_area(self):
-        array = SpadArray(rows=4, columns=8, pixel_pitch=25e-6)
-        assert array.pixel_count == 32
-        assert array.footprint_area == pytest.approx(32 * 25e-6 ** 2)
-
-    def test_pixel_lookup_and_bounds(self):
-        array = SpadArray(rows=2, columns=2)
-        assert array.pixel(1, 1) is array.pixels()[3]
-        with pytest.raises(IndexError):
-            array.pixel(2, 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpadArray(rows=0, columns=1)
-        with pytest.raises(ValueError):
-            SpadArray(rows=1, columns=1, pixel_pitch=0.0)
-
-    def test_pixels_have_independent_random_streams(self):
-        array = SpadArray(rows=1, columns=2, seed=9)
-        a, b = array.pixels()
-        # Same configuration but different streams: their first uniform draws differ.
-        assert a._random.uniform() != b._random.uniform()
-
-
-class TestAggregateBehaviour:
-    def test_aggregate_dcr_scales_with_pixels(self):
-        small = SpadArray(rows=1, columns=1)
-        large = SpadArray(rows=4, columns=4)
-        assert large.aggregate_dark_count_rate() == pytest.approx(
-            16 * small.aggregate_dark_count_rate(), rel=1e-6
-        )
-
-    def test_broadcast_detection_on_all_pixels(self):
-        array = SpadArray(rows=2, columns=2, seed=1)
-        events = array.detect_in_window(0.0, 40 * NS, photon_time=10 * NS, mean_photons_per_pixel=1000.0)
-        detected = [e for e in events if e is not None and e.origin is DetectionOrigin.PHOTON]
-        assert len(detected) == 4
-
-    def test_reset(self):
-        array = SpadArray(rows=1, columns=2, seed=1)
-        array.detect_in_window(0.0, 40 * NS, photon_time=10 * NS, mean_photons_per_pixel=1000.0)
-        array.reset()
-        assert all(pixel.is_ready(0.0) for pixel in array.pixels())
-
-    def test_coincidence_detection_suppresses_nothing_when_bright(self):
-        array = SpadArray(rows=2, columns=2, seed=2)
-        time = array.coincidence_detect(
-            0.0, 40 * NS, photon_time=10 * NS, mean_photons_per_pixel=1000.0,
-            required=3, coincidence_window=2 * NS,
-        )
-        assert time == pytest.approx(10 * NS, abs=1 * NS)
-
-    def test_coincidence_returns_none_without_light(self):
-        array = SpadArray(rows=2, columns=2, seed=3)
-        time = array.coincidence_detect(
-            0.0, 40 * NS, photon_time=None, mean_photons_per_pixel=0.0,
-            required=2, coincidence_window=1 * NS,
-        )
-        assert time is None
-
-    def test_coincidence_validation(self):
-        array = SpadArray(rows=1, columns=2)
-        with pytest.raises(ValueError):
-            array.coincidence_detect(0.0, 40 * NS, None, 0.0, required=5, coincidence_window=1 * NS)
-        with pytest.raises(ValueError):
-            array.coincidence_detect(0.0, 40 * NS, None, 0.0, required=1, coincidence_window=0.0)
-
-    def test_channel_slice(self):
-        array = SpadArray(rows=2, columns=3)
-        assert len(array.channel_slice(4)) == 4
-        with pytest.raises(ValueError):
-            array.channel_slice(0)
-        with pytest.raises(ValueError):
-            array.channel_slice(7)
+from repro.spad.array import detect_in_windows_multichannel
+from repro.spad.device import SpadDevice
 
 
 class TestBatchWindows:
     """The vectorised (symbols, channels) window pass."""
 
     def test_bright_pulses_detected_on_every_channel(self):
-        array = SpadArray(rows=2, columns=4, seed=5)
         offsets = np.full((16, 8), 10 * NS)
-        times, origins = array.detect_in_windows(40 * NS, offsets, mean_photons_per_pixel=1000.0)
+        times, origins = detect_in_windows_multichannel(
+            SpadDevice(), 40 * NS, offsets, mean_photons=1000.0,
+            generator=np.random.default_rng(5),
+        )
         assert times.shape == origins.shape == (16, 8)
         assert np.all(origins == 0)
         # Every detection lies inside its own window.
@@ -99,17 +24,20 @@ class TestBatchWindows:
         assert np.all((relative >= 0) & (relative < 40 * NS))
 
     def test_no_pulses_mostly_missed(self):
-        array = SpadArray(rows=1, columns=4, seed=6)
         offsets = np.full((64, 4), np.nan)
-        times, origins = array.detect_in_windows(40 * NS, offsets, mean_photons_per_pixel=0.0)
+        times, origins = detect_in_windows_multichannel(
+            SpadDevice(), 40 * NS, offsets, mean_photons=0.0,
+            generator=np.random.default_rng(6),
+        )
         assert not np.any(origins == 0)
         assert np.all(np.isnan(times[origins < 0]))
 
     def test_determinism_per_array_seed(self):
         offsets = np.full((32, 4), 5 * NS)
         results = [
-            SpadArray(rows=1, columns=4, seed=7).detect_in_windows(
-                40 * NS, offsets, mean_photons_per_pixel=3.0
+            detect_in_windows_multichannel(
+                SpadDevice(), 40 * NS, offsets, mean_photons=3.0,
+                generator=np.random.default_rng(7),
             )
             for _ in range(2)
         ]
@@ -119,25 +47,29 @@ class TestBatchWindows:
     def test_statistics_match_per_pixel_scalar_loop(self):
         # The vectorised pass and the scalar per-pixel loop sample the same
         # detection probability (statistical, not draw-for-draw, equivalence).
-        array = SpadArray(rows=1, columns=8, seed=8)
+        device = SpadDevice()
         windows, photons = 256, 2.0
         offsets = np.full((windows, 8), 10 * NS)
-        _, origins = array.detect_in_windows(40 * NS, offsets, mean_photons_per_pixel=photons)
+        _, origins = detect_in_windows_multichannel(
+            device, 40 * NS, offsets, mean_photons=photons, generator=np.random.default_rng(8)
+        )
         batch_rate = np.count_nonzero(origins == 0) / origins.size
-        expected = array.pixels()[0].detection_probability_for_photons(photons)
+        expected = device.detection_probability_for_photons(photons)
         sigma = np.sqrt(expected * (1 - expected) / origins.size)
         assert abs(batch_rate - expected) < 5 * sigma
 
     def test_validation(self):
-        array = SpadArray(rows=1, columns=2, seed=9)
+        def detect(window, offsets):
+            return detect_in_windows_multichannel(
+                SpadDevice(), window, offsets, generator=np.random.default_rng(9)
+            )
+
         with pytest.raises(ValueError):
-            array.detect_in_windows(40 * NS, np.full((4, 3), 1 * NS))  # too many channels
+            detect(40 * NS, np.full(4, 1 * NS))  # not 2-D
         with pytest.raises(ValueError):
-            array.detect_in_windows(40 * NS, np.full(4, 1 * NS))  # not 2-D
+            detect(0.0, np.full((4, 2), 1 * NS))
         with pytest.raises(ValueError):
-            array.detect_in_windows(0.0, np.full((4, 2), 1 * NS))
-        with pytest.raises(ValueError):
-            array.detect_in_windows(40 * NS, np.full((4, 2), 50 * NS))  # outside window
+            detect(40 * NS, np.full((4, 2), 50 * NS))  # outside window
 
     def test_secondary_pulses_report_crosstalk_origin(self):
         device = SpadDevice()
