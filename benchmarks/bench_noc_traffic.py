@@ -4,8 +4,9 @@ Times the refactored NoC layer on the workload the experiment layer actually
 executes for ``noc-*`` scenarios: :class:`repro.simulation.montecarlo.
 NocTrafficTrial` chunks of uniform-traffic packets drained through the slotted
 :class:`~repro.noc.bus.OpticalBus`.  The batched path accumulates an epoch of
-arbiter grants and flushes each ``(source, destination)`` group as one
-vectorised transmission on a ``"batch"`` link (broadcast would be one
+arbiter grants and sends all of the epoch's ``(source, destination)`` groups
+in one segmented pass (:func:`repro.core.fastlink.transmit_segments`), each
+group a segment on its own ``"batch"`` link (broadcast would be one
 ``(S, C)`` multichannel pass); the baseline is the same arbitration driving
 the scalar engine one packet at a time — the pre-refactor slot loop.
 

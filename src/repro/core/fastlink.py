@@ -38,6 +38,15 @@ in to the ``uint8`` bit arrays of the result:
 4. The bit matrix of the decoded values is unpacked in one shot into
    ``received_bits``.
 
+:func:`transmit_segments` runs these four steps once for G links whose
+payloads lie back to back: one encode, one detection over the G devices
+(:func:`~repro.spad.device.detect_in_segments`, one segmented kernel scan),
+one decode per link on its own TDC, one unpack.  Each link is its own
+segment with its own random stream, so the pass equals one
+:meth:`FastOpticalLink.transmit_bits` call per link bit for bit, without the
+per-call overhead; the NoC bus sends each epoch's unicast groups this way.
+``transmit_bits`` is its G = 1 case, so the engine has one body.
+
 The result is the same :class:`~repro.core.link.TransmissionResult` the scalar
 path returns, at a ≥10× (typically 30–100×) symbols/sec advantage on
 10^5-symbol workloads (see ``benchmarks/bench_fastpath_speedup.py``).
@@ -45,15 +54,16 @@ path returns, at a ≥10× (typically 30–100×) symbols/sec advantage on
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import LinkConfig
 from repro.core.link import OpticalLink, TransmissionResult
+from repro.kernels.reference import check_segments
 from repro.modulation.symbols import ints_to_bit_matrix
 from repro.photonics.channel import OpticalChannel
-from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings
+from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings, detect_in_segments
 
 
 class FastOpticalLink(OpticalLink):
@@ -89,40 +99,12 @@ class FastOpticalLink(OpticalLink):
 
         Same contract as :meth:`OpticalLink.transmit_bits`: the payload is
         padded with zeros to a whole number of symbols and error statistics
-        cover the original bit positions.
+        cover the original bit positions.  The pass is
+        :func:`transmit_segments` with this link alone.
         """
         payload = self._payload_array(bits)
-        k = self.config.ppm_bits
-        remainder = payload.size % k
-        if remainder:
-            padded = np.concatenate([payload, np.zeros(k - remainder, dtype=np.uint8)])
-        else:
-            padded = payload
-
-        values = self.codec.encode_bits_to_values(padded)
-        symbol_count = int(values.size)
-        symbol_duration = self.config.symbol_duration
-        mean_photons = self.mean_photons_at_detector()
-
-        # The receiver's windows are assumed aligned to the (symbol-invariant)
-        # propagation delay by clock recovery, so pulse times are window-
-        # relative slot centres; the channel only enters through attenuation.
-        pulse_offsets = self.codec.pulse_times_for_values(values)
-
-        self.spad.reset()
-        symbol_weights = None
-        if self.importance is not None:
-            times, origins, symbol_weights = self.spad.detect_in_windows(
-                symbol_duration, pulse_offsets, mean_photons, importance=self.importance
-            )
-        else:
-            times, origins = self.spad.detect_in_windows(
-                symbol_duration, pulse_offsets, mean_photons, kernel=self.kernel
-            )
-
-        decoded = self._decode_windows(times, origins, self.kernel)
-        received_bits = ints_to_bit_matrix(decoded, k).ravel()[: payload.size].astype(np.uint8)
-
+        sent = transmit_segments((self,), payload, (0,))
+        origins = sent.origins
         detected = origins >= 0
         per_code = np.bincount(origins[detected], minlength=len(ORIGIN_BY_CODE))
         counts = {
@@ -130,13 +112,99 @@ class FastOpticalLink(OpticalLink):
         }
         counts["missed"] = int(np.count_nonzero(~detected))
 
+        symbol_count = int(sent.values.size)
         return TransmissionResult(
             transmitted_bits=payload,
-            received_bits=received_bits,
+            received_bits=sent.received_bits[: payload.size],
             symbols_sent=symbol_count,
-            symbol_errors=int(np.count_nonzero(decoded != values)),
+            symbol_errors=int(np.count_nonzero(sent.decoded != sent.values)),
             detection_counts=counts,
-            elapsed_time=symbol_count * symbol_duration,
-            symbol_weights=symbol_weights,
+            elapsed_time=symbol_count * self.config.symbol_duration,
+            symbol_weights=sent.symbol_weights,
             symbol_origins=origins if self.importance is not None else None,
         )
+
+
+class SegmentedPass(NamedTuple):
+    """What :func:`transmit_segments` sent and received, all segments back to back."""
+
+    #: Symbol value of every window.
+    values: np.ndarray
+    #: Decoded symbol value of every window (``0`` for a missed window).
+    decoded: np.ndarray
+    #: Winning detection origin code of every window (``-1`` = missed).
+    origins: np.ndarray
+    #: ``uint8`` bits of ``decoded``, of the zero-padded payload's length.
+    received_bits: np.ndarray
+    #: Per-window likelihood weights of an importance-sampled link, else ``None``.
+    symbol_weights: Optional[np.ndarray]
+
+
+def transmit_segments(
+    links: Sequence[FastOpticalLink], bits: np.ndarray, segment_starts: Sequence[int]
+) -> SegmentedPass:
+    """Send a payload over G links in one batch pass, each link its own segment.
+
+    ``bits`` is a ``uint8`` array of 0/1 (as :meth:`OpticalLink._payload_array`
+    returns it), zero-padded here to a whole number of symbols; link ``g``
+    carries the symbols from ``segment_starts[g]`` up to the next start.
+    The pass is one PPM encode, one detection over the G devices
+    (:func:`~repro.spad.device.detect_in_segments`, or
+    :meth:`SpadDevice.detect_in_windows` when G = 1), each segment decoded by
+    its own link's TDC through :meth:`OpticalLink._decode_windows`, and one bit
+    unpack.  Every link is reset first and draws from its own stream, so
+    the pass equals G separate :meth:`FastOpticalLink.transmit_bits` calls
+    bit for bit.  The links share one PPM slot grid; importance sampling
+    needs G = 1.
+    """
+    first = links[0]
+    k = first.config.ppm_bits
+    remainder = bits.size % k
+    if remainder:
+        bits = np.concatenate([bits, np.zeros(k - remainder, dtype=np.uint8)])
+    values = first.codec.encode_bits_to_values(bits)
+    starts = check_segments(segment_starts, values.size).tolist()
+    if len(starts) != len(links):
+        raise ValueError("need one segment start per link")
+    if len(links) > 1 and any(
+        link.importance is not None or link.codec.grid != first.codec.grid for link in links
+    ):
+        raise ValueError("the links of a segmented pass share one slot grid and sample naively")
+    symbol_duration = first.config.symbol_duration
+
+    # The receiver's windows are assumed aligned to the (symbol-invariant)
+    # propagation delay by clock recovery, so pulse times are window-
+    # relative slot centres; the channel only enters through attenuation.
+    pulse_offsets = first.codec.pulse_times_for_values(values)
+
+    for link in links:
+        link.spad.reset()
+    symbol_weights = None
+    if len(links) == 1:
+        detection = first.spad.detect_in_windows(
+            symbol_duration,
+            pulse_offsets,
+            first.mean_photons_at_detector(),
+            importance=first.importance,
+            kernel=first.kernel,
+        )
+        times, origins = detection[:2]
+        if first.importance is not None:
+            symbol_weights = detection[2]
+    else:
+        times, origins = detect_in_segments(
+            [link.spad for link in links],
+            symbol_duration,
+            pulse_offsets,
+            starts,
+            [link.mean_photons_at_detector() for link in links],
+            kernel=first.kernel,
+        )
+    bounds = starts + [values.size]
+    decoded = [
+        link._decode_windows(times[lo:hi], origins[lo:hi], link.kernel)
+        for link, lo, hi in zip(links, bounds, bounds[1:])
+    ]
+    decoded = decoded[0] if len(decoded) == 1 else np.concatenate(decoded)
+    received_bits = ints_to_bit_matrix(decoded, k).ravel().astype(np.uint8)
+    return SegmentedPass(values, decoded, origins, received_bits, symbol_weights)

@@ -24,7 +24,7 @@ from repro.kernels import get_kernel
 from repro.modulation.ppm import PpmCodec
 from repro.modulation.symbols import count_bit_errors, int_to_bits
 from repro.photonics.channel import OpticalChannel
-from repro.simulation.randomness import RandomSource
+from repro.simulation.randomness import RandomSource, split_seed
 from repro.spad.device import SpadDevice
 from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.converter import TimeToDigitalConverter
@@ -119,16 +119,24 @@ class OpticalLink:
     ) -> None:
         self.config = config
         self.channel = channel
-        self._root_source = RandomSource(seed)
+        self._seed = int(seed)
         self.codec = PpmCodec(config.slot_grid())
         self.spad = SpadDevice(
             config=config.spad_config(),
             quenching=config.quenching_circuit(),
-            random_source=self._root_source.spawn("spad"),
+            random_source=self._stream("spad"),
         )
         self.tdc = self._build_tdc()
 
     # -- construction helpers ---------------------------------------------------
+    def _stream(self, label: str) -> RandomSource:
+        """The random stream of one part of the link, split from the link's seed.
+
+        The same stream ``RandomSource(seed).spawn(label)`` gives, without
+        building the root generator that is never drawn from.
+        """
+        return RandomSource(split_seed(self._seed, label))
+
     def _build_tdc(self) -> TimeToDigitalConverter:
         design = self.config.effective_tdc_design()
         element_model = DelayElementModel(
@@ -141,7 +149,7 @@ class OpticalLink:
         line = TappedDelayLine(
             element_model,
             length=length,
-            random_source=self._root_source.spawn("tdc"),
+            random_source=self._stream("tdc"),
             temperature=self.config.temperature,
         )
         coarse = CoarseCounter(

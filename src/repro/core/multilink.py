@@ -202,7 +202,7 @@ class MultichannelOpticalLink(OpticalLink):
             if not np.all(gains > 0):
                 raise ValueError("channel_gains must be positive")
             self.channel_gains = gains
-        self._array_source = self._root_source.spawn("multichannel")
+        self._array_source = self._stream("multichannel")
         # Distance profile of the crosstalk coupling, split into the few
         # *near* neighbours that stand above the scattered-light floor
         # (injected as slot-timed interference pulses) and the many *far*

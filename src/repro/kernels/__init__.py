@@ -13,6 +13,13 @@ semantics of the scan and the resolver, and every registered implementation
 is locked bit-identical to it by ``tests/test_kernels.py`` and
 ``scripts/regression_check.py``.
 
+The scan takes optional **segment starts**: at each one the device restarts
+armed and trap-free and the window clock restarts at ``base``, so one call
+scans many independent links back to back
+(:func:`~repro.spad.device.detect_in_segments`, which the NoC bus uses for
+each epoch's unicast groups).  Without segments it is the plain scan, bit
+for bit.
+
 The fourth kernel, the detection decode (``decode_windows``: two-level TDC
 and PPM slot decision over every window), is not a sequential loop; every
 window decodes on its own.  It is a kernel because NumPy costs time per

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .reference import check_decode_inputs
+from .reference import check_decode_inputs, check_segments
 
 _SOURCE = r"""
 #include <math.h>
@@ -50,21 +50,35 @@ void repro_scan_windows(
     double gate_recovery,
     double duration,
     double base,
-    double *state,              /* [last_fire, pending], updated in place */
+    const long long *segment_starts,  /* validated; entry 0 is window 0 */
+    long long n_segments,
+    double *state,      /* in: [last_fire, pending]; out: the pair per segment */
     double *out_times,
     signed char *out_origins)
 {
     double last_fire = state[0];
     double pending = state[1];
+    long long first = 0, segment = 0;
+    long long next = n_segments > 1 ? segment_starts[1] : count;
     long long index;
     for (index = 0; index < count; ++index) {
-        double window_start = base + (double)index * duration;
-        double window_end = window_start + duration;
-        double ready = (window_start - last_fire >= gate_recovery)
-            ? window_start : last_fire + dead_time;
-        double best = INFINITY;
+        double window_start, window_end, ready, best;
         int origin = -1;
         long long j;
+        if (index == next) {   /* a fresh device: armed, no trap pending */
+            state[2 * segment] = last_fire;
+            state[2 * segment + 1] = pending;
+            ++segment;
+            first = index;
+            last_fire = -INFINITY;
+            pending = INFINITY;
+            next = segment + 1 < n_segments ? segment_starts[segment + 1] : count;
+        }
+        window_start = base + (double)(index - first) * duration;
+        window_end = window_start + duration;
+        ready = (window_start - last_fire >= gate_recovery)
+            ? window_start : last_fire + dead_time;
+        best = INFINITY;
         if (photon_valid[index]) {
             double t = window_start + photon_rel[index];
             if (t >= ready) { best = t; origin = 0; }
@@ -89,8 +103,8 @@ void repro_scan_windows(
             out_origins[index] = -1;
         }
     }
-    state[0] = last_fire;
-    state[1] = pending;
+    state[2 * segment] = last_fire;
+    state[2 * segment + 1] = pending;
 }
 
 void repro_resolve_windows(
@@ -241,6 +255,9 @@ _CFLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fas
 #: the pointer.
 _PTR = ctypes.c_void_p
 
+#: The segment starts of an unsegmented scan: one segment from window 0.
+_NO_SEGMENTS = np.zeros(1, dtype=np.int64)
+
 
 def _cache_dir() -> Path:
     configured = os.environ.get("REPRO_CEXT_CACHE")
@@ -302,6 +319,7 @@ class CExtKernels:
             ctypes.c_longlong,
             _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+            _PTR, ctypes.c_longlong,
             _PTR, _PTR, _PTR,
         ]
         self._resolve = library.repro_resolve_windows
@@ -334,9 +352,14 @@ class CExtKernels:
         base,
         last_fire,
         pending,
+        segments=None,
     ) -> Tuple[np.ndarray, np.ndarray, float, float]:
         """Native dead-time scan (see :func:`repro.kernels.reference.scan_windows`)."""
         photon_rel = np.ascontiguousarray(photon_rel, dtype=np.float64)
+        count = int(photon_rel.shape[0])
+        starts = np.ascontiguousarray(
+            _NO_SEGMENTS if segments is None else check_segments(segments, count)
+        )
         inputs = (
             photon_rel,
             np.ascontiguousarray(photon_valid, dtype=np.bool_),
@@ -345,10 +368,10 @@ class CExtKernels:
             np.ascontiguousarray(trap_filled, dtype=np.bool_),
             np.ascontiguousarray(trap_release, dtype=np.float64),
         )
-        count = int(photon_rel.shape[0])
         out_times = np.empty(count, dtype=np.float64)
         out_origins = np.empty(count, dtype=np.int8)
-        state = np.array([last_fire, pending], dtype=np.float64)
+        state = np.empty(2 * starts.size, dtype=np.float64)
+        state[:2] = last_fire, pending
         self._scan(
             count,
             *[array.ctypes.data for array in inputs],
@@ -356,10 +379,14 @@ class CExtKernels:
             float(gate_recovery),
             float(duration),
             float(base),
+            starts.ctypes.data,
+            starts.size,
             state.ctypes.data,
             out_times.ctypes.data,
             out_origins.ctypes.data,
         )
+        if segments is not None:
+            return out_times, out_origins, state[0::2].copy(), state[1::2].copy()
         return out_times, out_origins, float(state[0]), float(state[1])
 
     def resolve_windows(

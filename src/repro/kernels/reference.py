@@ -30,6 +30,16 @@ follows it (``pending < window_end`` is false for ``+inf``;
 ``window_start - (-inf) >= gate_recovery`` is true), so the float-only loop
 below is line-for-line the scan that used to live in ``device.py``.
 
+Segmented scans
+---------------
+:func:`scan_windows` optionally takes segment starts (validated by
+:func:`check_segments` on every tier): each later segment is an independent
+device, armed and trap-free at its first window, with its window clock back
+at ``base``.  The loop indexes each segment from 0, so the window start is
+the float a separate call on the segment computes, and a segmented scan is
+one call per segment, concatenated, bit for bit; it returns every
+segment's final state.
+
 This module is a leaf: it imports NumPy and nothing from :mod:`repro`, so the
 registry (and :class:`~repro.scenarios.scenario.Scenario` validation) can
 import it without cycles.  Origin codes are therefore literals here — ``0``
@@ -39,12 +49,29 @@ matching :data:`repro.spad.device.ORIGIN_BY_CODE`.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 _INF = float("inf")
 _NAN = float("nan")
+
+
+def check_segments(segments, count: int) -> np.ndarray:
+    """Validated ``int64`` segment starts of a ``count``-window scan.
+
+    Every tier calls this before a segmented scan: the starts must be a
+    1-D integer array opening at window 0, strictly increasing and each
+    below ``count``, so no segment is empty.
+    """
+    starts = np.asarray(segments)
+    if starts.ndim != 1 or starts.size == 0 or starts.dtype.kind not in "iu":
+        raise ValueError("segment starts must be a non-empty 1-D integer array")
+    if starts[0] != 0 or starts[-1] >= count or (starts[1:] <= starts[:-1]).any():
+        raise ValueError(
+            f"segment starts must open at 0, increase strictly and stay below {count}"
+        )
+    return starts.astype(np.int64, copy=False)
 
 
 def scan_windows(
@@ -60,6 +87,7 @@ def scan_windows(
     base: float,
     last_fire: float,
     pending: float,
+    segments: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float, float]:
     """Sequential dead-time winner scan over one channel's windows.
 
@@ -69,57 +97,79 @@ def scan_windows(
     module sentinel convention.  Returns ``(times, origins, last_fire,
     pending)`` — absolute detection times (``NaN`` = missed), int8 origin
     codes, and the carried-over state, same encoding.
+
+    ``segments`` optionally lists the windows at which independent devices
+    start (see :func:`check_segments`): at each start after the first the
+    device is armed and trap-free and the window clock restarts at
+    ``base``, so one call scans many links back to back exactly as one call
+    per segment would.  The carried-in state applies to the first segment,
+    and the returned ``last_fire`` and ``pending`` are then float arrays,
+    each segment's final state.
     """
     count = int(photon_rel.shape[0])
-    # Python-list views: ~3x faster to index than NumPy scalars in a Python
-    # loop, and list floats are exactly the C doubles of the arrays.
-    photon_rel_l = photon_rel.tolist()
-    photon_valid_l = photon_valid.tolist()
+    starts = [0] if segments is None else check_segments(segments, count).tolist()
+    end_fires = []
+    end_pendings = []
     dark_rel_l = dark_rel.tolist()
-    dark_bounds_l = dark_bounds.tolist()
-    trap_filled_l = trap_filled.tolist()
-    trap_release_l = trap_release.tolist()
     out_times = []
     out_origins = []
-    for index in range(count):
-        window_start = base + index * duration
-        window_end = window_start + duration
-        if window_start - last_fire >= gate_recovery:
-            ready = window_start
-        else:
-            ready = last_fire + dead_time
-        best = _INF
-        origin = -1
-        if photon_valid_l[index]:
-            time = window_start + photon_rel_l[index]
-            if time >= ready:
-                best = time
-                origin = 0
-        for position in range(dark_bounds_l[index], dark_bounds_l[index + 1]):
-            time = window_start + dark_rel_l[position]
-            if time >= ready and time < best:
-                best = time
-                origin = 1
-        if (
-            window_start <= pending < window_end
-            and pending >= ready
-            and pending < best
-        ):
-            best = pending
-            origin = 2
-        if pending < window_end:
+    for first, stop in zip(starts, starts[1:] + [count]):
+        if first:
+            last_fire = -_INF
             pending = _INF
-        if origin >= 0:
-            out_times.append(best)
-            out_origins.append(origin)
-            last_fire = best
-            if trap_filled_l[index]:
-                pending = best + trap_release_l[index]
+        # Python-list views of the segment: ~3x faster to index than NumPy
+        # scalars in a Python loop, and list floats are exactly the C doubles
+        # of the arrays.  Local indices keep ``base + index * duration`` the
+        # float a call on the segment alone computes.
+        photon_rel_l = photon_rel[first:stop].tolist()
+        photon_valid_l = photon_valid[first:stop].tolist()
+        dark_bounds_l = dark_bounds[first : stop + 1].tolist()
+        trap_filled_l = trap_filled[first:stop].tolist()
+        trap_release_l = trap_release[first:stop].tolist()
+        for index in range(stop - first):
+            window_start = base + index * duration
+            window_end = window_start + duration
+            if window_start - last_fire >= gate_recovery:
+                ready = window_start
             else:
+                ready = last_fire + dead_time
+            best = _INF
+            origin = -1
+            if photon_valid_l[index]:
+                time = window_start + photon_rel_l[index]
+                if time >= ready:
+                    best = time
+                    origin = 0
+            for position in range(dark_bounds_l[index], dark_bounds_l[index + 1]):
+                time = window_start + dark_rel_l[position]
+                if time >= ready and time < best:
+                    best = time
+                    origin = 1
+            if (
+                window_start <= pending < window_end
+                and pending >= ready
+                and pending < best
+            ):
+                best = pending
+                origin = 2
+            if pending < window_end:
                 pending = _INF
-        else:
-            out_times.append(_NAN)
-            out_origins.append(-1)
+            if origin >= 0:
+                out_times.append(best)
+                out_origins.append(origin)
+                last_fire = best
+                if trap_filled_l[index]:
+                    pending = best + trap_release_l[index]
+                else:
+                    pending = _INF
+            else:
+                out_times.append(_NAN)
+                out_origins.append(-1)
+        end_fires.append(last_fire)
+        end_pendings.append(pending)
+    if segments is not None:
+        last_fire = np.asarray(end_fires, dtype=float)
+        pending = np.asarray(end_pendings, dtype=float)
     return (
         np.asarray(out_times, dtype=float),
         np.asarray(out_origins, dtype=np.int8),

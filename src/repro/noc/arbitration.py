@@ -40,7 +40,15 @@ class RoundRobinArbiter:
         self._heads: List[Tuple[int, int]] = []
 
     def request(self, node: int, item: object, arrival: int = 0) -> None:
-        """Enqueue a transmission request for ``node``, arriving at ``arrival``."""
+        """Enqueue a transmission request for ``node``, arriving at ``arrival``.
+
+        Both are integers (NumPy integers included); a bool or a fractional
+        slot is refused, since the bus would grant it a slot it never names.
+        """
+        if type(node) is not int and not isinstance(node, np.integer):
+            raise ValueError(f"node must be an integer, got {node!r}")
+        if type(arrival) is not int and not isinstance(arrival, np.integer):
+            raise ValueError(f"arrival slot must be an integer, got {arrival!r}")
         if node not in self._pending:
             raise ValueError(f"unknown node {node}")
         if arrival < 0:

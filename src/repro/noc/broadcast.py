@@ -119,7 +119,7 @@ def broadcast(
     if backend_capabilities(resolved).supports_multichannel:
         channels = len(receivers)
         k = config.ppm_bits
-        padded = np.asarray(packet.padded_bits(k), dtype=np.int64)
+        padded = packet.padded_bits(k)
         tiled = tile_symbols_for_receivers(padded, k, channels)
         link = make_link(
             config.with_detected_photons(emitted_photons),

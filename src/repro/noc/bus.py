@@ -6,9 +6,15 @@ SPAD of every other die (broadcast by construction).  The bus model is
 behavioural — PPM transmission through the link model of each span with the
 correct stack attenuation, plus queueing/latency statistics — but the slot
 loop is *batch-first*: arbitration accumulates an **epoch** of grants
-(packet, source, destination, slot span) and each ``(source, destination)``
-group of the epoch is flushed as **one** vectorised transmission on a link
-built through the backend registry (:func:`repro.core.backend.make_link`).
+(packet, source, destination, slot span), and on the ``"batch"`` backend
+every unicast ``(source, destination)`` group of the epoch is one segment
+of **one** pass (:func:`repro.core.fastlink.transmit_segments`): one PPM
+encode, one segmented detection over the groups' devices, one decode per
+group on its own link's TDC.  Each group keeps its own link, built through
+the backend registry (:func:`repro.core.backend.make_link`), and its own
+random stream, so every packet gets the bit errors one call per group
+would give; each packet's count is read from one cumulative sum over the
+epoch's mismatches.  Other batch backends send one call per group.
 Broadcast packets go further: all receiving dies of a slot are one
 ``(S, C)`` pass on the ``"multichannel"`` backend, with per-receiver stack
 attenuations as channel gains.
@@ -33,6 +39,7 @@ import numpy as np
 
 from repro.core.backend import backend_capabilities, make_link, resolve_backend
 from repro.core.config import LinkConfig
+from repro.core.fastlink import transmit_segments
 from repro.kernels import get_kernel
 from repro.noc.arbitration import RoundRobinArbiter
 from repro.noc.broadcast import per_receiver_bit_errors, tile_symbols_for_receivers
@@ -146,10 +153,10 @@ class OpticalBus:
         :func:`~repro.simulation.randomness.split_seed`.
     backend:
         Registered link backend the bus transmits through (``None`` selects
-        the default batch engine).  Batch-capable backends flush each epoch's
-        ``(source, destination)`` groups as single vectorised transmissions;
-        the ``"scalar"`` backend replays the legacy packet-at-a-time slot
-        loop.
+        the default batch engine).  ``"batch"`` flushes each epoch's unicast
+        groups in one segmented pass, other batch-capable backends in one
+        transmission per group; the ``"scalar"`` backend replays the legacy
+        packet-at-a-time slot loop.
     epoch_packets:
         Grants accumulated per epoch before a flush.  Any positive value
         yields the same arbitration (hence the same slots and latencies);
@@ -270,7 +277,8 @@ class OpticalBus:
         """Queue a packet at its source node, arriving at ``arrival_slot``.
 
         Per-node offers must come in arrival order (the arbiter's queues are
-        FIFO per node).
+        FIFO per node).  ``arrival_slot`` is an integer slot: a bool or a
+        fractional slot raises :class:`ValueError`.
         """
         if packet.source >= self.topology.node_count:
             raise ValueError("packet source is not a node of this topology")
@@ -290,9 +298,10 @@ class OpticalBus:
         tier: idle slots skip to the next arrival), fixing every packet's
         slot span — this phase is identical for every backend, so latencies
         are too.  **Flushing** replays the grants in order and transmits
-        each epoch's ``(source, destination)`` groups: one vectorised call
-        per group on batch backends, packet at a time on the scalar
-        reference.  Packets still queued when ``max_slots`` runs out stay
+        each epoch's ``(source, destination)`` groups: one segmented pass
+        for all unicast groups on ``"batch"``, one call per group on other
+        batch backends, packet at a time on the scalar reference.  Packets
+        still queued when ``max_slots`` runs out stay
         pending; a later ``run`` *continues* the slot clock where this one
         stopped (waiting time spans runs), it never rewinds to slot 0.
         """
@@ -360,42 +369,64 @@ class OpticalBus:
 
     # -- epoch flushing ----------------------------------------------------------
     def _flush_epoch(self, epoch: List[_Grant]) -> None:
-        """Transmit one epoch of grants, one link call per traffic group."""
+        """Transmit one epoch of grants and record its packets group by group."""
         groups: Dict[Tuple[int, object], List[_Grant]] = {}
         for entry in epoch:
             destination = "broadcast" if entry.packet.is_broadcast else entry.packet.destination
             groups.setdefault((entry.source, destination), []).append(entry)
+        unicast = {key: entries for key, entries in groups.items() if key[1] != "broadcast"}
+        errors = iter(self._unicast_bit_errors(unicast))
         for (source, destination), entries in groups.items():
             if destination == "broadcast":
                 self._flush_broadcast(source, entries)
-            else:
-                self._flush_unicast(source, int(destination), entries)
-
-    def _flush_unicast(self, source: int, destination: int, entries: List[_Grant]) -> None:
-        link = self._link_for(source, destination)
-        k = self.config.ppm_bits
-        if self._batched and len(entries) > 1:
-            spans: List[Tuple[int, int]] = []
-            segments: List[np.ndarray] = []
-            cursor = 0
+                continue
             for entry in entries:
-                padded = np.asarray(entry.packet.padded_bits(k), dtype=np.int64)
-                spans.append((cursor, entry.packet.total_bits))
-                segments.append(padded)
-                cursor += padded.size
-            result = link.transmit_bits(np.concatenate(segments))
-            mismatches = np.asarray(result.transmitted_bits) != np.asarray(
-                result.received_bits
-            )
-            for entry, (start, bits) in zip(entries, spans):
-                errors = int(mismatches[start : start + bits].sum())
-                self._record_unicast(entry, destination, errors, bits)
-        else:
-            for entry in entries:
-                result = link.transmit_bits(entry.packet.serialize())
                 self._record_unicast(
-                    entry, destination, result.bit_errors, entry.packet.total_bits
+                    entry, int(destination), next(errors), entry.packet.total_bits
                 )
+
+    def _unicast_bit_errors(self, groups: Dict[Tuple[int, object], List[_Grant]]) -> List[int]:
+        """Bit errors of an epoch's unicast packets, group by group in grant order.
+
+        The ``batch`` backend sends every group in one segmented pass
+        (:func:`repro.core.fastlink.transmit_segments`), each group on its
+        own link and stream; other batch backends send one call per group,
+        and the scalar reference one call per packet.  Every packet is
+        padded to whole symbols, and its errors are the mismatches over its
+        own bits, read from one cumulative sum.
+        """
+        if not groups:
+            return []
+        links = [self._link_for(source, int(destination)) for source, destination in groups]
+        if not self._batched:
+            return [
+                link.transmit_bits(entry.packet.serialize()).bit_errors
+                for link, entries in zip(links, groups.values())
+                for entry in entries
+            ]
+        k = self.config.ppm_bits
+        entries = [entry for group in groups.values() for entry in group]
+        padded = [entry.packet.padded_bits(k) for entry in entries]
+        offsets = np.zeros(len(padded) + 1, dtype=np.int64)
+        np.cumsum([bits.size for bits in padded], out=offsets[1:])
+        firsts = np.zeros(len(groups) + 1, dtype=np.int64)
+        np.cumsum([len(group) for group in groups.values()], out=firsts[1:])
+        group_bits = offsets[firsts].tolist()
+        sent = np.concatenate(padded)
+        if self.backend == "batch":
+            starts = [bit // k for bit in group_bits[:-1]]
+            received = transmit_segments(links, sent, starts).received_bits
+        else:
+            received = np.concatenate(
+                [
+                    link.transmit_bits(sent[lo:hi]).received_bits
+                    for link, lo, hi in zip(links, group_bits, group_bits[1:])
+                ]
+            )
+        mismatches = np.zeros(sent.size + 1, dtype=np.int64)
+        np.cumsum(sent != received, out=mismatches[1:])
+        ends = offsets[:-1] + [entry.packet.total_bits for entry in entries]
+        return (mismatches[ends] - mismatches[offsets[:-1]]).tolist()
 
     def _flush_broadcast(self, source: int, entries: List[_Grant]) -> None:
         receivers = self._broadcast_receivers(source)
@@ -417,7 +448,7 @@ class OpticalBus:
             spans: List[Tuple[int, int, int]] = []
             row = 0
             for entry in entries:
-                padded = np.asarray(entry.packet.padded_bits(k), dtype=np.int64)
+                padded = entry.packet.padded_bits(k)
                 blocks.append(tile_symbols_for_receivers(padded, k, channels))
                 rows = padded.size // k
                 spans.append((row, rows, entry.packet.total_bits))

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.modulation.symbols import bits_to_int, int_to_bits
 
 _BITS = frozenset((0, 1))
@@ -27,6 +29,13 @@ class Packet:
     SEQUENCE_BITS = 16
 
     def __post_init__(self) -> None:
+        # Plain ints are the fast path.  A bool is an int but no node or
+        # sequence number; NumPy integers are welcome.
+        if not type(self.source) is type(self.destination) is type(self.sequence) is int:
+            for name in ("source", "destination", "sequence"):
+                value = getattr(self, name)
+                if type(value) is not int and not isinstance(value, np.integer):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
         limit = 1 << self.ADDRESS_BITS
         if not 0 <= self.source < limit:
             raise ValueError(f"source must be within [0, {limit})")
@@ -64,11 +73,15 @@ class Packet:
         return self.header_bits + len(self.payload)
 
     def serialize(self) -> List[int]:
-        """Header followed by payload as a flat bit list."""
-        bits = int_to_bits(self.destination, self.ADDRESS_BITS)
-        bits += int_to_bits(self.source, self.ADDRESS_BITS)
-        bits += int_to_bits(self.sequence, self.SEQUENCE_BITS)
-        bits += list(self.payload)
+        """Header followed by payload as a flat bit list.
+
+        The header is destination, source and sequence number, each
+        big-endian, unpacked from one integer in one pass.
+        """
+        word = (int(self.destination) << self.ADDRESS_BITS) | int(self.source)
+        word = (word << self.SEQUENCE_BITS) | int(self.sequence)
+        bits = int_to_bits(word, self.header_bits)
+        bits += self.payload
         return bits
 
     def symbol_count(self, ppm_bits: int) -> int:
@@ -77,8 +90,8 @@ class Packet:
             raise ValueError("ppm_bits must be positive")
         return -(-self.total_bits // ppm_bits)
 
-    def padded_bits(self, ppm_bits: int) -> List[int]:
-        """Serialized bits zero-padded to a whole number of PPM symbols.
+    def padded_bits(self, ppm_bits: int) -> np.ndarray:
+        """Serialized bits zero-padded to a whole number of PPM symbols, as ``uint8``.
 
         The symbol-aligned form the batched bus concatenates: padding each
         packet *before* concatenation keeps every packet's symbol boundaries
@@ -86,8 +99,8 @@ class Packet:
         error statistics stay comparable between the scalar slot loop and one
         epoch-sized transmission.
         """
-        bits = self.serialize()
-        bits += [0] * (self.symbol_count(ppm_bits) * ppm_bits - len(bits))
+        bits = np.zeros(self.symbol_count(ppm_bits) * ppm_bits, dtype=np.uint8)
+        bits[: self.total_bits] = self.serialize()
         return bits
 
     @classmethod

@@ -18,12 +18,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import inf, isinf, nan
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.units import NM, UM
 from repro.kernels import get_kernel
+from repro.kernels.reference import check_segments
 from repro.simulation.randomness import RandomSource
 from repro.spad.afterpulsing import AfterpulsingModel
 from repro.spad.dark_counts import DarkCountModel
@@ -56,6 +57,10 @@ ORIGIN_BY_CODE = {
     3: DetectionOrigin.CROSSTALK,
 }
 CODE_BY_ORIGIN = {origin: code for code, origin in ORIGIN_BY_CODE.items()}
+
+#: The curve of every device built without one: ``PdpCurve`` is frozen, so
+#: one validated instance serves them all.
+_DEFAULT_PDP = default_cmos_pdp()
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ class SpadDevice:
         random_source: Optional[RandomSource] = None,
     ) -> None:
         self.config = config
-        self.pdp_curve = pdp_curve if pdp_curve is not None else default_cmos_pdp()
+        self.pdp_curve = pdp_curve if pdp_curve is not None else _DEFAULT_PDP
         self.quenching = quenching if quenching is not None else QuenchingCircuit()
         self.dark_counts = dark_counts if dark_counts is not None else DarkCountModel()
         self.afterpulsing = afterpulsing if afterpulsing is not None else AfterpulsingModel()
@@ -348,7 +353,8 @@ class SpadDevice:
         (:func:`repro.kernels.get_kernel`): ``kernel`` selects an
         implementation by name, ``None`` defers to ``$REPRO_KERNEL`` and the
         ``"auto"`` preference.  Every kernel is bit-identical to the
-        ``"python"`` reference, so the choice affects speed only.
+        ``"python"`` reference, so the choice affects speed only.  The naive
+        pass is :func:`detect_in_segments` with this device alone.
 
         Returns ``(times, origins)``: absolute detection times (``NaN`` when
         the window reported nothing) and int8 origin codes (see
@@ -368,6 +374,21 @@ class SpadDevice:
         windows — weighted statistics of any per-window outcome are
         unbiased estimates of the naive-path statistics.
         """
+        if importance is None:
+            return detect_in_segments(
+                (self,), window_duration, photon_offsets, (0,), (mean_photons,), start_time, kernel
+            )
+        offsets, has_pulse = self._batch_offsets(window_duration, photon_offsets, start_time)
+        if offsets.size == 0:
+            return np.empty(0), np.empty(0, dtype=np.int8), np.empty(0)
+        return self._detect_in_windows_importance(
+            window_duration, offsets, has_pulse, mean_photons, start_time, importance
+        )
+
+    def _batch_offsets(
+        self, window_duration: float, photon_offsets: np.ndarray, start_time: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Validated float pulse offsets of a batch pass, and which windows carry a pulse."""
         if window_duration <= 0:
             raise ValueError("window_duration must be positive")
         offsets = np.asarray(photon_offsets, dtype=float)
@@ -375,23 +396,22 @@ class SpadDevice:
             raise ValueError("photon_offsets must be one-dimensional")
         if self._last_fire_time is not None and start_time < self._last_fire_time:
             raise ValueError("cannot start a batch before the last avalanche")
-        count = offsets.size
-        if count == 0:
-            if importance is not None:
-                return np.empty(0), np.empty(0, dtype=np.int8), np.empty(0)
-            return np.empty(0), np.empty(0, dtype=np.int8)
         has_pulse = ~np.isnan(offsets)
         if np.any((offsets[has_pulse] < 0) | (offsets[has_pulse] >= window_duration)):
             raise ValueError("photon offsets must lie inside the window")
-        if importance is not None:
-            return self._detect_in_windows_importance(
-                window_duration, offsets, has_pulse, mean_photons, start_time, importance
-            )
+        return offsets, has_pulse
 
+    def _draw_windows(
+        self, offsets: np.ndarray, has_pulse: np.ndarray, mean_photons: float, duration: float
+    ) -> Tuple[np.ndarray, ...]:
+        """This device's pre-drawn window randomness, one bulk draw per physical process.
+
+        Returns ``(photon_rel, photon_valid, dark_rel, dark_counts,
+        trap_filled, trap_release)`` in the scan's input layout, with the
+        dark counts per window instead of their CSR bounds.
+        """
         rng = self._random.generator
-        duration = float(window_duration)
-
-        # Pre-drawn randomness (one bulk draw per physical process).
+        count = offsets.size
         p_detect = self.detection_probability_for_photons(mean_photons)
         detected = (rng.random(count) < p_detect) & has_pulse
         jitter = self.jitter.sample_array(self._random, count)
@@ -401,38 +421,16 @@ class SpadDevice:
         dark_rate = self.dark_counts.rate(self.config.temperature, self.config.excess_bias)
         dark_counts = rng.poisson(dark_rate * duration, count)
         dark_rel = rng.uniform(0.0, duration, int(dark_counts.sum()))
-        dark_bounds = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(dark_counts, out=dark_bounds[1:])
 
         trap_filled = rng.random(count) < self.afterpulsing.probability
         trap_release = rng.exponential(self.afterpulsing.time_constant, count)
+        return photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, trap_release
 
-        # Sequential-dependency scan, dispatched through the kernel layer.
-        # Optional state crosses the boundary as float sentinels: last fire
-        # ``None`` -> -inf (armed since forever), pending afterpulse ``None``
-        # -> +inf (never) — see ``repro.kernels.reference``.
-        last_fire = -inf if self._last_fire_time is None else self._last_fire_time
-        pending = inf if self._pending_afterpulse is None else self._pending_afterpulse
-        out_times, out_origins, last_fire, pending = get_kernel(kernel).scan_windows(
-            photon_rel,
-            photon_valid,
-            dark_rel,
-            dark_bounds,
-            trap_filled,
-            trap_release,
-            self.quenching.dead_time,
-            self.quenching.effective_gate_recovery,
-            duration,
-            float(start_time),
-            last_fire,
-            pending,
-        )
-
-        # Persist the carry-over state for chained batches / scalar calls.
+    def _keep_state(self, last_fire: float, pending: float) -> None:
+        """Persist a scan's carry-over state (kernel sentinels) for chained calls."""
         self._last_fire_time = None if isinf(last_fire) else last_fire
         self._pending_afterpulse = None if isinf(pending) else pending
         self._rearmed_at = None
-        return out_times, out_origins
 
     def _detect_in_windows_importance(
         self,
@@ -568,9 +566,7 @@ class SpadDevice:
                 out_origins.append(ORIGIN_CODE_MISSED)
             out_weights.append(running)
 
-        self._last_fire_time = None if isinf(last_fire) else last_fire
-        self._pending_afterpulse = pending
-        self._rearmed_at = None
+        self._keep_state(last_fire, inf if pending is None else pending)
         return (
             np.asarray(out_times, dtype=float),
             np.asarray(out_origins, dtype=np.int8),
@@ -587,3 +583,84 @@ class SpadDevice:
             f"SpadDevice(pdp={self.detection_probability:.2f}, "
             f"dead_time={self.dead_time:.1e}s, dcr={self.dark_count_rate:.0f}cps)"
         )
+
+
+def detect_in_segments(
+    devices: Sequence[SpadDevice],
+    window_duration: float,
+    photon_offsets: np.ndarray,
+    segment_starts: Sequence[int],
+    mean_photons: Sequence[float],
+    start_time: float = 0.0,
+    kernel: Optional[str] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The naive batch pass of G devices, back to back in one segmented scan.
+
+    Device ``g`` detects the windows of ``photon_offsets`` from
+    ``segment_starts[g]`` up to the next start at ``mean_photons[g]``, its
+    windows starting at ``start_time`` as in
+    :meth:`SpadDevice.detect_in_windows`.  Each device draws its arrays from
+    its own stream, in the order and sizes of a call of its own, and one
+    kernel ``scan_windows`` call with the segment starts resolves every
+    segment and returns each one's final state, so the results and every
+    device's state equal G separate :meth:`~SpadDevice.detect_in_windows`
+    calls bit for bit.  The devices share one quenching circuit (one scan
+    has one dead time).  The first device may carry detector state in; the
+    others must be fresh (armed, no trap pending), as the segmented scan
+    starts them.  G = 1 is :meth:`SpadDevice.detect_in_windows` without
+    importance sampling.
+
+    Returns ``(times, origins)`` over all windows, segment-major.
+    """
+    first = devices[0]
+    offsets, has_pulse = first._batch_offsets(window_duration, photon_offsets, start_time)
+    count = offsets.size
+    if count == 0 and len(devices) == 1:
+        return np.empty(0), np.empty(0, dtype=np.int8)
+    starts = check_segments(segment_starts, count).tolist()
+    if len(starts) != len(devices) or len(mean_photons) != len(devices):
+        raise ValueError("need one segment start and one photon budget per device")
+    for device in devices[1:]:
+        if device.quenching != first.quenching:
+            raise ValueError("the devices of one pass must share one quenching circuit")
+        if device._last_fire_time is not None or device._pending_afterpulse is not None:
+            raise ValueError("only the first device may carry detector state into the pass")
+    duration = float(window_duration)
+    bounds = starts + [count]
+    draws = [
+        device._draw_windows(offsets[lo:hi], has_pulse[lo:hi], photons, duration)
+        for device, photons, lo, hi in zip(devices, mean_photons, bounds, bounds[1:])
+    ]
+    photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, trap_release = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*draws)
+    )
+    dark_bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(dark_counts, out=dark_bounds[1:])
+
+    # Optional state crosses the kernel boundary as float sentinels: last
+    # fire ``None`` -> -inf (armed since forever), pending afterpulse
+    # ``None`` -> +inf (never) — see ``repro.kernels.reference``.
+    last_fire = -inf if first._last_fire_time is None else first._last_fire_time
+    pending = inf if first._pending_afterpulse is None else first._pending_afterpulse
+    segments = starts if len(devices) > 1 else None  # one device: the plain scan
+    out_times, out_origins, last_fire, pending = get_kernel(kernel).scan_windows(
+        photon_rel,
+        photon_valid,
+        dark_rel,
+        dark_bounds,
+        trap_filled,
+        trap_release,
+        first.quenching.dead_time,
+        first.quenching.effective_gate_recovery,
+        duration,
+        float(start_time),
+        last_fire,
+        pending,
+        segments,
+    )
+    if segments is None:
+        first._keep_state(last_fire, pending)
+    else:
+        for device, end_fire, end_pending in zip(devices, last_fire.tolist(), pending.tolist()):
+            device._keep_state(end_fire, end_pending)
+    return out_times, out_origins

@@ -71,7 +71,7 @@ class JitterModel:
         ``numpy.random.Generator`` (the multichannel batch pass hands the
         bulk generator straight through); ``size`` is an int or a shape tuple.
         """
-        if np.prod(size) < 0 or (np.isscalar(size) and size < 0):
+        if any(dim < 0 for dim in ((size,) if np.isscalar(size) else size)):
             raise ValueError("size must be non-negative")
         rng = random_source.generator if isinstance(random_source, RandomSource) else random_source
         core = rng.normal(0.0, self.sigma, size)

@@ -11,9 +11,18 @@ import pytest
 from repro.analysis.units import NS, PS
 from repro.core.ber import monte_carlo_bit_error_rate
 from repro.core.config import LinkConfig
-from repro.core.fastlink import FastOpticalLink
+from repro.core.fastlink import FastOpticalLink, transmit_segments
 from repro.core.link import OpticalLink, TransmissionResult
-from repro.spad.device import ORIGIN_BY_CODE
+from repro.core.throughput import TdcDesign
+from repro.simulation.randomness import RandomSource
+from repro.spad.afterpulsing import AfterpulsingModel
+from repro.spad.device import (
+    ORIGIN_BY_CODE,
+    ImportanceSettings,
+    SpadDevice,
+    detect_in_segments,
+)
+from repro.spad.quenching import QuenchingCircuit
 
 
 MODERATE = LinkConfig(ppm_bits=4, mean_detected_photons=5.0)
@@ -187,3 +196,118 @@ class TestSpadBatchWindows:
             32 * NS, np.array([1.0 * NS]), mean_photons=200.0, start_time=1e-6
         )
         assert times.size == 1
+
+
+def _state(device):
+    return device._last_fire_time, device._pending_afterpulse
+
+
+class TestSegmentedPass:
+    """One pass over G links or devices equals G calls of their own, bit for bit."""
+
+    BUDGETS = (2.0, 6.0, 40.0, 0.5, 300.0)
+    SYMBOLS = (1, 37, 12, 64, 3)
+
+    def links(self):
+        # Link 2's TDC spans only half the data slots, so its decode differs
+        # from the others': a pass that decoded a segment on another link's
+        # TDC would show.
+        short_range = TdcDesign(fine_elements=64, coarse_bits=0, element_delay=62.5 * PS)
+        return [
+            FastOpticalLink(
+                LinkConfig(
+                    ppm_bits=4,
+                    mean_detected_photons=photons,
+                    tdc_design=short_range if index == 2 else None,
+                ),
+                seed=index,
+            )
+            for index, photons in enumerate(self.BUDGETS)
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_transmit_segments_equals_one_transmit_per_link(self, seed):
+        rng = np.random.default_rng(seed)
+        payloads = [rng.integers(0, 2, 4 * count).astype(np.uint8) for count in self.SYMBOLS]
+        links, twins = self.links(), self.links()
+        for link, twin in zip(links, twins):  # state from an earlier call is reset
+            link.transmit_bits([1, 0, 1, 1])
+            twin.transmit_bits([1, 0, 1, 1])
+        starts = np.cumsum((0,) + self.SYMBOLS[:-1])
+        sent = transmit_segments(links, np.concatenate(payloads), starts)
+        expected = [twin.transmit_bits(bits) for twin, bits in zip(twins, payloads)]
+        assert np.array_equal(
+            sent.received_bits, np.concatenate([result.received_bits for result in expected])
+        )
+        bounds = np.append(starts, sum(self.SYMBOLS))
+        for link, twin, result, lo, hi in zip(links, twins, expected, bounds, bounds[1:]):
+            assert np.count_nonzero(sent.decoded[lo:hi] != sent.values[lo:hi]) == (
+                result.symbol_errors
+            )
+            assert _state(link.spad) == _state(twin.spad)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_detect_in_segments_leaves_every_device_where_its_own_call_would(self, seed):
+        # Frequent, slow afterpulses, so segments end with a release pending,
+        # consumed, or set in their last window.  The first device carries
+        # a fire in from an earlier batch, on odd seeds with a release
+        # pending past its dim two-window segment.
+        def devices():
+            return [
+                SpadDevice(
+                    afterpulsing=AfterpulsingModel(probability=0.6, time_constant=150 * NS),
+                    random_source=RandomSource(seed * 10 + index),
+                )
+                for index in range(5)
+            ]
+
+        duration = 40 * NS
+        grouped, separate = devices(), devices()
+        for device in (grouped[0], separate[0]):
+            device.detect_in_windows(duration, np.full(3, 5 * NS), mean_photons=30.0)
+            if seed % 2:
+                device._pending_afterpulse = 8 * duration
+        rng = np.random.default_rng(seed)
+        counts = [2, 1, 9, 2, 6]
+        offsets = rng.uniform(0.0, duration, sum(counts))
+        offsets[rng.random(offsets.size) < 0.3] = np.nan
+        photons = [0.05, 0.2, 5.0, 80.0, 1.0]
+        start = 3 * duration
+        starts = np.cumsum([0] + counts[:-1])
+        times, origins = detect_in_segments(
+            grouped, duration, offsets, starts, photons, start_time=start
+        )
+        bounds = np.append(starts, offsets.size)
+        for number, (device, lo, hi) in enumerate(zip(separate, bounds, bounds[1:])):
+            own_times, own_origins = device.detect_in_windows(
+                duration, offsets[lo:hi], photons[number], start_time=start
+            )
+            assert np.array_equal(times[lo:hi], own_times, equal_nan=True)
+            assert np.array_equal(origins[lo:hi], own_origins)
+            assert _state(grouped[number]) == _state(device)
+
+    def test_rejects_what_one_pass_cannot_share(self):
+        bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        link = FastOpticalLink(MODERATE, seed=1)
+        wider = FastOpticalLink(LinkConfig(ppm_bits=4, slot_duration=2 * NS), seed=2)
+        with pytest.raises(ValueError, match="slot grid"):
+            transmit_segments([link, wider], bits, [0, 1])
+        rare = FastOpticalLink(MODERATE, seed=3, importance=ImportanceSettings())
+        with pytest.raises(ValueError, match="naively"):
+            transmit_segments([link, rare], bits, [0, 1])
+        with pytest.raises(ValueError, match="segment"):
+            transmit_segments([link, FastOpticalLink(MODERATE, seed=4)], bits, [0, 2])
+
+        offsets = np.full(4, 1 * NS)
+        fresh = SpadDevice(random_source=RandomSource(1))
+        slower = SpadDevice(
+            quenching=QuenchingCircuit(dead_time=64 * NS), random_source=RandomSource(2)
+        )
+        with pytest.raises(ValueError, match="quenching"):
+            detect_in_segments([fresh, slower], 40 * NS, offsets, [0, 2], [5.0, 5.0])
+        fired = SpadDevice(random_source=RandomSource(3))
+        fired.detect_in_windows(40 * NS, offsets, mean_photons=500.0)
+        with pytest.raises(ValueError, match="carry detector state"):
+            detect_in_segments([fresh, fired], 40 * NS, offsets, [0, 2], [5.0, 5.0])
+        with pytest.raises(ValueError, match="one photon budget per device"):
+            detect_in_segments([fresh], 40 * NS, offsets, [0], [5.0, 5.0])

@@ -204,6 +204,136 @@ class TestScanBitIdentity:
             assert result[1:] == reference_result[1:], name
 
 
+def _scan_args(inputs):
+    return (
+        inputs["photon_rel"], inputs["photon_valid"],
+        inputs["dark_rel"], inputs["dark_bounds"],
+        inputs["trap_filled"], inputs["trap_release"],
+        DEAD_TIME, GATE_RECOVERY, DURATION,
+    )
+
+
+def _scan_per_segment(inputs, starts, base=0.0, last_fire=-np.inf, pending=np.inf):
+    """The oracle of a segmented scan: one reference call per segment, concatenated.
+
+    Each later segment starts a fresh device (armed, no trap pending) with
+    its window clock back at ``base``; the carried-in state is the first's.
+    Returns every segment's final state.
+    """
+    bounds = list(starts) + [inputs["photon_rel"].size]
+    times, origins, fires, pendings = [], [], [], []
+    for number, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if number:
+            last_fire, pending = -np.inf, np.inf
+        dark = inputs["dark_bounds"][lo : hi + 1]
+        segment_times, segment_origins, last_fire, pending = reference.scan_windows(
+            inputs["photon_rel"][lo:hi], inputs["photon_valid"][lo:hi],
+            inputs["dark_rel"][dark[0] : dark[-1]], dark - dark[0],
+            inputs["trap_filled"][lo:hi], inputs["trap_release"][lo:hi],
+            DEAD_TIME, GATE_RECOVERY, DURATION, base, last_fire, pending,
+        )
+        times.append(segment_times)
+        origins.append(segment_origins)
+        fires.append(last_fire)
+        pendings.append(pending)
+    return np.concatenate(times), np.concatenate(origins), fires, pendings
+
+
+def _quiet_inputs(windows):
+    """Scan inputs with no photon, no dark count and every trap filled."""
+    return {
+        "photon_rel": np.full(windows, 0.5 * DURATION),
+        "photon_valid": np.zeros(windows, dtype=bool),
+        "dark_rel": np.empty(0),
+        "dark_bounds": np.zeros(windows + 1, dtype=np.int64),
+        "trap_filled": np.ones(windows, dtype=bool),
+        "trap_release": np.full(windows, 0.8 * DURATION),
+    }
+
+
+class TestSegmentedScan:
+    """``scan_windows(..., segments)`` is one scan call per segment, back to back."""
+
+    def assert_matches_oracle(self, inputs, starts, base=0.0, last_fire=-np.inf, pending=np.inf):
+        expected = _scan_per_segment(inputs, starts, base, last_fire, pending)
+        for name in available_kernels():
+            times, origins, fire, left = get_kernel(name).scan_windows(
+                *_scan_args(inputs), base, last_fire, pending, np.asarray(starts)
+            )
+            assert np.array_equal(times, expected[0], equal_nan=True), name
+            assert np.array_equal(origins, expected[1]), name
+            assert (fire.tolist(), left.tolist()) == expected[2:], name
+        return expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_segments_match_one_reference_call_each(self, seed):
+        rng = np.random.default_rng(seed)
+        inputs = _scan_inputs(rng)
+        later = rng.choice(np.arange(1, 400), size=int(rng.integers(1, 40)), replace=False)
+        starts = np.concatenate([[0], np.sort(later)])
+        self.assert_matches_oracle(inputs, starts, base=seed * 7 * DURATION)
+        # One segment from window 0 is the unsegmented scan, bit for bit.
+        for name in available_kernels():
+            plain = get_kernel(name).scan_windows(*_scan_args(inputs), 0.0, -np.inf, np.inf)
+            single = get_kernel(name).scan_windows(
+                *_scan_args(inputs), 0.0, -np.inf, np.inf, [0]
+            )
+            assert np.array_equal(plain[0], single[0], equal_nan=True), name
+            assert np.array_equal(plain[1], single[1]), name
+            assert plain[2:] == (single[2][0], single[3][0]), name
+
+    def test_one_window_segments(self):
+        inputs = _scan_inputs(np.random.default_rng(21), windows=12)
+        self.assert_matches_oracle(inputs, [0, 1, 2, 5, 6, 11])
+
+    def test_trap_release_past_a_segment_boundary_stays_behind(self):
+        # Segment 0 (windows 0-2) fires only in its last window, at 2.5 T, and
+        # traps a release at 3.3 T: past the segment's end, where the next
+        # segment's restarted clock has a window [3 T, 4 T) of its own.
+        inputs = _quiet_inputs(7)
+        inputs["photon_valid"][2] = True
+        unsegmented = reference.scan_windows(*_scan_args(inputs), 0.0, -np.inf, np.inf)
+        assert unsegmented[1][3] == 2  # one device: the release fires in window 3
+        times, origins, fires, pendings = self.assert_matches_oracle(inputs, [0, 3])
+        assert origins.tolist() == [-1, -1, 0, -1, -1, -1, -1]
+        # The release stays pending on the first device and never reaches
+        # the second.
+        assert fires == [times[2], -np.inf]
+        assert pendings == [times[2] + 0.8 * DURATION, np.inf]
+
+    @pytest.mark.parametrize(
+        "last_fire, pending, first_origin",
+        [(-0.05 * DURATION, np.inf, -1), (-np.inf, 0.1 * DURATION, 2)],
+        ids=["dead-time", "pending-afterpulse"],
+    )
+    def test_carried_in_state_applies_to_the_first_segment_only(
+        self, last_fire, pending, first_origin
+    ):
+        # A photon at 0.2 T opens both segments.  A fire just before the scan
+        # holds the first segment's detector dead past it; a pending release
+        # at 0.1 T fires ahead of it.  Neither reaches the second segment,
+        # whose device is fresh and sees its photon.
+        inputs = _quiet_inputs(6)
+        inputs["trap_filled"][:] = False
+        inputs["photon_rel"][:] = 0.2 * DURATION
+        inputs["photon_valid"][[0, 3]] = True
+        _, origins, _, _ = self.assert_matches_oracle(inputs, [0, 3], 0.0, last_fire, pending)
+        assert (origins[0], origins[3]) == (first_origin, 0)
+
+    @pytest.mark.parametrize(
+        "segments",
+        [[], [1, 4], [0, 0, 4], [0, 5, 3], [0, 12], [[0, 4]], [0.0, 4.0], [False, True]],
+        ids=repr,
+    )
+    def test_malformed_segments_are_rejected(self, segments):
+        inputs = _scan_inputs(np.random.default_rng(2), windows=12)
+        for name in available_kernels():
+            with pytest.raises(ValueError, match="segment"):
+                get_kernel(name).scan_windows(
+                    *_scan_args(inputs), 0.0, -np.inf, np.inf, np.asarray(segments)
+                )
+
+
 class TestResolveBitIdentity:
     @pytest.mark.parametrize("seed", range(3))
     def test_native_resolvers_match_the_reference(self, seed):

@@ -191,6 +191,61 @@ class TestScalarBatchEquivalence:
         assert bus.link_seed(0, 7919) != bus.link_seed(1, 0)
 
 
+def per_group_bit_errors(bus: OpticalBus, groups) -> list:
+    """The unicast flush before the epoch pass: one link call per group.
+
+    Each ``(source, destination)`` group of an epoch went through its own
+    link's ``transmit_bits`` with its packets' padded bits concatenated,
+    and each packet counted the mismatches over its own bits.
+    """
+    k = bus.config.ppm_bits
+    errors = []
+    for (source, destination), entries in groups.items():
+        link = bus._link_for(source, destination)
+        result = link.transmit_bits(
+            np.concatenate([entry.packet.padded_bits(k) for entry in entries])
+        )
+        mismatches = result.transmitted_bits != result.received_bits
+        cursor = 0
+        for entry in entries:
+            errors.append(int(mismatches[cursor : cursor + entry.packet.total_bits].sum()))
+            cursor += entry.packet.symbol_count(k) * k
+    return errors
+
+
+class TestEpochPass:
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    def test_every_packet_gets_the_errors_of_one_call_per_group(self, seed, monkeypatch):
+        # A dim span, mixed packet lengths and broadcasts in between: the
+        # one segmented pass per epoch must give every packet exactly the
+        # bit errors the per-group calls gave.
+        def run(per_group: bool):
+            bus = OpticalBus(
+                small_topology(5), config=CONFIG, emitted_photons=80.0, seed=seed,
+                epoch_packets=16,
+            )
+            if per_group:
+                monkeypatch.setattr(
+                    bus, "_unicast_bit_errors", lambda groups: per_group_bit_errors(bus, groups)
+                )
+            rng = np.random.default_rng(seed)
+            for index in range(120):
+                source = index % 5
+                destination = 255 if index % 13 == 0 else (source + 1 + index % 4) % 5
+                payload = rng.integers(0, 2, int(rng.integers(1, 90))).tolist()
+                bus.offer(Packet(source, destination, payload, index), arrival_slot=2 * index)
+            bus.run(max_slots=100_000)
+            return [
+                (o.packet.sequence, o.bit_errors, o.delivered, dict(o.receiver_errors))
+                for o in bus.outcomes
+            ], bus.statistics
+
+        (epoch_pass, epoch_stats), (per_group, group_stats) = run(False), run(True)
+        assert epoch_pass == per_group
+        assert epoch_stats == group_stats
+        assert 0 < epoch_stats.bit_errors and 0 < epoch_stats.packets_delivered
+
+
 class TestBroadcastEquivalence:
     def coverage_counts(self, backend, seeds=range(6), photons=3_000.0):
         delivered = receivers = 0

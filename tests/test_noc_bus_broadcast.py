@@ -71,6 +71,14 @@ class TestOpticalBus:
         with pytest.raises(ValueError):
             bus.run(max_slots=0)
 
+    @pytest.mark.parametrize("arrival", [2.5, True], ids=repr)
+    def test_offer_rejects_a_non_integer_arrival_slot(self, small_topology, link_config, arrival):
+        # 2.5 used to be granted slot 2, half a slot before it arrived.
+        bus = OpticalBus(small_topology, config=link_config)
+        with pytest.raises(ValueError, match="arrival slot must be an integer"):
+            bus.offer(Packet(source=0, destination=1, payload=[1, 0]), arrival_slot=arrival)
+        assert bus.statistics.packets_offered == 0
+
 
 class TestBroadcast:
     def test_bright_broadcast_reaches_every_die(self, small_topology, link_config):

@@ -40,6 +40,27 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet.deserialize([0, 1, 0])
 
+    @pytest.mark.parametrize("field", ["source", "destination", "sequence"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, np.True_, "2"], ids=repr)
+    def test_addresses_and_sequence_must_be_integers(self, field, value):
+        # A fractional source used to construct and fail late inside the bus
+        # flush; a bool was taken as node 1.
+        fields = {"source": 1, "destination": 2, "payload": [1, 0, 1, 1], field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Packet(**fields)
+
+    def test_numpy_integers_are_accepted(self):
+        packet = Packet(
+            source=np.int64(1), destination=np.uint8(2), payload=[1, 0], sequence=np.int32(3)
+        )
+        assert Packet.deserialize(packet.serialize()) == Packet(1, 2, [1, 0], 3)
+
+    def test_padded_bits_is_a_uint8_array_of_whole_symbols(self):
+        packet = Packet(source=3, destination=7, payload=[1, 0, 1], sequence=42)
+        padded = packet.padded_bits(4)
+        assert padded.dtype == np.uint8 and padded.size == 36
+        assert padded[:35].tolist() == packet.serialize() and padded[35] == 0
+
     @pytest.mark.parametrize(
         "bit", [0.5, -1, float("nan"), "1", None, [0]], ids=repr
     )
@@ -187,3 +208,19 @@ class TestRoundRobinArbiter:
             RoundRobinArbiter(node_count=0)
         with pytest.raises(ValueError):
             RoundRobinArbiter(node_count=1).request(5, "x")
+
+    @pytest.mark.parametrize("arrival", [2.5, 2.0, True, None], ids=repr)
+    def test_arrival_slot_must_be_an_integer(self, arrival):
+        # A fractional slot was granted before it arrived; True was slot 1.
+        with pytest.raises(ValueError, match="arrival slot must be an integer"):
+            RoundRobinArbiter(node_count=2).request(0, "x", arrival=arrival)
+
+    @pytest.mark.parametrize("node", [1.0, True], ids=repr)
+    def test_node_must_be_an_integer(self, node):
+        with pytest.raises(ValueError, match="node must be an integer"):
+            RoundRobinArbiter(node_count=2).request(node, "x")
+
+    def test_numpy_integer_node_and_arrival_are_accepted(self):
+        arbiter = RoundRobinArbiter(node_count=2)
+        arbiter.request(np.int64(1), "x", arrival=np.int32(4))
+        assert arbiter.next_arrival() == 4 and arbiter.grant(slot=4) == (1, "x")
