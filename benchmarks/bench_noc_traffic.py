@@ -3,12 +3,16 @@
 Times the refactored NoC layer on the workload the experiment layer actually
 executes for ``noc-*`` scenarios: :class:`repro.simulation.montecarlo.
 NocTrafficTrial` chunks of uniform-traffic packets drained through the slotted
-:class:`~repro.noc.bus.OpticalBus`.  The batched path accumulates an epoch of
-arbiter grants and sends all of the epoch's ``(source, destination)`` groups
+:class:`~repro.noc.bus.OpticalBus`.  Both sides run from the bus's traffic
+table: the trial offers its drawn arrays with one
+:meth:`~repro.noc.bus.OpticalBus.offer_many`, and the arbitration, the
+epochs and the recorded outcomes are array passes over the table's rows.
+The batched path sends all of an epoch's ``(source, destination)`` groups
 in one segmented pass (:func:`repro.core.fastlink.transmit_segments`), each
-group a segment on its own ``"batch"`` link (broadcast would be one
-``(S, C)`` multichannel pass); the baseline is the same arbitration driving
-the scalar engine one packet at a time — the pre-refactor slot loop.
+group a segment on its own ``"batch"`` link and its padded bits one gather
+from the table's buffer (broadcast would be one ``(S, C)`` multichannel
+pass); the baseline is the same arbitration driving the scalar engine one
+packet at a time — the pre-refactor slot loop.
 
 Both paths are constructed through :func:`repro.core.backend.make_link` and
 are statistically equivalent by the backend contract (locked by

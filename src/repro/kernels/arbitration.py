@@ -1,9 +1,10 @@
 """Round-robin arbitration of one bus run: the exact sequential walk.
 
 :func:`round_robin_schedule` computes every grant of one
-:meth:`~repro.noc.bus.OpticalBus.run` call from a snapshot of the arbiter's
-queues (:meth:`~repro.noc.arbitration.RoundRobinArbiter.snapshot`).  It is the
-one arbitration path of every kernel tier.  It issues exactly the grants
+:meth:`~repro.noc.bus.OpticalBus.run` call from a snapshot of the queued
+traffic in the CSR layout of
+:meth:`~repro.noc.arbitration.RoundRobinArbiter.snapshot`.  It is the one
+arbitration path of every kernel tier.  It issues exactly the grants
 repeated :meth:`~repro.noc.arbitration.RoundRobinArbiter.grant` calls issue:
 the same start slots, the same final slot clock and the same rotation
 pointer.  Arbitration fixes slot assignments and latencies, so the walk is

@@ -3,7 +3,10 @@
 The optical bus is a shared broadcast medium: every die's SPAD sees every
 pulse, so only one transmitter may own a symbol slot at a time.
 :class:`RoundRobinArbiter` is a work-conserving round-robin over the dies
-that actually have pending packets.
+that actually have pending packets.  The bus arbitrates its traffic table
+with the kernels' exact walk (:func:`repro.kernels.round_robin_schedule`);
+this class, granting one request at a time, is the oracle
+``tests/test_kernels.py`` checks that walk against.
 """
 
 from __future__ import annotations

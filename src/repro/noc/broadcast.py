@@ -48,17 +48,22 @@ def tile_symbols_for_receivers(
 
 
 def per_receiver_bit_errors(
-    mismatches: np.ndarray, channels: int, payload_bits: int
+    mismatches: np.ndarray, channels: int, starts: np.ndarray, payload_bits: np.ndarray
 ) -> np.ndarray:
-    """Per-receiver error counts of one tiled broadcast transmission.
+    """Per-packet, per-receiver error counts of one tiled broadcast transmission.
 
     ``mismatches`` is the ``(rows, channels, ppm_bits)`` boolean sent/received
-    disagreement array of a :func:`tile_symbols_for_receivers` payload;
-    counting is restricted to each receiver's first ``payload_bits`` bits
-    (the zero-padding of the final partial symbol is excluded).
+    disagreement array of a :func:`tile_symbols_for_receivers` payload of
+    packets back to back: packet ``p``'s padded bits start at bit
+    ``starts[p]`` of the untiled payload and carry ``payload_bits[p]`` bits.
+    Returns ``(packets, channels)`` counts, each restricted to the packet's
+    own bits (the zero-padding of its final partial symbol is excluded), as
+    differences of one cumulative sum per receiver.
     """
     per_receiver = mismatches.transpose(1, 0, 2).reshape(channels, -1)
-    return per_receiver[:, :payload_bits].sum(axis=1)
+    counts = np.zeros((channels, per_receiver.shape[1] + 1), dtype=np.int64)
+    np.cumsum(per_receiver, axis=1, out=counts[:, 1:])
+    return (counts[:, starts + payload_bits] - counts[:, starts]).T
 
 
 @dataclass
@@ -132,7 +137,9 @@ def broadcast(
         mismatches = (
             np.asarray(outcome.transmitted_bits) != np.asarray(outcome.received_bits)
         ).reshape(-1, channels, k)
-        errors_per_receiver = per_receiver_bit_errors(mismatches, channels, len(bits))
+        errors_per_receiver = per_receiver_bit_errors(
+            mismatches, channels, np.array([0]), np.array([len(bits)])
+        )[0]
         for node, errors in zip(receivers, errors_per_receiver):
             result.receivers[node] = int(errors) == 0
             result.bit_errors[node] = int(errors)

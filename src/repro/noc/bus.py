@@ -4,20 +4,30 @@ A shared, time-slotted optical medium spanning the die stack: in each symbol
 slot the arbiter grants one transmitter, whose micro-LED pulse is seen by the
 SPAD of every other die (broadcast by construction).  The bus model is
 behavioural — PPM transmission through the link model of each span with the
-correct stack attenuation, plus queueing/latency statistics — but the slot
-loop is *batch-first*: arbitration accumulates an **epoch** of grants
-(packet, source, destination, slot span), and on the ``"batch"`` backend
-every unicast ``(source, destination)`` group of the epoch is one segment
-of **one** pass (:func:`repro.core.fastlink.transmit_segments`): one PPM
-encode, one segmented detection over the groups' devices, one decode per
-group on its own link's TDC.  Each group keeps its own link, built through
-the backend registry (:func:`repro.core.backend.make_link`), and its own
-random stream, so every packet gets the bit errors one call per group
-would give; each packet's count is read from one cumulative sum over the
-epoch's mismatches.  Other batch backends send one call per group.
-Broadcast packets go further: all receiving dies of a slot are one
-``(S, C)`` pass on the ``"multichannel"`` backend, with per-receiver stack
-attenuations as channel gains.
+correct stack attenuation, plus queueing/latency statistics.
+
+The bus carries its traffic as one :class:`TrafficTable`: one row per
+offered packet (source, destination, sequence number, arrival slot, bit
+count), with every packet's serialized bits zero-padded to whole PPM symbols
+in one ``uint8`` buffer.  :meth:`OpticalBus.offer_many` appends a whole
+traffic draw at once; :meth:`OpticalBus.offer` is its one-row case.
+
+:meth:`OpticalBus.run` arbitrates the queued rows with one kernel call and
+then flushes the grants in **epochs** of ``epoch_packets`` rows.  On the
+``"batch"`` backend every unicast ``(source, destination)`` group of an
+epoch is one segment of **one** pass
+(:func:`repro.core.fastlink.transmit_segments`): one PPM encode, one
+segmented detection over the groups' devices, one decode per group on its
+own link's TDC.  Each group keeps its own link, built through the backend
+registry (:func:`repro.core.backend.make_link`), and its own random stream,
+so every packet gets the bit errors one call per group would give.  Other
+batch backends send one call per group.  Broadcast packets go further: all
+receiving dies of a slot are one ``(S, C)`` pass on the ``"multichannel"``
+backend, with per-receiver stack attenuations as channel gains.  Outcomes —
+slots, bit errors, delivery, latency, a broadcast's receiver split — are
+columns of the table, and the statistics are updated once per epoch;
+:attr:`OpticalBus.outcomes` builds :class:`PacketOutcome` objects from the
+columns only when asked.
 
 Arbitration — and therefore every slot assignment and latency — is identical
 whatever the backend; only the error statistics are stochastic, and those are
@@ -32,8 +42,10 @@ Per-link seeds follow the central seed-derivation policy
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from numbers import Integral
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,9 +53,9 @@ from repro.core.backend import backend_capabilities, make_link, resolve_backend
 from repro.core.config import LinkConfig
 from repro.core.fastlink import transmit_segments
 from repro.kernels import get_kernel
-from repro.noc.arbitration import RoundRobinArbiter
+from repro.modulation.symbols import ints_to_bit_matrix
 from repro.noc.broadcast import per_receiver_bit_errors, tile_symbols_for_receivers
-from repro.noc.packet import Packet
+from repro.noc.packet import Packet, check_payload_bits
 from repro.noc.topology import StackTopology
 from repro.simulation.randomness import split_seed
 
@@ -124,15 +136,187 @@ class PacketOutcome:
     receiver_errors: Mapping[int, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _Grant:
-    """One arbiter grant of an epoch, with its slot span fixed."""
+@dataclass(eq=False)  # columns are arrays: compare them, not tables
+class TrafficTable:
+    """The bus's traffic: one row per offered packet, in offer order.
 
-    packet: Packet
-    source: int
-    arrival_slot: int
-    start_slot: int
-    end_slot: int
+    The offered columns are ``source``, ``destination``, ``sequence``,
+    ``arrival`` (slot), ``bits`` (header + payload) and ``symbols`` (PPM
+    symbols, hence slots, the packet occupies).  Row ``i``'s serialized bits
+    — header (destination, source, sequence, big-endian) then payload,
+    zero-padded to whole symbols — are
+    ``buffer[offset[i]:offset[i] + symbols[i] * ppm_bits]``.  The outcome
+    columns fill in as the bus grants and records rows: ``start`` and
+    ``end`` slots (``-1`` while queued), ``bit_errors``, ``delivered``,
+    ``latency`` in seconds (NaN until recorded) and, on broadcast rows,
+    ``receiver_errors`` (receiver node to bit errors; ``None`` elsewhere).
+    """
+
+    ppm_bits: int
+    source: np.ndarray
+    destination: np.ndarray
+    sequence: np.ndarray
+    arrival: np.ndarray
+    bits: np.ndarray
+    symbols: np.ndarray
+    offset: np.ndarray
+    buffer: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    bit_errors: np.ndarray
+    delivered: np.ndarray
+    latency: np.ndarray
+    receiver_errors: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        ppm_bits: int,
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        sequences: np.ndarray,
+        arrivals: np.ndarray,
+        payload_bits: np.ndarray,
+        lengths: np.ndarray,
+    ) -> "TrafficTable":
+        """Queued rows of checked columns; ``payload_bits`` holds every
+        payload's bits back to back, ``lengths`` their sizes."""
+        rows = sources.size
+        header = Packet.header_bit_count()
+        bits = header + lengths
+        symbols = -(-bits // ppm_bits)
+        widths = symbols * ppm_bits
+        words = (destinations << Packet.ADDRESS_BITS | sources) << Packet.SEQUENCE_BITS
+        matrix = np.zeros((rows, int(widths.max(initial=header))), dtype=np.uint8)
+        matrix[:, :header] = ints_to_bit_matrix(words | sequences, header)
+        longest = int(lengths.max(initial=0))
+        payload = matrix[:, header : header + longest]
+        payload[np.arange(longest) < lengths[:, None]] = payload_bits
+        offset = np.zeros(rows, dtype=np.int64)
+        np.cumsum(widths[:-1], out=offset[1:])
+        return cls(
+            ppm_bits=ppm_bits,
+            source=sources,
+            destination=destinations,
+            sequence=sequences,
+            arrival=arrivals,
+            bits=bits,
+            symbols=symbols,
+            offset=offset,
+            buffer=matrix[np.arange(matrix.shape[1]) < widths[:, None]],
+            start=np.full(rows, -1, dtype=np.int64),
+            end=np.full(rows, -1, dtype=np.int64),
+            bit_errors=np.zeros(rows, dtype=np.int64),
+            delivered=np.zeros(rows, dtype=bool),
+            latency=np.full(rows, np.nan),
+            receiver_errors=np.full(rows, None, dtype=object),
+        )
+
+    @classmethod
+    def empty(cls, ppm_bits: int) -> "TrafficTable":
+        none = np.zeros(0, dtype=np.int64)
+        return cls.build(ppm_bits, none, none, none, none, none, none)
+
+    @classmethod
+    def concatenate(cls, tables: Sequence["TrafficTable"]) -> "TrafficTable":
+        """The rows of ``tables`` in order, in one table."""
+        shifts = np.cumsum([0] + [table.buffer.size for table in tables[:-1]])
+        columns = {
+            name: np.concatenate([getattr(table, name) for table in tables])
+            for name in (f.name for f in dataclasses.fields(cls))
+            if name not in ("ppm_bits", "offset")
+        }
+        offset = np.concatenate([table.offset + shift for table, shift in zip(tables, shifts)])
+        return cls(ppm_bits=tables[0].ppm_bits, offset=offset, **columns)
+
+    def padded(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows' padded bits back to back (one gather), and where each starts."""
+        widths = self.symbols[rows] * self.ppm_bits
+        ends = np.cumsum(widths)
+        starts = ends - widths
+        index = np.arange(ends[-1]) + np.repeat(self.offset[rows] - starts, widths)
+        return self.buffer[index], starts
+
+    def row_bits(self, row: int) -> np.ndarray:
+        """One row's serialized bits, without the symbol padding."""
+        return self.buffer[self.offset[row] : self.offset[row] + self.bits[row]]
+
+    def outcome(self, row: int) -> PacketOutcome:
+        """Row ``row`` as a :class:`PacketOutcome` (with its :class:`Packet`)."""
+        packet = Packet(
+            source=int(self.source[row]),
+            destination=int(self.destination[row]),
+            payload=self.row_bits(row)[Packet.header_bit_count() :].tolist(),
+            sequence=int(self.sequence[row]),
+        )
+        return PacketOutcome(
+            packet=packet,
+            source=packet.source,
+            destination=packet.destination,
+            arrival_slot=int(self.arrival[row]),
+            start_slot=int(self.start[row]),
+            end_slot=int(self.end[row]),
+            bit_errors=int(self.bit_errors[row]),
+            delivered=bool(self.delivered[row]),
+            latency=float(self.latency[row]),
+            receiver_errors=dict(self.receiver_errors[row] or {}),
+        )
+
+
+def _positive_count(name: str, value) -> int:
+    """``value`` as a positive int; a bool, a fraction or NaN raises."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return int(value)
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """A 1-D ``int64`` copy of ``values``; an element that is no integer raises.
+
+    An integer array needs no element check.  Anything else is checked
+    element by element as :class:`Packet` checks a field: a bool is an int
+    but no node, slot or sequence number, and a float is refused even when
+    whole.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        for value in values:
+            if type(value) is not int and not isinstance(value, np.integer):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} out of range") from None
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one value per packet")
+    return column
+
+
+def _payload_bits(payloads) -> Tuple[np.ndarray, np.ndarray]:
+    """Every payload's bits back to back, as booleans, and each payload's length.
+
+    A 2-D numeric array (one payload per row) is checked in one pass; any
+    other sequence of payloads one by one with :func:`check_payload_bits`,
+    the check of :class:`Packet`.
+    """
+    if isinstance(payloads, np.ndarray) and payloads.ndim == 2 and payloads.dtype.kind in "biufc":
+        rows, width = payloads.shape
+        if rows and not width:
+            raise ValueError("payload must be non-empty")
+        if not ((payloads == 0) | (payloads == 1)).all():
+            raise ValueError("payload bits must be 0 or 1")
+        return (payloads != 0).ravel(), np.full(rows, width, dtype=np.int64)
+    for payload in payloads:
+        check_payload_bits(payload)
+    lengths = np.array([len(payload) for payload in payloads], dtype=np.int64)
+    bits = [np.asarray(payload) != 0 for payload in payloads]
+    return np.concatenate(bits) if bits else np.zeros(0, dtype=bool), lengths
+
+
+def _groups(rows: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:
+    """``rows`` split wherever the (grouped) ``labels`` change."""
+    return np.split(rows, np.flatnonzero(np.diff(labels)) + 1) if rows.size else []
 
 
 class OpticalBus:
@@ -158,9 +342,9 @@ class OpticalBus:
         transmission per group; the ``"scalar"`` backend replays the legacy
         packet-at-a-time slot loop.
     epoch_packets:
-        Grants accumulated per epoch before a flush.  Any positive value
-        yields the same arbitration (hence the same slots and latencies);
-        larger epochs amortise more link work per transmission.
+        Grants accumulated per epoch before a flush (a positive int).  Any
+        value yields the same arbitration (hence the same slots and
+        latencies); larger epochs amortise more link work per transmission.
     kernel:
         Compute-kernel name (see :func:`repro.kernels.get_kernel`; ``None``
         defers to ``$REPRO_KERNEL`` / ``"auto"``).  :meth:`run` arbitrates
@@ -180,25 +364,29 @@ class OpticalBus:
         epoch_packets: int = 64,
         kernel: Optional[str] = None,
     ) -> None:
-        if emitted_photons <= 0:
-            raise ValueError("emitted_photons must be positive")
-        if epoch_packets <= 0:
-            raise ValueError("epoch_packets must be positive")
+        if not emitted_photons > 0:  # NaN fails too
+            raise ValueError(f"emitted_photons must be positive, got {emitted_photons!r}")
         self.topology = topology
         self.config = config
         self.emitted_photons = emitted_photons
         self._seed = seed
         self.backend = resolve_backend(backend)
-        self.epoch_packets = epoch_packets
+        self.epoch_packets = _positive_count("epoch_packets", epoch_packets)
         self.kernel = kernel
         capabilities = backend_capabilities(self.backend)
         self._batched = capabilities.supports_batch
         # The link-level kernel only reaches backends that accept it; the
         # bus-level arbitration kernel applies regardless of backend.
         self._link_kernel = kernel if capabilities.supports_kernel else None
-        self.arbiter = RoundRobinArbiter(topology.node_count)
         self.statistics = BusStatistics()
-        self.outcomes: List[PacketOutcome] = []
+        nodes = topology.node_count
+        self._traffic = TrafficTable.empty(config.ppm_bits)
+        self._offered: List[TrafficTable] = []  # offers not yet in the table
+        self._recorded: List[np.ndarray] = []  # recorded rows not yet in outcomes
+        self._outcomes: List[PacketOutcome] = []
+        self._queued = np.zeros(nodes, dtype=np.int64)  # queued rows per node
+        self._tail = np.zeros(nodes, dtype=np.int64)  # each node's last arrival
+        self._next_node = 0  # round-robin rotation pointer
         self._slot = 0  # persistent slot clock: run() continues, never rewinds
         self._links: Dict[Tuple[int, int], object] = {}
         self._broadcast_links: Dict[int, object] = {}
@@ -276,14 +464,100 @@ class OpticalBus:
     def offer(self, packet: Packet, arrival_slot: int = 0) -> None:
         """Queue a packet at its source node, arriving at ``arrival_slot``.
 
-        Per-node offers must come in arrival order (the arbiter's queues are
-        FIFO per node).  ``arrival_slot`` is an integer slot: a bool or a
-        fractional slot raises :class:`ValueError`.
+        The one-row case of :meth:`offer_many`: per-node offers must come in
+        arrival order (each node's queue is FIFO), and ``arrival_slot`` is an
+        integer slot — a bool or a fractional slot raises :class:`ValueError`.
         """
-        if packet.source >= self.topology.node_count:
+        self.offer_many(
+            [packet.source], [packet.destination], [packet.payload], [arrival_slot],
+            [packet.sequence],
+        )
+
+    def offer_many(self, sources, destinations, payloads, arrival_slots, sequences) -> None:
+        """Queue many packets at once, as rows of the traffic table.
+
+        Row ``i`` is ``Packet(sources[i], destinations[i], payloads[i],
+        sequences[i])`` arriving at ``arrival_slots[i]``.  ``payloads`` is a
+        2-D array (one payload per row) or a sequence of bit sequences of any
+        lengths.  The rows are checked as :class:`Packet` and :meth:`offer`
+        check one packet: integer (not bool) addresses below 256 and
+        sequence numbers below 2**16, payloads of 0/1 bits, a source inside
+        the topology, and non-negative integer arrival slots that never
+        decrease per source, also against the rows already queued there.  A
+        bad row raises :class:`ValueError` and queues nothing.
+        """
+        sources = _integers(sources, "source")
+        destinations = _integers(destinations, "destination")
+        sequences = _integers(sequences, "sequence")
+        arrivals = _integers(arrival_slots, "arrival slot")
+        if not sources.size == destinations.size == sequences.size == arrivals.size == len(payloads):
+            raise ValueError("offer_many needs one value of every field per packet")
+        limit = 1 << Packet.ADDRESS_BITS
+        for name, column in (("source", sources), ("destination", destinations)):
+            if ((column < 0) | (column >= limit)).any():
+                raise ValueError(f"{name} must be within [0, {limit})")
+        if ((sequences < 0) | (sequences >= 1 << Packet.SEQUENCE_BITS)).any():
+            raise ValueError("sequence number out of range")
+        payload_bits, lengths = _payload_bits(payloads)
+        if (sources >= self.topology.node_count).any():
             raise ValueError("packet source is not a node of this topology")
-        self.arbiter.request(packet.source, (packet, arrival_slot), arrival=arrival_slot)
-        self.statistics.packets_offered += 1
+        if (arrivals < 0).any():
+            raise ValueError("arrival slot must be non-negative")
+        # Per node, in offer order: each arrival against the one before it,
+        # a node's first against its queue's last (if anything is queued).
+        order = np.argsort(sources, kind="stable")
+        nodes, slots = sources[order], arrivals[order]
+        first = np.ones(nodes.size, dtype=bool)
+        first[1:] = nodes[1:] != nodes[:-1]
+        previous = np.roll(slots, 1)
+        previous[first] = np.where(self._queued[nodes[first]] > 0, self._tail[nodes[first]], 0)
+        late = np.flatnonzero(slots < previous)
+        if late.size:
+            row = late[np.argmin(order[late])]
+            raise ValueError(
+                f"requests for node {nodes[row]} must be enqueued in arrival order "
+                f"(got arrival {slots[row]} after arrival {previous[row]})"
+            )
+        if not sources.size:
+            return
+        last = np.roll(first, -1)
+        self._tail[nodes[last]] = slots[last]
+        self._queued += np.bincount(sources, minlength=self._queued.size)
+        self._offered.append(
+            TrafficTable.build(
+                self.config.ppm_bits, sources, destinations, sequences, arrivals,
+                payload_bits, lengths,
+            )
+        )
+        self.statistics.packets_offered += sources.size
+
+    @property
+    def traffic(self) -> TrafficTable:
+        """The traffic table: every offered row with its outcome columns."""
+        if self._offered:
+            self._traffic = TrafficTable.concatenate([self._traffic, *self._offered])
+            self._offered = []
+        return self._traffic
+
+    @property
+    def outcomes(self) -> List[PacketOutcome]:
+        """Every recorded packet's :class:`PacketOutcome`, in record order.
+
+        Built from the table's columns on first access and extended by later
+        runs; the bus itself records columns, not objects.
+        """
+        if self._recorded:
+            table = self.traffic
+            rows = np.concatenate(self._recorded).tolist()
+            self._outcomes.extend(table.outcome(row) for row in rows)
+            self._recorded = []
+        return self._outcomes
+
+    def good_bits(self) -> int:
+        """Bits of the error-free packets; a broadcast counts every receiver's copy."""
+        table = self.traffic
+        delivered = table.delivered
+        return int(table.bits[delivered] @ self._copies(table.destination[delivered]))
 
     def symbol_slots_per_packet(self, packet: Packet) -> int:
         """Number of PPM symbols needed to carry a packet."""
@@ -292,238 +566,189 @@ class OpticalBus:
     def run(self, max_slots: int = 10_000) -> BusStatistics:
         """Drain the queued packets through the bus.
 
-        The slot loop is two-phase.  **Arbitration** snapshots the arbiter's
-        queues once and computes every grant of the call with the kernel's
+        The slot loop is two-phase.  **Arbitration** hands the kernel's
         ``arbitrate`` (:func:`repro.kernels.round_robin_schedule` on every
-        tier: idle slots skip to the next arrival), fixing every packet's
-        slot span — this phase is identical for every backend, so latencies
-        are too.  **Flushing** replays the grants in order and transmits
-        each epoch's ``(source, destination)`` groups: one segmented pass
-        for all unicast groups on ``"batch"``, one call per group on other
-        batch backends, packet at a time on the scalar reference.  Packets
-        still queued when ``max_slots`` runs out stay
-        pending; a later ``run`` *continues* the slot clock where this one
-        stopped (waiting time spans runs), it never rewinds to slot 0.
+        tier: idle slots skip to the next arrival) a snapshot of the queued
+        rows — grouped by source, each source's rows in offer order — and
+        fixes every grant's slot span in one call; this phase is identical
+        for every backend, so latencies are too.  **Flushing** walks the
+        grants as slices of ``epoch_packets`` deliverable rows each and
+        transmits each epoch's ``(source, destination)`` groups: one
+        segmented pass for all unicast groups on ``"batch"``, one call per
+        group on other batch backends, packet at a time on the scalar
+        reference.  A unicast row to no node of the topology burns one slot
+        and is recorded undelivered.  Rows still queued when ``max_slots``
+        (a positive int) runs out stay queued; a later ``run`` *continues*
+        the slot clock where this one stopped (waiting time spans runs), it
+        never rewinds to slot 0.
         """
-        if max_slots <= 0:
-            raise ValueError("max_slots must be positive")
-        slot = self._slot
-        horizon = slot + max_slots
-        arrivals, items, bounds = self.arbiter.snapshot()
-        node_count = self.topology.node_count
-        costs = np.ones(arrivals.size, dtype=np.int64)
-        deliverable = np.zeros(arrivals.size, dtype=bool)
-        for index, (packet, _arrival) in enumerate(items):
-            # Undeliverable unicast addresses burn exactly one slot.
-            if packet.is_broadcast or packet.destination < node_count:
-                deliverable[index] = True
-                costs[index] = self.symbol_slots_per_packet(packet)
-        arbitrate = get_kernel(self.kernel).arbitrate
-        granted, starts, final_slot, final_rotation = arbitrate(
-            arrivals, costs, bounds, self.arbiter.next_node, slot, horizon
+        max_slots = _positive_count("max_slots", max_slots)
+        table = self.traffic
+        nodes = self.topology.node_count
+        queued = np.flatnonzero(table.start < 0)
+        queued = queued[np.argsort(table.source[queued], kind="stable")]
+        bounds = np.zeros(nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(table.source[queued], minlength=nodes), out=bounds[1:])
+        destinations = table.destination[queued]
+        deliverable = (destinations == Packet.BROADCAST) | (destinations < nodes)
+        costs = np.where(deliverable, table.symbols[queued], 1)
+        granted, starts, final_slot, self._next_node = get_kernel(self.kernel).arbitrate(
+            table.arrival[queued], costs, bounds, self._next_node, self._slot,
+            self._slot + max_slots,
         )
-        item_nodes = np.searchsorted(bounds, granted, side="right") - 1
-        epoch: List[_Grant] = []
-        for index, start, source in zip(
-            granted.tolist(), starts.tolist(), item_nodes.tolist()
-        ):
-            packet, arrival_slot = items[index]
-            if not deliverable[index]:
-                # Undeliverable unicast address: recorded as corrupted (one
-                # outcome per offered packet, like every other path).
-                self._record(
-                    _Grant(
-                        packet=packet,
-                        source=source,
-                        arrival_slot=arrival_slot,
-                        start_slot=start,
-                        end_slot=start + 1,
-                    ),
-                    packet.destination,
-                    bit_errors=0,
-                    bits_delivered=0,
-                    delivered=False,
-                )
-                continue
-            slots_used = int(costs[index])
-            epoch.append(
-                _Grant(
-                    packet=packet,
-                    source=source,
-                    arrival_slot=arrival_slot,
-                    start_slot=start,
-                    end_slot=start + slots_used,
-                )
-            )
-            self.statistics.busy_slots += slots_used
-            if len(epoch) >= self.epoch_packets:
-                self._flush_epoch(epoch)
-                epoch = []
-        self._flush_epoch(epoch)
-        self.arbiter.commit_grants(
-            np.bincount(item_nodes, minlength=node_count), final_rotation
-        )
+        rows = queued[granted]
+        table.start[rows] = starts
+        table.end[rows] = starts + costs[granted]
+        self._queued -= np.bincount(table.source[rows], minlength=nodes)
+        carried = deliverable[granted]
+        self.statistics.busy_slots += int(costs[granted][carried].sum())
+        if rows.size:
+            # Epoch e holds deliverable grants e*E .. e*E + E - 1, after the
+            # undeliverable ones granted since epoch e - 1's last.
+            epochs = (np.cumsum(carried) - carried) // self.epoch_packets
+            edges = np.searchsorted(epochs, np.arange(epochs[-1] + 2)).tolist()
+            for lo, hi in zip(edges, edges[1:]):
+                epoch, flushed = rows[lo:hi], carried[lo:hi]
+                self._record(np.concatenate([epoch[~flushed], self._flush_epoch(epoch[flushed])]))
         self.statistics.total_slots += max(final_slot - self._slot, 1)
         self._slot = final_slot
         return self.statistics
 
     # -- epoch flushing ----------------------------------------------------------
-    def _flush_epoch(self, epoch: List[_Grant]) -> None:
-        """Transmit one epoch of grants and record its packets group by group."""
-        groups: Dict[Tuple[int, object], List[_Grant]] = {}
-        for entry in epoch:
-            destination = "broadcast" if entry.packet.is_broadcast else entry.packet.destination
-            groups.setdefault((entry.source, destination), []).append(entry)
-        unicast = {key: entries for key, entries in groups.items() if key[1] != "broadcast"}
-        errors = iter(self._unicast_bit_errors(unicast))
-        for (source, destination), entries in groups.items():
-            if destination == "broadcast":
-                self._flush_broadcast(source, entries)
-                continue
-            for entry in entries:
-                self._record_unicast(
-                    entry, int(destination), next(errors), entry.packet.total_bits
-                )
+    def _flush_epoch(self, rows: np.ndarray) -> np.ndarray:
+        """Transmit one epoch's rows; return them in record order.
 
-    def _unicast_bit_errors(self, groups: Dict[Tuple[int, object], List[_Grant]]) -> List[int]:
-        """Bit errors of an epoch's unicast packets, group by group in grant order.
+        The rows are grouped by ``(source, destination)`` — a source's
+        broadcasts form one group — in order of first appearance, grant
+        order inside a group, by one stable sort.  Each row's bit errors
+        (and a broadcast's receiver split) land in the table.
+        """
+        if not rows.size:
+            return rows
+        table = self._traffic
+        keys = table.source[rows] << Packet.ADDRESS_BITS | table.destination[rows]
+        _, firsts, groups = np.unique(keys, return_index=True, return_inverse=True)
+        groups = np.argsort(np.argsort(firsts))[groups]
+        order = np.argsort(groups, kind="stable")
+        rows, groups = rows[order], groups[order]
+        broadcast = table.destination[rows] == Packet.BROADCAST
+        unicast = rows[~broadcast]
+        if unicast.size:
+            table.bit_errors[unicast] = self._unicast_bit_errors(
+                _groups(unicast, groups[~broadcast])
+            )
+        for group in _groups(rows[broadcast], groups[broadcast]):
+            self._flush_broadcast(group)
+        return rows
 
+    def _unicast_bit_errors(self, groups: List[np.ndarray]) -> np.ndarray:
+        """Bit errors of an epoch's unicast rows, group by group in grant order.
+
+        ``groups`` holds the rows of each ``(source, destination)`` group.
         The ``batch`` backend sends every group in one segmented pass
         (:func:`repro.core.fastlink.transmit_segments`), each group on its
         own link and stream; other batch backends send one call per group,
-        and the scalar reference one call per packet.  Every packet is
-        padded to whole symbols, and its errors are the mismatches over its
-        own bits, read from one cumulative sum.
+        and the scalar reference one call per packet.  The padded bits of
+        the epoch are one gather from the table's buffer.
         """
-        if not groups:
-            return []
-        links = [self._link_for(source, int(destination)) for source, destination in groups]
+        table = self._traffic
+        links = [
+            self._link_for(int(table.source[group[0]]), int(table.destination[group[0]]))
+            for group in groups
+        ]
         if not self._batched:
-            return [
-                link.transmit_bits(entry.packet.serialize()).bit_errors
-                for link, entries in zip(links, groups.values())
-                for entry in entries
-            ]
-        k = self.config.ppm_bits
-        entries = [entry for group in groups.values() for entry in group]
-        padded = [entry.packet.padded_bits(k) for entry in entries]
-        offsets = np.zeros(len(padded) + 1, dtype=np.int64)
-        np.cumsum([bits.size for bits in padded], out=offsets[1:])
-        firsts = np.zeros(len(groups) + 1, dtype=np.int64)
-        np.cumsum([len(group) for group in groups.values()], out=firsts[1:])
-        group_bits = offsets[firsts].tolist()
-        sent = np.concatenate(padded)
+            return np.array(
+                [
+                    link.transmit_bits(table.row_bits(row)).bit_errors
+                    for link, group in zip(links, groups)
+                    for row in group.tolist()
+                ],
+                dtype=np.int64,
+            )
+        rows = np.concatenate(groups)
+        sent, starts = table.padded(rows)
+        firsts = np.cumsum([0] + [group.size for group in groups[:-1]])
         if self.backend == "batch":
-            starts = [bit // k for bit in group_bits[:-1]]
-            received = transmit_segments(links, sent, starts).received_bits
+            received = transmit_segments(
+                links, sent, starts[firsts] // self.config.ppm_bits
+            ).received_bits
         else:
+            bounds = starts[firsts].tolist() + [sent.size]
             received = np.concatenate(
                 [
                     link.transmit_bits(sent[lo:hi]).received_bits
-                    for link, lo, hi in zip(links, group_bits, group_bits[1:])
+                    for link, lo, hi in zip(links, bounds, bounds[1:])
                 ]
             )
+        # Each row's errors: the mismatches over its own bits (its padding
+        # excluded), a difference of one cumulative sum.
         mismatches = np.zeros(sent.size + 1, dtype=np.int64)
         np.cumsum(sent != received, out=mismatches[1:])
-        ends = offsets[:-1] + [entry.packet.total_bits for entry in entries]
-        return (mismatches[ends] - mismatches[offsets[:-1]]).tolist()
+        return mismatches[starts + table.bits[rows]] - mismatches[starts]
 
-    def _flush_broadcast(self, source: int, entries: List[_Grant]) -> None:
+    def _flush_broadcast(self, rows: np.ndarray) -> None:
+        """Send one source's broadcast rows of an epoch to every other die."""
+        table = self._traffic
+        source = int(table.source[rows[0]])
         receivers = self._broadcast_receivers(source)
         if not receivers:
-            # A single-node "stack" has nobody to broadcast to; still one
-            # (corrupted) outcome per offered packet.
-            for entry in entries:
-                self._record(
-                    entry, entry.packet.destination, 0, 0, delivered=False
-                )
-            return
+            return  # a single-node "stack": nobody to receive, recorded undelivered
         k = self.config.ppm_bits
         channels = len(receivers)
         if self._batched:
-            # One (S, C) pass for the whole epoch group: each packet's
-            # symbols tiled across the C receiver channels by the shared
-            # broadcast layout (repro.noc.broadcast defines it once).
-            blocks: List[np.ndarray] = []
-            spans: List[Tuple[int, int, int]] = []
-            row = 0
-            for entry in entries:
-                padded = entry.packet.padded_bits(k)
-                blocks.append(tile_symbols_for_receivers(padded, k, channels))
-                rows = padded.size // k
-                spans.append((row, rows, entry.packet.total_bits))
-                row += rows
+            # One (S, C) pass for the whole group: the rows' symbols tiled
+            # across the C receiver channels by the shared broadcast layout
+            # (repro.noc.broadcast defines it once).
+            sent, starts = table.padded(rows)
             link = self._broadcast_link_for(source)
-            result = link.transmit_bits(np.concatenate(blocks))
-            mismatches = (
-                np.asarray(result.transmitted_bits)
-                != np.asarray(result.received_bits)
-            ).reshape(row, channels, k)
-            for entry, (start, rows, bits) in zip(entries, spans):
-                errors = per_receiver_bit_errors(
-                    mismatches[start : start + rows], channels, bits
-                )
-                self._record_broadcast(entry, receivers, [int(e) for e in errors], bits)
+            result = link.transmit_bits(tile_symbols_for_receivers(sent, k, channels))
+            mismatches = (result.transmitted_bits != result.received_bits).reshape(-1, channels, k)
+            errors = per_receiver_bit_errors(mismatches, channels, starts, table.bits[rows])
         else:
-            for entry in entries:
-                bits = entry.packet.serialize()
-                errors = []
-                for node in receivers:
-                    outcome = self._broadcast_scalar_link_for(source, node).transmit_bits(bits)
-                    errors.append(int(outcome.bit_errors))
-                self._record_broadcast(entry, receivers, errors, len(bits))
+            errors = np.array(
+                [
+                    [
+                        self._broadcast_scalar_link_for(source, node)
+                        .transmit_bits(table.row_bits(row))
+                        .bit_errors
+                        for node in receivers
+                    ]
+                    for row in rows.tolist()
+                ],
+                dtype=np.int64,
+            )
+        table.bit_errors[rows] = errors.sum(axis=1)
+        for row, split in zip(rows.tolist(), errors.tolist()):
+            table.receiver_errors[row] = dict(zip(receivers, split))
 
     # -- statistics --------------------------------------------------------------
-    def _record(
-        self,
-        entry: _Grant,
-        destination: int,
-        bit_errors: int,
-        bits_delivered: int,
-        delivered: bool,
-        receiver_errors: Mapping[int, int] = (),
-    ) -> None:
-        symbol_duration = self.config.symbol_duration
-        latency = (entry.end_slot - entry.arrival_slot) * symbol_duration
-        self.statistics.bits_delivered += bits_delivered
-        self.statistics.bit_errors += bit_errors
-        if delivered:
-            self.statistics.packets_delivered += 1
-            self.statistics.total_latency += latency
-        else:
-            self.statistics.packets_corrupted += 1
-        self.outcomes.append(
-            PacketOutcome(
-                packet=entry.packet,
-                source=entry.source,
-                destination=destination,
-                arrival_slot=entry.arrival_slot,
-                start_slot=entry.start_slot,
-                end_slot=entry.end_slot,
-                bit_errors=bit_errors,
-                delivered=delivered,
-                latency=latency,
-                receiver_errors=dict(receiver_errors),
-            )
-        )
+    def _copies(self, destinations: np.ndarray) -> np.ndarray:
+        """Receivers each row's bits go to: every other die for a broadcast,
+        one for a unicast, none for an address outside the topology."""
+        nodes = self.topology.node_count
+        return np.where(destinations == Packet.BROADCAST, nodes - 1, destinations < nodes)
 
-    def _record_unicast(
-        self, entry: _Grant, destination: int, errors: int, bits: int
-    ) -> None:
-        self._record(entry, destination, errors, bits, delivered=errors == 0)
-
-    def _record_broadcast(
-        self, entry: _Grant, receivers: List[int], errors: List[int], bits: int
-    ) -> None:
-        total = int(sum(errors))
-        self._record(
-            entry,
-            entry.packet.destination,
-            total,
-            bits * len(receivers),
-            delivered=total == 0,
-            receiver_errors=dict(zip(receivers, errors)),
+    def _record(self, rows: np.ndarray) -> None:
+        """Record an epoch's rows, in record order, and update the statistics once."""
+        table = self._traffic
+        copies = self._copies(table.destination[rows])
+        errors = table.bit_errors[rows]
+        delivered = (errors == 0) & (copies > 0)
+        latency = (table.end[rows] - table.arrival[rows]) * self.config.symbol_duration
+        table.delivered[rows] = delivered
+        table.latency[rows] = latency
+        statistics = self.statistics
+        statistics.bits_delivered += int(table.bits[rows] @ copies)
+        statistics.bit_errors += int(errors.sum())
+        count = int(delivered.sum())
+        statistics.packets_delivered += count
+        statistics.packets_corrupted += rows.size - count
+        # A sequential sum in record order: np.sum's pairwise order would
+        # move the last digits of mean_latency.
+        statistics.total_latency = float(
+            np.add.accumulate(np.append(statistics.total_latency, latency[delivered]))[-1]
         )
+        self._recorded.append(rows)
 
     # -- figures of merit -------------------------------------------------------------
     def raw_slot_rate(self) -> float:

@@ -12,6 +12,25 @@ from repro.modulation.symbols import bits_to_int, int_to_bits
 _BITS = frozenset((0, 1))
 
 
+def check_payload_bits(payload: Sequence[int]) -> None:
+    """Raise :class:`ValueError` unless ``payload`` is a non-empty run of bits.
+
+    An element counts as a bit when it equals 0 or 1 (``True``, ``1.0`` and
+    NumPy scalars do); ``0.5``, ``NaN``, ``"1"`` and ``None`` do not.  The
+    one payload check of :class:`Packet` and of the bus's bulk offer.
+    """
+    if len(payload) == 0:
+        raise ValueError("payload must be non-empty")
+    try:
+        bits_only = _BITS.issuperset(payload)
+    except TypeError:
+        # An unhashable element: compare element by element instead, so
+        # exactly the elements equal to 0 or 1 are still accepted.
+        bits_only = all(bit in (0, 1) for bit in payload)
+    if not bits_only:
+        raise ValueError("payload bits must be 0 or 1")
+
+
 @dataclass(frozen=True)
 class Packet:
     """A fixed-header packet: destination, source, payload bits.
@@ -27,6 +46,8 @@ class Packet:
 
     ADDRESS_BITS = 8
     SEQUENCE_BITS = 16
+    #: The destination address every die receives.
+    BROADCAST = (1 << ADDRESS_BITS) - 1
 
     def __post_init__(self) -> None:
         # Plain ints are the fast path.  A bool is an int but no node or
@@ -43,21 +64,12 @@ class Packet:
             raise ValueError(f"destination must be within [0, {limit})")
         if not 0 <= self.sequence < (1 << self.SEQUENCE_BITS):
             raise ValueError("sequence number out of range")
-        if len(self.payload) == 0:
-            raise ValueError("payload must be non-empty")
-        try:
-            bits_only = _BITS.issuperset(self.payload)
-        except TypeError:
-            # An unhashable element: compare element by element instead, so
-            # exactly the elements equal to 0 or 1 are still accepted.
-            bits_only = all(bit in (0, 1) for bit in self.payload)
-        if not bits_only:
-            raise ValueError("payload bits must be 0 or 1")
+        check_payload_bits(self.payload)
 
     @property
     def is_broadcast(self) -> bool:
         """Destination 255 is the broadcast address."""
-        return self.destination == (1 << self.ADDRESS_BITS) - 1
+        return self.destination == self.BROADCAST
 
     @classmethod
     def header_bit_count(cls) -> int:
@@ -120,7 +132,7 @@ class Packet:
         """Construct a packet addressed to every die."""
         return cls(
             source=source,
-            destination=(1 << cls.ADDRESS_BITS) - 1,
+            destination=cls.BROADCAST,
             payload=payload,
             sequence=sequence,
         )

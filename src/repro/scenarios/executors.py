@@ -420,13 +420,8 @@ def evaluate_noc_point(
         def accumulate(bus) -> None:
             nonlocal good_bits
             totals.merge(bus.statistics)
-            # Bits of error-free packets (broadcasts count every receiver's
-            # copy) — the numerator of saturation_throughput.
-            good_bits += sum(
-                outcome.packet.total_bits * max(len(outcome.receiver_errors), 1)
-                for outcome in bus.outcomes
-                if outcome.delivered
-            )
+            # The numerator of saturation_throughput.
+            good_bits += bus.good_bits()
 
         trial = NocTrafficTrial(
             config=config,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -217,10 +218,14 @@ class NocTrafficTrial:
     offered packet**, and one *chunk* is one bus run.  Per chunk, the trial
     draws a bus seed from the chunk generator, generates ``count`` packets
     according to the traffic pattern (sources, destinations, payloads and
-    arrival slots are all generator draws), drains them through an
+    arrival slots are all generator draws), offers the drawn arrays in
+    stable arrival order as rows of the bus's traffic table with one
+    :meth:`~repro.noc.bus.OpticalBus.offer_many` (no
+    :class:`~repro.noc.packet.Packet` is built), drains them through an
     epoch-batched :class:`~repro.noc.bus.OpticalBus` on the configured
-    backend, and returns each packet's delivery latency in seconds
-    (``NaN`` for packets that were corrupted or never drained).
+    backend, and returns each packet's delivery latency in seconds, read
+    from the table's columns by sequence number (``NaN`` for packets that
+    were corrupted or never drained).
 
     ``offered_load`` shapes the arrival process: packets arrive uniformly
     over a horizon sized so offered traffic consumes that fraction of the
@@ -228,7 +233,11 @@ class NocTrafficTrial:
     bound and latency measures backlog drain).  ``on_result`` (optional)
     receives each chunk's completed :class:`~repro.noc.bus.OpticalBus` for
     side statistics — aggregate counters via ``bus.statistics``, per-packet
-    outcomes via ``bus.outcomes``.
+    columns via ``bus.traffic`` (``bus.outcomes`` builds outcome objects).
+
+    The integer settings (``stack_dies``, ``nodes_per_die``, ``packet_bits``,
+    ``epoch_packets``) refuse bools and fractions, and ``offered_load`` and
+    ``emitted_photons`` refuse NaN, with :class:`ValueError` at construction.
 
     The bus's per-link seeds derive from the chunk seed through the central
     seed-derivation policy, so chunks — and the (source, destination) links
@@ -252,18 +261,31 @@ class NocTrafficTrial:
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Every check is written so that NaN fails it; a bool is no count.
         if self.traffic not in TRAFFIC_PATTERNS:
             raise ValueError(
                 f"traffic must be one of {TRAFFIC_PATTERNS}, got {self.traffic!r}"
             )
-        if self.offered_load <= 0:
-            raise ValueError("offered_load must be positive (zero load offers no packets)")
-        if self.packet_bits <= 0:
-            raise ValueError("packet_bits must be positive")
+        for name in ("stack_dies", "nodes_per_die", "packet_bits", "epoch_packets"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not self.offered_load > 0:
+            raise ValueError(
+                f"offered_load must be positive (zero load offers no packets), "
+                f"got {self.offered_load!r}"
+            )
+        for name in ("nodes_per_die", "packet_bits", "epoch_packets"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.stack_dies < 2:
             raise ValueError("stack_dies must be at least 2")
         if not 0.0 <= self.hotspot_fraction <= 1.0:
             raise ValueError("hotspot_fraction must be within [0, 1]")
+        if self.emitted_photons is not None and not self.emitted_photons > 0:
+            raise ValueError(
+                f"emitted_photons must be positive, got {self.emitted_photons!r}"
+            )
 
     @property
     def slots_per_packet(self) -> int:
@@ -333,22 +355,15 @@ class NocTrafficTrial:
         payloads = generator.integers(0, 2, size=(count, self.packet_bits))
         horizon = max(1, math.ceil(count * self.slots_per_packet / self.offered_load))
         arrivals = generator.integers(0, horizon, size=count)
-        for index in np.argsort(arrivals, kind="stable"):
-            index = int(index)
-            bus.offer(
-                Packet(
-                    source=int(sources[index]),
-                    destination=int(destinations[index]),
-                    payload=payloads[index].tolist(),
-                    sequence=index,
-                ),
-                arrival_slot=int(arrivals[index]),
-            )
+        # Offered in stable arrival order; a row's sequence number is its draw index.
+        order = np.argsort(arrivals, kind="stable")
+        bus.offer_many(
+            sources[order], destinations[order], payloads[order], arrivals[order], order
+        )
         bus.run(max_slots=horizon + (count + 1) * self.slots_per_packet)
+        traffic = bus.traffic
         latencies = np.full(count, np.nan)
-        for outcome in bus.outcomes:
-            if outcome.delivered:
-                latencies[outcome.packet.sequence] = outcome.latency
+        latencies[traffic.sequence[traffic.delivered]] = traffic.latency[traffic.delivered]
         if self.on_result is not None:
             self.on_result(bus)
         return latencies

@@ -191,25 +191,27 @@ class TestScalarBatchEquivalence:
         assert bus.link_seed(0, 7919) != bus.link_seed(1, 0)
 
 
-def per_group_bit_errors(bus: OpticalBus, groups) -> list:
+def per_group_bit_errors(bus: OpticalBus, packets, groups) -> list:
     """The unicast flush before the epoch pass: one link call per group.
 
     Each ``(source, destination)`` group of an epoch went through its own
     link's ``transmit_bits`` with its packets' padded bits concatenated,
-    and each packet counted the mismatches over its own bits.
+    and each packet counted the mismatches over its own bits.  ``groups``
+    holds each group's rows of the bus's traffic table; the bits come from
+    the offered packets (by sequence number), not from the table.
     """
     k = bus.config.ppm_bits
     errors = []
-    for (source, destination), entries in groups.items():
+    for rows in groups:
+        group = [packets[int(bus.traffic.sequence[row])] for row in rows]
+        (source, destination), = {(p.source, p.destination) for p in group}
         link = bus._link_for(source, destination)
-        result = link.transmit_bits(
-            np.concatenate([entry.packet.padded_bits(k) for entry in entries])
-        )
+        result = link.transmit_bits(np.concatenate([p.padded_bits(k) for p in group]))
         mismatches = result.transmitted_bits != result.received_bits
         cursor = 0
-        for entry in entries:
-            errors.append(int(mismatches[cursor : cursor + entry.packet.total_bits].sum()))
-            cursor += entry.packet.symbol_count(k) * k
+        for packet in group:
+            errors.append(int(mismatches[cursor : cursor + packet.total_bits].sum()))
+            cursor += packet.symbol_count(k) * k
     return errors
 
 
@@ -224,16 +226,19 @@ class TestEpochPass:
                 small_topology(5), config=CONFIG, emitted_photons=80.0, seed=seed,
                 epoch_packets=16,
             )
+            packets = {}
             if per_group:
                 monkeypatch.setattr(
-                    bus, "_unicast_bit_errors", lambda groups: per_group_bit_errors(bus, groups)
+                    bus, "_unicast_bit_errors",
+                    lambda groups: per_group_bit_errors(bus, packets, groups),
                 )
             rng = np.random.default_rng(seed)
             for index in range(120):
                 source = index % 5
                 destination = 255 if index % 13 == 0 else (source + 1 + index % 4) % 5
                 payload = rng.integers(0, 2, int(rng.integers(1, 90))).tolist()
-                bus.offer(Packet(source, destination, payload, index), arrival_slot=2 * index)
+                packets[index] = Packet(source, destination, payload, index)
+                bus.offer(packets[index], arrival_slot=2 * index)
             bus.run(max_slots=100_000)
             return [
                 (o.packet.sequence, o.bit_errors, o.delivered, dict(o.receiver_errors))
