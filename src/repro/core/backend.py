@@ -90,7 +90,9 @@ class LinkBackend(Protocol):
     backends registered through :func:`register_backend` must as well.
     ``transmit_bits`` takes a list or array of 0/1, and the returned
     :class:`~repro.core.link.TransmissionResult` carries ``transmitted_bits``
-    and ``received_bits`` as 1-D ``np.uint8`` arrays of payload length.
+    and ``received_bits`` as 1-D ``np.uint8`` arrays of payload length, and
+    per symbol ``decoded_values`` and ``symbol_bit_errors``; a backend that
+    gives only the bits gets the per-symbol fields derived from them.
     """
 
     config: LinkConfig

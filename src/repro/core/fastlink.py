@@ -17,7 +17,7 @@ process) rather than interleaved per event, so the two paths produce different
 deterministic given its seed.
 
 The pipeline is NumPy end to end, from the payload array the caller passes
-in to the ``uint8`` bit arrays of the result:
+in to the per-symbol error counts of the result:
 
 1. PPM encoding packs the whole payload into a symbol-value array and a
    pulse-time array (``PpmCodec.encode_bits_to_values`` /
@@ -35,13 +35,16 @@ in to the ``uint8`` bit arrays of the result:
    two-level TDC, exactly as :meth:`TimeToDigitalConverter.convert_array`
    does, and decided to a slot value, exactly as ``PpmCodec.decode_times``
    does; a missed window decodes to 0.
-4. The bit matrix of the decoded values is unpacked in one shot into
-   ``received_bits``.
+4. Each symbol's bit errors are one table lookup of the popcount of
+   ``sent ^ decoded`` (:func:`~repro.modulation.symbols.symbol_bit_errors`),
+   the padding of a final partial symbol masked.  The result carries these
+   counts and the decoded values; its ``received_bits`` are unpacked from
+   the values only if someone reads them.
 
-:func:`transmit_segments` runs these four steps once for G links whose
-payloads lie back to back: one encode, one detection over the G devices
+:func:`transmit_segments` runs steps 1–3 once for G links whose payloads
+lie back to back: one encode, one detection over the G devices
 (:func:`~repro.spad.device.detect_in_segments`, one segmented kernel scan),
-one decode per link on its own TDC, one unpack.  Each link is its own
+one decode per link on its own TDC.  Each link is its own
 segment with its own random stream, so the pass equals one
 :meth:`FastOpticalLink.transmit_bits` call per link bit for bit, without the
 per-call overhead; the NoC bus sends each epoch's unicast groups this way.
@@ -61,7 +64,7 @@ import numpy as np
 from repro.core.config import LinkConfig
 from repro.core.link import OpticalLink, TransmissionResult
 from repro.kernels.reference import check_segments
-from repro.modulation.symbols import ints_to_bit_matrix
+from repro.modulation.symbols import symbol_bit_errors
 from repro.photonics.channel import OpticalChannel
 from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings, detect_in_segments
 
@@ -113,15 +116,19 @@ class FastOpticalLink(OpticalLink):
         counts["missed"] = int(np.count_nonzero(~detected))
 
         symbol_count = int(sent.values.size)
+        k = self.config.ppm_bits
         return TransmissionResult(
             transmitted_bits=payload,
-            received_bits=sent.received_bits[: payload.size],
+            received_bits=None,
             symbols_sent=symbol_count,
             symbol_errors=int(np.count_nonzero(sent.decoded != sent.values)),
             detection_counts=counts,
             elapsed_time=symbol_count * self.config.symbol_duration,
             symbol_weights=sent.symbol_weights,
             symbol_origins=origins if self.importance is not None else None,
+            bits_per_symbol=k,
+            decoded_values=sent.decoded,
+            symbol_bit_errors=symbol_bit_errors(sent.values, sent.decoded, k, payload.size),
         )
 
 
@@ -134,8 +141,6 @@ class SegmentedPass(NamedTuple):
     decoded: np.ndarray
     #: Winning detection origin code of every window (``-1`` = missed).
     origins: np.ndarray
-    #: ``uint8`` bits of ``decoded``, of the zero-padded payload's length.
-    received_bits: np.ndarray
     #: Per-window likelihood weights of an importance-sampled link, else ``None``.
     symbol_weights: Optional[np.ndarray]
 
@@ -151,11 +156,10 @@ def transmit_segments(
     The pass is one PPM encode, one detection over the G devices
     (:func:`~repro.spad.device.detect_in_segments`, or
     :meth:`SpadDevice.detect_in_windows` when G = 1), each segment decoded by
-    its own link's TDC through :meth:`OpticalLink._decode_windows`, and one bit
-    unpack.  Every link is reset first and draws from its own stream, so
-    the pass equals G separate :meth:`FastOpticalLink.transmit_bits` calls
-    bit for bit.  The links share one PPM slot grid; importance sampling
-    needs G = 1.
+    its own link's TDC through :meth:`OpticalLink._decode_windows`.  Every
+    link is reset first and draws from its own stream, so the pass equals G
+    separate :meth:`FastOpticalLink.transmit_bits` calls bit for bit.  The
+    links share one PPM slot grid; importance sampling needs G = 1.
     """
     first = links[0]
     k = first.config.ppm_bits
@@ -206,5 +210,4 @@ def transmit_segments(
         for link, lo, hi in zip(links, bounds, bounds[1:])
     ]
     decoded = decoded[0] if len(decoded) == 1 else np.concatenate(decoded)
-    received_bits = ints_to_bit_matrix(decoded, k).ravel().astype(np.uint8)
-    return SegmentedPass(values, decoded, origins, received_bits, symbol_weights)
+    return SegmentedPass(values, decoded, origins, symbol_weights)

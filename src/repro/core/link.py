@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.config import LinkConfig
 from repro.kernels import get_kernel
 from repro.modulation.ppm import PpmCodec
-from repro.modulation.symbols import count_bit_errors, int_to_bits
+from repro.modulation.symbols import bit_matrix_to_ints, ints_to_bit_matrix, symbol_bit_errors
 from repro.photonics.channel import OpticalChannel
 from repro.simulation.randomness import RandomSource, split_seed
 from repro.spad.device import SpadDevice
@@ -30,6 +30,14 @@ from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.converter import TimeToDigitalConverter
 from repro.tdc.delay_element import DelayElementModel
 from repro.tdc.delay_line import TappedDelayLine
+
+
+def _symbol_values(bits, width: int) -> np.ndarray:
+    """Values of ``bits`` read as big-endian ``width``-bit symbols, the last
+    one zero-padded."""
+    padded = np.zeros(-(-len(bits) // width) * width, dtype=np.int64)
+    padded[: len(bits)] = bits
+    return bit_matrix_to_ints(padded.reshape(-1, width))
 
 
 @dataclass
@@ -42,10 +50,26 @@ class TransmissionResult:
     ``transmitted_bits`` and ``received_bits`` are 1-D ``np.uint8`` arrays
     of payload length (the zero padding of a final partial symbol is not
     included); ``transmitted_bits`` is the link's own copy of the payload.
+
+    The receiver also reports per symbol: ``decoded_values`` holds the
+    decoded value of every symbol and ``symbol_bit_errors`` each symbol's
+    bit errors over payload positions
+    (:func:`~repro.modulation.symbols.symbol_bit_errors`), so
+    ``bit_errors == symbol_bit_errors.sum()``; count from these rather than
+    from the bit arrays.  ``symbol_errors`` counts the symbols whose decoded
+    value differs, a final partial symbol's padding included.
+
+    A result derives what it is not given.  The links give
+    ``decoded_values`` and leave ``received_bits`` ``None``: it is unpacked
+    from the decoded values on first read.  The batch engines also give
+    ``symbol_bit_errors``, which the result otherwise counts from
+    ``transmitted_bits`` and ``decoded_values``.  A result given bits only
+    (a third-party backend, a hand-built result) reads ``decoded_values``
+    from ``received_bits``, a final partial symbol's padding as zeros.
     """
 
     transmitted_bits: np.ndarray
-    received_bits: np.ndarray
+    received_bits: Optional[np.ndarray]
     symbols_sent: int
     symbol_errors: int
     detection_counts: Dict[str, int]
@@ -59,13 +83,54 @@ class TransmissionResult:
     #: :data:`~repro.spad.device.CODE_BY_ORIGIN`'s value space, ``-1`` for a
     #: missed window.  Lets consumers stratify weighted error mass by origin.
     symbol_origins: Optional[np.ndarray] = None
+    #: Payload bits per symbol (the PPM order K).  ``None`` takes the width
+    #: the counts imply, ``ceil(len(transmitted_bits) / symbols_sent)``,
+    #: which is K whenever the payload is whole symbols.
+    bits_per_symbol: Optional[int] = None
+    #: Decoded value of every symbol (``0`` for a missed window).
+    decoded_values: Optional[np.ndarray] = None
+    #: Bit errors of every symbol over payload positions (the zero padding
+    #: of a final partial symbol is masked out).
+    symbol_bit_errors: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        count = len(self.transmitted_bits)
+        if self.bits_per_symbol is None:
+            self.bits_per_symbol = -(-count // max(self.symbols_sent, 1)) or 1
+        width = self.bits_per_symbol
+        if self.received_bits is None:
+            if self.decoded_values is None:
+                raise ValueError("a result needs received_bits or decoded_values")
+            # Unpacked from decoded_values on first read (see __getattr__).
+            del self.received_bits
+        elif len(self.received_bits) != count:
+            raise ValueError(
+                f"bit streams must have the same length, got {count} and "
+                f"{len(self.received_bits)}"
+            )
+        elif self.decoded_values is None:
+            self.decoded_values = _symbol_values(self.received_bits, width)
+        if self.symbol_bit_errors is None:
+            sent = _symbol_values(self.transmitted_bits, width)
+            self.symbol_bit_errors = (
+                symbol_bit_errors(sent, self.decoded_values, width, count)
+                if count
+                else np.zeros(0, dtype=np.uint8)
+            )
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails, which for a field means a
+        # received_bits left to be unpacked from decoded_values.
+        if name != "received_bits" or "decoded_values" not in vars(self):
+            raise AttributeError(name)
+        matrix = ints_to_bit_matrix(self.decoded_values, self.bits_per_symbol)
+        self.received_bits = matrix.ravel()[: len(self.transmitted_bits)].astype(np.uint8)
+        return self.received_bits
 
     @property
     def bit_errors(self) -> int:
         """Number of payload bit positions that differ."""
-        if len(self.transmitted_bits) == 0:
-            return 0
-        return count_bit_errors(self.transmitted_bits, self.received_bits)
+        return int(self.symbol_bit_errors.sum())
 
     @property
     def bit_error_rate(self) -> float:
@@ -239,7 +304,7 @@ class OpticalLink:
         symbol_duration = self.config.symbol_duration
         mean_photons = self.mean_photons_at_detector()
 
-        received_bits: List[int] = []
+        decoded_values: List[int] = []
         symbol_errors = 0
         detection_counts = {
             "photon": 0,
@@ -274,18 +339,20 @@ class OpticalLink:
                 conversion = self.tdc.convert(min(relative, self.tdc.usable_range * 0.999999))
                 measured = min(max(conversion.measured_time, 0.0), symbol_duration * 0.999999)
                 decoded_value = self.codec.decode_time(measured)
-            received_bits.extend(int_to_bits(decoded_value, k))
+            decoded_values.append(decoded_value)
             if decoded_value != symbol.value:
                 symbol_errors += 1
 
         elapsed = len(symbols) * symbol_duration
         return TransmissionResult(
             transmitted_bits=payload,
-            received_bits=np.asarray(received_bits[: payload.size], dtype=np.uint8),
+            received_bits=None,
             symbols_sent=len(symbols),
             symbol_errors=symbol_errors,
             detection_counts=detection_counts,
             elapsed_time=elapsed,
+            bits_per_symbol=k,
+            decoded_values=np.asarray(decoded_values, dtype=np.int64),
         )
 
     def transmit_random(self, bit_count: int, payload_seed: int = 1234) -> TransmissionResult:

@@ -22,8 +22,10 @@ all ``C`` channels as ``(S, C)`` NumPy passes:
    the scan folds all ``C`` per-channel datapaths into one shared pipeline.
 4. One ``decode_windows`` kernel call
    (:meth:`~repro.core.link.OpticalLink._decode_windows`) runs the TDC and
-   the slot decision over the flattened ``(S*C,)`` grid, and the decoded
-   values are unpacked back to bits.
+   the slot decision over the flattened ``(S*C,)`` grid, and each payload
+   symbol's bit errors are one popcount lookup of ``sent ^ decoded``
+   (:func:`~repro.modulation.symbols.symbol_bit_errors`); the result's
+   ``received_bits`` are unpacked from the decoded values only when read.
 
 Contract
 --------
@@ -45,21 +47,11 @@ import numpy as np
 
 from repro.core.config import LinkConfig
 from repro.core.link import OpticalLink, TransmissionResult
-from repro.modulation.symbols import ints_to_bit_matrix
+from repro.modulation.symbols import ints_to_bit_matrix, symbol_bit_errors
 from repro.photonics.channel import OpticalChannel
 from repro.photonics.crosstalk import CrosstalkModel
 from repro.spad.array import detect_in_windows_multichannel
 from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings
-
-#: Bit errors caused by decoding one symbol value as another = popcount of
-#: their XOR.  ``ppm_bits`` is capped at 16, so one 2^16 lookup table covers
-#: every codec and turns per-symbol bit-error counting into a table take.
-_POPCOUNT16 = (
-    np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
-    .reshape(-1, 16)
-    .sum(axis=1)
-    .astype(np.int64)
-)
 
 
 @dataclass
@@ -76,12 +68,12 @@ class MultichannelResult(TransmissionResult):
     """
 
     #: Payload bits and bit errors per channel, as ``(C,)`` integer arrays —
-    #: the cheap per-channel split (one table lookup + bincount at transmit
-    #: time), counting *payload* positions only (the zero-padding of a final
-    #: partial symbol is excluded, exactly as in the aggregate fields, so
-    #: ``channel_bit_errors.sum() == bit_errors``).  Accumulate from these
-    #: instead of :attr:`channel_results` when only counts are needed (the
-    #: experiment runner does).
+    #: the cheap per-channel split (one bincount of ``symbol_bit_errors`` at
+    #: transmit time), counting *payload* positions only (the zero-padding of
+    #: a final partial symbol is excluded, exactly as in the aggregate
+    #: fields, so ``channel_bit_errors.sum() == bit_errors``).  Accumulate
+    #: from these instead of :attr:`channel_results` when only counts are
+    #: needed (the experiment runner does).
     channel_bits: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64), repr=False, compare=False
     )
@@ -280,7 +272,10 @@ class MultichannelOpticalLink(OpticalLink):
         Same payload contract as the other backends: bits are padded with
         zeros to a whole number of symbols and the symbol stream is padded to
         a whole number of parallel windows; error statistics cover the
-        original payload symbols only.
+        original payload symbols only.  The result carries every payload
+        symbol's decoded value and bit errors (in payload order, symbol ``i``
+        having ridden channel ``i % C``) and unpacks ``received_bits`` from
+        the decoded values only when read.
         """
         payload = self._payload_array(bits)
         k = self.config.ppm_bits
@@ -342,39 +337,32 @@ class MultichannelOpticalLink(OpticalLink):
         # simulated — their detections advance dead time — but not counted.
         decoded_flat = decoded.reshape(-1)[:symbol_count]
         origins_flat = origins.reshape(-1)[:symbol_count]
-        received_matrix = ints_to_bit_matrix(decoded_flat, k)
+        errors = symbol_bit_errors(values, decoded_flat, k, payload.size)
         elapsed = windows * symbol_duration
         channel_index = np.arange(symbol_count, dtype=np.int64) % self.channels
-        errors_per_symbol = _POPCOUNT16[np.bitwise_xor(values, decoded_flat)]
         channel_bits = np.bincount(channel_index, minlength=self.channels) * k
+        # The final symbol's zero-pad bits are no payload of its channel.
+        channel_bits[(symbol_count - 1) % self.channels] -= symbol_count * k - payload.size
         channel_bit_errors = np.bincount(
-            channel_index, weights=errors_per_symbol, minlength=self.channels
+            channel_index, weights=errors, minlength=self.channels
         ).astype(np.int64)
-        # Per-channel counts cover payload positions only, like the aggregate
-        # fields: back the final symbol's zero-pad bits (the low bits of its
-        # big-endian group) out of its channel's counts.
-        pad_bits = symbol_count * k - payload.size
-        if pad_bits:
-            last_channel = (symbol_count - 1) % self.channels
-            channel_bits[last_channel] -= pad_bits
-            pad_errors = _POPCOUNT16[
-                (int(values[-1]) ^ int(decoded_flat[-1])) & ((1 << pad_bits) - 1)
-            ]
-            channel_bit_errors[last_channel] -= int(pad_errors)
 
         return MultichannelResult(
             transmitted_bits=payload,
-            received_bits=received_matrix.ravel()[: payload.size].astype(np.uint8),
+            received_bits=None,
             symbols_sent=symbol_count,
-            symbol_errors=int(np.count_nonzero(errors_per_symbol)),
+            symbol_errors=int(np.count_nonzero(decoded_flat != values)),
             detection_counts=self._origin_counts(origins_flat),
             elapsed_time=elapsed,
             symbol_weights=symbol_weights,
             symbol_origins=origins_flat if self.importance is not None else None,
+            bits_per_symbol=k,
+            decoded_values=decoded_flat,
+            symbol_bit_errors=errors,
             channel_bits=channel_bits,
             channel_bit_errors=channel_bit_errors,
             _channel_results_builder=lambda: self._channel_results(
-                values, decoded_flat, origins_flat, received_matrix, channel_bits, elapsed
+                values, decoded_flat, origins_flat, errors, channel_bits, elapsed
             ),
         )
 
@@ -393,22 +381,23 @@ class MultichannelOpticalLink(OpticalLink):
         values: np.ndarray,
         decoded: np.ndarray,
         origins: np.ndarray,
-        received_matrix: np.ndarray,
+        errors: np.ndarray,
         channel_bits: np.ndarray,
         elapsed: float,
     ) -> Tuple[TransmissionResult, ...]:
         """Per-channel :class:`TransmissionResult` views of one array pass.
 
         One ``bincount`` pass splits the symbol stream back per channel (the
-        flat symbol index ``i`` rode channel ``i % C``); the shared bit
-        matrices are sliced rather than rebuilt per channel.  Each view's bit
-        fields are cut to ``channel_bits[c]``, so the zero padding of a final
-        partial symbol is left out exactly as in the count split.
+        flat symbol index ``i`` rode channel ``i % C``); the per-symbol
+        arrays are sliced rather than rebuilt per channel.  Each view's
+        ``transmitted_bits`` are cut to ``channel_bits[c]``, so the zero
+        padding of a final partial symbol is left out exactly as in the
+        count split, and its ``received_bits`` unpack on first read.
         """
         count = int(values.size)
         channels = self.channels
-        sent_matrix = ints_to_bit_matrix(values, self.config.ppm_bits).astype(np.uint8)
-        received_matrix = received_matrix.astype(np.uint8)
+        k = self.config.ppm_bits
+        sent_matrix = ints_to_bit_matrix(values, k).astype(np.uint8)
         channel_index = np.arange(count) % channels
         symbol_errors = np.bincount(
             channel_index[decoded != values], minlength=channels
@@ -426,15 +415,18 @@ class MultichannelOpticalLink(OpticalLink):
             counts = {"missed": int(folded[channel, 0])}
             for position, code in enumerate(origin_codes, start=1):
                 counts[ORIGIN_BY_CODE[code].value] = int(folded[channel, position])
-            payload_bits = int(channel_bits[channel])
             results.append(
                 TransmissionResult(
-                    transmitted_bits=sent_matrix[channel::channels].ravel()[:payload_bits],
-                    received_bits=received_matrix[channel::channels].ravel()[:payload_bits],
+                    transmitted_bits=sent_matrix[channel::channels]
+                    .ravel()[: int(channel_bits[channel])],
+                    received_bits=None,
                     symbols_sent=int(values[channel::channels].size),
                     symbol_errors=int(symbol_errors[channel]),
                     detection_counts=counts,
                     elapsed_time=elapsed,
+                    bits_per_symbol=k,
+                    decoded_values=decoded[channel::channels],
+                    symbol_bit_errors=errors[channel::channels],
                 )
             )
         return tuple(results)

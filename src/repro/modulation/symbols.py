@@ -79,47 +79,45 @@ def bit_matrix_to_ints(bits: np.ndarray) -> np.ndarray:
     return bits @ weights
 
 
-def count_bit_errors(sent: Sequence[int], received: Sequence[int]) -> int:
-    """Number of positions where the two bit streams disagree.
+def _popcount_table(bits: int) -> np.ndarray:
+    """Set bits of every ``bits``-bit value: value ``v + 2^i`` has one more
+    than ``v`` for ``v < 2^i``, so each doubling is one array pass."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(bits):
+        table = np.concatenate([table, table + 1])
+    return table
 
-    The shared metric primitive behind ``TransmissionResult.bit_errors`` and
-    the scenario metric registry — one vectorised comparison instead of a
-    Python loop over payload positions.
 
-    >>> count_bit_errors([0, 1, 1, 0], [0, 1, 0, 0])
-    1
+#: Set bits of every 16-bit value.  Decoding symbol value ``v`` as ``d``
+#: costs ``POPCOUNT16[v ^ d]`` bit errors; ``ppm_bits`` is capped at 16, so
+#: this one ``uint8`` table serves every codec.
+POPCOUNT16 = _popcount_table(16)
+
+
+def symbol_bit_errors(
+    values: np.ndarray, decoded: np.ndarray, ppm_bits: int, row_bits
+) -> np.ndarray:
+    """Bit errors of every received symbol, over payload positions only.
+
+    ``values`` holds the sent symbol values of one or more rows back to
+    back: row ``r`` is a payload of ``row_bits[r]`` bits (a scalar is one
+    row) zero-padded to whole ``ppm_bits``-bit symbols.  ``decoded`` holds
+    the received values along its last axis; leading axes (one row per
+    broadcast receiver, say) broadcast against ``values``.  A symbol's count
+    is the popcount of ``values ^ decoded`` with the padding — the low bits
+    of each row's last symbol — masked out, so a row's counts sum to the bit
+    errors of its payload.  The result is ``uint8``, shaped like ``decoded``.
+
+    >>> symbol_bit_errors(np.array([5, 2]), np.array([6, 1]), 3, 5).tolist()
+    [2, 1]
     """
-    sent_arr = np.asarray(sent)
-    received_arr = np.asarray(received)
-    if sent_arr.shape != received_arr.shape:
-        raise ValueError(
-            f"bit streams must have the same length, got {sent_arr.size} and {received_arr.size}"
-        )
-    return int(np.count_nonzero(sent_arr != received_arr))
-
-
-def count_symbol_errors(sent: Sequence[int], received: Sequence[int], bits_per_symbol: int) -> int:
-    """Number of ``bits_per_symbol``-wide groups containing at least one bit error.
-
-    Both streams must hold a whole number of symbols.
-
-    >>> count_symbol_errors([0, 1, 1, 0], [0, 1, 0, 1], 2)
-    1
-    """
-    if bits_per_symbol <= 0:
-        raise ValueError(f"bits_per_symbol must be positive, got {bits_per_symbol}")
-    sent_arr = np.asarray(sent)
-    received_arr = np.asarray(received)
-    if sent_arr.shape != received_arr.shape:
-        raise ValueError(
-            f"bit streams must have the same length, got {sent_arr.size} and {received_arr.size}"
-        )
-    if sent_arr.size % bits_per_symbol:
-        raise ValueError(
-            f"stream length {sent_arr.size} is not a whole number of {bits_per_symbol}-bit symbols"
-        )
-    mismatches = (sent_arr != received_arr).reshape(-1, bits_per_symbol)
-    return int(np.count_nonzero(np.any(mismatches, axis=1)))
+    row_bits = np.asarray(row_bits)
+    last = np.cumsum(-(-row_bits // ppm_bits)) - 1  # each row's last symbol
+    difference = np.bitwise_xor(decoded, values)
+    # -1 << p keeps every bit above the row's p = (-row_bits) % ppm_bits
+    # padding bits.
+    difference[..., last] &= -1 << (-row_bits) % ppm_bits
+    return POPCOUNT16[difference]
 
 
 @dataclass(frozen=True)

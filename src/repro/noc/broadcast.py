@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.backend import backend_capabilities, make_link, resolve_backend
 from repro.core.config import LinkConfig
+from repro.modulation.symbols import bit_matrix_to_ints, symbol_bit_errors
 from repro.noc.packet import Packet
 from repro.noc.topology import StackTopology
 from repro.simulation.randomness import split_seed
@@ -48,22 +49,26 @@ def tile_symbols_for_receivers(
 
 
 def per_receiver_bit_errors(
-    mismatches: np.ndarray, channels: int, starts: np.ndarray, payload_bits: np.ndarray
+    padded_bits: np.ndarray,
+    decoded_values: np.ndarray,
+    ppm_bits: int,
+    starts: np.ndarray,
+    payload_bits: np.ndarray,
 ) -> np.ndarray:
-    """Per-packet, per-receiver error counts of one tiled broadcast transmission.
+    """Per-packet, per-receiver bit errors of one tiled broadcast transmission.
 
-    ``mismatches`` is the ``(rows, channels, ppm_bits)`` boolean sent/received
-    disagreement array of a :func:`tile_symbols_for_receivers` payload of
-    packets back to back: packet ``p``'s padded bits start at bit
-    ``starts[p]`` of the untiled payload and carry ``payload_bits[p]`` bits.
-    Returns ``(packets, channels)`` counts, each restricted to the packet's
-    own bits (the zero-padding of its final partial symbol is excluded), as
-    differences of one cumulative sum per receiver.
+    ``padded_bits`` holds packets back to back as they went into
+    :func:`tile_symbols_for_receivers` (packet ``p``'s padded bits start at
+    bit ``starts[p]`` and carry ``payload_bits[p]`` bits), and
+    ``decoded_values`` the pass's decoded symbols (flat symbol ``r*C + c`` is
+    row ``r`` at receiver ``c``).  Returns ``(packets, C)`` counts, each over
+    the packet's own bits (the zero padding of its final partial symbol is
+    masked), as sums of :func:`~repro.modulation.symbols.symbol_bit_errors`.
     """
-    per_receiver = mismatches.transpose(1, 0, 2).reshape(channels, -1)
-    counts = np.zeros((channels, per_receiver.shape[1] + 1), dtype=np.int64)
-    np.cumsum(per_receiver, axis=1, out=counts[:, 1:])
-    return (counts[:, starts + payload_bits] - counts[:, starts]).T
+    values = bit_matrix_to_ints(padded_bits.reshape(-1, ppm_bits))
+    per_receiver = decoded_values.reshape(values.size, -1).T
+    errors = symbol_bit_errors(values, per_receiver, ppm_bits, payload_bits)
+    return np.add.reduceat(errors, starts // ppm_bits, axis=1, dtype=np.int64).T
 
 
 @dataclass
@@ -134,11 +139,8 @@ def broadcast(
             seed=split_seed(seed, f"noc:broadcast:{source_node}"),
         )
         outcome = link.transmit_bits(tiled)
-        mismatches = (
-            np.asarray(outcome.transmitted_bits) != np.asarray(outcome.received_bits)
-        ).reshape(-1, channels, k)
         errors_per_receiver = per_receiver_bit_errors(
-            mismatches, channels, np.array([0]), np.array([len(bits)])
+            padded, outcome.decoded_values, k, np.array([0]), np.array([len(bits)])
         )[0]
         for node, errors in zip(receivers, errors_per_receiver):
             result.receivers[node] = int(errors) == 0

@@ -53,7 +53,7 @@ from repro.core.backend import backend_capabilities, make_link, resolve_backend
 from repro.core.config import LinkConfig
 from repro.core.fastlink import transmit_segments
 from repro.kernels import get_kernel
-from repro.modulation.symbols import ints_to_bit_matrix
+from repro.modulation.symbols import bit_matrix_to_ints, ints_to_bit_matrix, symbol_bit_errors
 from repro.noc.broadcast import per_receiver_bit_errors, tile_symbols_for_receivers
 from repro.noc.packet import Packet, check_payload_bits
 from repro.noc.topology import StackTopology
@@ -667,24 +667,24 @@ class OpticalBus:
             )
         rows = np.concatenate(groups)
         sent, starts = table.padded(rows)
+        k = self.config.ppm_bits
         firsts = np.cumsum([0] + [group.size for group in groups[:-1]])
         if self.backend == "batch":
-            received = transmit_segments(
-                links, sent, starts[firsts] // self.config.ppm_bits
-            ).received_bits
+            epoch = transmit_segments(links, sent, starts[firsts] // k)
+            values, decoded = epoch.values, epoch.decoded
         else:
             bounds = starts[firsts].tolist() + [sent.size]
-            received = np.concatenate(
+            values = bit_matrix_to_ints(sent.reshape(-1, k))
+            decoded = np.concatenate(
                 [
-                    link.transmit_bits(sent[lo:hi]).received_bits
+                    link.transmit_bits(sent[lo:hi]).decoded_values
                     for link, lo, hi in zip(links, bounds, bounds[1:])
                 ]
             )
-        # Each row's errors: the mismatches over its own bits (its padding
-        # excluded), a difference of one cumulative sum.
-        mismatches = np.zeros(sent.size + 1, dtype=np.int64)
-        np.cumsum(sent != received, out=mismatches[1:])
-        return mismatches[starts + table.bits[rows]] - mismatches[starts]
+        # Each row's errors: its symbols' counts over its own bits (its
+        # padding masked), summed.
+        errors = symbol_bit_errors(values, decoded, k, table.bits[rows])
+        return np.add.reduceat(errors, starts // k, dtype=np.int64)
 
     def _flush_broadcast(self, rows: np.ndarray) -> None:
         """Send one source's broadcast rows of an epoch to every other die."""
@@ -702,8 +702,9 @@ class OpticalBus:
             sent, starts = table.padded(rows)
             link = self._broadcast_link_for(source)
             result = link.transmit_bits(tile_symbols_for_receivers(sent, k, channels))
-            mismatches = (result.transmitted_bits != result.received_bits).reshape(-1, channels, k)
-            errors = per_receiver_bit_errors(mismatches, channels, starts, table.bits[rows])
+            errors = per_receiver_bit_errors(
+                sent, result.decoded_values, k, starts, table.bits[rows]
+            )
         else:
             errors = np.array(
                 [

@@ -7,7 +7,9 @@ optical channels with the right stack spans and horizontal distances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.units import MM
@@ -32,13 +34,22 @@ class NodeAddress:
 
 
 class StackTopology:
-    """Logical node layout over a physical die stack."""
+    """Logical node layout over a physical die stack.
+
+    ``nodes_per_die`` must be a positive integer and ``die_size`` a positive,
+    finite length; a bool, a fraction (even a whole float) or NaN raises
+    :class:`ValueError` here rather than failing in the layout.
+    """
 
     def __init__(self, stack: DieStack, nodes_per_die: int = 1, die_size: float = 10.0 * MM) -> None:
+        if isinstance(nodes_per_die, bool) or not isinstance(nodes_per_die, Integral):
+            raise ValueError(f"nodes_per_die must be an integer, got {nodes_per_die!r}")
         if nodes_per_die <= 0:
             raise ValueError("nodes_per_die must be positive")
-        if die_size <= 0:
-            raise ValueError("die_size must be positive")
+        # Written so that NaN fails it too.
+        real = isinstance(die_size, Real) and not isinstance(die_size, bool)
+        if not (real and 0 < die_size < math.inf):
+            raise ValueError(f"die_size must be a positive, finite length, got {die_size!r}")
         self.stack = stack
         self.nodes_per_die = nodes_per_die
         self.die_size = die_size
@@ -47,8 +58,6 @@ class StackTopology:
 
     def _populate(self) -> None:
         # Nodes are laid out on a square grid within each die.
-        import math
-
         grid = int(math.ceil(math.sqrt(self.nodes_per_die)))
         pitch = self.die_size / max(grid, 1)
         node_id = 0

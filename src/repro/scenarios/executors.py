@@ -313,9 +313,7 @@ def evaluate_point(
         # raw counts nor the weighted indicators are recoverable — derive
         # them here from the chunk's full transmission result.
         weights = np.asarray(result.symbol_weights, dtype=float)
-        sent = np.asarray(result.transmitted_bits).reshape(weights.size, -1)
-        received = np.asarray(result.received_bits).reshape(weights.size, -1)
-        errors = np.count_nonzero(sent != received, axis=1)
+        errors = result.symbol_bit_errors
         err_mask = errors > 0
         raw_errors["bit_errors"] += int(errors.sum())
         raw_errors["symbol_errors"] += int(np.count_nonzero(err_mask))

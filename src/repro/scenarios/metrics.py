@@ -7,9 +7,9 @@ name their metrics as strings; the registry resolves them so that scenario
 definitions stay declarative (and serialisable) while new figures of merit can
 be plugged in without touching the runner.
 
-The error-count primitives (``count_bit_errors`` / ``count_symbol_errors``)
-live in :mod:`repro.modulation.symbols` and are shared with
-:class:`~repro.core.link.TransmissionResult`.
+The error counts come from the links' per-symbol receiver reports
+(:attr:`~repro.core.link.TransmissionResult.symbol_bit_errors`, counted by
+:func:`repro.modulation.symbols.symbol_bit_errors`).
 """
 
 from __future__ import annotations

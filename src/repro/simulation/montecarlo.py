@@ -20,7 +20,8 @@ whole chunk internally (the same design as the batch link engine in
 are not draw-for-draw identical.
 
 :class:`LinkBatchTrial` keeps each chunk's bits as NumPy arrays from the
-payload draw through the link to the error count.
+payload draw into the link, and takes its samples from the link's per-symbol
+bit errors (``TransmissionResult.symbol_bit_errors``).
 """
 
 from __future__ import annotations
@@ -139,13 +140,11 @@ class LinkBatchTrial:
         result = link.transmit_bits(payload)
         if self.on_result is not None:
             self.on_result(result)
-        sent = np.asarray(result.transmitted_bits).reshape(count, -1)
-        received = np.asarray(result.received_bits).reshape(count, -1)
-        mismatches = sent != received
+        errors = result.symbol_bit_errors
         if self.per_symbol == "bit_errors":
-            samples = np.count_nonzero(mismatches, axis=1).astype(float)
+            samples = errors.astype(float)
         else:
-            samples = np.any(mismatches, axis=1).astype(float)
+            samples = (errors > 0).astype(float)
         if self.importance is not None:
             samples = samples * np.asarray(result.symbol_weights, dtype=float)
         return samples

@@ -14,6 +14,7 @@ from repro.core.config import LinkConfig
 from repro.core.fastlink import FastOpticalLink, transmit_segments
 from repro.core.link import OpticalLink, TransmissionResult
 from repro.core.throughput import TdcDesign
+from repro.modulation.symbols import ints_to_bit_matrix
 from repro.simulation.randomness import RandomSource
 from repro.spad.afterpulsing import AfterpulsingModel
 from repro.spad.device import (
@@ -237,7 +238,12 @@ class TestSegmentedPass:
         sent = transmit_segments(links, np.concatenate(payloads), starts)
         expected = [twin.transmit_bits(bits) for twin, bits in zip(twins, payloads)]
         assert np.array_equal(
-            sent.received_bits, np.concatenate([result.received_bits for result in expected])
+            sent.decoded, np.concatenate([result.decoded_values for result in expected])
+        )
+        # Hence every received bit of every link.
+        assert np.array_equal(
+            ints_to_bit_matrix(sent.decoded, 4).ravel(),
+            np.concatenate([result.received_bits for result in expected]),
         )
         bounds = np.append(starts, sum(self.SYMBOLS))
         for link, twin, result, lo, hi in zip(links, twins, expected, bounds, bounds[1:]):

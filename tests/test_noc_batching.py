@@ -250,6 +250,26 @@ class TestEpochPass:
         assert epoch_stats == group_stats
         assert 0 < epoch_stats.bit_errors and 0 < epoch_stats.packets_delivered
 
+    def test_a_long_dim_packet_counts_past_a_byte(self, monkeypatch):
+        # Per-symbol counts are uint8; a packet's sum must not wrap at 256.
+        def run(per_group: bool):
+            bus = OpticalBus(small_topology(3), config=CONFIG, emitted_photons=0.2, seed=2)
+            payload = np.random.default_rng(2).integers(0, 2, 3000).tolist()
+            packets = {0: Packet(0, 2, payload, 0), 1: Packet(1, 0, payload[:50], 1)}
+            if per_group:
+                monkeypatch.setattr(
+                    bus, "_unicast_bit_errors",
+                    lambda groups: per_group_bit_errors(bus, packets, groups),
+                )
+            for sequence, packet in packets.items():
+                bus.offer(packet, arrival_slot=sequence)
+            bus.run(max_slots=100_000)
+            return [outcome.bit_errors for outcome in bus.outcomes]
+
+        errors = run(False)
+        assert errors == run(True)
+        assert max(errors) > 255
+
 
 class TestBroadcastEquivalence:
     def coverage_counts(self, backend, seeds=range(6), photons=3_000.0):

@@ -127,6 +127,42 @@ class TestTopology:
         with pytest.raises(ValueError):
             NodeAddress(die=-1)
 
+    # Bad sizes raise ValueError at construction instead of failing (or
+    # quietly building a topology) in the layout.
+    def test_rejects_a_fractional_node_count(self):
+        with pytest.raises(ValueError, match="nodes_per_die must be an integer"):
+            StackTopology(DieStack.uniform(count=2), nodes_per_die=2.5)
+
+    def test_rejects_a_whole_float_node_count(self):
+        with pytest.raises(ValueError, match="nodes_per_die must be an integer"):
+            StackTopology(DieStack.uniform(count=2), nodes_per_die=2.0)
+
+    def test_rejects_a_bool_node_count(self):
+        with pytest.raises(ValueError, match="nodes_per_die must be an integer"):
+            StackTopology(DieStack.uniform(count=2), nodes_per_die=True)
+
+    def test_rejects_a_nan_node_count(self):
+        with pytest.raises(ValueError, match="nodes_per_die must be an integer"):
+            StackTopology(DieStack.uniform(count=2), nodes_per_die=float("nan"))
+
+    def test_rejects_a_nan_die_size(self):
+        with pytest.raises(ValueError, match="die_size"):
+            StackTopology(DieStack.uniform(count=2), die_size=float("nan"))
+
+    def test_rejects_an_infinite_die_size(self):
+        with pytest.raises(ValueError, match="die_size"):
+            StackTopology(DieStack.uniform(count=2), die_size=float("inf"))
+
+    def test_rejects_a_bool_die_size(self):
+        with pytest.raises(ValueError, match="die_size"):
+            StackTopology(DieStack.uniform(count=2), die_size=True)
+
+    def test_accepts_numpy_integers_and_sizes(self):
+        topology = StackTopology(
+            DieStack.uniform(count=2), nodes_per_die=np.int64(3), die_size=np.float64(5 * MM)
+        )
+        assert topology.node_count == 6
+
 
 class TestRoundRobinArbiter:
     def test_fair_rotation(self):

@@ -5,9 +5,9 @@ the shared data path (payload draw, PPM encode, error count) that moves every
 tier together passes all of them.  This table pins the content digest
 (:func:`repro.scenarios.store.report_digest`) of each named scenario at seed 5
 and 4,096 bits per point on the default kernel, plus ``ber-vs-photons`` on the
-scalar backend and under importance sampling, and ``noc-load-latency`` on the
-scalar backend (its packet-at-a-time flush shares the bus's one arbitration
-path).
+scalar backend, under importance sampling on the batch backend and on a
+four-channel multichannel backend, and ``noc-load-latency`` on the scalar
+backend (its packet-at-a-time flush shares the bus's one arbitration path).
 
 The table holds on every kernel tier: the default run resolves ``"auto"``,
 and every other available tier runs the table again through
@@ -32,6 +32,9 @@ VARIANTS = {
     "default": lambda scenario: scenario,
     "scalar": lambda scenario: scenario.with_backend("scalar"),
     "importance": lambda scenario: scenario.with_trial_mode("importance"),
+    "multichannel-importance": lambda scenario: scenario.with_backend("multichannel")
+    .with_channels(4)
+    .with_trial_mode("importance"),
 }
 
 DIGESTS = {
@@ -47,6 +50,7 @@ DIGESTS = {
     ("ber-vs-photons", "scalar"): "f4163996e482",
     ("noc-load-latency", "scalar"): "563720a7e857",
     ("ber-vs-photons", "importance"): "772b1274447a",
+    ("ber-vs-photons", "multichannel-importance"): "f37734a8d7ae",
 }
 
 
