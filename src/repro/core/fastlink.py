@@ -183,20 +183,16 @@ def transmit_segments(
 
     for link in links:
         link.spad.reset()
-    symbol_weights = None
     if len(links) == 1:
-        detection = first.spad.detect_in_windows(
+        times, origins, *weights = first.spad.detect_in_windows(
             symbol_duration,
             pulse_offsets,
             first.mean_photons_at_detector(),
             importance=first.importance,
             kernel=first.kernel,
         )
-        times, origins = detection[:2]
-        if first.importance is not None:
-            symbol_weights = detection[2]
     else:
-        times, origins = detect_in_segments(
+        times, origins, *weights = detect_in_segments(
             [link.spad for link in links],
             symbol_duration,
             pulse_offsets,
@@ -210,4 +206,4 @@ def transmit_segments(
         for link, lo, hi in zip(links, bounds, bounds[1:])
     ]
     decoded = decoded[0] if len(decoded) == 1 else np.concatenate(decoded)
-    return SegmentedPass(values, decoded, origins, symbol_weights)
+    return SegmentedPass(values, decoded, origins, weights[0] if weights else None)

@@ -41,6 +41,7 @@ channels=64, seed=...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -304,31 +305,21 @@ class MultichannelOpticalLink(OpticalLink):
         secondary_offsets, secondary_photons, background = self._interference(
             pulse_offsets, mean_photons
         )
-        symbol_weights = None
-        if self.importance is not None:
-            times, origins, grid_weights = detect_in_windows_multichannel(
-                self.spad,
-                symbol_duration,
-                pulse_offsets,
-                mean_photons=mean_photons,
-                generator=self._array_source.generator,
-                importance=self.importance,
-            )
-            # Weights align to the flat payload symbol order (symbol i rode
-            # channel i % C in window i // C); grid-padding windows drop out.
-            symbol_weights = grid_weights.reshape(-1)[:symbol_count]
-        else:
-            times, origins = detect_in_windows_multichannel(
-                self.spad,
-                symbol_duration,
-                pulse_offsets,
-                mean_photons=mean_photons,
-                generator=self._array_source.generator,
-                secondary_offsets=secondary_offsets,
-                secondary_photons=secondary_photons,
-                background_mean=background,
-                kernel=self.kernel,
-            )
+        times, origins, *grid_weights = detect_in_windows_multichannel(
+            self.spad,
+            symbol_duration,
+            pulse_offsets,
+            mean_photons=mean_photons,
+            generator=self._array_source.generator,
+            secondary_offsets=secondary_offsets,
+            secondary_photons=secondary_photons,
+            background_mean=background,
+            importance=self.importance,
+            kernel=self.kernel,
+        )
+        # Weights align to the flat payload symbol order (symbol i rode
+        # channel i % C in window i // C); grid-padding windows drop out.
+        symbol_weights = grid_weights[0].reshape(-1)[:symbol_count] if grid_weights else None
 
         decoded = self._decode_windows(times, origins, self.kernel, self.channels)
 
@@ -361,8 +352,10 @@ class MultichannelOpticalLink(OpticalLink):
             symbol_bit_errors=errors,
             channel_bits=channel_bits,
             channel_bit_errors=channel_bit_errors,
-            _channel_results_builder=lambda: self._channel_results(
-                values, decoded_flat, origins_flat, errors, channel_bits, elapsed
+            # A module-level function, so the result pickles.
+            _channel_results_builder=partial(
+                _channel_results,
+                values, decoded_flat, origins_flat, errors, channel_bits, elapsed, k,
             ),
         )
 
@@ -376,63 +369,64 @@ class MultichannelOpticalLink(OpticalLink):
             counts[ORIGIN_BY_CODE[int(code)].value] = int(code_count)
         return counts
 
-    def _channel_results(
-        self,
-        values: np.ndarray,
-        decoded: np.ndarray,
-        origins: np.ndarray,
-        errors: np.ndarray,
-        channel_bits: np.ndarray,
-        elapsed: float,
-    ) -> Tuple[TransmissionResult, ...]:
-        """Per-channel :class:`TransmissionResult` views of one array pass.
-
-        One ``bincount`` pass splits the symbol stream back per channel (the
-        flat symbol index ``i`` rode channel ``i % C``); the per-symbol
-        arrays are sliced rather than rebuilt per channel.  Each view's
-        ``transmitted_bits`` are cut to ``channel_bits[c]``, so the zero
-        padding of a final partial symbol is left out exactly as in the
-        count split, and its ``received_bits`` unpack on first read.
-        """
-        count = int(values.size)
-        channels = self.channels
-        k = self.config.ppm_bits
-        sent_matrix = ints_to_bit_matrix(values, k).astype(np.uint8)
-        channel_index = np.arange(count) % channels
-        symbol_errors = np.bincount(
-            channel_index[decoded != values], minlength=channels
-        )
-        # Per-channel detection breakdown: fold (channel, origin) pairs into
-        # one bincount (origin codes -1..3 shift to 0..4).
-        origin_codes = sorted(ORIGIN_BY_CODE)
-        kinds = len(origin_codes) + 1
-        folded = np.bincount(
-            channel_index * kinds + (origins.astype(np.int64) + 1),
-            minlength=channels * kinds,
-        ).reshape(channels, kinds)
-        results = []
-        for channel in range(channels):
-            counts = {"missed": int(folded[channel, 0])}
-            for position, code in enumerate(origin_codes, start=1):
-                counts[ORIGIN_BY_CODE[code].value] = int(folded[channel, position])
-            results.append(
-                TransmissionResult(
-                    transmitted_bits=sent_matrix[channel::channels]
-                    .ravel()[: int(channel_bits[channel])],
-                    received_bits=None,
-                    symbols_sent=int(values[channel::channels].size),
-                    symbol_errors=int(symbol_errors[channel]),
-                    detection_counts=counts,
-                    elapsed_time=elapsed,
-                    bits_per_symbol=k,
-                    decoded_values=decoded[channel::channels],
-                    symbol_bit_errors=errors[channel::channels],
-                )
-            )
-        return tuple(results)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MultichannelOpticalLink(C={self.channels}, K={self.config.ppm_bits}, "
             f"crosstalk={'on' if self.crosstalk is not None else 'off'})"
         )
+
+
+def _channel_results(
+    values: np.ndarray,
+    decoded: np.ndarray,
+    origins: np.ndarray,
+    errors: np.ndarray,
+    channel_bits: np.ndarray,
+    elapsed: float,
+    k: int,
+) -> Tuple[TransmissionResult, ...]:
+    """Per-channel :class:`TransmissionResult` views of one array pass.
+
+    One ``bincount`` pass splits the symbol stream back per channel (the
+    flat symbol index ``i`` rode channel ``i % C``, ``C`` being the size of
+    ``channel_bits``); the per-symbol arrays are sliced rather than rebuilt
+    per channel.  Each view's ``transmitted_bits`` are cut to
+    ``channel_bits[c]``, so the zero padding of a final partial symbol is
+    left out exactly as in the count split, and its ``received_bits`` unpack
+    on first read.
+    """
+    count = int(values.size)
+    channels = int(channel_bits.size)
+    sent_matrix = ints_to_bit_matrix(values, k).astype(np.uint8)
+    channel_index = np.arange(count) % channels
+    symbol_errors = np.bincount(
+        channel_index[decoded != values], minlength=channels
+    )
+    # Per-channel detection breakdown: fold (channel, origin) pairs into
+    # one bincount (origin codes -1..3 shift to 0..4).
+    origin_codes = sorted(ORIGIN_BY_CODE)
+    kinds = len(origin_codes) + 1
+    folded = np.bincount(
+        channel_index * kinds + (origins.astype(np.int64) + 1),
+        minlength=channels * kinds,
+    ).reshape(channels, kinds)
+    results = []
+    for channel in range(channels):
+        counts = {"missed": int(folded[channel, 0])}
+        for position, code in enumerate(origin_codes, start=1):
+            counts[ORIGIN_BY_CODE[code].value] = int(folded[channel, position])
+        results.append(
+            TransmissionResult(
+                transmitted_bits=sent_matrix[channel::channels]
+                .ravel()[: int(channel_bits[channel])],
+                received_bits=None,
+                symbols_sent=int(values[channel::channels].size),
+                symbol_errors=int(symbol_errors[channel]),
+                detection_counts=counts,
+                elapsed_time=elapsed,
+                bits_per_symbol=k,
+                decoded_values=decoded[channel::channels],
+                symbol_bit_errors=errors[channel::channels],
+            )
+        )
+    return tuple(results)

@@ -18,7 +18,10 @@ armed and trap-free and the window clock restarts at ``base``, so one call
 scans many independent links back to back
 (:func:`~repro.spad.device.detect_in_segments`, which the NoC bus uses for
 each epoch's unicast groups).  Without segments it is the plain scan, bit
-for bit.
+for bit.  It also takes optional per-window **likelihood factors** and then
+returns the importance weights too, so importance-sampled passes (single
+devices and, channel-major, whole arrays) run the same state machine as
+naive ones.
 
 The fourth kernel, the detection decode (``decode_windows``: two-level TDC
 and PPM slot decision over every window), is not a sequential loop; every
@@ -98,8 +101,9 @@ round_robin_schedule = _arbitration.round_robin_schedule
 class Kernel:
     """One named set of hot-loop implementations.
 
-    Every kernel runs the device scan (``scan_windows``), the multichannel
-    window resolution (``resolve_windows``), the bus arbitration
+    Every kernel runs the device scan (``scan_windows``, weighted under
+    importance sampling), the multichannel window resolution
+    (``resolve_windows``), the bus arbitration
     (``arbitrate``, :func:`round_robin_schedule` on every tier) and the
     detection decode (``decode_windows``).  The decode is no sequential
     loop; it is here because its NumPy form pays per pass and per call.

@@ -9,7 +9,8 @@ register the kernel and :func:`repro.kernels.get_kernel` resolves elsewhere.
 Bit-identity with the Python reference is a *compiler-flag* contract: the
 build pins ``-ffp-contract=off -fno-fast-math`` (no FMA contraction, strict
 IEEE-754 ordering), and the loop bodies are single adds/multiplies/compares
-on doubles — the exact operations CPython floats perform.  The decode adds
+on doubles — the exact operations CPython floats perform, the importance
+weights' products included, in the reference's order.  The decode adds
 ``nextafter`` and ``fma``, which are exact in IEEE-754 (an explicit ``fma``
 call rounds once whatever the contraction flag; it computes ``np.mod``'s
 remainder exactly, see the source), and truncating casts of non-negative
@@ -33,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .reference import check_decode_inputs, check_segments
+from .reference import check_decode_inputs, check_factors, check_segments
 
 _SOURCE = r"""
 #include <math.h>
@@ -52,12 +53,17 @@ void repro_scan_windows(
     double base,
     const long long *segment_starts,  /* validated; entry 0 is window 0 */
     long long n_segments,
+    const double *photon_factor,      /* the three likelihood factors, or */
+    const double *dark_factor,        /* all NULL for an unweighted scan */
+    const double *trap_factor,
     double *state,      /* in: [last_fire, pending]; out: the pair per segment */
     double *out_times,
-    signed char *out_origins)
+    signed char *out_origins,
+    double *out_weights)              /* NULL for an unweighted scan */
 {
     double last_fire = state[0];
     double pending = state[1];
+    double running = 1.0;
     long long first = 0, segment = 0;
     long long next = n_segments > 1 ? segment_starts[1] : count;
     long long index;
@@ -78,6 +84,11 @@ void repro_scan_windows(
         window_end = window_start + duration;
         ready = (window_start - last_fire >= gate_recovery)
             ? window_start : last_fire + dead_time;
+        /* Weighted scans are the rare kind: the hint keeps their code off
+         * the naive loop's path. */
+        if (__builtin_expect(out_weights != 0, 0)
+                && window_start - last_fire >= gate_recovery && pending == INFINITY)
+            running = 1.0;   /* armed, no trap pending: a regenerative reset */
         best = INFINITY;
         if (photon_valid[index]) {
             double t = window_start + photon_rel[index];
@@ -101,6 +112,11 @@ void repro_scan_windows(
         } else {
             out_times[index] = NAN;
             out_origins[index] = -1;
+        }
+        if (__builtin_expect(out_weights != 0, 0)) {   /* the reference's order */
+            running = running * photon_factor[index] * dark_factor[index];
+            if (origin >= 0) running = running * trap_factor[index];
+            out_weights[index] = running;
         }
     }
     state[2 * segment] = last_fire;
@@ -321,6 +337,7 @@ class CExtKernels:
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
             _PTR, ctypes.c_longlong,
             _PTR, _PTR, _PTR,
+            _PTR, _PTR, _PTR, _PTR,
         ]
         self._resolve = library.repro_resolve_windows
         self._resolve.restype = None
@@ -353,13 +370,16 @@ class CExtKernels:
         last_fire,
         pending,
         segments=None,
-    ) -> Tuple[np.ndarray, np.ndarray, float, float]:
+        factors=None,
+    ) -> Tuple:
         """Native dead-time scan (see :func:`repro.kernels.reference.scan_windows`)."""
         photon_rel = np.ascontiguousarray(photon_rel, dtype=np.float64)
         count = int(photon_rel.shape[0])
         starts = np.ascontiguousarray(
             _NO_SEGMENTS if segments is None else check_segments(segments, count)
         )
+        factors = None if factors is None else check_factors(factors, count)
+        weights = None if factors is None else np.empty(count, dtype=np.float64)
         inputs = (
             photon_rel,
             np.ascontiguousarray(photon_valid, dtype=np.bool_),
@@ -381,13 +401,17 @@ class CExtKernels:
             float(base),
             starts.ctypes.data,
             starts.size,
+            *([None] * 3 if weights is None else [factor.ctypes.data for factor in factors]),
             state.ctypes.data,
             out_times.ctypes.data,
             out_origins.ctypes.data,
+            None if weights is None else weights.ctypes.data,
         )
         if segments is not None:
-            return out_times, out_origins, state[0::2].copy(), state[1::2].copy()
-        return out_times, out_origins, float(state[0]), float(state[1])
+            result = (out_times, out_origins, state[0::2].copy(), state[1::2].copy())
+        else:
+            result = (out_times, out_origins, float(state[0]), float(state[1]))
+        return result if weights is None else result + (weights,)
 
     def resolve_windows(
         self,

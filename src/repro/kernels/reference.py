@@ -2,7 +2,8 @@
 
 These are the *semantics-defining* implementations of the two sequential hot
 loops the kernel layer accelerates: the dead-time winner scan of
-:meth:`~repro.spad.device.SpadDevice.detect_in_windows` and the per-channel
+:meth:`~repro.spad.device.SpadDevice.detect_in_windows` (which also weighs
+importance-sampled passes, array passes included) and the per-channel
 window resolution of :func:`~repro.spad.array.detect_in_windows_multichannel`.
 :func:`scan_windows` is also the ``"python"`` tier's scan; the registered
 resolvers (:mod:`repro.kernels.speculative`, ``"cext"``) must match
@@ -27,8 +28,8 @@ The device's optional state crosses into kernels as floats: a ``None``
 afterpulse becomes ``+inf`` (never).  With that encoding every ``is not
 None`` guard of the original loop reduces to the plain float comparison that
 follows it (``pending < window_end`` is false for ``+inf``;
-``window_start - (-inf) >= gate_recovery`` is true), so the float-only loop
-below is line-for-line the scan that used to live in ``device.py``.
+``window_start - (-inf) >= gate_recovery`` is true), so the loop below works
+on floats only.
 
 Segmented scans
 ---------------
@@ -39,6 +40,16 @@ at ``base``.  The loop indexes each segment from 0, so the window start is
 the float a separate call on the segment computes, and a segmented scan is
 one call per segment, concatenated, bit for bit; it returns every
 segment's final state.
+
+Likelihood weights
+------------------
+An importance-sampled pass hands :func:`scan_windows` per-window photon,
+dark-count and trap-fill likelihood factors (:func:`check_factors`).  The
+weights depend on the scan only through whether a window fired and whether
+it began armed with no trap pending, so the scan keeps one running product:
+``1.0`` at such a fresh start (every segment's first window is one), times
+the photon, then the dark-count factor, times the trap factor on a fire.
+Every tier multiplies in that order, so the weights are bit-identical too.
 
 This module is a leaf: it imports NumPy and nothing from :mod:`repro`, so the
 registry (and :class:`~repro.scenarios.scenario.Scenario` validation) can
@@ -74,6 +85,14 @@ def check_segments(segments, count: int) -> np.ndarray:
     return starts.astype(np.int64, copy=False)
 
 
+def check_factors(factors, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated ``float64`` ``(photon, dark, trap)`` factors of a ``count``-window scan."""
+    arrays = tuple(np.ascontiguousarray(factor, dtype=np.float64) for factor in factors)
+    if len(arrays) != 3 or any(array.shape != (count,) for array in arrays):
+        raise ValueError(f"likelihood factors must be three arrays of {count} windows")
+    return arrays
+
+
 def scan_windows(
     photon_rel: np.ndarray,
     photon_valid: np.ndarray,
@@ -88,7 +107,8 @@ def scan_windows(
     last_fire: float,
     pending: float,
     segments: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, float, float]:
+    factors: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> Tuple:
     """Sequential dead-time winner scan over one channel's windows.
 
     Inputs are the pre-drawn per-window randomness of the single-channel
@@ -105,32 +125,44 @@ def scan_windows(
     per segment would.  The carried-in state applies to the first segment,
     and the returned ``last_fire`` and ``pending`` are then float arrays,
     each segment's final state.
+
+    ``factors`` optionally gives the ``(photon, dark, trap)`` likelihood
+    factors of an importance-sampled pass, one per window (see the module
+    notes); the scan then returns the per-window weights as a fifth value,
+    ``(times, origins, last_fire, pending, weights)``.
     """
     count = int(photon_rel.shape[0])
     starts = [0] if segments is None else check_segments(segments, count).tolist()
+    weighted = factors is not None
+    if weighted:
+        photon_f, dark_f, trap_f = (factor.tolist() for factor in check_factors(factors, count))
+        out_weights = [1.0] * count
+    running = 1.0
     end_fires = []
     end_pendings = []
+    # Python-list views: ~3x faster to index than NumPy scalars in a Python
+    # loop, and list floats are exactly the C doubles of the arrays.
+    photon_rel_l = photon_rel.tolist()
+    photon_valid_l = photon_valid.tolist()
     dark_rel_l = dark_rel.tolist()
-    out_times = []
-    out_origins = []
+    dark_bounds_l = dark_bounds.tolist()
+    trap_filled_l = trap_filled.tolist()
+    trap_release_l = trap_release.tolist()
+    out_times = [_NAN] * count  # a window that reports nothing keeps these
+    out_origins = [-1] * count
     for first, stop in zip(starts, starts[1:] + [count]):
         if first:
             last_fire = -_INF
             pending = _INF
-        # Python-list views of the segment: ~3x faster to index than NumPy
-        # scalars in a Python loop, and list floats are exactly the C doubles
-        # of the arrays.  Local indices keep ``base + index * duration`` the
-        # float a call on the segment alone computes.
-        photon_rel_l = photon_rel[first:stop].tolist()
-        photon_valid_l = photon_valid[first:stop].tolist()
-        dark_bounds_l = dark_bounds[first : stop + 1].tolist()
-        trap_filled_l = trap_filled[first:stop].tolist()
-        trap_release_l = trap_release[first:stop].tolist()
-        for index in range(stop - first):
-            window_start = base + index * duration
+        for index in range(first, stop):
+            # Counting from the segment's start keeps the window start the
+            # float a call on the segment alone computes.
+            window_start = base + (index - first) * duration
             window_end = window_start + duration
             if window_start - last_fire >= gate_recovery:
                 ready = window_start
+                if pending == _INF:  # a fresh start: the weight restarts
+                    running = 1.0
             else:
                 ready = last_fire + dead_time
             best = _INF
@@ -140,42 +172,43 @@ def scan_windows(
                 if time >= ready:
                     best = time
                     origin = 0
-            for position in range(dark_bounds_l[index], dark_bounds_l[index + 1]):
-                time = window_start + dark_rel_l[position]
-                if time >= ready and time < best:
-                    best = time
-                    origin = 1
-            if (
-                window_start <= pending < window_end
-                and pending >= ready
-                and pending < best
-            ):
-                best = pending
-                origin = 2
-            if pending < window_end:
+            dark_end = dark_bounds_l[index + 1]
+            if dark_end != dark_bounds_l[index]:  # most windows have none: skip the range
+                for position in range(dark_bounds_l[index], dark_end):
+                    time = window_start + dark_rel_l[position]
+                    if time >= ready and time < best:
+                        best = time
+                        origin = 1
+            if pending < window_end:  # a trap release in this window, fired or absorbed
+                if window_start <= pending and pending >= ready and pending < best:
+                    best = pending
+                    origin = 2
                 pending = _INF
             if origin >= 0:
-                out_times.append(best)
-                out_origins.append(origin)
+                out_times[index] = best
+                out_origins[index] = origin
                 last_fire = best
                 if trap_filled_l[index]:
                     pending = best + trap_release_l[index]
                 else:
                     pending = _INF
-            else:
-                out_times.append(_NAN)
-                out_origins.append(-1)
+            if weighted:
+                running = running * photon_f[index] * dark_f[index]
+                if origin >= 0:
+                    running = running * trap_f[index]
+                out_weights[index] = running
         end_fires.append(last_fire)
         end_pendings.append(pending)
     if segments is not None:
         last_fire = np.asarray(end_fires, dtype=float)
         pending = np.asarray(end_pendings, dtype=float)
-    return (
+    result = (
         np.asarray(out_times, dtype=float),
         np.asarray(out_origins, dtype=np.int8),
         last_fire,
         pending,
     )
+    return result + (np.asarray(out_weights, dtype=float),) if weighted else result
 
 
 def resolve_windows(

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -308,10 +309,10 @@ class Scenario:
                     "use trial_mode='naive'"
                 )
         if self.ci_target is not None:
-            if not isinstance(self.ci_target, (int, float)) or not self.ci_target > 0:
-                raise ValueError(
-                    f"ci_target must be a positive number, got {self.ci_target!r}"
-                )
+            target = self.ci_target
+            numeric = isinstance(target, (int, float)) and not isinstance(target, bool)
+            if not (numeric and 0 < target < math.inf):
+                raise ValueError(f"ci_target must be a positive finite number, got {target!r}")
             if noc_keys:
                 raise ValueError(
                     "adaptive ci_target budgets apply to link error statistics; "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import inf, isinf, nan
+from math import inf, isinf
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +49,6 @@ class DetectionOrigin(enum.Enum):
 #: (:meth:`SpadDevice.detect_in_windows` and
 #: :func:`repro.spad.array.detect_in_windows_multichannel`): ``-1`` means no
 #: detection in the window.
-ORIGIN_CODE_MISSED = -1
 ORIGIN_BY_CODE = {
     0: DetectionOrigin.PHOTON,
     1: DetectionOrigin.DARK_COUNT,
@@ -88,12 +87,28 @@ class ImportanceSettings:
     min_trap_probability: float = 0.1
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not 0.0 < self.min_miss_probability < 1.0:
             raise ValueError("min_miss_probability must be within (0, 1)")
-        if self.min_dark_expectation < 0.0:
-            raise ValueError("min_dark_expectation must be non-negative")
+        # NaN would switch the floor off (max(mean, nan) is mean); inf cannot be drawn.
+        if not 0.0 <= self.min_dark_expectation < inf:
+            raise ValueError("min_dark_expectation must be finite and non-negative")
         if not 0.0 <= self.min_trap_probability < 1.0:
             raise ValueError("min_trap_probability must be within [0, 1)")
+
+    def proposal(self, p_detect, dark_mean: float, trap_prob: float) -> Tuple:
+        """Floored ``(miss, dark mean, trap fill)`` proposal of the natural probabilities.
+
+        ``p_detect`` may be a per-channel array.  The miss probability is kept
+        as it is: ``1.0 - (1.0 - p)`` is not ``p`` in floating point.
+        """
+        return (
+            np.maximum(1.0 - p_detect, self.min_miss_probability),
+            max(dark_mean, self.min_dark_expectation),
+            max(trap_prob, self.min_trap_probability),
+        )
 
 
 @dataclass(frozen=True)
@@ -353,8 +368,8 @@ class SpadDevice:
         (:func:`repro.kernels.get_kernel`): ``kernel`` selects an
         implementation by name, ``None`` defers to ``$REPRO_KERNEL`` and the
         ``"auto"`` preference.  Every kernel is bit-identical to the
-        ``"python"`` reference, so the choice affects speed only.  The naive
-        pass is :func:`detect_in_segments` with this device alone.
+        ``"python"`` reference, so the choice affects speed only.  The pass
+        is :func:`detect_in_segments` with this device alone.
 
         Returns ``(times, origins)``: absolute detection times (``NaN`` when
         the window reported nothing) and int8 origin codes (see
@@ -372,17 +387,12 @@ class SpadDevice:
         device enters a window in the *fresh* state (armed, no pending
         afterpulse), since earlier draws can then no longer affect later
         windows — weighted statistics of any per-window outcome are
-        unbiased estimates of the naive-path statistics.
+        unbiased estimates of the naive-path statistics.  The kernel scan
+        forms the weights from :func:`likelihood_factors`, bit-identically.
         """
-        if importance is None:
-            return detect_in_segments(
-                (self,), window_duration, photon_offsets, (0,), (mean_photons,), start_time, kernel
-            )
-        offsets, has_pulse = self._batch_offsets(window_duration, photon_offsets, start_time)
-        if offsets.size == 0:
-            return np.empty(0), np.empty(0, dtype=np.int8), np.empty(0)
-        return self._detect_in_windows_importance(
-            window_duration, offsets, has_pulse, mean_photons, start_time, importance
+        return detect_in_segments(
+            (self,), window_duration, photon_offsets, (0,), (mean_photons,), start_time,
+            importance, kernel,
         )
 
     def _batch_offsets(
@@ -402,176 +412,47 @@ class SpadDevice:
         return offsets, has_pulse
 
     def _draw_windows(
-        self, offsets: np.ndarray, has_pulse: np.ndarray, mean_photons: float, duration: float
+        self, offsets: np.ndarray, has_pulse: np.ndarray, mean_photons: float, duration: float,
+        importance: Optional[ImportanceSettings] = None,
     ) -> Tuple[np.ndarray, ...]:
         """This device's pre-drawn window randomness, one bulk draw per physical process.
 
         Returns ``(photon_rel, photon_valid, dark_rel, dark_counts,
         trap_filled, trap_release)`` in the scan's input layout, with the
-        dark counts per window instead of their CSR bounds.
+        dark counts per window instead of their CSR bounds.  Importance
+        sampling makes the same draws from the proposal probabilities and
+        appends the three :func:`likelihood_factors`.
         """
         rng = self._random.generator
         count = offsets.size
-        p_detect = self.detection_probability_for_photons(mean_photons)
+        natural = (
+            self.detection_probability_for_photons(mean_photons),
+            self.dark_count_rate * duration,
+            self.afterpulsing.probability,
+        )
+        p_detect, dark_mean, trap_prob = draw_probabilities(natural, importance)
         detected = (rng.random(count) < p_detect) & has_pulse
         jitter = self.jitter.sample_array(self._random, count)
         photon_rel = np.maximum(np.where(has_pulse, offsets, 0.0) + jitter, 0.0)
         photon_valid = detected & (photon_rel < duration)
 
-        dark_rate = self.dark_counts.rate(self.config.temperature, self.config.excess_bias)
-        dark_counts = rng.poisson(dark_rate * duration, count)
+        dark_counts = rng.poisson(dark_mean, count)
         dark_rel = rng.uniform(0.0, duration, int(dark_counts.sum()))
 
-        trap_filled = rng.random(count) < self.afterpulsing.probability
+        trap_filled = rng.random(count) < trap_prob
         trap_release = rng.exponential(self.afterpulsing.time_constant, count)
-        return photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, trap_release
+        draws = (photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, trap_release)
+        if importance is None:
+            return draws
+        return draws + likelihood_factors(
+            natural, importance, has_pulse, detected, dark_counts, trap_filled
+        )
 
     def _keep_state(self, last_fire: float, pending: float) -> None:
         """Persist a scan's carry-over state (kernel sentinels) for chained calls."""
         self._last_fire_time = None if isinf(last_fire) else last_fire
         self._pending_afterpulse = None if isinf(pending) else pending
         self._rearmed_at = None
-
-    def _detect_in_windows_importance(
-        self,
-        window_duration: float,
-        offsets: np.ndarray,
-        has_pulse: np.ndarray,
-        mean_photons: float,
-        start_time: float,
-        importance: ImportanceSettings,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Importance-sampled twin of the :meth:`detect_in_windows` scan.
-
-        Same state machine, same winner rules; only the three Bernoulli /
-        Poisson draw families are taken from floored proposals, and the scan
-        additionally tracks a running likelihood-weight product with a
-        regenerative reset at fresh-state window starts.
-        """
-        rng = self._random.generator
-        count = offsets.size
-        duration = float(window_duration)
-
-        # Photon detection: floor the *miss* probability (the rare event).
-        p_detect = self.detection_probability_for_photons(mean_photons)
-        miss_prob = 1.0 - p_detect
-        proposal_miss = max(miss_prob, importance.min_miss_probability)
-        proposal_detect = 1.0 - proposal_miss
-        weight_detect = p_detect / proposal_detect if proposal_detect > 0.0 else 0.0
-        weight_miss = miss_prob / proposal_miss
-        detected = (rng.random(count) < proposal_detect) & has_pulse
-        jitter = self.jitter.sample_array(self._random, count)
-        photon_rel = np.maximum(np.where(has_pulse, offsets, 0.0) + jitter, 0.0)
-        photon_valid = detected & (photon_rel < duration)
-
-        # Dark counts: floor the expected counts per window.  The count is
-        # Poisson-biased; arrival positions stay uniform under both measures,
-        # so only the count carries weight:
-        # w(k) = exp(lam' - lam) * (lam / lam')**k.
-        dark_rate = self.dark_counts.rate(self.config.temperature, self.config.excess_bias)
-        dark_mean = dark_rate * duration
-        proposal_dark_mean = max(dark_mean, importance.min_dark_expectation)
-        dark_counts = rng.poisson(proposal_dark_mean, count)
-        dark_rel = rng.uniform(0.0, duration, int(dark_counts.sum()))
-        dark_bounds = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(dark_counts, out=dark_bounds[1:])
-        if proposal_dark_mean > 0.0:
-            dark_ratio = dark_mean / proposal_dark_mean
-            dark_weight = np.exp(proposal_dark_mean - dark_mean) * np.power(
-                dark_ratio, dark_counts.astype(float)
-            )
-        else:
-            dark_weight = np.ones(count)
-
-        # Afterpulse trap fill: floor the fill probability.  The trap draw is
-        # only *consumed* when the window fires, so its weight factor applies
-        # at the fire site.
-        trap_prob = self.afterpulsing.probability
-        proposal_trap = max(trap_prob, importance.min_trap_probability)
-        trap_filled = rng.random(count) < proposal_trap
-        trap_release = rng.exponential(self.afterpulsing.time_constant, count)
-        weight_trap_filled = trap_prob / proposal_trap if proposal_trap > 0.0 else 1.0
-        weight_trap_empty = (
-            (1.0 - trap_prob) / (1.0 - proposal_trap) if proposal_trap < 1.0 else 0.0
-        )
-
-        photon_rel_l = photon_rel.tolist()
-        photon_valid_l = photon_valid.tolist()
-        has_pulse_l = has_pulse.tolist()
-        detected_l = detected.tolist()
-        dark_rel_l = dark_rel.tolist()
-        dark_bounds_l = dark_bounds.tolist()
-        dark_weight_l = dark_weight.tolist()
-        trap_filled_l = trap_filled.tolist()
-        trap_release_l = trap_release.tolist()
-
-        dead_time = self.quenching.dead_time
-        gate_recovery = self.quenching.effective_gate_recovery
-        last_fire = -inf if self._last_fire_time is None else self._last_fire_time
-        pending = self._pending_afterpulse
-
-        out_times: List[float] = []
-        out_origins: List[int] = []
-        out_weights: List[float] = []
-        running = 1.0
-        base = float(start_time)
-        for index in range(count):
-            window_start = base + index * duration
-            window_end = window_start + duration
-            if window_start - last_fire >= gate_recovery:
-                ready = window_start
-                # Regenerative reset: with the device armed at the window
-                # start and no trap pending, no earlier biased draw can
-                # influence this or any later window.
-                if pending is None:
-                    running = 1.0
-            else:
-                ready = last_fire + dead_time
-            if has_pulse_l[index]:
-                running *= weight_detect if detected_l[index] else weight_miss
-            running *= dark_weight_l[index]
-            best = inf
-            origin = ORIGIN_CODE_MISSED
-            if photon_valid_l[index]:
-                time = window_start + photon_rel_l[index]
-                if time >= ready:
-                    best = time
-                    origin = 0
-            for position in range(dark_bounds_l[index], dark_bounds_l[index + 1]):
-                time = window_start + dark_rel_l[position]
-                if time >= ready and time < best:
-                    best = time
-                    origin = 1
-            if (
-                pending is not None
-                and window_start <= pending < window_end
-                and pending >= ready
-                and pending < best
-            ):
-                best = pending
-                origin = 2
-            if pending is not None and pending < window_end:
-                pending = None
-            if origin >= 0:
-                out_times.append(best)
-                out_origins.append(origin)
-                last_fire = best
-                running *= weight_trap_filled if trap_filled_l[index] else weight_trap_empty
-                if trap_filled_l[index]:
-                    pending = best + trap_release_l[index]
-                else:
-                    pending = None
-            else:
-                out_times.append(nan)
-                out_origins.append(ORIGIN_CODE_MISSED)
-            out_weights.append(running)
-
-        self._keep_state(last_fire, inf if pending is None else pending)
-        return (
-            np.asarray(out_times, dtype=float),
-            np.asarray(out_origins, dtype=np.int8),
-            np.asarray(out_weights, dtype=float),
-        )
 
     # -- aggregate characteristics ---------------------------------------------------
     def saturated_count_rate(self) -> float:
@@ -585,6 +466,47 @@ class SpadDevice:
         )
 
 
+def draw_probabilities(natural: Tuple, importance: Optional[ImportanceSettings]) -> Tuple:
+    """The ``(detect, dark mean, trap fill)`` probabilities a pass draws: natural or proposal."""
+    if importance is None:
+        return natural
+    miss, dark_mean, trap_prob = importance.proposal(*natural)
+    return 1.0 - miss, dark_mean, trap_prob
+
+
+def likelihood_factors(
+    natural: Tuple, importance: ImportanceSettings, has_pulse: np.ndarray,
+    detected: np.ndarray, dark_counts: np.ndarray, trap_filled: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-window ``(photon, dark, trap)`` likelihood factors of an importance pass.
+
+    Each is the natural over the proposal probability of what the proposal
+    draws gave: the detect or miss ratio (``1.0`` without a pulse); for ``k``
+    dark counts ``exp(lam' - lam) * (lam / lam')**k``, as arrival positions
+    are uniform under both measures; the trap filled or empty ratio, which
+    the scan kernel applies only where the window fires and consumes it.
+    """
+    p_detect, dark_mean, trap_prob = natural
+    proposal_miss, proposal_dark_mean, proposal_trap = importance.proposal(*natural)
+    miss_prob = 1.0 - p_detect
+    proposal_detect = 1.0 - proposal_miss
+    safe_detect = np.where(proposal_detect > 0.0, proposal_detect, 1.0)
+    weight_detect = np.where(proposal_detect > 0.0, p_detect / safe_detect, 0.0)
+    weight_miss = miss_prob / proposal_miss
+    photon = np.where(has_pulse, np.where(detected, weight_detect, weight_miss), 1.0)
+
+    if proposal_dark_mean > 0.0:
+        dark = np.exp(proposal_dark_mean - dark_mean) * np.power(
+            dark_mean / proposal_dark_mean, dark_counts.astype(float)
+        )
+    else:
+        dark = np.ones(dark_counts.shape)
+
+    weight_filled = trap_prob / proposal_trap if proposal_trap > 0.0 else 1.0
+    weight_empty = (1.0 - trap_prob) / (1.0 - proposal_trap) if proposal_trap < 1.0 else 0.0
+    return photon, dark, np.where(trap_filled, weight_filled, weight_empty)
+
+
 def detect_in_segments(
     devices: Sequence[SpadDevice],
     window_duration: float,
@@ -592,9 +514,10 @@ def detect_in_segments(
     segment_starts: Sequence[int],
     mean_photons: Sequence[float],
     start_time: float = 0.0,
+    importance: Optional[ImportanceSettings] = None,
     kernel: Optional[str] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The naive batch pass of G devices, back to back in one segmented scan.
+) -> Tuple[np.ndarray, ...]:
+    """The batch pass of G devices, back to back in one segmented scan.
 
     Device ``g`` detects the windows of ``photon_offsets`` from
     ``segment_starts[g]`` up to the next start at ``mean_photons[g]``, its
@@ -607,16 +530,19 @@ def detect_in_segments(
     calls bit for bit.  The devices share one quenching circuit (one scan
     has one dead time).  The first device may carry detector state in; the
     others must be fresh (armed, no trap pending), as the segmented scan
-    starts them.  G = 1 is :meth:`SpadDevice.detect_in_windows` without
-    importance sampling.
+    starts them.  G = 1 is :meth:`SpadDevice.detect_in_windows`.
 
-    Returns ``(times, origins)`` over all windows, segment-major.
+    Returns ``(times, origins)`` over all windows, segment-major.  With
+    ``importance`` every device draws from the floored proposals, the scan
+    weighs each window with the factors of :func:`likelihood_factors`, and
+    the per-window weights follow: ``(times, origins, weights)``.
     """
     first = devices[0]
     offsets, has_pulse = first._batch_offsets(window_duration, photon_offsets, start_time)
     count = offsets.size
     if count == 0 and len(devices) == 1:
-        return np.empty(0), np.empty(0, dtype=np.int8)
+        empty = (np.empty(0), np.empty(0, dtype=np.int8))
+        return empty if importance is None else empty + (np.empty(0),)
     starts = check_segments(segment_starts, count).tolist()
     if len(starts) != len(devices) or len(mean_photons) != len(devices):
         raise ValueError("need one segment start and one photon budget per device")
@@ -628,10 +554,10 @@ def detect_in_segments(
     duration = float(window_duration)
     bounds = starts + [count]
     draws = [
-        device._draw_windows(offsets[lo:hi], has_pulse[lo:hi], photons, duration)
+        device._draw_windows(offsets[lo:hi], has_pulse[lo:hi], photons, duration, importance)
         for device, photons, lo, hi in zip(devices, mean_photons, bounds, bounds[1:])
     ]
-    photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, trap_release = (
+    photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, trap_release, *factors = (
         parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*draws)
     )
     dark_bounds = np.zeros(count + 1, dtype=np.int64)
@@ -643,7 +569,7 @@ def detect_in_segments(
     last_fire = -inf if first._last_fire_time is None else first._last_fire_time
     pending = inf if first._pending_afterpulse is None else first._pending_afterpulse
     segments = starts if len(devices) > 1 else None  # one device: the plain scan
-    out_times, out_origins, last_fire, pending = get_kernel(kernel).scan_windows(
+    out_times, out_origins, last_fire, pending, *weights = get_kernel(kernel).scan_windows(
         photon_rel,
         photon_valid,
         dark_rel,
@@ -657,10 +583,11 @@ def detect_in_segments(
         last_fire,
         pending,
         segments,
+        factors or None,
     )
     if segments is None:
         first._keep_state(last_fire, pending)
     else:
         for device, end_fire, end_pending in zip(devices, last_fire.tolist(), pending.tolist()):
             device._keep_state(end_fire, end_pending)
-    return out_times, out_origins
+    return (out_times, out_origins, *weights)

@@ -154,6 +154,8 @@ class TestRun:
             {"bits_per_point": "64"},
             {"sweep_axes": {"mean_detected_photons": [float("nan")]}},
             {"link_overrides": {"slot_duration": "1e-9"}},
+            {"ci_target": True},
+            {"ci_target": float("inf")},
         ],
     )
     def test_run_file_hostile_values_are_one_line_errors(self, capsys, tmp_path, mapping):

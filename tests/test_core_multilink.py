@@ -7,6 +7,9 @@ physics, same distributions, not draw-for-draw identical), and the whole
 transmission must be deterministic per seed.
 """
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.config import LinkConfig
 from repro.core.multilink import MultichannelOpticalLink, MultichannelResult
 from repro.core.link import TransmissionResult
 from repro.photonics.crosstalk import CrosstalkModel
+from repro.spad.device import ImportanceSettings
 from repro.scenarios import ExperimentRunner, get_scenario
 
 MODERATE = LinkConfig(ppm_bits=4, mean_detected_photons=5.0)
@@ -118,6 +122,37 @@ class TestDeterminism:
         ]
         assert np.array_equal(results[0].received_bits, results[1].received_bits)
         assert results[0].detection_counts == results[1].detection_counts
+
+
+def assert_same_result(result, other):
+    """Every public field and the unpacked bits of two results are equal."""
+    names = [field.name for field in dataclasses.fields(result) if not field.name.startswith("_")]
+    for name in names + ["received_bits"]:
+        value, expected = getattr(other, name), getattr(result, name)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(value, expected), name
+        else:
+            assert value == expected, name
+
+
+class TestPickling:
+    @pytest.mark.parametrize(
+        "importance", [None, ImportanceSettings()], ids=["naive", "importance"]
+    )
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_result_round_trips_with_its_channel_results(self, importance, read_first):
+        link = make_link(
+            MODERATE, backend="multichannel", channels=3, seed=5, importance=importance
+        )
+        result = link.transmit_random(99)
+        assert (result.symbol_weights is None) == (importance is None)
+        if read_first:
+            assert len(result.channel_results) == 3
+        restored = pickle.loads(pickle.dumps(result))
+        assert_same_result(result, restored)
+        assert len(restored.channel_results) == len(result.channel_results) == 3
+        for channel, restored_channel in zip(result.channel_results, restored.channel_results):
+            assert_same_result(channel, restored_channel)
 
 
 class TestMultichannelContract:

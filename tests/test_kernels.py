@@ -213,30 +213,35 @@ def _scan_args(inputs):
     )
 
 
-def _scan_per_segment(inputs, starts, base=0.0, last_fire=-np.inf, pending=np.inf):
+def _scan_per_segment(inputs, starts, base=0.0, last_fire=-np.inf, pending=np.inf, factors=None):
     """The oracle of a segmented scan: one reference call per segment, concatenated.
 
     Each later segment starts a fresh device (armed, no trap pending) with
     its window clock back at ``base``; the carried-in state is the first's.
-    Returns every segment's final state.
+    Returns every segment's final state, and with ``factors`` the weights.
     """
     bounds = list(starts) + [inputs["photon_rel"].size]
-    times, origins, fires, pendings = [], [], [], []
+    times, origins, fires, pendings, weights = [], [], [], [], []
     for number, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if number:
             last_fire, pending = -np.inf, np.inf
         dark = inputs["dark_bounds"][lo : hi + 1]
-        segment_times, segment_origins, last_fire, pending = reference.scan_windows(
-            inputs["photon_rel"][lo:hi], inputs["photon_valid"][lo:hi],
-            inputs["dark_rel"][dark[0] : dark[-1]], dark - dark[0],
-            inputs["trap_filled"][lo:hi], inputs["trap_release"][lo:hi],
-            DEAD_TIME, GATE_RECOVERY, DURATION, base, last_fire, pending,
+        segment_times, segment_origins, last_fire, pending, *segment_weights = (
+            reference.scan_windows(
+                inputs["photon_rel"][lo:hi], inputs["photon_valid"][lo:hi],
+                inputs["dark_rel"][dark[0] : dark[-1]], dark - dark[0],
+                inputs["trap_filled"][lo:hi], inputs["trap_release"][lo:hi],
+                DEAD_TIME, GATE_RECOVERY, DURATION, base, last_fire, pending, None,
+                None if factors is None else tuple(factor[lo:hi] for factor in factors),
+            )
         )
         times.append(segment_times)
         origins.append(segment_origins)
         fires.append(last_fire)
         pendings.append(pending)
-    return np.concatenate(times), np.concatenate(origins), fires, pendings
+        weights += segment_weights
+    result = (np.concatenate(times), np.concatenate(origins), fires, pendings)
+    return result if factors is None else result + (np.concatenate(weights),)
 
 
 def _quiet_inputs(windows):
@@ -331,6 +336,101 @@ class TestSegmentedScan:
             with pytest.raises(ValueError, match="segment"):
                 get_kernel(name).scan_windows(
                     *_scan_args(inputs), 0.0, -np.inf, np.inf, np.asarray(segments)
+                )
+
+
+def _random_factors(rng, windows):
+    """Likelihood factors spanning many magnitudes, as importance passes give them."""
+    return tuple(np.exp(rng.normal(0.0, 3.0, windows)) for _ in range(3))
+
+
+class TestWeightedScan:
+    """``scan_windows(..., factors)``: the importance weights inside the scan."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_tier_matches_the_reference(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        inputs = _scan_inputs(rng)
+        factors = _random_factors(rng, 400)
+        later = rng.choice(np.arange(1, 400), size=int(rng.integers(1, 40)), replace=False)
+        cases = [
+            (None, -np.inf, np.inf),
+            (np.concatenate([[0], np.sort(later)]), -np.inf, np.inf),
+            (None, -0.05 * DURATION, 0.1 * DURATION),  # carried-in state
+            (np.asarray([0, 150, 151, 300]), -0.05 * DURATION, 0.7 * DURATION),
+        ]
+        for segments, last_fire, pending in cases:
+            args = (*_scan_args(inputs), 0.0, last_fire, pending, segments, factors)
+            expected = reference.scan_windows(*args)
+            assert len(expected) == 5
+            for name in available_kernels():
+                times, origins, fire, left, weights = get_kernel(name).scan_windows(*args)
+                assert np.array_equal(times, expected[0], equal_nan=True), name
+                assert np.array_equal(origins, expected[1]), name
+                assert np.array_equal(fire, expected[2]) and np.array_equal(left, expected[3]), name
+                assert np.array_equal(weights, expected[4]), name
+
+    def test_segments_restart_the_product(self):
+        # A segmented weighted scan is one weighted reference call per
+        # segment: every segment starts a fresh device, so its product
+        # restarts at 1 with no extra rule.
+        rng = np.random.default_rng(8)
+        inputs = _scan_inputs(rng, windows=60)
+        factors = _random_factors(rng, 60)
+        starts = [0, 7, 8, 31]
+        expected = _scan_per_segment(inputs, starts, factors=factors)[4]
+        for name in available_kernels():
+            weights = get_kernel(name).scan_windows(
+                *_scan_args(inputs), 0.0, -np.inf, np.inf, np.asarray(starts), factors
+            )[4]
+            assert np.array_equal(weights, expected), name
+
+    def test_unit_factors_leave_the_scan_as_it_is(self):
+        rng = np.random.default_rng(9)
+        inputs = _scan_inputs(rng)
+        ones = (np.ones(400),) * 3
+        for name in available_kernels():
+            kernel = get_kernel(name)
+            for segments in (None, np.asarray([0, 100, 250])):
+                args = (*_scan_args(inputs), 0.0, -0.05 * DURATION, 0.3 * DURATION, segments)
+                plain = kernel.scan_windows(*args)
+                assert len(plain) == 4, name  # no factors: the unweighted 4-tuple
+                *weighted, weights = kernel.scan_windows(*args, ones)
+                assert np.array_equal(weights, np.ones(400)), name
+                assert np.array_equal(weighted[0], plain[0], equal_nan=True), name
+                assert np.array_equal(weighted[1], plain[1]), name
+                assert np.array_equal(weighted[2], plain[2]), name
+                assert np.array_equal(weighted[3], plain[3]), name
+
+    def test_the_product_by_hand(self):
+        # Window 0 fires on its photon and traps a release into window 1, so
+        # window 1 starts with a trap pending: no reset, and its afterpulse
+        # fires.  Window 2 starts armed with nothing pending: a reset.
+        inputs = _quiet_inputs(3)
+        inputs["photon_valid"][0] = True
+        inputs["trap_filled"][:] = [True, False, False]
+        photon = np.array([3.0, 1.0, 0.5])
+        dark = np.array([0.25, 5.0, 7.0])
+        trap = np.array([0.1, 9.0, 11.0])
+        for name in available_kernels():
+            _, origins, _, _, weights = get_kernel(name).scan_windows(
+                *_scan_args(inputs), 0.0, -np.inf, np.inf, None, (photon, dark, trap)
+            )
+            assert origins.tolist() == [0, 2, -1], name
+            first = 3.0 * 0.25 * 0.1
+            assert weights.tolist() == [first, first * 1.0 * 5.0 * 9.0, 1.0 * 0.5 * 7.0], name
+
+    @pytest.mark.parametrize(
+        "factors",
+        [(np.ones(11),) * 3, (np.ones(12),) * 2, (np.ones(12), np.ones(12), np.ones((12, 1)))],
+        ids=["short", "two", "shape"],
+    )
+    def test_malformed_factors_are_rejected(self, factors):
+        inputs = _scan_inputs(np.random.default_rng(2), windows=12)
+        for name in available_kernels():
+            with pytest.raises(ValueError, match="likelihood factors"):
+                get_kernel(name).scan_windows(
+                    *_scan_args(inputs), 0.0, -np.inf, np.inf, None, factors
                 )
 
 
@@ -829,8 +929,8 @@ class TestScenarioEquivalence:
             assert report == expected, name
 
     def test_importance_mode_bit_identical_across_kernels(self, monkeypatch):
-        # Importance-sampled chunks run the dedicated python path whatever
-        # kernel is selected — selection must still be a no-op on results.
+        # Importance-sampled chunks form their likelihood weights inside the
+        # selected kernel's scan, so this compares the real kernel paths.
         scenario = _equivalence_scenario(trial_mode="importance")
         monkeypatch.setenv("REPRO_KERNEL", "python")
         expected = ExperimentRunner(scenario, seed=5).run().to_mapping()

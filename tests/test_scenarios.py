@@ -151,6 +151,13 @@ class TestScenarioValidation:
         assert Scenario(name="single").point_count() == 1
 
 
+    @pytest.mark.parametrize("ci_target", [True, float("inf")], ids=["bool", "inf"])
+    def test_ci_target_must_be_a_finite_number(self, ci_target):
+        # Both used to run: True as a target of 1, inf as no target at all.
+        with pytest.raises(ValueError, match="ci_target must be a positive finite number"):
+            Scenario(name="x", ci_target=ci_target)
+
+
 class TestDeterministicOrdering:
     def test_mapping_axes_preserve_insertion_order(self):
         # Report points follow the axes' insertion order, not alphabetical.

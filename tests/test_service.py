@@ -294,6 +294,13 @@ class TestErrors:
         assert excinfo.value.status == 400
         assert "must be a positive int" in str(excinfo.value)
 
+    @pytest.mark.parametrize("value", [True, float("inf")], ids=["bool", "inf"])
+    def test_non_finite_or_bool_ci_target_is_a_400(self, client, value):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/runs", body={"scenario": SCENARIO, "ci_target": value})
+        assert excinfo.value.status == 400
+        assert "ci_target must be a positive finite number" in str(excinfo.value)
+
     def test_bind_failure_is_typed_and_maps_to_exit_4(self, tmp_path, capsys):
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))

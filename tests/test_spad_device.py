@@ -1,12 +1,13 @@
 """Tests for repro.spad.device."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.units import NM, NS
 from repro.simulation.randomness import RandomSource
 from repro.spad.afterpulsing import AfterpulsingModel
 from repro.spad.dark_counts import DarkCountModel
-from repro.spad.device import DetectionOrigin, SpadConfig, SpadDevice
+from repro.spad.device import DetectionOrigin, ImportanceSettings, SpadConfig, SpadDevice
 from repro.spad.jitter import JitterModel
 from repro.spad.pdp import PdpCurve
 from repro.spad.quenching import QuenchingCircuit
@@ -69,6 +70,35 @@ class TestStaticCharacteristics:
         device = SpadDevice(random_source=RandomSource(0))
         assert device.dark_count_rate > 0
         assert device.saturated_count_rate() == pytest.approx(1.0 / device.dead_time)
+
+
+class TestImportanceSettings:
+    def test_nan_dark_floor_is_refused(self):
+        # max(dark_mean, nan) is dark_mean: NaN would switch the floor off.
+        with pytest.raises(ValueError, match="min_dark_expectation"):
+            ImportanceSettings(min_dark_expectation=float("nan"))
+
+    def test_infinite_dark_floor_is_refused(self):
+        # Accepted, it failed later inside NumPy's Poisson draw.
+        with pytest.raises(ValueError, match="min_dark_expectation"):
+            ImportanceSettings(min_dark_expectation=float("inf"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_miss_probability", True),
+            ("min_dark_expectation", True),
+            ("min_trap_probability", False),
+            ("min_dark_expectation", np.True_),
+        ],
+    )
+    def test_bool_floors_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            ImportanceSettings(**{field: value})
+
+    def test_zero_floors_are_accepted(self):
+        settings = ImportanceSettings(min_dark_expectation=0.0, min_trap_probability=0.0)
+        assert settings.min_dark_expectation == settings.min_trap_probability == 0.0
 
 
 class TestWindowDetection:
