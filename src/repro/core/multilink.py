@@ -17,9 +17,10 @@ all ``C`` channels as ``(S, C)`` NumPy passes:
    interference pulses at the neighbours' slot times, and the aggregated
    scattered-light floor of far channels as a uniform background.
 3. :func:`~repro.spad.array.detect_in_windows_multichannel` bulk-draws one
-   array of randomness per physical process and resolves the winner of every
-   window; only the window axis is sequential (dead time / afterpulsing), so
-   the scan folds all ``C`` per-channel datapaths into one shared pipeline.
+   array of randomness per physical process; only the window axis is
+   sequential (dead time / afterpulsing), so one segmented ``scan_windows``
+   kernel call, a segment per channel, resolves every window of all ``C``
+   pixels, crosstalk candidates listed beside the dark counts.
 4. One ``decode_windows`` kernel call
    (:meth:`~repro.core.link.OpticalLink._decode_windows`) runs the TDC and
    the slot decision over the flattened ``(S*C,)`` grid, and each payload

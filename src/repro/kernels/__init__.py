@@ -1,29 +1,29 @@
 """Pluggable compute kernels for the simulator's hot loops.
 
-The per-core ceiling of the simulator is set by three loops that resist
+The per-core ceiling of the simulator is set by two loops that resist
 NumPy vectorisation because each iteration depends on detector/arbiter state
-carried from the previous one: the dead-time winner scan of
-:meth:`~repro.spad.device.SpadDevice.detect_in_windows`, the per-channel
-window resolution behind
-:func:`~repro.spad.array.detect_in_windows_multichannel`, and the round-robin
-arbitration of :meth:`~repro.noc.bus.OpticalBus.run`.  This package makes
-those loops *pluggable*: callers resolve a :class:`Kernel` by name and the
-engine dispatches through it.  :mod:`repro.kernels.reference` defines the
-semantics of the scan and the resolver, and every registered implementation
-is locked bit-identical to it by ``tests/test_kernels.py`` and
+carried from the previous one: the dead-time winner scan behind
+:meth:`~repro.spad.device.SpadDevice.detect_in_windows` and
+:func:`~repro.spad.array.detect_in_windows_multichannel`, and the
+round-robin arbitration of :meth:`~repro.noc.bus.OpticalBus.run`.  This
+package makes those loops *pluggable*: callers resolve a :class:`Kernel` by
+name and the engine dispatches through it.  :mod:`repro.kernels.reference`
+defines the semantics of the scan, and every registered implementation is
+locked bit-identical to it by ``tests/test_kernels.py`` and
 ``scripts/regression_check.py``.
 
 The scan takes optional **segment starts**: at each one the device restarts
 armed and trap-free and the window clock restarts at ``base``, so one call
 scans many independent links back to back
 (:func:`~repro.spad.device.detect_in_segments`, which the NoC bus uses for
-each epoch's unicast groups).  Without segments it is the plain scan, bit
-for bit.  It also takes optional per-window **likelihood factors** and then
-returns the importance weights too, so importance-sampled passes (single
-devices and, channel-major, whole arrays) run the same state machine as
-naive ones.
+each epoch's unicast groups) or every channel of an array, channel-major.
+Without segments it is the plain scan, bit for bit.  It takes optional
+per-window **likelihood factors** and then returns the importance weights
+too, and optional **candidate origins**, so an array pass lists its
+crosstalk candidates beside its dark counts: one state machine serves
+single devices and whole arrays, naive or importance-sampled.
 
-The fourth kernel, the detection decode (``decode_windows``: two-level TDC
+The third kernel, the detection decode (``decode_windows``: two-level TDC
 and PPM slot decision over every window), is not a sequential loop; every
 window decodes on its own.  It is a kernel because NumPy costs time per
 pass and per call: the decode is about 20 array passes, over a third of a
@@ -38,16 +38,15 @@ arbitration path.
 Kernels
 -------
 ``"python"``
-    The reference scan and decode (:mod:`repro.kernels.reference`) and the
-    speculate-then-correct resolver (:mod:`repro.kernels.speculative`).
-    Always available.
+    The reference scan and decode (:mod:`repro.kernels.reference`).  Always
+    available.
 ``"vector"``
-    The same four functions as ``"python"``.  The name stays accepted by
+    The same three functions as ``"python"``.  The name stays accepted by
     ``--kernel``, the service and ``$REPRO_KERNEL``; it is the ``"auto"``
     pick on hosts without a C compiler.
 ``"cext"``
-    ctypes-bound C ports of the scan, the resolver and the decode, compiled
-    on first use with the host toolchain (:mod:`repro.kernels.cext`).
+    ctypes-bound C ports of the scan and the decode, compiled on first use
+    with the host toolchain (:mod:`repro.kernels.cext`).
     Registered only when a C compiler is available and the build succeeds.
 ``"auto"``
     Not a kernel but a resolution rule: the fastest available tier,
@@ -78,7 +77,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import arbitration as _arbitration
 from . import reference as _reference
-from . import speculative as _speculative
 
 __all__ = [
     "KERNEL_NAMES",
@@ -101,19 +99,23 @@ round_robin_schedule = _arbitration.round_robin_schedule
 class Kernel:
     """One named set of hot-loop implementations.
 
-    Every kernel runs the device scan (``scan_windows``, weighted under
-    importance sampling), the multichannel window resolution
-    (``resolve_windows``), the bus arbitration
-    (``arbitrate``, :func:`round_robin_schedule` on every tier) and the
-    detection decode (``decode_windows``).  The decode is no sequential
-    loop; it is here because its NumPy form pays per pass and per call.
+    Every kernel runs the detection scan (``scan_windows``: single devices
+    and, a segment per channel, whole arrays, weighted under importance
+    sampling), the bus arbitration (``arbitrate``,
+    :func:`round_robin_schedule` on every tier) and the detection decode
+    (``decode_windows``).  The decode is no sequential loop; it is here
+    because its NumPy form pays per pass and per call.
     """
 
     name: str
     scan_windows: Callable = field(repr=False)
-    resolve_windows: Callable = field(repr=False)
     arbitrate: Callable = field(repr=False)
     decode_windows: Callable = field(repr=False)
+
+    #: Not a kernel function: ``perfbench/spans.py`` reads this name from
+    #: every kernel (its ``KERNEL_FIELDS``) and skips a ``None``.  It goes
+    #: when that list drops the entry.
+    resolve_windows = None
 
 
 @lru_cache(maxsize=1)
@@ -122,14 +124,12 @@ def _registry() -> Dict[str, Kernel]:
         "python": Kernel(
             name="python",
             scan_windows=_reference.scan_windows,
-            resolve_windows=_speculative.resolve_windows,
             arbitrate=round_robin_schedule,
             decode_windows=_reference.decode_windows,
         ),
         "vector": Kernel(
             name="vector",
             scan_windows=_reference.scan_windows,
-            resolve_windows=_speculative.resolve_windows,
             arbitrate=round_robin_schedule,
             decode_windows=_reference.decode_windows,
         ),
@@ -141,7 +141,6 @@ def _registry() -> Dict[str, Kernel]:
         kernels["cext"] = Kernel(
             name="cext",
             scan_windows=native.scan_windows,
-            resolve_windows=native.resolve_windows,
             arbitrate=round_robin_schedule,
             decode_windows=native.decode_windows,
         )

@@ -5,6 +5,8 @@ A dependency-free native tier: when a C compiler is on the host (``cc`` /
 library cached by source digest, and loaded through :mod:`ctypes`.  No build
 backend, no wheels, no install step — hosts without a compiler simply don't
 register the kernel and :func:`repro.kernels.get_kernel` resolves elsewhere.
+It ports the scan, which serves every detection pass (one device, a NoC
+epoch, a whole array), and the decode.
 
 Bit-identity with the Python reference is a *compiler-flag* contract: the
 build pins ``-ffp-contract=off -fno-fast-math`` (no FMA contraction, strict
@@ -34,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .reference import check_decode_inputs, check_factors, check_segments
+from .reference import check_decode_inputs, check_factors, check_origins, check_segments
 
 _SOURCE = r"""
 #include <math.h>
@@ -45,6 +47,7 @@ void repro_scan_windows(
     const unsigned char *photon_valid,
     const double *dark_rel,
     const long long *dark_bounds,
+    const signed char *dark_origin,   /* a code per candidate, or NULL: dark counts */
     const unsigned char *trap_filled,
     const double *trap_release,
     double dead_time,
@@ -96,7 +99,7 @@ void repro_scan_windows(
         }
         for (j = dark_bounds[index]; j < dark_bounds[index + 1]; ++j) {
             double t = window_start + dark_rel[j];
-            if (t >= ready && t < best) { best = t; origin = 1; }
+            if (t >= ready && t < best) { best = t; origin = dark_origin ? dark_origin[j] : 1; }
         }
         if (window_start <= pending && pending < window_end
                 && pending >= ready && pending < best) {
@@ -121,74 +124,6 @@ void repro_scan_windows(
     }
     state[2 * segment] = last_fire;
     state[2 * segment + 1] = pending;
-}
-
-void repro_resolve_windows(
-    long long windows,
-    long long channels,
-    long long n_secondary,
-    const double *primary,            /* (S, C) row-major */
-    const double *secondary,          /* (K, S, C) row-major */
-    const double *dark_rel,
-    const long long *dark_bounds,     /* (S*C + 1) CSR */
-    const double *background_rel,
-    const long long *background_bounds,
-    const unsigned char *trap_filled, /* (S, C) */
-    const double *trap_release,       /* (S, C) */
-    double dead_time,
-    double gate_recovery,
-    double duration,
-    double base,
-    double *out_times,
-    signed char *out_origins)
-{
-    long long plane = windows * channels;
-    long long c;
-    for (c = 0; c < channels; ++c) {
-        double last_fire = -INFINITY;
-        double pending = INFINITY;
-        long long s;
-        for (s = 0; s < windows; ++s) {
-            double ws = base + (double)s * duration;
-            double we = ws + duration;
-            double ready = (ws - last_fire >= gate_recovery)
-                ? ws : last_fire + dead_time;
-            double best = INFINITY;
-            int origin = -1;
-            long long flat = s * channels + c;
-            long long j;
-            int consumed;
-            double t = primary[flat];
-            if (isfinite(t) && t >= ready) { best = t; origin = 0; }
-            for (j = 0; j < n_secondary; ++j) {
-                t = secondary[j * plane + flat];
-                if (t >= ready && t < best) { best = t; origin = 3; }
-            }
-            for (j = dark_bounds[flat]; j < dark_bounds[flat + 1]; ++j) {
-                t = ws + dark_rel[j];
-                if (t >= ready && t < best) { best = t; origin = 1; }
-            }
-            for (j = background_bounds[flat]; j < background_bounds[flat + 1]; ++j) {
-                t = ws + background_rel[j];
-                if (t >= ready && t < best) { best = t; origin = 3; }
-            }
-            if (pending >= ws && pending < we && pending >= ready && pending < best) {
-                best = pending;
-                origin = 2;
-            }
-            consumed = pending < we;
-            if (origin >= 0) {
-                out_times[flat] = best;
-                out_origins[flat] = (signed char)origin;
-                last_fire = best;
-                pending = trap_filled[flat] ? best + trap_release[flat] : INFINITY;
-            } else {
-                out_times[flat] = NAN;
-                out_origins[flat] = -1;
-                if (consumed) pending = INFINITY;
-            }
-        }
-    }
 }
 
 /* Returns 0, or the first NumPy range check that would fail:
@@ -333,19 +268,11 @@ class CExtKernels:
         self._scan.restype = None
         self._scan.argtypes = [
             ctypes.c_longlong,
-            _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+            _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
             _PTR, ctypes.c_longlong,
             _PTR, _PTR, _PTR,
             _PTR, _PTR, _PTR, _PTR,
-        ]
-        self._resolve = library.repro_resolve_windows
-        self._resolve.restype = None
-        self._resolve.argtypes = [
-            ctypes.c_longlong, ctypes.c_longlong, ctypes.c_longlong,
-            _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            _PTR, _PTR,
         ]
         self._decode = library.repro_decode_windows
         self._decode.restype = ctypes.c_int
@@ -371,20 +298,25 @@ class CExtKernels:
         pending,
         segments=None,
         factors=None,
+        candidate_origins=None,
     ) -> Tuple:
         """Native dead-time scan (see :func:`repro.kernels.reference.scan_windows`)."""
         photon_rel = np.ascontiguousarray(photon_rel, dtype=np.float64)
+        dark_rel = np.ascontiguousarray(dark_rel, dtype=np.float64)
         count = int(photon_rel.shape[0])
         starts = np.ascontiguousarray(
             _NO_SEGMENTS if segments is None else check_segments(segments, count)
         )
         factors = None if factors is None else check_factors(factors, count)
         weights = None if factors is None else np.empty(count, dtype=np.float64)
+        if candidate_origins is not None:
+            candidate_origins = check_origins(candidate_origins, dark_rel.size)
         inputs = (
             photon_rel,
             np.ascontiguousarray(photon_valid, dtype=np.bool_),
-            np.ascontiguousarray(dark_rel, dtype=np.float64),
+            dark_rel,
             np.ascontiguousarray(dark_bounds, dtype=np.int64),
+            candidate_origins,
             np.ascontiguousarray(trap_filled, dtype=np.bool_),
             np.ascontiguousarray(trap_release, dtype=np.float64),
         )
@@ -394,7 +326,7 @@ class CExtKernels:
         state[:2] = last_fire, pending
         self._scan(
             count,
-            *[array.ctypes.data for array in inputs],
+            *[None if array is None else array.ctypes.data for array in inputs],
             float(dead_time),
             float(gate_recovery),
             float(duration),
@@ -412,51 +344,6 @@ class CExtKernels:
         else:
             result = (out_times, out_origins, float(state[0]), float(state[1]))
         return result if weights is None else result + (weights,)
-
-    def resolve_windows(
-        self,
-        primary,
-        secondary,
-        dark_rel,
-        dark_bounds,
-        background_rel,
-        background_bounds,
-        trap_filled,
-        trap_release,
-        dead_time,
-        gate_recovery,
-        duration,
-        base,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Native multichannel resolution (see :func:`repro.kernels.reference.resolve_windows`)."""
-        primary = np.ascontiguousarray(primary, dtype=np.float64)
-        secondary = np.ascontiguousarray(secondary, dtype=np.float64)
-        inputs = (
-            primary,
-            secondary,
-            np.ascontiguousarray(dark_rel, dtype=np.float64),
-            np.ascontiguousarray(dark_bounds, dtype=np.int64),
-            np.ascontiguousarray(background_rel, dtype=np.float64),
-            np.ascontiguousarray(background_bounds, dtype=np.int64),
-            np.ascontiguousarray(trap_filled, dtype=np.bool_),
-            np.ascontiguousarray(trap_release, dtype=np.float64),
-        )
-        windows, channels = primary.shape
-        out_times = np.empty((windows, channels), dtype=np.float64)
-        out_origins = np.empty((windows, channels), dtype=np.int8)
-        self._resolve(
-            int(windows),
-            int(channels),
-            int(secondary.shape[0]),
-            *[array.ctypes.data for array in inputs],
-            float(dead_time),
-            float(gate_recovery),
-            float(duration),
-            float(base),
-            out_times.ctypes.data,
-            out_origins.ctypes.data,
-        )
-        return out_times, out_origins
 
     def decode_windows(
         self,

@@ -1,15 +1,13 @@
-"""The reference compute kernels — the plain window-by-window loops.
+"""The reference compute kernels — the plain window-by-window loop.
 
-These are the *semantics-defining* implementations of the two sequential hot
-loops the kernel layer accelerates: the dead-time winner scan of
-:meth:`~repro.spad.device.SpadDevice.detect_in_windows` (which also weighs
-importance-sampled passes, array passes included) and the per-channel
-window resolution of :func:`~repro.spad.array.detect_in_windows_multichannel`.
-:func:`scan_windows` is also the ``"python"`` tier's scan; the registered
-resolvers (:mod:`repro.kernels.speculative`, ``"cext"``) must match
-:func:`resolve_windows` **bit for bit** on the same pre-drawn inputs (locked
-by ``tests/test_kernels.py``); any behaviour change lands here first and
-propagates outward.
+:func:`scan_windows` is the *semantics-defining* implementation of the one
+sequential hot loop the kernel layer accelerates: the dead-time winner scan
+behind :meth:`~repro.spad.device.SpadDevice.detect_in_windows` and, one
+segment per channel, :func:`~repro.spad.array.detect_in_windows_multichannel`,
+importance-sampled passes included.  It is also the ``"python"`` tier's
+scan; the ``"cext"`` port must match it **bit for bit** on the same
+pre-drawn inputs (locked by ``tests/test_kernels.py``); any behaviour change
+lands here first and propagates outward.
 
 The detection decode (:func:`decode_windows`) is defined here too: the
 receiver's TDC and slot decision over every window, as NumPy array passes,
@@ -40,6 +38,15 @@ at ``base``.  The loop indexes each segment from 0, so the window start is
 the float a separate call on the segment computes, and a segmented scan is
 one call per segment, concatenated, bit for bit; it returns every
 segment's final state.
+
+Candidate origins
+-----------------
+A window's CSR candidate list (``dark_rel``) holds dark counts unless the
+scan is given one origin code per entry (:func:`check_origins`): the array
+pass lists its interference pulses and background events there as code
+``3``.  The scan keeps the earliest candidate at or after the window's
+ready time; on a tie the first listed wins (the photon, then the list in
+order, then a pending afterpulse), so the list's order is its precedence.
 
 Likelihood weights
 ------------------
@@ -85,6 +92,20 @@ def check_segments(segments, count: int) -> np.ndarray:
     return starts.astype(np.int64, copy=False)
 
 
+def check_origins(origins, count: int) -> np.ndarray:
+    """Validated ``int8`` origin codes of a ``count``-entry candidate list.
+
+    One code per entry, each a detection's origin (``0`` to ``3``): a
+    negative code would read as a missed window after the detector fired.
+    """
+    codes = np.asarray(origins)
+    if codes.shape != (count,) or codes.dtype.kind not in "iu":
+        raise ValueError(f"candidate origins must be {count} integer codes, one per candidate")
+    if count and (codes.min() < 0 or codes.max() > 3):
+        raise ValueError("candidate origins must be detection origin codes (0 to 3)")
+    return np.ascontiguousarray(codes, dtype=np.int8)
+
+
 def check_factors(factors, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated ``float64`` ``(photon, dark, trap)`` factors of a ``count``-window scan."""
     arrays = tuple(np.ascontiguousarray(factor, dtype=np.float64) for factor in factors)
@@ -108,15 +129,17 @@ def scan_windows(
     pending: float,
     segments: Optional[np.ndarray] = None,
     factors: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    candidate_origins: Optional[np.ndarray] = None,
 ) -> Tuple:
     """Sequential dead-time winner scan over one channel's windows.
 
-    Inputs are the pre-drawn per-window randomness of the single-channel
-    batch pass (photon candidate offsets + validity, CSR-indexed dark-count
-    offsets, afterpulse trap draws) plus the device state encoded per the
-    module sentinel convention.  Returns ``(times, origins, last_fire,
-    pending)`` — absolute detection times (``NaN`` = missed), int8 origin
-    codes, and the carried-over state, same encoding.
+    Inputs are the pre-drawn per-window randomness of a batch pass (photon
+    candidate offsets + validity, CSR-indexed candidate offsets — dark
+    counts unless ``candidate_origins`` says otherwise — and afterpulse trap
+    draws) plus the device state encoded per the module sentinel convention.
+    Returns ``(times, origins, last_fire, pending)`` — absolute detection
+    times (``NaN`` = missed), int8 origin codes, and the carried-over state,
+    same encoding.
 
     ``segments`` optionally lists the windows at which independent devices
     start (see :func:`check_segments`): at each start after the first the
@@ -130,6 +153,10 @@ def scan_windows(
     factors of an importance-sampled pass, one per window (see the module
     notes); the scan then returns the per-window weights as a fifth value,
     ``(times, origins, last_fire, pending, weights)``.
+
+    ``candidate_origins`` optionally gives the origin code of each entry of
+    the candidate list (see the module notes); ``None`` reports every one as
+    a dark count (code ``1``).
     """
     count = int(photon_rel.shape[0])
     starts = [0] if segments is None else check_segments(segments, count).tolist()
@@ -146,6 +173,10 @@ def scan_windows(
     photon_valid_l = photon_valid.tolist()
     dark_rel_l = dark_rel.tolist()
     dark_bounds_l = dark_bounds.tolist()
+    if candidate_origins is None:
+        codes_l = [1] * len(dark_rel_l)
+    else:
+        codes_l = check_origins(candidate_origins, len(dark_rel_l)).tolist()
     trap_filled_l = trap_filled.tolist()
     trap_release_l = trap_release.tolist()
     out_times = [_NAN] * count  # a window that reports nothing keeps these
@@ -178,7 +209,7 @@ def scan_windows(
                     time = window_start + dark_rel_l[position]
                     if time >= ready and time < best:
                         best = time
-                        origin = 1
+                        origin = codes_l[position]
             if pending < window_end:  # a trap release in this window, fired or absorbed
                 if window_start <= pending and pending >= ready and pending < best:
                     best = pending
@@ -209,92 +240,6 @@ def scan_windows(
         pending,
     )
     return result + (np.asarray(out_weights, dtype=float),) if weighted else result
-
-
-def resolve_windows(
-    primary: np.ndarray,
-    secondary: np.ndarray,
-    dark_rel: np.ndarray,
-    dark_bounds: np.ndarray,
-    background_rel: np.ndarray,
-    background_bounds: np.ndarray,
-    trap_filled: np.ndarray,
-    trap_release: np.ndarray,
-    dead_time: float,
-    gate_recovery: float,
-    duration: float,
-    base: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-channel window resolution of the multichannel array pass.
-
-    ``primary`` is ``(S, C)`` absolute candidate times (``inf`` = none),
-    ``secondary`` the interference candidates stacked to ``(K, S, C)``, dark
-    and background events CSR-indexed over the flat ``(S*C,)`` window/channel
-    grid.  Channels are independent pixels, so the scan runs channel-major.
-    Candidate precedence: primary, secondaries in order, darks, background,
-    pending afterpulse — later sources win only when strictly earlier.  A
-    trap release before a window's end is consumed whether or not it fired;
-    a firing window samples the next release.
-
-    No tier registers this loop; it is the oracle the registered resolvers
-    are tested against (``"python"``/``"vector"`` run
-    :mod:`repro.kernels.speculative`, ``"cext"`` a C port of this loop).
-    """
-    windows, channels = primary.shape
-    n_secondary = int(secondary.shape[0])
-    out_times = np.full((windows, channels), _NAN)
-    out_origins = np.full((windows, channels), -1, dtype=np.int8)
-    dark_rel_l = dark_rel.tolist()
-    dark_bounds_l = dark_bounds.tolist()
-    background_rel_l = background_rel.tolist()
-    background_bounds_l = background_bounds.tolist()
-    for c in range(channels):
-        last_fire = -_INF
-        pending = _INF
-        for s in range(windows):
-            ws = base + s * duration
-            we = ws + duration
-            if ws - last_fire >= gate_recovery:
-                ready = ws
-            else:
-                ready = last_fire + dead_time
-            best = _INF
-            origin = -1
-            t = primary[s, c]
-            if np.isfinite(t) and t >= ready:
-                best = t
-                origin = 0
-            for k in range(n_secondary):
-                t = secondary[k, s, c]
-                if t >= ready and t < best:
-                    best = t
-                    origin = 3
-            flat = s * channels + c
-            for j in range(dark_bounds_l[flat], dark_bounds_l[flat + 1]):
-                t_abs = ws + dark_rel_l[j]
-                if t_abs >= ready and t_abs < best:
-                    best = t_abs
-                    origin = 1
-            for j in range(background_bounds_l[flat], background_bounds_l[flat + 1]):
-                t_abs = ws + background_rel_l[j]
-                if t_abs >= ready and t_abs < best:
-                    best = t_abs
-                    origin = 3
-            if pending >= ws and pending < we and pending >= ready and pending < best:
-                best = pending
-                origin = 2
-            consumed = pending < we
-            if origin >= 0:
-                out_times[s, c] = best
-                out_origins[s, c] = origin
-                last_fire = best
-                if trap_filled[s, c]:
-                    pending = best + trap_release[s, c]
-                else:
-                    pending = _INF
-            elif consumed:
-                pending = _INF
-    return out_times, out_origins
 
 
 # -- detection decode: two-level TDC and slot decision ---------------------------

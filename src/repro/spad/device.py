@@ -212,10 +212,11 @@ class SpadDevice:
         """Probability of detecting a pulse carrying ``mean_photons`` on the active area.
 
         Photon statistics are Poissonian, so the detection probability of the
-        pulse is ``1 - exp(-PDP * mean_photons)``.
+        pulse is ``1 - exp(-PDP * mean_photons)``; an unbounded (``inf``)
+        budget is a certain detection, a NaN budget is refused.
         """
-        if mean_photons < 0:
-            raise ValueError("mean_photons must be non-negative")
+        if not mean_photons >= 0:
+            raise ValueError("mean_photons must be non-negative (and not NaN)")
         return float(1.0 - np.exp(-self.detection_probability * mean_photons))
 
     # -- state handling ----------------------------------------------------------

@@ -6,8 +6,10 @@ same origins, same carried detector state, same arbitration grants — so
 kernel selection (explicit, ``REPRO_KERNEL``, or ``"auto"``) can never change
 a report.  The suite locks that at three levels:
 
-* raw kernel functions on randomised inputs (scan, resolve, arbitration),
-  each tier against :mod:`repro.kernels.reference`;
+* raw kernel functions on randomised inputs (scan, arbitration), each
+  tier against :mod:`repro.kernels.reference`, and the array pass's
+  channel-major scan against the window-by-window resolver it replaced
+  (``tests/_oracles.py``);
 * the detection decode on every tier against the composition the engines
   ran before it existed (clip, ``convert_array``, clip, ``decode_times``),
   on random and boundary inputs;
@@ -18,9 +20,12 @@ a report.  The suite locks that at three levels:
   importance trial mode.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from _oracles import resolve_windows
 from repro.kernels import (
     KERNEL_NAMES,
     available_kernels,
@@ -29,11 +34,13 @@ from repro.kernels import (
 )
 from repro import kernels
 from repro.core import FastOpticalLink, LinkConfig, MultichannelOpticalLink
-from repro.kernels import reference, speculative
+from repro.kernels import reference
 from repro.modulation.ppm import PpmCodec
 from repro.modulation.symbols import SlotGrid
 from repro.noc.arbitration import RoundRobinArbiter
 from repro.simulation.randomness import RandomSource
+from repro.spad.array import channel_major_draws, detect_in_windows_multichannel
+from repro.spad.device import ImportanceSettings, SpadDevice
 from repro.tdc.coarse_counter import CoarseCounter
 from repro.tdc.converter import TimeToDigitalConverter
 from repro.tdc.delay_element import DelayElementModel
@@ -75,34 +82,58 @@ def _scan_inputs(rng, windows=400):
     }
 
 
-def _resolve_inputs(rng, windows=96, channels=5, secondaries=2):
-    """Randomised multichannel resolver inputs (inf = no candidate).
+def _array_draws(rng, windows=96, channels=5, secondaries=2, grid=None):
+    """Randomised array-pass draws, window-major as the pass draws them.
 
-    Pulse candidates are absolute times inside their own window (window
-    ``s`` starts at ``s * DURATION``), as the array pass draws them.
+    Every offset lies inside its window.  With ``grid`` the offsets take
+    only ``grid`` values per window, so candidates of different sources
+    often tie and the precedence decides.
     """
-    starts = np.arange(windows)[:, None] * DURATION
-    primary = starts + rng.uniform(0.0, DURATION, (windows, channels))
-    primary[rng.random((windows, channels)) < 0.4] = np.inf
-    secondary = starts + rng.uniform(0.0, DURATION, (secondaries, windows, channels))
-    secondary[rng.random(secondary.shape) < 0.6] = np.inf
-    cells = windows * channels
-    dark_counts = rng.integers(0, 2, cells)
-    dark_bounds = np.zeros(cells + 1, dtype=np.int64)
-    np.cumsum(dark_counts, out=dark_bounds[1:])
-    background_counts = rng.integers(0, 2, cells)
-    background_bounds = np.zeros(cells + 1, dtype=np.int64)
-    np.cumsum(background_counts, out=background_bounds[1:])
+    shape = (windows, channels)
+
+    def offsets(size):
+        if grid is None:
+            return rng.uniform(0.0, DURATION, size)
+        return rng.integers(0, grid, size) * (DURATION / grid)
+
+    dark_counts = rng.integers(0, 3, shape) * (rng.random(shape) < 0.3)
+    background_counts = rng.integers(0, 3, shape) * (rng.random(shape) < 0.3)
     return {
-        "primary": primary,
-        "secondary": secondary,
-        "dark_rel": _per_cell_sorted(rng, dark_bounds, DURATION),
-        "dark_bounds": dark_bounds,
-        "background_rel": _per_cell_sorted(rng, background_bounds, DURATION),
-        "background_bounds": background_bounds,
-        "trap_filled": rng.random((windows, channels)) < 0.4,
-        "trap_release": rng.uniform(0.0, 4.0 * DURATION, (windows, channels)),
+        "relative": offsets(shape),
+        "valid": rng.random(shape) >= 0.4,
+        "interference": [(offsets(shape), rng.random(shape) >= 0.6) for _ in range(secondaries)],
+        "dark_counts": dark_counts,
+        "dark_rel": offsets(int(dark_counts.sum())),
+        "background_counts": background_counts,
+        "background_rel": offsets(int(background_counts.sum())),
+        "trap_filled": rng.random(shape) < 0.4,
+        "trap_release": rng.uniform(0.0, 4.0 * DURATION, shape),
     }
+
+
+def _oracle_args(draws, dead_time, base):
+    """The resolver's inputs from the same draws, as the array pass built them."""
+    windows, channels = draws["relative"].shape
+    starts = base + np.arange(windows)[:, None] * DURATION
+
+    def candidates(relative, valid):
+        return np.where(valid, starts + relative, np.inf)
+
+    def csr(counts):
+        bounds = np.zeros(windows * channels + 1, dtype=np.int64)
+        np.cumsum(counts.ravel(), out=bounds[1:])
+        return bounds
+
+    secondary = np.empty((len(draws["interference"]), windows, channels))
+    for k, pair in enumerate(draws["interference"]):
+        secondary[k] = candidates(*pair)
+    return (
+        candidates(draws["relative"], draws["valid"]), secondary,
+        draws["dark_rel"], csr(draws["dark_counts"]),
+        draws["background_rel"], csr(draws["background_counts"]),
+        draws["trap_filled"], draws["trap_release"],
+        dead_time, GATE_RECOVERY, DURATION, base,
+    )
 
 
 class TestRegistry:
@@ -145,14 +176,37 @@ class TestRegistry:
             assert get_kernel("cext").name == "python"
         kernels._warn_unavailable.cache_clear()
 
-    def test_python_kernel_has_no_native_resolver_or_arbiter(self):
-        # By design: under "python" the array layer runs the NumPy/Python
-        # speculate-then-correct resolver, and every tier arbitrates the bus
-        # with the one exact walk.
-        kernel = get_kernel("python")
-        assert kernel.resolve_windows is speculative.resolve_windows
+    @pytest.mark.parametrize(
+        "importance", [None, ImportanceSettings()], ids=["naive", "importance"]
+    )
+    def test_an_array_pass_is_one_scan_call(self, monkeypatch, importance):
+        # No tier has a resolver of its own: an array pass, naive (with
+        # crosstalk) or importance-sampled, is one segmented scan on every
+        # tier, and every tier arbitrates the bus with the one exact walk.
+        registry = kernels._registry()
+        offsets = np.random.default_rng(1).uniform(0.0, 5e-9, (40, 6))
+        crosstalk = {} if importance else {
+            "secondary_offsets": [np.roll(offsets, 1, axis=1)],
+            "secondary_photons": [10.0],
+            "background_mean": 0.2,
+        }
         for name in available_kernels():
-            assert get_kernel(name).arbitrate is round_robin_schedule, name
+            kernel = registry[name]
+            assert kernel.resolve_windows is None, name
+            assert kernel.arbitrate is round_robin_schedule, name
+            calls = []
+
+            def counted(*args, scan=kernel.scan_windows, **kwargs):
+                calls.append(args[12] if len(args) > 12 else kwargs.get("segments"))
+                return scan(*args, **kwargs)
+
+            monkeypatch.setitem(registry, name, dataclasses.replace(kernel, scan_windows=counted))
+            detect_in_windows_multichannel(
+                SpadDevice(), 2e-8, offsets, 5.0, generator=np.random.default_rng(2),
+                importance=importance, kernel=name, **crosstalk,
+            )
+            assert len(calls) == 1, name
+            assert calls[0].tolist() == list(range(0, 240, 40)), name  # a segment per channel
 
 
 class TestScanBitIdentity:
@@ -435,39 +489,91 @@ class TestWeightedScan:
 
 
 class TestResolveBitIdentity:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_native_resolvers_match_the_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        inputs = _resolve_inputs(rng)
-        args = (
-            inputs["primary"], inputs["secondary"],
-            inputs["dark_rel"], inputs["dark_bounds"],
-            inputs["background_rel"], inputs["background_bounds"],
-            inputs["trap_filled"], inputs["trap_release"],
-            DEAD_TIME, GATE_RECOVERY, DURATION, 0.0,
+    """The array pass's layout and every tier's scan against the old resolver.
+
+    :func:`channel_major_draws` lays an array pass's draws out for one
+    segmented scan; whatever the draws, that scan must return what the
+    window-by-window resolver of ``tests/_oracles.py`` returned on them.
+    """
+
+    def assert_matches_the_oracle(self, draws, dead_time=DEAD_TIME, base=0.0):
+        windows, channels = draws["relative"].shape
+        expected = resolve_windows(*_oracle_args(draws, dead_time, base))
+        *inputs, candidate_origins = channel_major_draws(
+            draws["relative"], draws["valid"], draws["interference"],
+            draws["dark_counts"], draws["dark_rel"],
+            draws["background_counts"], draws["background_rel"],
+            draws["trap_filled"], draws["trap_release"],
         )
-        ref_times, ref_origins = reference.resolve_windows(*args)
         for name in available_kernels():
-            times, origins = get_kernel(name).resolve_windows(*args)
-            assert np.array_equal(times, ref_times, equal_nan=True), name
-            assert np.array_equal(origins, ref_origins), name
+            times, origins, _, _ = get_kernel(name).scan_windows(
+                *inputs, dead_time, GATE_RECOVERY, DURATION, base, -np.inf, np.inf,
+                np.arange(channels) * windows, None, candidate_origins,
+            )
+            times = times.reshape(channels, windows).T
+            origins = origins.reshape(channels, windows).T
+            assert np.array_equal(times, expected[0], equal_nan=True), name
+            assert np.array_equal(origins, expected[1]), name
+        return expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_matches_the_oracle(_array_draws(rng), base=seed * 3.5 * DURATION)
+
+    @pytest.mark.parametrize("secondaries", [1, 3])
+    def test_ties_go_to_the_first_listed_source(self, secondaries):
+        rng = np.random.default_rng(30 + secondaries)
+        draws = _array_draws(rng, windows=120, channels=6, secondaries=secondaries, grid=4)
+        _, origins = self.assert_matches_the_oracle(draws)
+        assert set(origins.ravel().tolist()) == {-1, 0, 1, 2, 3}
+
+    def test_dead_time_longer_than_the_window(self):
+        rng = np.random.default_rng(12)
+        self.assert_matches_the_oracle(_array_draws(rng, channels=4), dead_time=3.3 * DURATION)
 
     def test_empty_secondary_stack(self):
         rng = np.random.default_rng(11)
-        inputs = _resolve_inputs(rng, windows=32, channels=3, secondaries=1)
-        empty = np.empty((0,) + inputs["primary"].shape)
-        args = (
-            inputs["primary"], empty,
-            inputs["dark_rel"], inputs["dark_bounds"],
-            inputs["background_rel"], inputs["background_bounds"],
-            inputs["trap_filled"], inputs["trap_release"],
-            DEAD_TIME, GATE_RECOVERY, DURATION, 0.0,
-        )
-        ref_times, ref_origins = reference.resolve_windows(*args)
+        self.assert_matches_the_oracle(_array_draws(rng, windows=32, channels=3, secondaries=0))
+
+    @pytest.mark.parametrize("shape", [(1, 7), (9, 1), (3, 4)], ids=repr)
+    def test_small_grids(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        self.assert_matches_the_oracle(_array_draws(rng, *shape))
+
+    def test_no_candidate_lists(self):
+        rng = np.random.default_rng(13)
+        draws = _array_draws(rng, windows=20, channels=3, secondaries=0)
+        draws["dark_counts"][:] = 0
+        draws["background_counts"][:] = 0
+        draws["dark_rel"] = draws["background_rel"] = np.empty(0)
+        self.assert_matches_the_oracle(draws)
+
+    @pytest.mark.parametrize(
+        "codes", [np.full(5, 1.0), np.full(4, 1), np.array([1, 3, -1, 1, 1]), np.full(5, 4)],
+        ids=["float", "short", "negative", "unknown"],
+    )
+    def test_malformed_candidate_origins_are_rejected(self, codes):
+        inputs = _scan_inputs(np.random.default_rng(3), windows=12)
+        inputs["dark_bounds"] = np.minimum(np.arange(13), 5).astype(np.int64)
+        inputs["dark_rel"] = np.full(5, 0.5 * DURATION)
         for name in available_kernels():
-            times, origins = get_kernel(name).resolve_windows(*args)
-            assert np.array_equal(times, ref_times, equal_nan=True), name
-            assert np.array_equal(origins, ref_origins), name
+            with pytest.raises(ValueError, match="candidate origins"):
+                get_kernel(name).scan_windows(
+                    *_scan_args(inputs), 0.0, -np.inf, np.inf, None, None, codes
+                )
+
+    def test_default_candidates_are_dark_counts(self):
+        inputs = _scan_inputs(np.random.default_rng(4))
+        ones = np.ones(inputs["dark_rel"].size, dtype=np.int8)
+        for name in available_kernels():
+            scan = get_kernel(name).scan_windows
+            plain = scan(*_scan_args(inputs), 0.0, -np.inf, np.inf)
+            coded = scan(*_scan_args(inputs), 0.0, -np.inf, np.inf, None, None, ones)
+            crosstalk = scan(*_scan_args(inputs), 0.0, -np.inf, np.inf, None, None, 3 * ones)
+            assert np.array_equal(plain[0], coded[0], equal_nan=True), name
+            assert np.array_equal(plain[1], coded[1]), name
+            assert np.array_equal(crosstalk[1], np.where(plain[1] == 1, 3, plain[1])), name
 
 
 class _Receiver:

@@ -66,6 +66,23 @@ class TestStaticCharacteristics:
         with pytest.raises(ValueError):
             device.detection_probability_for_photons(-1.0)
 
+    @pytest.mark.parametrize("photons", [-5.0, float("nan")], ids=["negative", "nan"])
+    def test_negative_or_nan_budgets_are_refused(self, photons):
+        # NaN fails every comparison, so a ``< 0`` check lets it through.
+        device = make_device()
+        with pytest.raises(ValueError, match="mean_photons"):
+            device.detection_probability_for_photons(photons)
+        with pytest.raises(ValueError, match="mean_photons"):
+            device.detect_in_window(0.0, 40 * NS, photon_time=10 * NS, mean_photons=photons)
+        with pytest.raises(ValueError, match="mean_photons"):
+            device.detect_in_windows(40 * NS, np.full(8, 10 * NS), photons)
+
+    def test_an_unbounded_budget_is_a_certain_detection(self):
+        device = make_device()
+        assert device.detection_probability_for_photons(float("inf")) == 1.0
+        _, origins = device.detect_in_windows(40 * NS, np.full(8, 10 * NS), float("inf"))
+        assert np.all(origins == 0)
+
     def test_dark_count_rate_and_saturation(self):
         device = SpadDevice(random_source=RandomSource(0))
         assert device.dark_count_rate > 0
