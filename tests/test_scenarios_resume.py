@@ -33,14 +33,20 @@ def sweep_scenario(points: int = 3) -> Scenario:
 
 
 class CountingSerial:
-    """A serial executor that records which grid indexes it evaluated."""
+    """A serial executor that records each ``map_tasks`` call and evaluation."""
 
     failure_policy = "fail_fast"
 
     def __init__(self):
+        self.calls = []  # the grid indexes handed to each map_tasks call
         self.evaluated = []
 
     def map_tasks(self, tasks):
+        tasks = list(tasks)
+        self.calls.append([task.index for task in tasks])
+        return self._evaluate(tasks)
+
+    def _evaluate(self, tasks):
         for task in tasks:
             self.evaluated.append(task.index)
             yield task.index, evaluate_task(task)
@@ -122,6 +128,7 @@ class TestSessionResume:
         assert resumed.resumed_points == 2
         assert resumed.completed_points == 2
         report = resumed.report()
+        assert counting.calls == [[2]]  # one call, restored points left out
         assert counting.evaluated == [2]
         assert report.to_mapping() == uninterrupted.to_mapping()
         assert artifact_id(report) == artifact_id(uninterrupted)
@@ -136,7 +143,38 @@ class TestSessionResume:
             checkpoint=checkpoint_for(store, scenario)
         )
         report = session.report()
+        assert counting.calls == []
         assert counting.evaluated == []
+        assert report == ExperimentRunner(scenario, seed=5).run()
+
+
+class TestSessionWaves:
+    """A session hands its executor one ``map_tasks`` call per wave."""
+
+    def test_fixed_budget_is_one_call_over_the_grid(self):
+        scenario = sweep_scenario()
+        counting = CountingSerial()
+        report = ExperimentRunner(scenario, seed=5, executor=counting).run()
+        assert counting.calls == [[0, 1, 2]]
+        assert report == ExperimentRunner(scenario, seed=5).run()
+
+    def test_adaptive_run_makes_one_call_per_wave(self):
+        scenario = Scenario(
+            name="resume-waves",
+            sweep_axes={"mean_detected_photons": (2.0, 5.0, 15.0)},
+            metrics=("ber",),
+            bits_per_point=128,
+            ci_target=0.02,
+        )
+        counting = CountingSerial()
+        report = ExperimentRunner(scenario, seed=5, executor=counting).run()
+        rounds = [point.budget["rounds"] for point in report.points]
+        assert len(set(rounds)) > 1, "test needs points that converge in different waves"
+        # Wave k holds exactly the points still unconverged after k rounds.
+        assert counting.calls == [
+            [index for index, needed in enumerate(rounds) if needed > wave]
+            for wave in range(max(rounds))
+        ]
         assert report == ExperimentRunner(scenario, seed=5).run()
 
 

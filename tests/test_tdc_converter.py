@@ -168,19 +168,30 @@ class TestBatchConversion:
     def test_convert_array_metastability_matches_scalar_draw_for_draw(
         self, bubble_correction
     ):
-        # The vectorised bubble-injection pass (no per-sample fallback) must
-        # reproduce scalar conversion *exactly*: bulk uniform draws consume
-        # the random stream in the same order as per-tap Bernoulli calls.
-        scalar_tdc = self.make_metastable_tdc(bubble_correction)
-        batch_tdc = self.make_metastable_tdc(bubble_correction)
-        times = np.linspace(10 * PS, scalar_tdc.usable_range * 0.99, 400)
-        scalar = [scalar_tdc.convert(float(t)) for t in times]
-        batch = batch_tdc.convert_array(times)
-        assert np.array_equal(batch.fine_codes, [c.fine_code for c in scalar])
-        assert np.array_equal(batch.coarse_codes, [c.coarse_code for c in scalar])
-        assert np.array_equal(batch.codes, [c.code for c in scalar])
-        assert np.allclose(batch.measured_times, [c.measured_time for c in scalar])
-        assert np.array_equal(batch.saturated, [c.saturated for c in scalar])
+        # With a metastability model attached, converting an array must
+        # reproduce per-sample convert() calls *exactly*: the same random
+        # stream, drawn sample by sample in C order, whatever the input's
+        # shape, and the same saturation at and past the usable range.
+        full = self.make_metastable_tdc().usable_range
+        ramp = np.linspace(10 * PS, full * 0.99, 400)
+        edges = np.array([full * 0.5, np.nextafter(full, 0.0), full, full * 1.5, 10 * full])
+        for times in (ramp, ramp.reshape(20, 20), edges):
+            scalar_tdc = self.make_metastable_tdc(bubble_correction)
+            batch_tdc = self.make_metastable_tdc(bubble_correction)
+            scalar = [scalar_tdc.convert(float(t)) for t in times.ravel()]
+            batch = batch_tdc.convert_array(times)
+            for name, field in (
+                ("fine_codes", "fine_code"),
+                ("coarse_codes", "coarse_code"),
+                ("codes", "code"),
+                ("saturated", "saturated"),
+            ):
+                column = getattr(batch, name)
+                assert column.shape == times.shape
+                assert np.array_equal(column.ravel(), [getattr(c, field) for c in scalar])
+            assert batch.measured_times.shape == times.shape
+            assert np.allclose(batch.measured_times.ravel(), [c.measured_time for c in scalar])
+        assert batch.saturated.tolist() == [False, False, True, True, True]
 
     def test_convert_array_metastability_deterministic_stream(self):
         # Two identically-built TDCs consume identical random streams.
