@@ -166,7 +166,9 @@ def smoke(deadline, env, workers):
 
 def main():
     deadline = time.monotonic() + DEADLINE_SECONDS
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONUNBUFFERED="1")
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)),
+               PYTHONUNBUFFERED="1")
     workers = [start_worker(env), start_worker(env)]
     try:
         smoke(deadline, env, workers)

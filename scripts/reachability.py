@@ -23,12 +23,11 @@ The hook is a ``sitecustomize.py`` in a temporary directory prepended to
 ``PYTHONPATH``.  It installs ``sys.setprofile`` and ``threading.setprofile``,
 records every code object a process enters, and dumps the ones under
 ``src/repro`` at exit and on ``os._exit``, so forked pool workers are
-recorded too.  ``--benchmark-disable`` is required: the pytest-benchmark
+recorded too.  The smoke scripts prepend ``src`` to the ``PYTHONPATH`` they
+inherit, so the service daemon and the cluster workers they start load the
+hook as well (a process killed by a signal it does not handle records
+nothing).  ``--benchmark-disable`` is required: the pytest-benchmark
 fixture replaces the profile hook while it times a function.
-
-``service/`` and ``cluster/`` are reported as not covered: the smoke scripts
-start their daemons and workers with ``PYTHONPATH`` reset to ``src``, so the
-hook never loads there.
 
 Usage::
 
@@ -69,8 +68,6 @@ TIMING_TRACKERS = frozenset(
 BITS = 2048
 #: Runs in parallel.
 JOBS = 2
-#: Packages whose processes the hook never reaches (see the module docstring).
-NOT_COVERED = ("service", "cluster")
 #: Left out of the copy: VCS data and what earlier runs left behind.
 COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", "*.pyc", ".bench_build", ".benchmarks", ".pytest_cache",
@@ -245,8 +242,6 @@ def report(package: Path, entered: Set[Tuple[str, int]]) -> Tuple[List[str], int
     total = span_total = 0
     for path in sorted(package.rglob("*.py")):
         relative = path.relative_to(package.parent)
-        if relative.parts[1] in NOT_COVERED:
-            continue
         functions, classes = defined_functions(path)
         imported = (str(path), 1) in entered
         missed = [f for f in functions if not imported or (str(path), f.first) not in entered]
@@ -317,8 +312,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(f"# Functions under src/repro that no production run entered "
           f"({jobs_run} runs, {len(failures)} failed)")
-    print(f"# Not covered: {', '.join(f'repro/{name}/' for name in NOT_COVERED)} "
-          f"(their processes start without the hook)")
     for failure in failures:
         print(f"# failed: {failure}")
     print()

@@ -143,7 +143,9 @@ def smoke(base):
 
 def main():
     deadline = time.monotonic() + DEADLINE_SECONDS
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONUNBUFFERED="1")
+    pythonpath = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)),
+               PYTHONUNBUFFERED="1")
     with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as store:
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0", "--store", store],

@@ -20,7 +20,6 @@ or retries.  ``--executor cluster`` changes wall-clock, not content.
 """
 
 from repro.cluster.chunks import (
-    chunk_plan,
     fan_out_eligible,
     merge_chunk_outcomes,
     split_point_task,
@@ -50,7 +49,6 @@ __all__ = [
     "ClusterWorker",
     "MessageChannel",
     "WorkerDeath",
-    "chunk_plan",
     "connect",
     "fan_out_eligible",
     "format_address",

@@ -32,7 +32,7 @@ whole catalogue fans out — including ``spad-array-imager``, whose single
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 from repro.scenarios.executors import PointTask
 from repro.scenarios.metrics import PointOutcome
@@ -115,9 +115,3 @@ def merge_chunk_outcomes(parts: Mapping[int, PointOutcome]) -> PointOutcome:
         merged = merged.merge(outcome)
     return merged
 
-
-def chunk_plan(
-    scenario: Scenario, tasks: List[PointTask], fan_out: int
-) -> Dict[int, List[PointTask]]:
-    """Every task's chunk decomposition, keyed by grid index."""
-    return {task.index: split_point_task(scenario, task, fan_out) for task in tasks}

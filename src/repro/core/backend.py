@@ -26,15 +26,7 @@ the default and the one every Monte-Carlo-scale consumer should run; the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-try:  # Protocol requires 3.8+; runtime_checkable keeps isinstance() working.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
+from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.core.config import LinkConfig
 from repro.core.fastlink import FastOpticalLink

@@ -2,13 +2,14 @@
 
 :func:`round_robin_schedule` computes every grant of one
 :meth:`~repro.noc.bus.OpticalBus.run` call from a snapshot of the queued
-traffic in the CSR layout of
-:meth:`~repro.noc.arbitration.RoundRobinArbiter.snapshot`.  It is the one
-arbitration path of every kernel tier.  It issues exactly the grants
-repeated :meth:`~repro.noc.arbitration.RoundRobinArbiter.grant` calls issue:
-the same start slots, the same final slot clock and the same rotation
-pointer.  Arbitration fixes slot assignments and latencies, so the walk is
-part of the bit-identity contract (locked by ``tests/test_kernels.py``).
+traffic in CSR layout: every queued row's arrival slot, grouped by source
+node in queue order, with bounds giving each node's run.  It is the one
+arbitration path of every kernel tier.  It issues exactly the grants that
+granting one request at a time would: the same start slots, the same final
+slot clock and the same rotation pointer.  Arbitration fixes slot
+assignments and latencies, so the walk is part of the bit-identity contract
+(``tests/test_kernels.py`` holds it to the one-grant-at-a-time
+``RoundRobinArbiter`` oracle in ``tests/_oracles.py``).
 
 Semantics
 ---------
@@ -32,8 +33,8 @@ such a schedule down to one NumPy step per grant.  Measured on a 2-core x86
 container: on the ``noc-load`` benchmark workload (traced, seed 3) that
 schedule took 0.58 s of each run and this walk takes 0.019 s.  On a
 120k-request, 16-node saturated drain, where the schedule is at its best,
-the walk takes 0.16–0.26 s, the schedule 0.08–0.13 s and repeated
-:meth:`~repro.noc.arbitration.RoundRobinArbiter.grant` calls 0.41–0.55 s.
+the walk takes 0.16–0.26 s, the schedule 0.08–0.13 s and the oracle's
+one-grant-at-a-time loop 0.41–0.55 s.
 
 This module is a leaf (NumPy only) so the kernel registry stays importable
 from everywhere.
@@ -60,14 +61,14 @@ def round_robin_schedule(
     ----------
     arrivals:
         ``(R,)`` arrival slot of every queued item, grouped by node in queue
-        order (each node's run is non-decreasing — the arbiter enforces it).
+        order (each node's run is non-decreasing — the bus enforces it).
     slot_costs:
         ``(R,)`` slots each item occupies once granted (>= 1).
     node_bounds:
         ``(N + 1,)`` CSR bounds: node ``n`` owns items
         ``node_bounds[n]:node_bounds[n + 1]``.
     start_node:
-        The arbiter's rotation pointer (first node considered).
+        The rotation pointer (first node considered).
     start_slot / horizon:
         The slot clock at entry and the exclusive slot limit; a grant is
         issued only while the clock is strictly below ``horizon``.

@@ -36,7 +36,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .reference import check_decode_inputs, check_factors, check_origins, check_segments
+from .reference import (
+    check_decode_inputs,
+    check_factors,
+    check_origins,
+    check_scan_inputs,
+    check_segments,
+)
 
 _SOURCE = r"""
 #include <math.h>
@@ -304,6 +310,9 @@ class CExtKernels:
         photon_rel = np.ascontiguousarray(photon_rel, dtype=np.float64)
         dark_rel = np.ascontiguousarray(dark_rel, dtype=np.float64)
         count = int(photon_rel.shape[0])
+        dark_bounds = check_scan_inputs(
+            photon_valid, dark_rel, dark_bounds, trap_filled, trap_release, count
+        )
         starts = np.ascontiguousarray(
             _NO_SEGMENTS if segments is None else check_segments(segments, count)
         )
@@ -315,7 +324,7 @@ class CExtKernels:
             photon_rel,
             np.ascontiguousarray(photon_valid, dtype=np.bool_),
             dark_rel,
-            np.ascontiguousarray(dark_bounds, dtype=np.int64),
+            np.ascontiguousarray(dark_bounds),
             candidate_origins,
             np.ascontiguousarray(trap_filled, dtype=np.bool_),
             np.ascontiguousarray(trap_release, dtype=np.float64),

@@ -29,6 +29,13 @@ follows it (``pending < window_end`` is false for ``+inf``;
 ``window_start - (-inf) >= gate_recovery`` is true), so the loop below works
 on floats only.
 
+Input checks
+------------
+Every tier checks its scan inputs with :func:`check_scan_inputs` before it
+indexes them: a per-window array of the wrong length or CSR bounds that
+reach outside the candidate list raise :class:`ValueError` instead of
+reading past an array.
+
 Segmented scans
 ---------------
 :func:`scan_windows` optionally takes segment starts (validated by
@@ -106,6 +113,29 @@ def check_origins(origins, count: int) -> np.ndarray:
     return np.ascontiguousarray(codes, dtype=np.int8)
 
 
+def check_scan_inputs(
+    photon_valid, dark_rel, dark_bounds, trap_filled, trap_release, count: int
+) -> np.ndarray:
+    """Validated ``int64`` CSR bounds of a ``count``-window scan.
+
+    Every tier calls this before it scans, so no tier reads past an array:
+    the photon validity and trap draws hold one entry per window, and the
+    candidate bounds are ``count + 1`` integers that start at 0 or above,
+    never decrease and end within ``dark_rel``.
+    """
+    if any(np.shape(array) != (count,) for array in (photon_valid, trap_filled, trap_release)):
+        raise ValueError(f"photon validity and trap draws must hold {count} windows each")
+    bounds = np.asarray(dark_bounds)
+    if bounds.shape != (count + 1,) or bounds.dtype.kind not in "iu":
+        raise ValueError(f"candidate bounds must be {count + 1} integers")
+    if bounds[0] < 0 or bounds[-1] > np.size(dark_rel) or (bounds[1:] < bounds[:-1]).any():
+        raise ValueError(
+            f"candidate bounds must start at 0 or above, never decrease and end "
+            f"at or below the {np.size(dark_rel)} candidates"
+        )
+    return bounds.astype(np.int64, copy=False)
+
+
 def check_factors(factors, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated ``float64`` ``(photon, dark, trap)`` factors of a ``count``-window scan."""
     arrays = tuple(np.ascontiguousarray(factor, dtype=np.float64) for factor in factors)
@@ -159,6 +189,9 @@ def scan_windows(
     a dark count (code ``1``).
     """
     count = int(photon_rel.shape[0])
+    dark_bounds = check_scan_inputs(
+        photon_valid, dark_rel, dark_bounds, trap_filled, trap_release, count
+    )
     starts = [0] if segments is None else check_segments(segments, count).tolist()
     weighted = factors is not None
     if weighted:

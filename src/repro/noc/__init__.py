@@ -4,13 +4,12 @@ The paper's system-level promise is an "entirely optical through-chip bus that
 could service hundreds of thinned stacked dies", supporting broadcast, optical
 clock distribution and both vertical and horizontal buses.  This subpackage
 provides the system-level pieces needed to exercise that promise: die-stack
-topologies, packets, a time-slotted vertical optical bus with arbitration and
-a broadcast primitive.
+topologies, packets, a time-slotted vertical optical bus with round-robin
+arbitration and a broadcast primitive.
 """
 
 from repro.noc.packet import Packet
 from repro.noc.topology import NodeAddress, StackTopology
-from repro.noc.arbitration import RoundRobinArbiter
 from repro.noc.bus import BusStatistics, OpticalBus, PacketOutcome
 from repro.noc.broadcast import BroadcastResult, broadcast
 
@@ -18,7 +17,6 @@ __all__ = [
     "Packet",
     "NodeAddress",
     "StackTopology",
-    "RoundRobinArbiter",
     "OpticalBus",
     "BusStatistics",
     "PacketOutcome",

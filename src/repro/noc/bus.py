@@ -559,10 +559,6 @@ class OpticalBus:
         delivered = table.delivered
         return int(table.bits[delivered] @ self._copies(table.destination[delivered]))
 
-    def symbol_slots_per_packet(self, packet: Packet) -> int:
-        """Number of PPM symbols needed to carry a packet."""
-        return packet.symbol_count(self.config.ppm_bits)
-
     def run(self, max_slots: int = 10_000) -> BusStatistics:
         """Drain the queued packets through the bus.
 

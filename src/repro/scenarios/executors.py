@@ -52,7 +52,6 @@ import concurrent.futures
 import dataclasses
 import heapq
 import itertools
-import multiprocessing
 import os
 import threading
 import time
@@ -688,6 +687,9 @@ class ThreadExecutor:
 class ProcessExecutor:
     """Dispatches tasks across a process pool (``concurrent.futures``).
 
+    The pool starts its workers with the platform's default
+    :mod:`multiprocessing` start method.
+
     Parameters
     ----------
     workers:
@@ -695,9 +697,6 @@ class ProcessExecutor:
         not installed cores) capped at the number of tasks.  Results are
         independent of ``workers`` — parallelism changes completion order,
         never content.
-    start_method:
-        Optional :mod:`multiprocessing` start method (``"fork"``/``"spawn"``/
-        ``"forkserver"``); ``None`` uses the platform default.
     retry:
         Optional :class:`~repro.scenarios.faults.RetryPolicy`.  Beyond the
         serial semantics (retry failed attempts with deterministic backoff),
@@ -724,12 +723,10 @@ class ProcessExecutor:
     def __init__(
         self,
         workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
         failure_policy: str = "fail_fast",
     ) -> None:
         self.workers = validate_worker_count(workers)
-        self.start_method = start_method
         self.retry = retry
         self.failure_policy = validate_failure_policy(failure_policy)
         self.stats: Dict[str, int] = {"retries": 0, "failures": 0, "pool_rebuilds": 0}
@@ -753,12 +750,9 @@ class ProcessExecutor:
         policy = self.retry or RetryPolicy(max_attempts=1)
         workers = self.workers or usable_cpu_count()
         workers = max(1, min(workers, len(tasks)))
-        context = multiprocessing.get_context(self.start_method)
 
         def new_pool() -> concurrent.futures.ProcessPoolExecutor:
-            return concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            )
+            return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
 
         pool = new_pool()
         pending: "deque[Tuple[PointTask, int]]" = deque((task, 1) for task in tasks)

@@ -166,25 +166,20 @@ class ExperimentSession:
         return self
 
     def __next__(self) -> "ExperimentPoint":
-        if self._adaptive:
-            return self._next_adaptive()
-        return self._next_plain()
-
-    def _next_plain(self) -> "ExperimentPoint":
         while True:
             if self._closed:
                 raise StopIteration
             if self._stream is None:
-                outstanding = [
-                    task for task in self._tasks if task.index not in self._points
-                ]
-                if not outstanding:
+                wave = self._pending_wave()
+                if not wave:
                     raise StopIteration
-                self._stream = self._executor.map_tasks(outstanding)
+                self._stream = self._executor.map_tasks(wave)
             try:
                 index, outcome = next(self._stream)
             except StopIteration:
-                raise
+                # Wave drained; continuation tasks (if any) form the next one.
+                self._stream = None
+                continue
             except Exception as error:
                 # A point evaluation (or the pool itself) failed; the generator
                 # is now closed.  Remember the cause so report() can re-raise it.
@@ -194,8 +189,15 @@ class ExperimentSession:
                 # An exhausted point under failure_policy="continue": record
                 # it and keep streaming the surviving points.
                 self._failed[index] = outcome
+                self._accumulated.pop(index, None)
                 continue
-            point = self._finish_point(index, outcome, budget=None)
+            budget = None
+            if self._adaptive:
+                settled = self._settle(index, outcome)
+                if settled is None:
+                    continue
+                outcome, budget = settled
+            point = self._finish_point(index, outcome, budget=budget)
             if point is not None:
                 return point
 
@@ -245,7 +247,7 @@ class ExperimentSession:
             self._checkpoint.append(index, point.to_mapping())
         return point
 
-    # -- adaptive budgets --------------------------------------------------------
+    # -- waves and adaptive budgets ---------------------------------------------
     def _half_width(self, outcome: PointOutcome) -> Tuple[Optional[str], Optional[float]]:
         """Name and 95 % half-width of the first confidence-bearing metric."""
         for name in self._runner.scenario.metrics:
@@ -287,7 +289,11 @@ class ExperimentSession:
         return dataclasses.replace(task, symbols=cap)
 
     def _pending_wave(self) -> List[PointTask]:
-        """Tasks for the next adaptive wave (initial grid, then continuations)."""
+        """Tasks for the next wave: the outstanding grid, then continuations.
+
+        A fixed budget is one wave; an adaptive one queues a continuation
+        for each point still short of its ``ci_target``.
+        """
         if not self._wave_started:
             self._wave_started = True
             wave: List[PointTask] = []
@@ -305,74 +311,52 @@ class ExperimentSession:
         wave, self._next_wave = self._next_wave, []
         return wave
 
-    def _next_adaptive(self) -> "ExperimentPoint":
+    def _settle(
+        self, index: int, outcome: PointOutcome
+    ) -> Optional[Tuple[PointOutcome, Dict[str, Any]]]:
+        """Merge an adaptive installment into its point's running outcome.
+
+        Returns the merged outcome and its budget record once the point has
+        converged or hit ``max_symbols``; otherwise queues the next
+        installment for the following wave, checkpoints the partial and
+        returns ``None``.
+        """
         scenario = self._runner.scenario
-        while True:
-            if self._closed:
-                raise StopIteration
-            if self._stream is None:
-                wave = self._pending_wave()
-                if not wave:
-                    raise StopIteration
-                self._stream = self._executor.map_tasks(wave)
-            try:
-                index, outcome = next(self._stream)
-            except StopIteration:
-                # Wave drained; continuation tasks (if any) form the next one.
-                self._stream = None
-                continue
-            except Exception as error:
-                self._stream_error = error
-                raise
-            if isinstance(outcome, PointFailure):
-                self._failed[index] = outcome
-                self._accumulated.pop(index, None)
-                continue
-            merged = outcome
-            if index in self._accumulated:
-                # Installments are disjoint continuations of one notional
-                # longer run, so summed accumulators reproduce it exactly.
-                merged = self._accumulated[index].merge(outcome)
-            rounds = self._rounds.get(index, 0) + 1
-            metric_name, half = self._half_width(merged)
-            if metric_name is None:
-                raise RuntimeError(
-                    f"scenario {scenario.name!r} declares ci_target="
-                    f"{scenario.ci_target} but none of its metrics reports a "
-                    f"confidence half-width to converge on"
-                )
-            converged = half <= scenario.ci_target
-            capped = (
-                scenario.max_symbols is not None
-                and merged.symbols >= scenario.max_symbols
+        merged = outcome
+        if index in self._accumulated:
+            # Installments are disjoint continuations of one notional
+            # longer run, so summed accumulators reproduce it exactly.
+            merged = self._accumulated[index].merge(outcome)
+        rounds = self._rounds.get(index, 0) + 1
+        metric_name, half = self._half_width(merged)
+        if metric_name is None:
+            raise RuntimeError(
+                f"scenario {scenario.name!r} declares ci_target="
+                f"{scenario.ci_target} but none of its metrics reports a "
+                f"confidence half-width to converge on"
             )
-            if not converged and not capped:
-                self._accumulated[index] = merged
-                self._rounds[index] = rounds
-                self._next_wave.append(self._continuation(self._tasks[index], merged))
-                if self._checkpoint is not None:
-                    self._checkpoint.append_partial(
-                        index,
-                        {
-                            "rounds": rounds,
-                            "outcome": merged.to_accumulator_mapping(),
-                        },
-                    )
-                continue
-            self._accumulated.pop(index, None)
-            self._rounds.pop(index, None)
-            budget = {
-                "ci_target": scenario.ci_target,
-                "metric": metric_name,
-                "achieved": half,
-                "rounds": rounds,
-                "converged": bool(converged),
-            }
-            if scenario.max_symbols is not None:
-                budget["max_symbols"] = scenario.max_symbols
-            point = self._finish_point(index, merged, budget=budget)
-            if point is not None:
-                return point
+        converged = half <= scenario.ci_target
+        capped = scenario.max_symbols is not None and merged.symbols >= scenario.max_symbols
+        if not converged and not capped:
+            self._accumulated[index] = merged
+            self._rounds[index] = rounds
+            self._next_wave.append(self._continuation(self._tasks[index], merged))
+            if self._checkpoint is not None:
+                partial = {"rounds": rounds, "outcome": merged.to_accumulator_mapping()}
+                self._checkpoint.append_partial(index, partial)
+            return None
+        self._accumulated.pop(index, None)
+        self._rounds.pop(index, None)
+        budget = {
+            "ci_target": scenario.ci_target,
+            "metric": metric_name,
+            "achieved": half,
+            "rounds": rounds,
+            "converged": bool(converged),
+        }
+        if scenario.max_symbols is not None:
+            budget["max_symbols"] = scenario.max_symbols
+        return merged, budget
 
     def indexed(self) -> Iterator[Tuple[int, "ExperimentPoint"]]:
         """Stream ``(grid_index, point)`` pairs as points complete.

@@ -6,18 +6,15 @@ the same stochastic trial many times with independent seeds.  The runner here
 standardises seeding, accumulation and summary statistics for such
 experiments.
 
-Scalar-vs-batch contract
-------------------------
-:meth:`MonteCarloRunner.run` invokes a scalar trial once per repetition with a
-freshly constructed :class:`RandomSource` — simple, but the per-trial source
-construction and Python call dominate cheap trials.
-:meth:`MonteCarloRunner.run_batch` instead pre-splits one child seed per
-*chunk* and hands the trial a bare ``numpy.random.Generator`` together with
-the number of trials to evaluate, so an array-valued trial can vectorise the
-whole chunk internally (the same design as the batch link engine in
-:mod:`repro.core.fastlink`).  Results are deterministic in
-``(seed, chunk_size)``; the two entry points sample the same distributions but
-are not draw-for-draw identical.
+Chunked trials
+--------------
+:meth:`MonteCarloRunner.run_batch` is the one trial loop.  It pre-splits one
+child seed per *chunk* (``split_seed(seed, f"{label}:batch:{offset}")``,
+``offset`` the chunk's first trial) and hands the trial a bare
+``numpy.random.Generator`` together with the number of trials to evaluate,
+so an array-valued trial vectorises the whole chunk internally (the same
+design as the batch link engine in :mod:`repro.core.fastlink`).  Results are
+deterministic in ``(seed, chunk_size)``.
 
 :class:`LinkBatchTrial` keeps each chunk's bits as NumPy arrays from the
 payload draw into the link, and takes its samples from the link's per-symbol
@@ -27,25 +24,23 @@ bit errors (``TransmissionResult.symbol_bit_errors``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.simulation.randomness import RandomSource, split_seed
+from repro.simulation.randomness import split_seed
 
 
 @dataclass
 class MonteCarloResult:
     """Aggregated outcome of a Monte-Carlo experiment.
 
-    ``samples`` holds the raw per-trial scalar outputs; ``metadata`` holds any
-    per-trial auxiliary data returned by the trial function.
+    ``samples`` holds the raw per-trial scalar outputs.
     """
 
     samples: np.ndarray
-    metadata: List[dict] = field(default_factory=list)
 
     @property
     def trials(self) -> int:
@@ -397,50 +392,11 @@ def link_symbol_error_trial(
 
 
 class MonteCarloRunner:
-    """Runs a trial function over many independent seeds.
-
-    The trial function receives a :class:`RandomSource` and returns either a
-    scalar or a ``(scalar, metadata_dict)`` pair.
-    """
+    """Runs a vectorised trial function over many independently seeded chunks."""
 
     def __init__(self, seed: int = 0, label: str = "montecarlo") -> None:
         self._seed = seed
         self._label = label
-
-    def run(
-        self,
-        trial: Callable[[RandomSource], object],
-        trials: int,
-        progress: Optional[Callable[[int, float], None]] = None,
-    ) -> MonteCarloResult:
-        """Execute ``trials`` independent repetitions of ``trial``.
-
-        Parameters
-        ----------
-        trial:
-            Callable invoked with a fresh :class:`RandomSource` per repetition.
-        trials:
-            Number of repetitions (must be positive).
-        progress:
-            Optional callback ``(trial_index, value)`` invoked after each trial.
-        """
-        if trials <= 0:
-            raise ValueError(f"trials must be positive, got {trials}")
-        values = np.empty(trials, dtype=float)
-        metadata: List[dict] = []
-        for index in range(trials):
-            source = RandomSource(split_seed(self._seed, f"{self._label}:{index}"))
-            outcome = trial(source)
-            if isinstance(outcome, tuple):
-                value, info = outcome
-                metadata.append(dict(info))
-            else:
-                value = outcome
-                metadata.append({})
-            values[index] = float(value)
-            if progress is not None:
-                progress(index, float(value))
-        return MonteCarloResult(samples=values, metadata=metadata)
 
     def run_batch(
         self,
@@ -457,8 +413,7 @@ class MonteCarloRunner:
         batch_trial:
             Callable ``(generator, count) -> array`` returning one scalar
             outcome per trial, shape ``(count,)``.  The generator is freshly
-            seeded per chunk (seeds pre-split via :func:`split_seed`), so no
-            per-trial :class:`RandomSource` is ever constructed.
+            seeded per chunk (seeds pre-split via :func:`split_seed`).
         trials:
             Total number of repetitions (must be positive).
         chunk_size:

@@ -192,36 +192,29 @@ class TimeToDigitalConverter:
         )
 
     def convert_array(self, arrival_times: np.ndarray) -> TdcBatchConversion:
-        """Convert a whole array of arrival times in one vectorised pass.
+        """Convert a whole array of arrival times (any shape) at once.
 
         Produces the same codes and reconstructed times as calling
-        :meth:`convert` per sample, but quantises the entire batch with a
-        single :func:`np.searchsorted` against the delay line's cached tap
-        times.  With a metastability model attached, bubbles are injected by
-        one vectorised pass (:meth:`MetastabilityModel.corrupt_batch` followed
-        by :meth:`ThermometerEncoder.encode_batch`) that consumes the random
-        stream in the same order as per-sample conversion — the batch path is
-        draw-for-draw identical to the scalar path, not just statistically
-        equivalent.
+        :meth:`convert` per sample, and quantises the whole array with one
+        :func:`np.searchsorted` against the delay line's cached tap times.
+        With a metastability model attached, every sample goes through
+        :meth:`convert` in C order instead, so the bubbles are drawn from the
+        random stream exactly as per-sample conversion draws them.
         """
         times = np.asarray(arrival_times, dtype=float)
         coarse_codes, residual = _reference.split_times(
             times, self.coarse.period, self.coarse.modulus
         )
-        if self.metastability is not None:
-            taps = self.delay_line.tap_times
-            flat_residual = np.ravel(residual)
-            reached = np.searchsorted(taps, flat_residual, side="right")
-            thermometer = (
-                np.arange(self.delay_line.length)[None, :] < reached[:, None]
-            ).astype(np.int8)
-            thermometer = self.metastability.corrupt_batch(
-                thermometer, taps, flat_residual, self._random_source
+        if self.metastability is None:
+            fine_codes = np.minimum(
+                np.searchsorted(self.delay_line.tap_times, residual, side="right"),
+                self.fine_elements - 1,
             )
-            fine_codes = self.encoder.encode_batch(thermometer).reshape(times.shape)
         else:
-            fine_codes = np.searchsorted(self.delay_line.tap_times, residual, side="right")
-        fine_codes = np.minimum(fine_codes, self.fine_elements - 1)
+            fine_codes = np.array(
+                [self.convert(time).fine_code for time in times.ravel().tolist()],
+                dtype=np.int64,
+            ).reshape(times.shape)
         return TdcBatchConversion(
             coarse_codes=coarse_codes,
             fine_codes=fine_codes,

@@ -70,48 +70,6 @@ class MetastabilityModel:
                 array[index] ^= 1
         return array
 
-    def corrupt_batch(
-        self,
-        codes: np.ndarray,
-        tap_times: np.ndarray,
-        elapsed: np.ndarray,
-        random_source: Optional[RandomSource] = None,
-    ) -> np.ndarray:
-        """Vectorised :meth:`corrupt` over a whole batch of latched codes.
-
-        ``codes`` is a ``(samples, taps)`` matrix of thermometer codes and
-        ``elapsed`` the matching vector of true intervals.  Candidate taps are
-        flipped with one bulk uniform draw instead of per-tap Bernoulli calls.
-
-        Draw-for-draw contract: numpy generators produce the identical stream
-        whether uniforms are drawn one at a time or as one array, and the
-        candidates here are enumerated in the same (sample-major, tap-
-        ascending) order the scalar path visits them — so given equal-seeded
-        sources, this method injects *exactly* the bubbles that per-sample
-        :meth:`corrupt` calls would.  The TDC batch conversion relies on that
-        to stay equivalent to its scalar path with metastability enabled.
-        """
-        array = np.asarray(codes, dtype=np.int8).copy()
-        taps = np.asarray(tap_times, dtype=float)
-        times = np.asarray(elapsed, dtype=float)
-        if array.ndim != 2 or array.shape[1] != taps.size:
-            raise ValueError(
-                f"codes must be (samples, {taps.size}), got {array.shape}"
-            )
-        if times.shape != (array.shape[0],):
-            raise ValueError(
-                f"elapsed must have one entry per code row, got {times.shape}"
-            )
-        if self.aperture == 0 or random_source is None:
-            return array
-        near_edge = np.abs(taps[None, :] - times[:, None]) <= self.aperture
-        candidates = int(np.count_nonzero(near_edge))
-        if candidates == 0:
-            return array
-        flips = random_source.generator.random(candidates) < self.flip_probability
-        array[near_edge] ^= flips.astype(np.int8)
-        return array
-
     def expected_bubble_rate(self, mean_element_delay: float) -> float:
         """Expected fraction of conversions containing at least one bubble.
 

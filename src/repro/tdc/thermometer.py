@@ -96,32 +96,6 @@ class ThermometerEncoder:
             array = majority_filter(array, window=3)
         return thermometer_to_binary(array)
 
-    def encode_batch(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`encode` over a ``(samples, taps)`` code matrix.
-
-        Produces exactly the per-row results of calling :meth:`encode` on each
-        row: rows that are clean thermometer codes are ones-counted directly;
-        bubbly rows are first passed through the same 3-bit majority filter
-        (edge bits padded by replication) when bubble correction is enabled.
-        """
-        array = np.asarray(codes, dtype=np.int8)
-        if array.ndim != 2 or array.shape[1] != self.length:
-            raise ValueError(
-                f"codes must be (samples, {self.length}), got {array.shape}"
-            )
-        if array.size and np.any((array != 0) & (array != 1)):
-            raise ValueError("thermometer codes must contain only 0s and 1s")
-        ones = array.sum(axis=1)
-        if self.bubble_correction and array.shape[0]:
-            clean = np.arange(self.length)[None, :] < ones[:, None]
-            bubbly = np.any(array != clean, axis=1)
-            if np.any(bubbly):
-                sub = array[bubbly]
-                padded = np.concatenate([sub[:, :1], sub, sub[:, -1:]], axis=1)
-                window_sum = padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]
-                ones[bubbly] = (window_sum >= 2).sum(axis=1)
-        return ones.astype(np.int64)
-
     def output_bits(self) -> int:
         """Number of binary bits needed to represent the fine code."""
         return int(np.ceil(np.log2(self.length + 1)))

@@ -53,11 +53,6 @@ class TestOpticalBus:
         assert bus.per_node_bandwidth() == pytest.approx(link_config.raw_bit_rate / 4)
         assert bus.raw_slot_rate() == pytest.approx(1 / link_config.symbol_duration)
 
-    def test_slots_per_packet(self, small_topology, link_config):
-        bus = OpticalBus(small_topology, config=link_config)
-        packet = Packet(source=0, destination=1, payload=[1] * 9)
-        assert bus.symbol_slots_per_packet(packet) == -(-packet.total_bits // 4)
-
     def test_span_transmission_weaker_for_far_nodes(self, small_topology, link_config):
         bus = OpticalBus(small_topology, config=link_config)
         assert bus.span_transmission(0, 3) < bus.span_transmission(0, 1)

@@ -1,10 +1,10 @@
-"""Tests for repro.noc.packet, topology and arbitration."""
+"""Tests for repro.noc.packet and topology, and the round-robin arbiter oracle."""
 
 import numpy as np
 import pytest
 
+from _oracles import RoundRobinArbiter
 from repro.analysis.units import MM, UM
-from repro.noc.arbitration import RoundRobinArbiter
 from repro.noc.packet import Packet
 from repro.noc.topology import NodeAddress, StackTopology
 from repro.photonics.stack import DieStack

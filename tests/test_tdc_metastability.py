@@ -49,49 +49,3 @@ class TestMetastabilityModel:
         with pytest.raises(ValueError):
             model.expected_bubble_rate(0.0)
 
-
-class TestCorruptBatch:
-    TAPS = np.arange(1, 11) * 100 * PS
-
-    @staticmethod
-    def thermometer(reached: int) -> np.ndarray:
-        code = np.zeros(10, dtype=np.int8)
-        code[:reached] = 1
-        return code
-
-    def test_matches_scalar_corrupt_draw_for_draw(self):
-        # Bulk array draws consume the generator stream exactly like the
-        # scalar path's per-tap Bernoulli calls, so equal-seeded sources must
-        # inject identical bubbles.
-        model = MetastabilityModel(aperture=30 * PS, flip_probability=0.5)
-        elapsed = np.array([95 * PS, 350 * PS, 395 * PS, 610 * PS, 999 * PS])
-        codes = np.stack([
-            self.thermometer(int(np.searchsorted(self.TAPS, t, side="right")))
-            for t in elapsed
-        ])
-        scalar_source, batch_source = RandomSource(11), RandomSource(11)
-        expected = np.stack([
-            model.corrupt(codes[i], self.TAPS, float(elapsed[i]), scalar_source)
-            for i in range(len(elapsed))
-        ])
-        batch = model.corrupt_batch(codes, self.TAPS, elapsed, batch_source)
-        assert np.array_equal(batch, expected)
-
-    def test_noop_without_source_or_aperture(self):
-        codes = np.stack([self.thermometer(3), self.thermometer(7)])
-        elapsed = np.array([305 * PS, 702 * PS])
-        model = MetastabilityModel(aperture=20 * PS, flip_probability=1.0)
-        assert np.array_equal(model.corrupt_batch(codes, self.TAPS, elapsed, None), codes)
-        zero = MetastabilityModel(aperture=0.0, flip_probability=1.0)
-        assert np.array_equal(
-            zero.corrupt_batch(codes, self.TAPS, elapsed, RandomSource(1)), codes
-        )
-
-    def test_shape_validation(self):
-        model = MetastabilityModel()
-        with pytest.raises(ValueError):
-            model.corrupt_batch(np.zeros((2, 3)), self.TAPS, np.zeros(2), RandomSource(0))
-        with pytest.raises(ValueError):
-            model.corrupt_batch(
-                np.zeros((2, 10)), self.TAPS, np.zeros(3), RandomSource(0)
-            )

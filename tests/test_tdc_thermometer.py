@@ -81,33 +81,6 @@ class TestThermometerEncoder:
         with pytest.raises(ValueError):
             encoder.encode([1, 0])
 
-    def test_encode_batch_matches_scalar_encode(self):
-        for bubble_correction in (True, False):
-            encoder = ThermometerEncoder(6, bubble_correction=bubble_correction)
-            codes = np.array(
-                [
-                    [1, 1, 1, 0, 0, 0],  # clean
-                    [1, 1, 0, 1, 0, 0],  # isolated bubble
-                    [0, 1, 1, 0, 0, 0],  # leading bubble
-                    [1, 1, 1, 1, 1, 1],  # saturated
-                    [0, 0, 0, 0, 0, 0],  # empty
-                ],
-                dtype=np.int8,
-            )
-            expected = [encoder.encode(row) for row in codes]
-            assert ThermometerEncoder(
-                6, bubble_correction=bubble_correction
-            ).encode_batch(codes).tolist() == expected
-
-    def test_encode_batch_validation(self):
-        encoder = ThermometerEncoder(4)
-        with pytest.raises(ValueError):
-            encoder.encode_batch(np.zeros((2, 3), dtype=np.int8))
-        with pytest.raises(ValueError):
-            encoder.encode_batch(np.zeros(4, dtype=np.int8))
-        with pytest.raises(ValueError):
-            encoder.encode_batch(np.full((1, 4), 2, dtype=np.int8))
-
     def test_output_bits(self):
         assert ThermometerEncoder(length=96).output_bits() == 7
         assert ThermometerEncoder(length=63).output_bits() == 6
