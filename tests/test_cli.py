@@ -434,6 +434,48 @@ class TestProbe:
         assert run_cli("probe", "ber-vs-photons", "--bits", "256", "--seed", "7",
                        "--store", store) == 4
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--kernel", "python"),
+            ("--backend", "fast"),  # an alias: both sides must key on "batch"
+            ("--file", None),
+            ("--trial-mode", "importance", "--ci-target", "0.2", "--max-symbols", "256"),
+            ("--chunk-symbols", "64"),
+        ],
+        ids=["kernel", "backend-alias", "file", "importance", "chunk-symbols"],
+    )
+    def test_stored_run_probes_as_a_hit_under_the_same_flags(self, capsys, tmp_path, flags):
+        if flags == ("--file", None):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({
+                "name": "probe-from-file",
+                "link_overrides": {"ppm_bits": 4, "mean_detected_photons": 40.0},
+                "sweep_axes": {"spad_dead_time": [16e-9, 48e-9]},
+                "metrics": ["ber"],
+                "bits_per_point": 128,
+            }))
+            source = ("--file", str(path))
+        else:
+            source = ("ber-vs-photons", *flags)
+        common = (*source, "--bits", "128", "--seed", "3",
+                  "--store", str(tmp_path / "artifacts"))
+        assert run_cli("run", *common, "--quiet") == 0
+        capsys.readouterr()
+        assert run_cli("probe", *common) == 0
+        assert capsys.readouterr().out.startswith("HIT ")
+
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    def test_help_lists_every_shared_request_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "--help")
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("scenario", "--file", "--backend", "--kernel", "--seed", "--bits",
+                     "--chunk-symbols", "--trial-mode", "--ci-target", "--max-symbols",
+                     "--store", "--json"):
+            assert flag in out, flag
+
     def test_probe_never_creates_artifacts(self, capsys, tmp_path):
         store = tmp_path / "artifacts"
         assert run_cli("probe", "ber-vs-photons", "--store", str(store)) == 4

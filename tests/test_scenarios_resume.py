@@ -98,6 +98,40 @@ class TestRunCheckpoint:
         imposter = type(checkpoint)(checkpoint.path, "0" * 12)
         assert imposter.load() == {}
 
+    def test_partials_stop_at_a_torn_tail(self, tmp_path):
+        checkpoint = checkpoint_for(ReportStore(tmp_path), sweep_scenario())
+        checkpoint.append_partial(0, {"rounds": 1})
+        checkpoint.append_partial(1, {"rounds": 1})
+        checkpoint.append_partial(0, {"rounds": 2})
+        # Simulate a kill mid-append: chop the last record in half, then a
+        # later intact line must not be read past the tear either.
+        text = checkpoint.path.read_text()
+        checkpoint.path.write_text(
+            text[: len(text) - 10] + "\n" + json.dumps({"index": 2, "partial": {}}) + "\n"
+        )
+        assert checkpoint.load_partials() == {0: {"rounds": 1}, 1: {"rounds": 1}}
+
+    def test_partials_of_another_run_never_leak(self, tmp_path):
+        store = ReportStore(tmp_path)
+        checkpoint = checkpoint_for(store, sweep_scenario())
+        checkpoint.append_partial(0, {"rounds": 1})
+        assert checkpoint.load_partials() == {0: {"rounds": 1}}
+        imposter = type(checkpoint)(checkpoint.path, "0" * 12)
+        assert imposter.load_partials() == {}
+        # The header must open the file: a leading blank line voids it.
+        checkpoint.path.write_text("\n" + checkpoint.path.read_text())
+        assert checkpoint.load_partials() == {} and checkpoint.load() == {}
+
+    def test_a_completed_point_supersedes_its_partials(self, tmp_path):
+        checkpoint = checkpoint_for(ReportStore(tmp_path), sweep_scenario())
+        checkpoint.append_partial(0, {"rounds": 1})
+        checkpoint.append_partial(1, {"rounds": 1})
+        checkpoint.append(0, {"parameters": {}, "metrics": {}, "confidence": {},
+                              "bits": 1, "symbols": 1})
+        checkpoint.append_partial(1, {"rounds": 2})
+        assert checkpoint.load_partials() == {1: {"rounds": 2}}
+        assert sorted(checkpoint.load()) == [0]
+
     def test_discard_is_idempotent(self, tmp_path):
         checkpoint = checkpoint_for(ReportStore(tmp_path), sweep_scenario())
         checkpoint.discard()  # nothing there yet: no error

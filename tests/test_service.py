@@ -203,6 +203,21 @@ class TestDedupe:
         assert cli_main(["probe", SCENARIO, "--seed", "9", "--bits", str(BITS),
                          "--store", store]) == 0
 
+    def test_served_run_writes_no_checkpoint(self, service, client):
+        client.run_and_wait(SCENARIO, seed=3, bits=BITS)
+        checkpoints = service.store.root / "checkpoints"
+        assert not checkpoints.exists() or not any(checkpoints.iterdir())
+
+    def test_served_run_leaves_a_cli_checkpoint_alone(self, service, client):
+        # A CLI run of the same request may be journalling it right now.
+        request = frontdoor.RunRequest.build(SCENARIO, seed=3, bits=BITS)
+        checkpoint = service.store.run_checkpoint(
+            request.scenario.to_mapping(), request.backend, 3, request.chunk_symbols
+        )
+        checkpoint.append_partial(0, {"rounds": 1})
+        client.run_and_wait(SCENARIO, seed=3, bits=BITS)
+        assert checkpoint.load_partials() == {0: {"rounds": 1}}
+
     def test_different_inputs_do_not_dedupe(self, service, client):
         client.run_and_wait(SCENARIO, seed=3, bits=BITS)
         other = client.submit_run(SCENARIO, seed=4, bits=BITS)
