@@ -14,10 +14,12 @@ Eight subcommands cover the run/inspect/serve loop:
   (:meth:`~repro.scenarios.scenario.Scenario.from_mapping`) — or a stored
   artefact — without registering it;
 * ``repro probe <scenario>`` — compute the run's artefact cache key
-  (:meth:`~repro.scenarios.store.ReportStore.digest_for`) *without running
-  anything* and say whether the store already holds the completed artefact:
-  exits 0 on a cache hit, :data:`EXIT_CACHE_MISS` (4) when the run is still
-  pending — scripts can gate expensive simulations on it;
+  (:meth:`~repro.frontdoor.RunRequest.run_key`) *without running anything*
+  and say whether the store already holds the completed artefact: exits 0
+  on a cache hit, :data:`EXIT_CACHE_MISS` (4) when the run is still pending
+  — scripts can gate expensive simulations on it.  ``run`` and ``probe``
+  share one set of request flags, so a stored ``repro run`` probes as a hit
+  under the same flags;
 * ``repro show <artefact>`` — reload a stored artefact (by id or path) and
   print its report (``--json`` prints the report mapping, the same shape
   the service client's ``report()`` returns);
@@ -69,7 +71,6 @@ from repro.core.backend import available_backends
 from repro.kernels import KERNEL_NAMES
 from repro.scenarios import (
     CorruptArtifactError,
-    ExperimentRunner,
     ReportStore,
     RetryPolicy,
     available_executors,
@@ -128,6 +129,63 @@ def _workers_arg(value: str):
         ) from None
 
 
+def _request_flags() -> argparse.ArgumentParser:
+    """The run-request flags ``run`` and ``probe`` share (an argparse parent).
+
+    Every one of them is an input of :meth:`frontdoor.RunRequest.build`, so
+    a stored ``repro run`` probes as a hit under the same flags.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("scenario", nargs="?", default=None,
+                       help="library scenario name (see `list`)")
+    flags.add_argument("--file", default=None, metavar="PATH",
+                       help="a scenario from a JSON mapping or a stored artefact "
+                            "(Scenario.from_mapping; no registration needed)")
+    # Not argparse choices=: aliases ("fast", "array") and backends registered
+    # at runtime must stay usable, so validation happens in resolve_backend.
+    flags.add_argument("--backend", default=None,
+                       help=f"link backend override ({', '.join(available_backends())})")
+    flags.add_argument("--kernel", default=None, choices=KERNEL_NAMES,
+                       help="compute kernel for the hot loops (default: the "
+                            "REPRO_KERNEL env var, else auto — the fastest "
+                            "available; all kernels are bit-identical, but a "
+                            "pinned kernel is part of the cache key)")
+    flags.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    flags.add_argument("--bits", type=int, default=None,
+                       help="payload bits per grid point (default: the scenario's budget)")
+    flags.add_argument("--chunk-symbols", type=int, default=DEFAULT_CHUNK_SYMBOLS,
+                       help="symbols per Monte-Carlo chunk (fixes the seeding layout)")
+    flags.add_argument("--trial-mode", default=None, choices=("naive", "importance"),
+                       help="estimator: plain Monte-Carlo (naive, default) or "
+                            "importance sampling with likelihood weighting")
+    flags.add_argument("--ci-target", type=float, default=None, metavar="HALF_WIDTH",
+                       help="adaptive budget: simulate each point until its 95%% "
+                            "CI half-width reaches this target")
+    flags.add_argument("--max-symbols", type=int, default=None,
+                       help="hard per-point symbol cap for --ci-target runs")
+    flags.add_argument("--store", default=DEFAULT_STORE,
+                       help=f"artefact store directory (default {DEFAULT_STORE!r})")
+    flags.add_argument("--json", action="store_true",
+                       help="machine-readable output (run: the report mapping)")
+    return flags
+
+
+def _request(args: argparse.Namespace) -> frontdoor.RunRequest:
+    """The run request the shared request flags describe."""
+    return frontdoor.RunRequest.build(
+        args.scenario,
+        file=args.file,
+        seed=args.seed,
+        backend=args.backend,
+        chunk_symbols=args.chunk_symbols,
+        bits=args.bits,
+        trial_mode=args.trial_mode,
+        ci_target=args.ci_target,
+        max_symbols=args.max_symbols,
+        kernel=args.kernel,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -138,45 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
     list_cmd = commands.add_parser("list", help="catalogue the named scenarios")
     list_cmd.add_argument("--json", action="store_true", help="machine-readable output")
 
-    run_cmd = commands.add_parser("run", help="execute one scenario (named or from a file)")
-    run_cmd.add_argument("scenario", nargs="?", default=None,
-                         help="library scenario name (see `list`)")
-    run_cmd.add_argument("--file", default=None, metavar="PATH",
-                         help="run a scenario from a JSON mapping "
-                              "(Scenario.from_mapping; no registration needed)")
-    # Not argparse choices=: aliases ("fast", "array") and backends registered
-    # at runtime must stay usable, so validation happens in resolve_backend.
-    run_cmd.add_argument("--backend", default=None,
-                         help=f"link backend override ({', '.join(available_backends())})")
-    run_cmd.add_argument("--kernel", default=None, choices=KERNEL_NAMES,
-                         help="compute kernel for the hot loops (default: the "
-                              "REPRO_KERNEL env var, else auto — the fastest "
-                              "available; all kernels are bit-identical)")
+    request_flags = _request_flags()
+    run_cmd = commands.add_parser(
+        "run", parents=[request_flags],
+        help="execute one scenario (named or from a file)",
+    )
     run_cmd.add_argument("--executor", default=None, choices=available_executors(),
                          help="grid-point dispatch (default: serial)")
     run_cmd.add_argument("--workers", type=_workers_arg, default=None,
                          help="process-pool size (implies --executor process) or "
                               "cluster worker addresses host:port,… (implies "
                               "--executor cluster)")
-    run_cmd.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    run_cmd.add_argument("--bits", type=int, default=None,
-                         help="payload bits per grid point (default: the scenario's budget)")
-    run_cmd.add_argument("--chunk-symbols", type=int, default=DEFAULT_CHUNK_SYMBOLS,
-                         help="symbols per Monte-Carlo chunk (fixes the seeding layout)")
-    run_cmd.add_argument("--trial-mode", default=None, choices=("naive", "importance"),
-                         help="estimator: plain Monte-Carlo (naive, default) or "
-                              "importance sampling with likelihood weighting")
-    run_cmd.add_argument("--ci-target", type=float, default=None, metavar="HALF_WIDTH",
-                         help="adaptive budget: simulate each point until its 95%% "
-                              "CI half-width reaches this target")
-    run_cmd.add_argument("--max-symbols", type=int, default=None,
-                         help="hard per-point symbol cap for --ci-target runs")
-    run_cmd.add_argument("--store", default=DEFAULT_STORE,
-                         help=f"artefact store directory (default {DEFAULT_STORE!r})")
     run_cmd.add_argument("--no-store", action="store_true",
                          help="do not persist the report artefact")
-    run_cmd.add_argument("--json", action="store_true",
-                         help="print the report mapping as JSON instead of the table")
     run_cmd.add_argument("--quiet", action="store_true",
                          help="suppress per-point progress lines")
     run_cmd.add_argument("--retry", type=int, default=None, metavar="N",
@@ -196,34 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pick up a killed run's checkpoint from the store, "
                               "re-evaluating only the missing points")
 
-    probe_cmd = commands.add_parser(
-        "probe",
+    commands.add_parser(
+        "probe", parents=[request_flags],
         help="cache-probe a run (compute its artefact key without running)",
     )
-    probe_cmd.add_argument("scenario", nargs="?", default=None,
-                           help="library scenario name (see `list`)")
-    probe_cmd.add_argument("--file", default=None, metavar="PATH",
-                           help="probe a scenario from a JSON mapping instead")
-    probe_cmd.add_argument("--backend", default=None,
-                           help=f"link backend override ({', '.join(available_backends())})")
-    probe_cmd.add_argument("--kernel", default=None, choices=KERNEL_NAMES,
-                           help="compute kernel pin (part of the cache key "
-                                "when set)")
-    probe_cmd.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    probe_cmd.add_argument("--bits", type=int, default=None,
-                           help="payload bits per grid point (default: the scenario's budget)")
-    probe_cmd.add_argument("--chunk-symbols", type=int, default=DEFAULT_CHUNK_SYMBOLS,
-                           help="symbols per Monte-Carlo chunk (part of the cache key)")
-    probe_cmd.add_argument("--trial-mode", default=None, choices=("naive", "importance"),
-                           help="estimator override (part of the cache key)")
-    probe_cmd.add_argument("--ci-target", type=float, default=None, metavar="HALF_WIDTH",
-                           help="adaptive CI half-width target (part of the cache key)")
-    probe_cmd.add_argument("--max-symbols", type=int, default=None,
-                           help="per-point symbol cap for --ci-target runs")
-    probe_cmd.add_argument("--store", default=DEFAULT_STORE,
-                           help=f"artefact store directory (default {DEFAULT_STORE!r})")
-    probe_cmd.add_argument("--json", action="store_true",
-                           help="machine-readable output")
 
     show_cmd = commands.add_parser("show", help="print a stored report artefact")
     show_cmd.add_argument("artifact", help="artefact id or path")
@@ -321,41 +329,18 @@ def _retry_policy(args: argparse.Namespace) -> Optional[RetryPolicy]:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume and args.no_store:
         raise ValueError("--resume reads the checkpoint from the store; drop --no-store")
-    scenario = frontdoor.resolve_scenario(
-        name=args.scenario,
-        file=args.file,
-        bits=args.bits,
-        trial_mode=args.trial_mode,
-        ci_target=args.ci_target,
-        max_symbols=args.max_symbols,
-    )
-    if args.kernel is not None:
-        scenario = scenario.with_kernel(args.kernel)
-    runner = ExperimentRunner(
-        scenario,
-        seed=args.seed,
-        backend=args.backend,
-        chunk_symbols=args.chunk_symbols,
-        executor=args.executor,
-        workers=args.workers,
-        retry=_retry_policy(args),
-        failure_policy=args.failure_policy,
-    )
-    checkpoint = None
-    if not args.no_store:
-        # Storing runs always checkpoint: a killed run can resume instead of
-        # starting over.  A fresh (non-resume) run discards any stale
-        # checkpoint left by a previous identical invocation.
-        checkpoint = ReportStore(args.store).run_checkpoint(
-            scenario.to_mapping(), runner.backend, args.seed, args.chunk_symbols
-        )
-        if not args.resume:
-            checkpoint.discard()
-    with runner.session(checkpoint=checkpoint) as session:
+    request = _request(args)
+    # Storing runs always checkpoint: a killed run can resume instead of
+    # starting over.
+    store = None if args.no_store else ReportStore(args.store)
+    with request.session(
+        store, args.resume, executor=args.executor, workers=args.workers,
+        retry=_retry_policy(args), failure_policy=args.failure_policy,
+    ) as session:
         if not args.quiet:
             _status(
-                f"running {scenario.name!r}: {session.total_points} point(s), "
-                f"backend={runner.backend}, executor={session.executor!r}"
+                f"running {request.scenario.name!r}: {session.total_points} point(s), "
+                f"backend={request.backend}, executor={session.executor!r}"
             )
             if session.resumed_points:
                 _status(
@@ -382,14 +367,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{failure.error_type} after {failure.attempts} attempt(s)"
             )
     # Persist before printing: a closed stdout pipe must never cost the
-    # artefact of a completed simulation.  The checkpoint key doubles as the
-    # run key, indexing the artefact for O(1) cache probes (`repro probe`,
-    # the experiment service).
-    if not args.no_store:
-        path = ReportStore(args.store).save(report, run_key=checkpoint.run_key)
-        _status(f"artefact: {path}")
-        if checkpoint is not None:
-            checkpoint.discard()
+    # artefact of a completed simulation.
+    if store is not None:
+        _status(f"artefact: {request.save(store, report)}")
     if args.json:
         print(json.dumps(report.to_mapping(), indent=2))
     else:
@@ -399,19 +379,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     """Cache-probe: the run's artefact key and hit/pending state, no simulation."""
-    request = frontdoor.RunRequest.build(
-        args.scenario,
-        file=args.file,
-        seed=args.seed,
-        backend=args.backend,
-        chunk_symbols=args.chunk_symbols,
-        bits=args.bits,
-        trial_mode=args.trial_mode,
-        ci_target=args.ci_target,
-        max_symbols=args.max_symbols,
-        kernel=args.kernel,
-    )
-    result = frontdoor.probe(ReportStore(args.store), request)
+    result = frontdoor.probe(ReportStore(args.store), _request(args))
     if args.json:
         print(json.dumps(result, indent=2))
     elif result["state"] == "hit":

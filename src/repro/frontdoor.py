@@ -18,9 +18,12 @@ owns the policy both must agree on —
 * **cache probes** (:func:`probe`): "has this exact run already been
   simulated?" without simulating it (``repro probe``, server dedupe).
 
-Everything here is synchronous plain data; execution still flows through
-:class:`~repro.scenarios.runner.ExperimentRunner` (build one with
-:meth:`RunRequest.runner`).
+Every run executes a request: :meth:`RunRequest.session` opens the streaming
+session (journalling to the run's resume checkpoint when given a store) and
+:meth:`RunRequest.save` stores the report under the run key.  ``repro run``
+and :func:`~repro.scenarios.runner.run_scenario` use both; the service opens
+its sessions without a store, so it never touches a checkpoint that a CLI
+run of the same request may be writing.
 
 >>> request = RunRequest.build("ber-vs-photons", seed=3)
 >>> request.scenario.name, request.backend, request.seed
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.scenarios.executors import Executor, WorkersArg
@@ -44,11 +48,13 @@ from repro.scenarios.faults import RetryPolicy
 from repro.scenarios.library import get_scenario, named_scenarios
 from repro.scenarios.runner import (
     DEFAULT_CHUNK_SYMBOLS,
+    ExperimentReport,
     ExperimentRunner,
     resolve_scenario_backend,
 )
 from repro.scenarios.scenario import Scenario, require_positive_int
-from repro.scenarios.store import ReportStore, run_digest
+from repro.scenarios.session import ExperimentSession
+from repro.scenarios.store import ReportStore, RunCheckpoint, run_digest
 
 
 def resolve_scenario(
@@ -249,6 +255,49 @@ class RunRequest:
             workers=workers,
             retry=retry,
             failure_policy=failure_policy,
+        )
+
+    def session(
+        self,
+        store: Optional[ReportStore] = None,
+        resume: bool = False,
+        executor: Union[None, str, Executor] = None,
+        workers: WorkersArg = None,
+        retry: Optional[RetryPolicy] = None,
+        failure_policy: Optional[str] = None,
+    ) -> ExperimentSession:
+        """Start a streaming :class:`ExperimentSession` executing this request.
+
+        With a ``store``, completed points are journalled to the run's
+        checkpoint as they land.  ``resume`` restores the points a killed
+        run had already journalled instead of re-evaluating them; without
+        it any stale checkpoint of the same run is discarded first.  Without
+        a store nothing is journalled, and no checkpoint is read or removed.
+        """
+        if resume and store is None:
+            raise ValueError("resume=True needs a store to read the checkpoint from")
+        runner = self.runner(executor, workers, retry, failure_policy)
+        checkpoint = None
+        if store is not None:
+            checkpoint = self._checkpoint(store)
+            if not resume:
+                checkpoint.discard()
+        return runner.session(checkpoint=checkpoint)
+
+    def save(self, store: ReportStore, report: ExperimentReport) -> Path:
+        """Store ``report`` under :meth:`run_key`, then discard the checkpoint.
+
+        The run-index entry makes the completed run an O(1) cache hit
+        (:meth:`ReportStore.find_run`, :func:`probe`).  Returns the
+        artefact path.
+        """
+        path = store.save(report, run_key=self.run_key())
+        self._checkpoint(store).discard()
+        return path
+
+    def _checkpoint(self, store: ReportStore) -> RunCheckpoint:
+        return store.run_checkpoint(
+            self.scenario.to_mapping(), self.backend, self.seed, self.chunk_symbols
         )
 
     def describe(self) -> Dict[str, Any]:

@@ -387,40 +387,25 @@ class ExperimentRunner:
         )
 
     # -- experiment execution ------------------------------------------------------
-    def session(
-        self,
-        executor: Union[None, str, Executor] = None,
-        workers: WorkersArg = None,
-        checkpoint: Optional["RunCheckpoint"] = None,
-    ) -> ExperimentSession:
+    def session(self, checkpoint: Optional["RunCheckpoint"] = None) -> ExperimentSession:
         """Start a streaming :class:`ExperimentSession` for this run.
 
-        ``executor``/``workers`` override the runner's dispatch for this
-        session only; iterate the session for points as they complete and
-        call :meth:`ExperimentSession.report` for the assembled report.
+        Iterate the session for points as they complete and call
+        :meth:`ExperimentSession.report` for the assembled report.
         ``checkpoint`` (see
         :meth:`~repro.scenarios.store.ReportStore.run_checkpoint`) enables
         incremental crash recovery: previously recorded points are restored
         instead of re-evaluated, and new points are appended as they land.
         """
-        if executor is None and workers is None:
-            chosen = self.executor
-        else:
-            chosen = resolve_executor(executor, workers)
-        return ExperimentSession(self, chosen, checkpoint=checkpoint)
+        return ExperimentSession(self, self.executor, checkpoint=checkpoint)
 
-    def run(
-        self,
-        progress: Optional[Callable[[int, int], None]] = None,
-        executor: Union[None, str, Executor] = None,
-        workers: WorkersArg = None,
-    ) -> ExperimentReport:
+    def run(self, progress: Optional[Callable[[int, int], None]] = None) -> ExperimentReport:
         """Evaluate every grid point and assemble the structured report.
 
         A thin adapter over :meth:`session`: ``progress`` (optional) is called
         with ``(points_done, points_total)`` as each point completes.
         """
-        session = self.session(executor, workers)
+        session = self.session()
         try:
             done = 0
             for _point in session:
@@ -446,7 +431,7 @@ def run_scenario(
     failure_policy: Optional[str] = None,
     resume: bool = False,
 ) -> ExperimentReport:
-    """One-call convenience: build an :class:`ExperimentRunner` and run it.
+    """One-call convenience: execute a :class:`~repro.frontdoor.RunRequest`.
 
     Exposes the runner's full determinism contract — reports are a function
     of ``(scenario, seed, chunk_symbols)``, whatever ``executor``/``workers``
@@ -461,39 +446,19 @@ def run_scenario(
     checkpoint for the same run is discarded first.  The checkpoint is
     removed once the report is safely saved.
     """
-    runner = ExperimentRunner(
-        scenario,
-        seed=seed,
-        backend=backend,
-        chunk_symbols=chunk_symbols,
-        executor=executor,
-        workers=workers,
-        retry=retry,
-        failure_policy=failure_policy,
-    )
-    if resume and store is None:
-        raise ValueError("resume=True needs a store to read the checkpoint from")
-    checkpoint = None
-    report_store = None
-    if store is not None:
-        from repro.scenarios.store import ReportStore
+    from repro.frontdoor import RunRequest
+    from repro.scenarios.store import ReportStore
 
-        report_store = store if isinstance(store, ReportStore) else ReportStore(store)
-        checkpoint = report_store.run_checkpoint(
-            scenario.to_mapping(), runner.backend, seed, chunk_symbols
-        )
-        if not resume:
-            checkpoint.discard()
-    session = runner.session(checkpoint=checkpoint)
-    try:
+    request = RunRequest.build(
+        scenario, seed=seed, backend=backend, chunk_symbols=chunk_symbols
+    )
+    if store is not None and not isinstance(store, ReportStore):
+        store = ReportStore(store)
+    with request.session(
+        store, resume, executor=executor, workers=workers, retry=retry,
+        failure_policy=failure_policy,
+    ) as session:
         report = session.report()
-    finally:
-        session.close()
-    if report_store is not None:
-        # The checkpoint key *is* the run key: recording it indexes the
-        # finished artefact for O(1) cache probes (store.find_run / the
-        # experiment service's dedupe path).
-        report_store.save(report, run_key=checkpoint.run_key)
-        if checkpoint is not None:
-            checkpoint.discard()
+    if store is not None:
+        request.save(store, report)
     return report

@@ -14,9 +14,9 @@ report is deterministic in — and the registry guarantees, per key:
   ``report``/``error`` event), so late subscribers replay the past and then
   follow live — every subscriber sees every event, in order.
 
-Simulations execute on a worker thread through the ordinary
-:class:`~repro.scenarios.runner.ExperimentRunner` machinery (and therefore
-through whatever executor/retry policy the service was configured with) —
+Simulations execute on a worker thread through the request's own
+:meth:`~repro.frontdoor.RunRequest.session` (and therefore through whatever
+executor the service was configured with) —
 the asyncio event loop only ever appends to event logs and wakes
 subscribers, so it stays responsive however heavy the physics is.
 
@@ -272,8 +272,9 @@ class RunRegistry:
     # -- execution (worker thread) ---------------------------------------------
     def _execute(self, handle: RunHandle, request: RunRequest) -> None:
         try:
-            runner = request.runner(executor=self.executor, workers=self.workers)
-            with runner.session() as session:
+            # No store: a served run journals no checkpoint, so it never
+            # removes one that a CLI run of the same request is writing.
+            with request.session(executor=self.executor, workers=self.workers) as session:
                 total = session.total_points
                 for index, point in session.indexed():
                     handle.post(

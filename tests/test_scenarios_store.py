@@ -15,7 +15,7 @@ from repro.scenarios import (
     Scenario,
     artifact_id,
 )
-from repro.scenarios.store import ARTIFACT_FORMAT
+from repro.scenarios.store import ARTIFACT_FORMAT, run_digest
 
 
 @pytest.fixture(scope="module")
@@ -317,22 +317,19 @@ class TestCrashSafety:
 class TestRunIndex:
     """The run index: pre-run cache keys mapped to completed artefacts."""
 
-    def test_digest_for_needs_no_execution(self, report, tmp_path):
-        store = ReportStore(tmp_path)
-        key = store.digest_for(report.scenario, "batch", 21, 8192)
+    def test_run_digest_needs_no_execution(self, report):
+        key = run_digest(report.scenario, "batch", 21, 8192)
         assert len(key) == 12 and int(key, 16) >= 0
-        # Pure function of the run inputs — stable across stores and calls.
-        assert key == ReportStore(tmp_path / "other").digest_for(
-            report.scenario, "batch", 21, 8192
-        )
+        # Pure function of the run inputs — stable across calls.
+        assert key == run_digest(dict(report.scenario), "batch", 21, 8192)
         # ...and sensitive to every one of them.
-        assert key != store.digest_for(report.scenario, "scalar", 21, 8192)
-        assert key != store.digest_for(report.scenario, "batch", 22, 8192)
-        assert key != store.digest_for(report.scenario, "batch", 21, 4096)
+        assert key != run_digest(report.scenario, "scalar", 21, 8192)
+        assert key != run_digest(report.scenario, "batch", 22, 8192)
+        assert key != run_digest(report.scenario, "batch", 21, 4096)
 
     def test_save_with_run_key_makes_find_run_hit(self, report, tmp_path):
         store = ReportStore(tmp_path)
-        key = store.digest_for(report.scenario, "batch", 21, 8192)
+        key = run_digest(report.scenario, "batch", 21, 8192)
         assert store.find_run(key) is None
         path = store.save(report, run_key=key)
         assert store.find_run(key) == path.stem
@@ -346,14 +343,14 @@ class TestRunIndex:
 
     def test_missing_artifact_is_a_clean_miss(self, report, tmp_path):
         store = ReportStore(tmp_path)
-        key = store.digest_for(report.scenario, "batch", 21, 8192)
+        key = run_digest(report.scenario, "batch", 21, 8192)
         path = store.save(report, run_key=key)
         path.unlink()  # artefact gone, index entry stale
         assert store.find_run(key) is None
 
     def test_corrupt_index_entries_are_clean_misses(self, report, tmp_path):
         store = ReportStore(tmp_path)
-        key = store.digest_for(report.scenario, "batch", 21, 8192)
+        key = run_digest(report.scenario, "batch", 21, 8192)
         store.save(report, run_key=key)
         index_path = tmp_path / "index" / f"{key}.json"
         for garbage in ("", "not json", json.dumps({"format": "wrong"}),
@@ -376,7 +373,7 @@ class TestConcurrentStoreAccess:
         import threading
 
         store = ReportStore(tmp_path)
-        key = store.digest_for(report.scenario, "batch", 21, 8192)
+        key = run_digest(report.scenario, "batch", 21, 8192)
         start = threading.Barrier(8)
         paths, errors = [], []
 
