@@ -9,9 +9,8 @@ declarative scenario stays runnable as the link machinery evolves.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
-from repro.scenarios.executors import Executor
 from repro.scenarios.library import get_scenario, named_scenarios
 from repro.scenarios.runner import ExperimentReport, ExperimentRunner
 
@@ -24,8 +23,6 @@ def run_smoke(
     bits_per_point: int = 256,
     seed: int = 0,
     names: Optional[Sequence[str]] = None,
-    executor: Union[None, str, Executor] = None,
-    workers: Optional[int] = None,
 ) -> List[ExperimentReport]:
     """Run every (or the given) named scenario at a reduced budget.
 
@@ -33,8 +30,6 @@ def run_smoke(
     :class:`SmokeFailure` if any scenario raises or reports an invalid metric
     value (inf always; NaN unless the metric was registered with
     ``allow_nan=True``), naming the scenario (and metric/point) at fault.
-    ``executor`` / ``workers`` select the grid-point dispatch (serial by
-    default); reports are identical either way.
     """
     if bits_per_point <= 0:
         raise ValueError("bits_per_point must be positive")
@@ -45,11 +40,7 @@ def run_smoke(
             # ExperimentRunner.run itself raises on any NaN/inf metric value,
             # so every failure mode — exception or non-finite metric — lands
             # in this one wrapper, tagged with the scenario at fault.
-            reports.append(
-                ExperimentRunner(
-                    scenario, seed=seed, executor=executor, workers=workers
-                ).run()
-            )
+            reports.append(ExperimentRunner(scenario, seed=seed).run())
         except Exception as error:
             raise SmokeFailure(f"scenario {name!r} failed to run: {error}") from error
     return reports

@@ -203,6 +203,11 @@ def link_batch_trial(
 #: a hotspot node attracting most traffic, or nearest-neighbour exchanges.
 TRAFFIC_PATTERNS = ("uniform", "hotspot", "nearest-neighbour")
 
+#: Share of ``"hotspot"`` packets (from nodes other than node 0) sent to
+#: node 0; the rest go uniformly to the other nodes.
+HOTSPOT_FRACTION = 0.7
+
+
 @dataclass
 class NocTrafficTrial:
     """A :meth:`MonteCarloRunner.run_batch` trial over the slotted optical bus.
@@ -246,7 +251,6 @@ class NocTrafficTrial:
     traffic: str = "uniform"
     offered_load: float = 0.5
     packet_bits: int = 64
-    hotspot_fraction: float = 0.7
     emitted_photons: Optional[float] = None
     epoch_packets: int = 64
     on_result: Optional[Callable] = None
@@ -274,8 +278,6 @@ class NocTrafficTrial:
                 raise ValueError(f"{name} must be positive")
         if self.stack_dies < 2:
             raise ValueError("stack_dies must be at least 2")
-        if not 0.0 <= self.hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be within [0, 1]")
         if self.emitted_photons is not None and not self.emitted_photons > 0:
             raise ValueError(
                 f"emitted_photons must be positive, got {self.emitted_photons!r}"
@@ -301,7 +303,7 @@ class NocTrafficTrial:
         if self.traffic == "uniform":
             return uniform
         if self.traffic == "hotspot":
-            hot = generator.random(sources.size) < self.hotspot_fraction
+            hot = generator.random(sources.size) < HOTSPOT_FRACTION
             return np.where(hot & (sources != 0), 0, uniform)
         # nearest-neighbour: the die directly above (below at the stack top);
         # interior dies pick a side at random.
