@@ -70,6 +70,7 @@ from repro.cluster.protocol import (
 from repro.scenarios.executors import (
     PointTask,
     WorkerCountError,
+    _task_scenario,
     require_plain_scenarios,
     validate_worker_count,
 )
@@ -80,8 +81,7 @@ from repro.scenarios.faults import (
     WorkerLostError,
     validate_failure_policy,
 )
-from repro.scenarios.metrics import PointOutcome, available_metrics
-from repro.scenarios.scenario import Scenario
+from repro.scenarios.metrics import PointOutcome
 
 
 class ClusterTaskError(RuntimeError):
@@ -311,7 +311,7 @@ class ClusterExecutor:
         if not tasks:
             return
         require_plain_scenarios(tasks, boundary="the cluster wire")
-        scenario = self._rebuild_scenario(tasks[0])
+        scenario = _task_scenario(tasks[0])
         policy = self.retry or RetryPolicy(max_attempts=1)
         self._ensure_workers()
 
@@ -599,23 +599,6 @@ class ClusterExecutor:
                         )
         finally:
             self.stats["workers_connected"] = len(self._links)
-
-    # -- helpers ---------------------------------------------------------------
-    @staticmethod
-    def _rebuild_scenario(task: PointTask) -> Scenario:
-        """The scenario driving chunk planning (live object, or rebuilt).
-
-        Mirrors :func:`~repro.scenarios.executors.evaluate_task`: unknown
-        metric names are dropped before rebuilding, since planning never
-        evaluates metrics.
-        """
-        if task.live_scenario is not None:
-            return task.live_scenario
-        mapping = dict(task.scenario)
-        known = set(available_metrics())
-        kept = [name for name in mapping.get("metrics", ()) if name in known]
-        mapping["metrics"] = kept or ["ber"]
-        return Scenario.from_mapping(mapping)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

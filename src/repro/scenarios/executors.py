@@ -453,32 +453,38 @@ def evaluate_noc_point(
     )
 
 
-def evaluate_task(task: PointTask) -> PointOutcome:
-    """Evaluate one :class:`PointTask` (the process-pool worker entry point).
-
-    Top-level (hence picklable by reference) and dependent only on the task's
-    plain data, so it runs identically in the parent and in worker processes.
+def _task_scenario(task: PointTask) -> Scenario:
+    """The scenario a task runs: the live object in-process, else rebuilt.
 
     In-process (``live_scenario`` present) the original scenario object is
     used directly, preserving subclass overrides.  Across a process boundary
     the scenario is rebuilt from the mapping; metric evaluation happens in
     the *parent* (see
     :meth:`~repro.scenarios.runner.ExperimentRunner.build_point`), so metric
-    names play no part in point evaluation — but ``Scenario.from_mapping``
-    validates them against the local registry, which in a fresh worker
-    interpreter (``spawn`` start method) lacks any runtime-registered
-    metrics.  Unknown names are therefore dropped before rebuilding; results
-    are unaffected.
+    names play no part in point evaluation or chunk planning — but
+    ``Scenario.from_mapping`` validates them against the local registry,
+    which in a fresh worker interpreter (``spawn`` start method) lacks any
+    runtime-registered metrics.  Unknown names are therefore dropped before
+    rebuilding; results are unaffected.
     """
-    scenario = task.live_scenario
-    if scenario is None:
-        mapping = dict(task.scenario)
-        known = set(available_metrics())
-        kept = [name for name in mapping.get("metrics", ()) if name in known]
-        mapping["metrics"] = kept or ["ber"]
-        scenario = Scenario.from_mapping(mapping)
+    if task.live_scenario is not None:
+        return task.live_scenario
+    mapping = dict(task.scenario)
+    known = set(available_metrics())
+    kept = [name for name in mapping.get("metrics", ()) if name in known]
+    mapping["metrics"] = kept or ["ber"]
+    return Scenario.from_mapping(mapping)
+
+
+def evaluate_task(task: PointTask) -> PointOutcome:
+    """Evaluate one :class:`PointTask` (the process-pool worker entry point).
+
+    Top-level (hence picklable by reference) and dependent only on the task's
+    plain data (see :func:`_task_scenario`), so it runs identically in the
+    parent and in worker processes.
+    """
     return evaluate_point(
-        scenario,
+        _task_scenario(task),
         task.parameters,
         task.seed,
         task.backend,
