@@ -24,6 +24,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,47 @@ class TestRegistry:
             )
             assert len(calls) == 1, name
             assert calls[0].tolist() == list(range(0, 240, 40)), name  # a segment per channel
+
+
+class TestBuildCache:
+    """The cext build cache keeps only the few most recently used libraries."""
+
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        from repro.kernels import cext
+
+        if cext._compiler() is None:
+            pytest.skip("no C compiler on this host")
+        monkeypatch.setenv("REPRO_CEXT_CACHE", str(tmp_path))
+        return tmp_path
+
+    def test_a_build_removes_all_but_the_most_recently_used(self, cache):
+        from repro.kernels import cext
+
+        now = time.time()
+        stale = []  # newest first
+        for age in range(1, 7):
+            path = cache / f"repro_kernels_{age:016x}.so"
+            path.write_bytes(b"an earlier build")
+            os.utime(path, (now - 100 * age, now - 100 * age))
+            stale.append(path)
+        scratch = cache / "tmp-unfinished-build"
+        scratch.mkdir()
+        foreign = cache / "notes.txt"
+        foreign.write_text("not a library")
+        library = cext._build_library()
+        assert library is not None and library.is_file()
+        survivors = [path for path in stale if path.exists()]
+        assert survivors == stale[: cext._CACHE_KEEP - 1]
+        assert scratch.is_dir() and foreign.is_file()
+
+    def test_reuse_marks_the_library_used(self, cache):
+        from repro.kernels import cext
+
+        library = cext._build_library()
+        os.utime(library, (1_000_000, 1_000_000))
+        assert cext._build_library() == library
+        assert library.stat().st_mtime > 1_000_000
 
 
 class TestScanBitIdentity:
