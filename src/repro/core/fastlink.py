@@ -30,11 +30,12 @@ in to the per-symbol error counts of the result:
    trap release is pending — depends on *when* window ``i-1`` fired, which is
    itself a stochastic outcome.  No barrier of array passes can resolve that
    chain, so the scan walks the windows once over plain Python floats.
-3. One ``decode_windows`` kernel call (:meth:`OpticalLink._decode_windows`)
-   runs the receiver over every window: each detection is quantised by the
-   two-level TDC, exactly as :meth:`TimeToDigitalConverter.convert_array`
-   does, and decided to a slot value, exactly as ``PpmCodec.decode_times``
-   does; a missed window decodes to 0.
+3. One ``decode_windows`` kernel call
+   (:func:`~repro.core.link.decode_detections`) runs the receiver over
+   every window: each detection is quantised by the two-level TDC, exactly
+   as :meth:`TimeToDigitalConverter.convert_array` does, and decided to a
+   slot value, exactly as ``PpmCodec.decode_times`` does; a missed window
+   decodes to 0.
 4. Each symbol's bit errors are one table lookup of the popcount of
    ``sent ^ decoded`` (:func:`~repro.modulation.symbols.symbol_bit_errors`),
    the padding of a final partial symbol masked.  The result carries these
@@ -43,9 +44,9 @@ in to the per-symbol error counts of the result:
 
 :func:`transmit_segments` runs steps 1–3 once for G links whose payloads
 lie back to back: one encode, one detection over the G devices
-(:func:`~repro.spad.device.detect_in_segments`, one segmented kernel scan),
-one decode per link on its own TDC.  Each link is its own
-segment with its own random stream, so the pass equals one
+(:func:`~repro.spad.device.detect_in_segments`, one segmented kernel scan)
+and one segmented decode, each link's segment on its own TDC.  Each link is
+its own segment with its own random stream, so the pass equals one
 :meth:`FastOpticalLink.transmit_bits` call per link bit for bit, without the
 per-call overhead; the NoC bus sends each epoch's unicast groups this way.
 ``transmit_bits`` is its G = 1 case, so the engine has one body.
@@ -62,7 +63,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.core.config import LinkConfig
-from repro.core.link import OpticalLink, TransmissionResult
+from repro.core.link import OpticalLink, TransmissionResult, decode_detections
 from repro.kernels.reference import check_segments
 from repro.modulation.symbols import symbol_bit_errors
 from repro.photonics.channel import OpticalChannel
@@ -155,11 +156,12 @@ def transmit_segments(
     carries the symbols from ``segment_starts[g]`` up to the next start.
     The pass is one PPM encode, one detection over the G devices
     (:func:`~repro.spad.device.detect_in_segments`, or
-    :meth:`SpadDevice.detect_in_windows` when G = 1), each segment decoded by
-    its own link's TDC through :meth:`OpticalLink._decode_windows`.  Every
-    link is reset first and draws from its own stream, so the pass equals G
-    separate :meth:`FastOpticalLink.transmit_bits` calls bit for bit.  The
-    links share one PPM slot grid; importance sampling needs G = 1.
+    :meth:`SpadDevice.detect_in_windows` when G = 1) and one decode
+    (:func:`~repro.core.link.decode_detections`), each segment on its own
+    link's TDC.  Every link is reset first and draws from its own stream, so
+    the pass equals G separate :meth:`FastOpticalLink.transmit_bits` calls
+    bit for bit.  The links share one PPM slot grid and the first link's
+    kernel; importance sampling needs G = 1.
     """
     first = links[0]
     k = first.config.ppm_bits
@@ -184,6 +186,7 @@ def transmit_segments(
     for link in links:
         link.spad.reset()
     if len(links) == 1:
+        segments = None
         times, origins, *weights = first.spad.detect_in_windows(
             symbol_duration,
             pulse_offsets,
@@ -192,6 +195,7 @@ def transmit_segments(
             kernel=first.kernel,
         )
     else:
+        segments = starts
         times, origins, *weights = detect_in_segments(
             [link.spad for link in links],
             symbol_duration,
@@ -200,10 +204,5 @@ def transmit_segments(
             [link.mean_photons_at_detector() for link in links],
             kernel=first.kernel,
         )
-    bounds = starts + [values.size]
-    decoded = [
-        link._decode_windows(times[lo:hi], origins[lo:hi], link.kernel)
-        for link, lo, hi in zip(links, bounds, bounds[1:])
-    ]
-    decoded = decoded[0] if len(decoded) == 1 else np.concatenate(decoded)
+    decoded = decode_detections(links, times, origins, first.kernel, segments=segments)
     return SegmentedPass(values, decoded, origins, weights[0] if weights else None)

@@ -256,36 +256,6 @@ class OpticalLink:
             raise ValueError("bits must be 0 or 1")
         return raw.astype(np.uint8)
 
-    def _decode_windows(
-        self, times: np.ndarray, origins: np.ndarray, kernel: Optional[str], channels: int = 1
-    ) -> np.ndarray:
-        """Symbol values of a detection pass's windows through the receiver.
-
-        The batch engines' TDC-and-slot step, run by ``kernel``'s
-        ``decode_windows``: each detection is made window-relative, clipped
-        into the TDC range, converted as :meth:`TimeToDigitalConverter.convert_array`
-        does, clipped into the window and decoded as
-        :meth:`PpmCodec.decode_times` does.  A missed window decodes to 0.
-        """
-        if self.tdc.metastability is not None:
-            raise ValueError(
-                "the batch decode does not model TDC metastability; "
-                "use the scalar OpticalLink for a TDC with a metastability model"
-            )
-        grid = self.codec.grid
-        return get_kernel(kernel).decode_windows(
-            times,
-            origins,
-            channels,
-            self.config.symbol_duration,
-            self.tdc.coarse.period,
-            self.tdc.coarse.modulus,
-            self.tdc.delay_line.tap_times,
-            self.tdc.lsb,
-            grid.slot_duration,
-            grid.slot_count,
-        )
-
     def transmit_bits(self, bits: Sequence[int]) -> TransmissionResult:
         """Send a payload over the link and return the decoded result.
 
@@ -372,3 +342,49 @@ class OpticalLink:
             f"OpticalLink(K={self.config.ppm_bits}, slot={self.config.slot_duration:.2e}s, "
             f"rate={self.raw_bit_rate() / 1e6:.1f} Mbit/s)"
         )
+
+
+def decode_detections(
+    links: Sequence[OpticalLink],
+    times: np.ndarray,
+    origins: np.ndarray,
+    kernel: Optional[str],
+    channels: int = 1,
+    segments: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Symbol values of a detection pass's windows through the links' receivers.
+
+    The batch engines' TDC-and-slot step, one ``kernel`` ``decode_windows``
+    call: each detection is made window-relative, clipped into the TDC
+    range, converted as :meth:`TimeToDigitalConverter.convert_array` does,
+    clipped into the window and decoded as :meth:`PpmCodec.decode_times`
+    does.  A missed window decodes to 0.  Without ``segments`` the pass is
+    the one link's; with them, link ``g`` decodes the windows from
+    ``segments[g]`` on its own TDC, its windows counted from 0, and the
+    links share the first one's slot grid.
+    """
+    if any(link.tdc.metastability is not None for link in links):
+        raise ValueError(
+            "the batch decode does not model TDC metastability; "
+            "use the scalar OpticalLink for a TDC with a metastability model"
+        )
+    tables = (
+        [link.tdc.coarse.period for link in links],
+        [link.tdc.coarse.modulus for link in links],
+        [link.tdc.delay_line.tap_times for link in links],
+        [link.tdc.lsb for link in links],
+    )
+    if segments is None:
+        tables = tuple(column[0] for column in tables)
+    first = links[0]
+    grid = first.codec.grid
+    return get_kernel(kernel).decode_windows(
+        times,
+        origins,
+        channels,
+        first.config.symbol_duration,
+        *tables,
+        grid.slot_duration,
+        grid.slot_count,
+        segments,
+    )

@@ -22,7 +22,7 @@ all ``C`` channels as ``(S, C)`` NumPy passes:
    kernel call, a segment per channel, resolves every window of all ``C``
    pixels, crosstalk candidates listed beside the dark counts.
 4. One ``decode_windows`` kernel call
-   (:meth:`~repro.core.link.OpticalLink._decode_windows`) runs the TDC and
+   (:func:`~repro.core.link.decode_detections`) runs the TDC and
    the slot decision over the flattened ``(S*C,)`` grid, and each payload
    symbol's bit errors are one popcount lookup of ``sent ^ decoded``
    (:func:`~repro.modulation.symbols.symbol_bit_errors`); the result's
@@ -48,7 +48,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import LinkConfig
-from repro.core.link import OpticalLink, TransmissionResult
+from repro.core.link import OpticalLink, TransmissionResult, decode_detections
 from repro.modulation.symbols import ints_to_bit_matrix, symbol_bit_errors
 from repro.photonics.channel import OpticalChannel
 from repro.photonics.crosstalk import CrosstalkModel
@@ -322,7 +322,7 @@ class MultichannelOpticalLink(OpticalLink):
         # channel i % C in window i // C); grid-padding windows drop out.
         symbol_weights = grid_weights[0].reshape(-1)[:symbol_count] if grid_weights else None
 
-        decoded = self._decode_windows(times, origins, self.kernel, self.channels)
+        decoded = decode_detections((self,), times, origins, self.kernel, self.channels)
 
         # Statistics cover the real payload symbols only (flat symbol index
         # i = window*C + channel < symbol_count); grid-padding windows are

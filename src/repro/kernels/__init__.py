@@ -26,8 +26,11 @@ single devices and whole arrays, naive or importance-sampled.
 The third kernel, the detection decode (``decode_windows``: two-level TDC
 and PPM slot decision over every window), is not a sequential loop; every
 window decodes on its own.  It is a kernel because NumPy costs time per
-pass and per call: the decode is about 20 array passes, over a third of a
-short (118-symbol) NoC transmit.  Its NumPy form in
+pass and per call: the decode is about 20 array passes, whatever the
+number of windows.  It takes optional segment starts too, with one TDC
+(taps, LSB, clock period, modulus) per segment and each segment's windows
+counted from 0, as the segmented scan clocks them: a NoC epoch's links,
+each on its own receiver, decode in one call.  Its NumPy form in
 :mod:`repro.kernels.reference` is also the body of
 ``TimeToDigitalConverter.convert_array`` and ``SlotGrid.slots_of_times``.
 

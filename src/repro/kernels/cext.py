@@ -133,34 +133,56 @@ void repro_scan_windows(
 }
 
 /* Returns 0, or the first NumPy range check that would fail:
- * 1 negative time, 2 coarse code out of range, 3 time outside the symbol. */
+ * 1 negative time, 2 coarse code out of range, 3 time outside the symbol.
+ * Segment s decodes on its own TDC, its windows counted from 0.  The tables
+ * hold, for n_segments = n: segments, the n starts (validated; entry 0 is
+ * element 0), the n coarse moduli and the n + 1 bounds of each segment's
+ * taps; tdc, the n clock periods, the n LSBs and every segment's taps. */
 int repro_decode_windows(
     long long count,
     long long channels,
     const double *times,
     const signed char *origins,
     double window,
-    double period,
-    long long modulus,
-    const double *taps,
-    long long n_taps,
-    double lsb,
+    long long n_segments,
+    const long long *segments,
+    const double *tdc,
     double slot_duration,
     long long slot_count,
     long long *out)
 {
-    /* 0.999999 is reference._EDGE: clip a time just inside its range. */
-    double time_limit = (double)modulus * period * 0.999999;
-    double clamp = nextafter((double)modulus * period, 0.0);
+    const long long *moduli = segments + n_segments;
+    const long long *tap_bounds = segments + 2 * n_segments;
+    const double *lsbs = tdc + n_segments;
+    const double *all_taps = tdc + 2 * n_segments;
     double measured_limit = window * 0.999999;
     double data_window = (double)slot_count * slot_duration;
-    double inverse_lsb = 1.0 / lsb;
+    double period = 1.0, lsb = 1.0, time_limit = 0.0, clamp = 0.0, inverse_lsb = 1.0;
+    long long modulus = 1, n_taps = 1;
+    const double *taps = all_taps;
+    long long segment = -1, next_segment = 0;
     long long next_window = 0, channel = 0;   /* i / channels, no division */
     int status = 0;
     long long i;
     for (i = 0; i < count; ++i) {
         double t, phase, residual, guess, edge, measured;
-        long long w = next_window, coarse, fine, slot;
+        long long w, coarse, fine, slot;
+        if (i == next_segment) {   /* the next receiver's TDC, its window clock at 0 */
+            ++segment;
+            period = tdc[segment];
+            modulus = moduli[segment];
+            lsb = lsbs[segment];
+            taps = all_taps + tap_bounds[segment];
+            n_taps = tap_bounds[segment + 1] - tap_bounds[segment];
+            /* 0.999999 is reference._EDGE: clip a time just inside its range. */
+            time_limit = (double)modulus * period * 0.999999;
+            clamp = nextafter((double)modulus * period, 0.0);
+            inverse_lsb = 1.0 / lsb;
+            next_segment = segment + 1 < n_segments ? segments[segment + 1] : count;
+            next_window = 0;
+            channel = 0;
+        }
+        w = next_window;
         if (++channel == channels) { channel = 0; ++next_window; }
         if (origins[i] < 0) { out[i] = 0; continue; }
         t = times[i] - (double)w * window;
@@ -318,9 +340,8 @@ class CExtKernels:
         self._decode = library.repro_decode_windows
         self._decode.restype = ctypes.c_int
         self._decode.argtypes = [
-            ctypes.c_longlong, ctypes.c_longlong, _PTR, _PTR,
-            ctypes.c_double, ctypes.c_double, ctypes.c_longlong, _PTR, ctypes.c_longlong,
-            ctypes.c_double, ctypes.c_double, ctypes.c_longlong, _PTR,
+            ctypes.c_longlong, ctypes.c_longlong, _PTR, _PTR, ctypes.c_double,
+            ctypes.c_longlong, _PTR, _PTR, ctypes.c_double, ctypes.c_longlong, _PTR,
         ]
 
     def scan_windows(
@@ -401,12 +422,26 @@ class CExtKernels:
         lsb,
         slot_duration,
         slot_count,
+        segments=None,
     ) -> np.ndarray:
         """Native detection decode (see :func:`repro.kernels.reference.decode_windows`)."""
         times = np.ascontiguousarray(times, dtype=np.float64)
         origins = np.ascontiguousarray(origins, dtype=np.int8)
-        taps = np.ascontiguousarray(taps, dtype=np.float64)
-        check_decode_inputs(times, origins, channels, modulus, taps)
+        tables = check_decode_inputs(
+            times, origins, channels, period, modulus, taps, lsb, segments
+        )
+        # The C tables (see the source): integers, then floats, segment-major.
+        if tables is None:  # one TDC, from element 0
+            segment_count = 1
+            segment_table = np.array((0, modulus, 0, np.size(taps)), dtype=np.int64)
+            tdc_table = np.empty(2 + np.size(taps))
+            tdc_table[0], tdc_table[1], tdc_table[2:] = period, lsb, taps
+        else:
+            starts, periods, moduli, tap_tables, lsbs = tables
+            segment_count = starts.size
+            tap_bounds = np.cumsum([0] + [table.size for table in tap_tables])
+            segment_table = np.concatenate((starts, moduli, tap_bounds))
+            tdc_table = np.concatenate((periods, lsbs, *tap_tables))
         out = np.empty(origins.shape, dtype=np.int64)
         status = self._decode(
             origins.size,
@@ -414,11 +449,9 @@ class CExtKernels:
             times.ctypes.data,
             origins.ctypes.data,
             float(window),
-            float(period),
-            int(modulus),
-            taps.ctypes.data,
-            taps.size,
-            float(lsb),
+            segment_count,
+            segment_table.ctypes.data,
+            tdc_table.ctypes.data,
             float(slot_duration),
             int(slot_count),
             out.ctypes.data,

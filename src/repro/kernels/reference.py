@@ -11,7 +11,9 @@ lands here first and propagates outward.
 
 The detection decode (:func:`decode_windows`) is defined here too: the
 receiver's TDC and slot decision over every window, as NumPy array passes,
-and the ``"python"`` tier's decode.  Its three
+and the ``"python"`` tier's decode.  Given segment starts it decodes each
+segment on a TDC of its own, its windows counted from 0, so a segmented
+decode is one call per segment, concatenated, bit for bit.  Its three
 steps, :func:`split_times`, :func:`reconstruct_times` and
 :func:`slots_of_times`, are also the bodies of
 :meth:`~repro.tdc.converter.TimeToDigitalConverter.convert_array`,
@@ -325,13 +327,54 @@ def slots_of_times(
 
 
 def check_decode_inputs(
-    times: np.ndarray, origins: np.ndarray, channels: int, modulus: int, taps: np.ndarray
-) -> None:
-    """Reject what no tier could index or divide by (every tier calls this)."""
+    times: np.ndarray,
+    origins: np.ndarray,
+    channels: int,
+    period,
+    modulus,
+    taps,
+    lsb,
+    segments=None,
+) -> Optional[Tuple]:
+    """Reject what no tier could index or divide by (every tier calls this).
+
+    Without ``segments`` the TDC is one table: ``modulus`` and the tap
+    count must be positive, and ``None`` is returned.  With segment starts
+    (:func:`check_segments` over the flat windows) every segment has its own
+    TDC: ``period``, ``modulus`` and ``lsb`` hold one positive value per
+    segment and ``taps`` one non-empty 1-D array per segment.  Returns
+    ``(starts, periods, moduli, taps, lsbs)`` as ``int64``, ``float64``,
+    ``int64``, a list of ``float64`` arrays and ``float64``.
+    """
     if np.shape(times) != np.shape(origins):
         raise ValueError("times and origins must have the same shape")
-    if channels < 1 or modulus < 1 or np.size(taps) < 1:
-        raise ValueError("channels, modulus and the tap count must be positive")
+    if segments is None:
+        if channels < 1 or modulus < 1 or np.size(taps) < 1:
+            raise ValueError("channels, modulus and the tap count must be positive")
+        return None
+    if channels < 1:
+        raise ValueError("channels must be positive")
+    starts = check_segments(segments, int(np.size(origins)))
+    periods = np.asarray(period, dtype=np.float64)
+    moduli = np.asarray(modulus)
+    lsbs = np.asarray(lsb, dtype=np.float64)
+    taps = [np.ascontiguousarray(table, dtype=np.float64) for table in taps]
+    if (
+        periods.shape != starts.shape or moduli.shape != starts.shape
+        or lsbs.shape != starts.shape or len(taps) != starts.size
+    ):
+        raise ValueError(
+            f"a segmented decode needs one period, modulus, tap table and LSB "
+            f"for each of its {starts.size} segments"
+        )
+    if moduli.dtype.kind not in "iu":
+        raise ValueError("coarse moduli must be integers")
+    moduli = moduli.astype(np.int64, copy=False)
+    if not (periods.min() > 0 and moduli.min() > 0 and lsbs.min() > 0):
+        raise ValueError("every segment's period, modulus and LSB must be positive")
+    if any(table.ndim != 1 or table.size == 0 for table in taps):
+        raise ValueError("every segment needs a 1-D table of at least one tap")
+    return starts, periods, moduli, taps, lsbs
 
 
 def decode_windows(
@@ -345,6 +388,7 @@ def decode_windows(
     lsb: float,
     slot_duration: float,
     slot_count: int,
+    segments: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """PPM symbol value of every window's detection, ``0`` for a missed window.
 
@@ -357,16 +401,39 @@ def decode_windows(
     into the window and decided to a slot.  Returns ``int64`` values shaped
     like ``origins``.  Detected windows carry finite times, as the detection
     kernels produce them.
+
+    ``segments`` optionally lists the flat elements at which the passes of
+    different receivers start (see :func:`check_decode_inputs`); ``period``,
+    ``modulus``, ``taps`` and ``lsb`` then hold one TDC per segment, and a
+    segment's elements count their windows from 0, as the segmented scan
+    clocks them.  A segmented call is one call per segment, concatenated,
+    bit for bit.
     """
-    check_decode_inputs(times, origins, channels, modulus, taps)
+    tables = check_decode_inputs(times, origins, channels, period, modulus, taps, lsb, segments)
     flat_origins = np.asarray(origins).reshape(-1)
     decoded = np.zeros(flat_origins.size, dtype=np.int64)
     detected = np.flatnonzero(flat_origins >= 0)
     if detected.size:
-        relative = np.asarray(times).reshape(-1)[detected] - (detected // channels) * window
+        index = detected
+        if tables is not None:
+            # Each detection's segment, its window counted from the
+            # segment's start, and that segment's TDC.
+            starts, periods, moduli, taps, lsbs = tables
+            cuts = np.searchsorted(detected, starts).tolist() + [detected.size]
+            owner = np.repeat(np.arange(starts.size), np.diff(cuts))
+            index = detected - starts[owner]
+            period, modulus, lsb = periods[owner], moduli[owner], lsbs[owner]
+        relative = np.asarray(times).reshape(-1)[detected] - (index // channels) * window
         relative = np.clip(relative, 0.0, modulus * period * _EDGE)
         coarse_codes, residual = split_times(relative, period, modulus)
-        fine_codes = np.minimum(np.searchsorted(taps, residual, side="right"), np.size(taps) - 1)
+        if tables is None:
+            fine_codes = np.searchsorted(taps, residual, side="right")
+            fine_codes = np.minimum(fine_codes, np.size(taps) - 1)
+        else:
+            fine_codes = np.concatenate([
+                np.minimum(np.searchsorted(table, residual[lo:hi], side="right"), table.size - 1)
+                for table, lo, hi in zip(taps, cuts, cuts[1:])
+            ])
         measured = reconstruct_times(coarse_codes, fine_codes, period, modulus, lsb)
         decoded[detected] = slots_of_times(
             np.clip(measured, 0.0, window * _EDGE), slot_duration, slot_count, window

@@ -17,8 +17,8 @@ then flushes the grants in **epochs** of ``epoch_packets`` rows.  On the
 ``"batch"`` backend every unicast ``(source, destination)`` group of an
 epoch is one segment of **one** pass
 (:func:`repro.core.fastlink.transmit_segments`): one PPM encode, one
-segmented detection over the groups' devices, one decode per group on its
-own link's TDC.  Each group keeps its own link, built through the backend
+segmented detection over the groups' devices and one segmented decode,
+each group on its own link's TDC.  Each group keeps its own link, built through the backend
 registry (:func:`repro.core.backend.make_link`), and its own random stream,
 so every packet gets the bit errors one call per group would give.  Other
 batch backends send one call per group.  Broadcast packets go further: all

@@ -28,7 +28,7 @@ from repro.kernels.reference import check_segments
 from repro.simulation.randomness import RandomSource
 from repro.spad.afterpulsing import AfterpulsingModel
 from repro.spad.dark_counts import DarkCountModel
-from repro.spad.jitter import JitterModel
+from repro.spad.jitter import JitterModel, tail_mix
 from repro.spad.pdp import PdpCurve, default_cmos_pdp
 from repro.spad.quenching import QuenchingCircuit
 
@@ -412,43 +412,6 @@ class SpadDevice:
             raise ValueError("photon offsets must lie inside the window")
         return offsets, has_pulse
 
-    def _draw_windows(
-        self, offsets: np.ndarray, has_pulse: np.ndarray, mean_photons: float, duration: float,
-        importance: Optional[ImportanceSettings] = None,
-    ) -> Tuple[np.ndarray, ...]:
-        """This device's pre-drawn window randomness, one bulk draw per physical process.
-
-        Returns ``(photon_rel, photon_valid, dark_rel, dark_counts,
-        trap_filled, trap_release)`` in the scan's input layout, with the
-        dark counts per window instead of their CSR bounds.  Importance
-        sampling makes the same draws from the proposal probabilities and
-        appends the three :func:`likelihood_factors`.
-        """
-        rng = self._random.generator
-        count = offsets.size
-        natural = (
-            self.detection_probability_for_photons(mean_photons),
-            self.dark_count_rate * duration,
-            self.afterpulsing.probability,
-        )
-        p_detect, dark_mean, trap_prob = draw_probabilities(natural, importance)
-        detected = (rng.random(count) < p_detect) & has_pulse
-        jitter = self.jitter.sample_array(self._random, count)
-        photon_rel = np.maximum(np.where(has_pulse, offsets, 0.0) + jitter, 0.0)
-        photon_valid = detected & (photon_rel < duration)
-
-        dark_counts = rng.poisson(dark_mean, count)
-        dark_rel = rng.uniform(0.0, duration, int(dark_counts.sum()))
-
-        trap_filled = rng.random(count) < trap_prob
-        trap_release = rng.exponential(self.afterpulsing.time_constant, count)
-        draws = (photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, trap_release)
-        if importance is None:
-            return draws
-        return draws + likelihood_factors(
-            natural, importance, has_pulse, detected, dark_counts, trap_filled
-        )
-
     def _keep_state(self, last_fire: float, pending: float) -> None:
         """Persist a scan's carry-over state (kernel sentinels) for chained calls."""
         self._last_fire_time = None if isinf(last_fire) else last_fire
@@ -524,19 +487,21 @@ def detect_in_segments(
     ``segment_starts[g]`` up to the next start at ``mean_photons[g]``, its
     windows starting at ``start_time`` as in
     :meth:`SpadDevice.detect_in_windows`.  Each device draws its arrays from
-    its own stream, in the order and sizes of a call of its own, and one
-    kernel ``scan_windows`` call with the segment starts resolves every
-    segment and returns each one's final state, so the results and every
-    device's state equal G separate :meth:`~SpadDevice.detect_in_windows`
-    calls bit for bit.  The devices share one quenching circuit (one scan
-    has one dead time).  The first device may carry detector state in; the
-    others must be fresh (armed, no trap pending), as the segmented scan
-    starts them.  G = 1 is :meth:`SpadDevice.detect_in_windows`.
+    its own stream, in the order and sizes of a call of its own
+    (:func:`_draw_windows`), and one kernel ``scan_windows`` call with the
+    segment starts resolves every segment and returns each one's final
+    state, so the results and every device's state equal G separate
+    :meth:`~SpadDevice.detect_in_windows` calls bit for bit.  The devices
+    share one quenching circuit (one scan has one dead time).  The first
+    device may carry detector state in; the others must be fresh (armed, no
+    trap pending), as the segmented scan starts them.  G = 1 is
+    :meth:`SpadDevice.detect_in_windows`.
 
     Returns ``(times, origins)`` over all windows, segment-major.  With
-    ``importance`` every device draws from the floored proposals, the scan
-    weighs each window with the factors of :func:`likelihood_factors`, and
-    the per-window weights follow: ``(times, origins, weights)``.
+    ``importance`` (G = 1 only) the device draws from the floored
+    proposals, the scan weighs each window with the factors of
+    :func:`likelihood_factors`, and the per-window weights follow:
+    ``(times, origins, weights)``.
     """
     first = devices[0]
     offsets, has_pulse = first._batch_offsets(window_duration, photon_offsets, start_time)
@@ -547,19 +512,16 @@ def detect_in_segments(
     starts = check_segments(segment_starts, count).tolist()
     if len(starts) != len(devices) or len(mean_photons) != len(devices):
         raise ValueError("need one segment start and one photon budget per device")
+    if importance is not None and len(devices) > 1:
+        raise ValueError("an importance-sampled pass has one device")
     for device in devices[1:]:
         if device.quenching != first.quenching:
             raise ValueError("the devices of one pass must share one quenching circuit")
         if device._last_fire_time is not None or device._pending_afterpulse is not None:
             raise ValueError("only the first device may carry detector state into the pass")
     duration = float(window_duration)
-    bounds = starts + [count]
-    draws = [
-        device._draw_windows(offsets[lo:hi], has_pulse[lo:hi], photons, duration, importance)
-        for device, photons, lo, hi in zip(devices, mean_photons, bounds, bounds[1:])
-    ]
     photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, trap_release, *factors = (
-        parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*draws)
+        _draw_windows(devices, mean_photons, offsets, has_pulse, starts, duration, importance)
     )
     dark_bounds = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(dark_counts, out=dark_bounds[1:])
@@ -592,3 +554,79 @@ def detect_in_segments(
         for device, end_fire, end_pending in zip(devices, last_fire.tolist(), pending.tolist()):
             device._keep_state(end_fire, end_pending)
     return (out_times, out_origins, *weights)
+
+
+def _draw_windows(
+    devices: Sequence[SpadDevice],
+    mean_photons: Sequence[float],
+    offsets: np.ndarray,
+    has_pulse: np.ndarray,
+    starts: List[int],
+    duration: float,
+    importance: Optional[ImportanceSettings],
+) -> Tuple[np.ndarray, ...]:
+    """A pass's pre-drawn window randomness, one bulk draw per physical process and device.
+
+    Device ``g`` draws its segment's windows from its own stream, as a pass
+    of its own would: the detect uniforms, its jitter
+    (:meth:`~repro.spad.jitter.JitterModel.draw_arrays`), the dark counts
+    and their offsets, the trap uniforms and the trap releases.  The
+    elementwise steps (detect compare, tail mix, offset clip, window
+    validity, trap compare) then run once over all windows, each window
+    with its own device's probabilities, so a segment's arrays equal its
+    device's own pass bit for bit.  A device without a jitter tail draws
+    none; beside devices with one, its windows mix in no delay.
+
+    Returns ``(photon_rel, photon_valid, dark_rel, dark_counts,
+    trap_filled, trap_release)`` in the scan's input layout, with the dark
+    counts per window instead of their CSR bounds.  Importance sampling
+    (one device) makes the same draws from the proposal probabilities and
+    appends the three :func:`likelihood_factors`.
+    """
+    bounds = starts + [offsets.size]
+    tailed = any(device.jitter.tail_fraction > 0 for device in devices)
+    probabilities, draws = [], []
+    for device, photons, lo, hi in zip(devices, mean_photons, bounds, bounds[1:]):
+        natural = (
+            device.detection_probability_for_photons(photons),
+            device.dark_count_rate * duration,
+            device.afterpulsing.probability,
+        )
+        p_detect, dark_mean, trap_prob = draw_probabilities(natural, importance)
+        probabilities.append((p_detect, device.jitter.tail_fraction, trap_prob))
+        rng = device._random.generator
+        size = hi - lo
+        detect = rng.random(size)
+        core, uniforms, delays = device.jitter.draw_arrays(rng, size)
+        if uniforms is None and tailed:
+            uniforms = delays = np.zeros(size)
+        dark_counts = rng.poisson(dark_mean, size)
+        if np.count_nonzero(dark_counts):
+            dark_rel = rng.uniform(0.0, duration, int(dark_counts.sum()))
+        else:  # most passes have no dark count, and an empty draw takes nothing
+            dark_rel = np.empty(0)
+        trap = rng.random(size)
+        release = rng.exponential(device.afterpulsing.time_constant, size)
+        draws.append((detect, core, uniforms, delays, dark_counts, dark_rel, trap, release))
+    if len(draws) == 1:
+        (detect, core, uniforms, delays, dark_counts, dark_rel, trap, release), = draws
+        p_detect, tail_fraction, trap_prob = probabilities[0]
+    else:
+        detect, core, uniforms, delays, dark_counts, dark_rel, trap, release = (
+            None if parts[0] is None else np.concatenate(parts) for parts in zip(*draws)
+        )
+        sizes = np.diff(bounds)
+        p_detect, tail_fraction, trap_prob = (
+            np.repeat(values, sizes) for values in zip(*probabilities)
+        )
+    detected = (detect < p_detect) & has_pulse
+    jitter = core if uniforms is None else tail_mix(core, uniforms, delays, tail_fraction)
+    photon_rel = np.maximum(np.where(has_pulse, offsets, 0.0) + jitter, 0.0)
+    photon_valid = detected & (photon_rel < duration)
+    trap_filled = trap < trap_prob
+    draws = (photon_rel, photon_valid, dark_rel, dark_counts, trap_filled, release)
+    if importance is None:
+        return draws
+    return draws + likelihood_factors(
+        natural, importance, has_pulse, detected, dark_counts, trap_filled
+    )

@@ -74,11 +74,21 @@ class JitterModel:
         if any(dim < 0 for dim in ((size,) if np.isscalar(size) else size)):
             raise ValueError("size must be non-negative")
         rng = random_source.generator if isinstance(random_source, RandomSource) else random_source
+        core, uniforms, delays = self.draw_arrays(rng, size)
+        if uniforms is None:
+            return core
+        return tail_mix(core, uniforms, delays, self.tail_fraction)
+
+    def draw_arrays(self, rng: np.random.Generator, size):
+        """The draws of :meth:`sample_array`, in its order, before the tail mix.
+
+        Returns the Gaussian cores, then the uniforms that pick the tail and
+        the tail delays, both ``None`` when there is no tail (nothing drawn).
+        """
         core = rng.normal(0.0, self.sigma, size)
         if self.tail_fraction > 0:
-            in_tail = rng.random(size) < self.tail_fraction
-            core = core + np.where(in_tail, rng.exponential(self.tail_constant, size), 0.0)
-        return core
+            return core, rng.random(size), rng.exponential(self.tail_constant, size)
+        return core, None, None
 
     def probability_outside(self, half_window: float) -> float:
         """Probability that |jitter| exceeds ``half_window`` (slot-error bound).
@@ -99,3 +109,14 @@ class JitterModel:
             (1.0 - self.tail_fraction) * gaussian_outside
             + self.tail_fraction * max(gaussian_outside, tail_outside)
         )
+
+
+def tail_mix(core: np.ndarray, uniforms: np.ndarray, delays: np.ndarray, fraction) -> np.ndarray:
+    """The jitter of :meth:`JitterModel.draw_arrays`' draws.
+
+    Each core is delayed where its uniform is below ``fraction``, which may
+    be one tail fraction per draw.  A draw whose fraction is 0 keeps its
+    core exactly: the cores never hold ``-0.0``, as they are
+    ``0.0 + sigma * z``.
+    """
+    return core + np.where(uniforms < fraction, delays, 0.0)
