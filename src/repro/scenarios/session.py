@@ -111,17 +111,24 @@ class ExperimentSession:
                 for index, partial in checkpoint.load_partials().items():
                     if index in self._points or not 0 <= index < len(self._tasks):
                         continue
+                    # A damaged partial is skipped, so its point runs from
+                    # its first round, as an uninterrupted run's does.
                     outcome_mapping = partial.get("outcome")
-                    if not isinstance(outcome_mapping, Mapping):
+                    rounds = partial.get("rounds", 1)
+                    if not isinstance(outcome_mapping, Mapping) or not (
+                        isinstance(rounds, int) and not isinstance(rounds, bool) and rounds > 0
+                    ):
                         continue
                     task = self._tasks[index]
                     config, _channel = runner.scenario.config_for_point(
                         task.parameters
                     )
-                    self._accumulated[index] = PointOutcome.from_accumulator_mapping(
-                        config, outcome_mapping
-                    )
-                    self._rounds[index] = int(partial.get("rounds", 1))
+                    try:
+                        outcome = PointOutcome.from_accumulator_mapping(config, outcome_mapping)
+                    except (TypeError, ValueError):
+                        continue
+                    self._accumulated[index] = outcome
+                    self._rounds[index] = rounds
 
     # -- introspection ---------------------------------------------------------
     @property

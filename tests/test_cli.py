@@ -324,6 +324,56 @@ class TestRetryAndResumeFlags:
         # The final artefact digest equals the uninterrupted run's.
         assert ReportStore(store_dir).list() == [expected]
 
+    ADAPTIVE = ("run", "ber-vs-photons", "--bits", "128", "--seed", "3", "--trial-mode",
+                "importance", "--ci-target", "0.2", "--max-symbols", "256", "--quiet")
+
+    #: A well-formed accumulated importance outcome of 32 symbols.
+    OUTCOME = {
+        "bits": 128, "bit_errors": 3, "symbols": 32, "symbol_errors": 2,
+        "detection_counts": {"photon": 30, "missed": 2}, "channels": 1,
+        "channel_bits": [], "channel_bit_errors": [],
+        "weighted_error_sum": 1.5, "weighted_error_sumsq": 2.0,
+        "weighted_symbol_error_sum": 1.0, "weighted_symbol_error_sumsq": 1.0,
+        "error_strata": {"photon": 1.5},
+    }
+
+    def _resume_with_partial(self, store_dir, partial):
+        """``repro run --resume`` over a checkpoint holding one partial round of point 0."""
+        from repro.frontdoor import RunRequest
+
+        request = RunRequest.build(
+            "ber-vs-photons", seed=3, bits=128, trial_mode="importance", ci_target=0.2,
+            max_symbols=256,
+        )
+        ReportStore(store_dir).run_checkpoint(
+            request.scenario.to_mapping(), request.backend, request.seed, request.chunk_symbols
+        ).append_partial(0, partial)
+        code = run_cli(*self.ADAPTIVE, "--store", str(store_dir), "--resume")
+        return code, ReportStore(store_dir).list()
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            {"rounds": 1, "outcome": {}},
+            {"rounds": "x", "outcome": OUTCOME},
+            {"rounds": 0, "outcome": OUTCOME},
+        ],
+        ids=["outcome-that-does-not-rebuild", "rounds-not-an-integer", "rounds-zero"],
+    )
+    def test_a_damaged_partial_round_is_run_again(self, capsys, tmp_path, partial):
+        assert run_cli(*self.ADAPTIVE, "--store", str(tmp_path / "fresh")) == 0
+        fresh = ReportStore(tmp_path / "fresh").list()
+        assert self._resume_with_partial(tmp_path / "store", partial) == (0, fresh)
+
+    def test_a_sound_partial_round_is_resumed(self, capsys, tmp_path):
+        # The control of the test above: the same journal, sound, is read.
+        assert run_cli(*self.ADAPTIVE, "--store", str(tmp_path / "fresh")) == 0
+        fresh = ReportStore(tmp_path / "fresh").list()
+        code, resumed = self._resume_with_partial(
+            tmp_path / "store", {"rounds": 1, "outcome": self.OUTCOME}
+        )
+        assert code == 0 and len(resumed) == 1 and resumed != fresh
+
     def test_failure_policy_continue_reports_failures(self, capsys, tmp_path, monkeypatch):
         from repro.scenarios import ChaosSchedule
         from repro.scenarios.faults import CHAOS_ENV
