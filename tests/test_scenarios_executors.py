@@ -26,7 +26,7 @@ from repro.scenarios import (
     resolve_executor,
 )
 from repro.scenarios.executors import evaluate_point, evaluate_task
-from repro.simulation.montecarlo import link_batch_trial
+from repro.simulation.montecarlo import LinkBatchTrial
 
 
 def multi_axis_scenario(seed_policy: str) -> Scenario:
@@ -187,7 +187,7 @@ class TestWorkUnits:
     def test_link_batch_trial_is_picklable(self):
         from repro.core.config import LinkConfig
 
-        trial = link_batch_trial(LinkConfig(ppm_bits=4), backend="batch")
+        trial = LinkBatchTrial(LinkConfig(ppm_bits=4), backend="batch")
         restored = pickle.loads(pickle.dumps(trial))
         assert restored.backend == "batch"
         assert restored.config.ppm_bits == 4
