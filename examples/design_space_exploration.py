@@ -19,7 +19,7 @@ from repro.analysis.units import NS, PS, format_si
 from repro.core.calibration import CalibrationPolicy
 from repro.core.config import LinkConfig
 from repro.core.design_space import DesignSpace, figure4_grid
-from repro.simulation.montecarlo import MonteCarloRunner, link_symbol_error_trial
+from repro.simulation.montecarlo import LinkBatchTrial, MonteCarloRunner
 
 
 def main(dead_time_ns: float = 32.0) -> None:
@@ -67,7 +67,7 @@ def main(dead_time_ns: float = 32.0) -> None:
 
     trials = 20_000
     outcome = MonteCarloRunner(seed=42, label="design-validation").run_batch(
-        link_symbol_error_trial(config, backend="batch"), trials=trials, chunk_size=8192
+        LinkBatchTrial(config, backend="batch"), trials=trials, chunk_size=8192
     )
     print(f"\nMonte-Carlo validation ({trials:,} symbols, batched link engine):")
     print(f"  symbol error rate   : {outcome.mean:.2e} ± {outcome.standard_error():.1e}")

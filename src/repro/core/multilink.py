@@ -30,7 +30,7 @@ all ``C`` channels as ``(S, C)`` NumPy passes:
 
 Contract
 --------
-With crosstalk disabled, the per-channel results are *statistically
+With crosstalk disabled, the per-channel error counts are *statistically
 equivalent* to ``C`` independent ``"batch"`` links — same physics, same
 distributions, not draw-for-draw identical — and the whole transmission is
 deterministic per seed (locked by ``tests/test_core_multilink.py`` the same
@@ -42,14 +42,13 @@ channels=64, seed=...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import LinkConfig
 from repro.core.link import OpticalLink, TransmissionResult, decode_detections
-from repro.modulation.symbols import ints_to_bit_matrix, symbol_bit_errors
+from repro.modulation.symbols import symbol_bit_errors
 from repro.photonics.channel import OpticalChannel
 from repro.photonics.crosstalk import CrosstalkModel
 from repro.spad.array import detect_in_windows_multichannel
@@ -63,74 +62,23 @@ class MultichannelResult(TransmissionResult):
     The aggregate fields carry the :class:`TransmissionResult` contract over
     the whole payload — ``elapsed_time`` is the *parallel* wall-clock link
     time (``S`` windows, not ``S*C``), so the inherited :attr:`throughput` is
-    the aggregate bandwidth of the array.  :attr:`channel_results`
-    additionally breaks the same transmission down per channel; the per-channel
-    views are materialised lazily on first access (and then cached), so
-    aggregate-only consumers never pay for ``C`` result objects.
+    the aggregate bandwidth of the array.  The per-symbol arrays
+    (``decoded_values``, ``symbol_bit_errors``) are in payload order, symbol
+    ``i`` having ridden channel ``i % C``.
     """
 
     #: Payload bits and bit errors per channel, as ``(C,)`` integer arrays —
-    #: the cheap per-channel split (one bincount of ``symbol_bit_errors`` at
+    #: the per-channel split (one bincount of ``symbol_bit_errors`` at
     #: transmit time), counting *payload* positions only (the zero-padding of
     #: a final partial symbol is excluded, exactly as in the aggregate
-    #: fields, so ``channel_bit_errors.sum() == bit_errors``).  Accumulate
-    #: from these instead of :attr:`channel_results` when only counts are
-    #: needed (the experiment runner does).
+    #: fields, so ``channel_bit_errors.sum() == bit_errors``).  The
+    #: experiment runner accumulates these.
     channel_bits: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64), repr=False, compare=False
     )
     channel_bit_errors: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64), repr=False, compare=False
     )
-    _channel_results_builder: Optional[
-        Callable[[], Tuple[TransmissionResult, ...]]
-    ] = field(default=None, repr=False, compare=False)
-    _channel_results_cache: Optional[Tuple[TransmissionResult, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def channel_results(self) -> Tuple[TransmissionResult, ...]:
-        """Per-channel :class:`TransmissionResult` views of the transmission."""
-        if self._channel_results_cache is None:
-            builder = self._channel_results_builder
-            self._channel_results_cache = builder() if builder is not None else ()
-        return self._channel_results_cache
-
-    @property
-    def channels(self) -> int:
-        """Number of parallel channels that carried the payload.
-
-        Read from the count split, so it never materialises
-        :attr:`channel_results`.
-        """
-        if self.channel_bits.size:
-            return int(self.channel_bits.size)
-        return len(self.channel_results)
-
-    def channel(self, index: int) -> TransmissionResult:
-        """Per-channel view of the transmission (channel ``index``)."""
-        return self.channel_results[index]
-
-    def per_channel_bit_error_rates(self) -> np.ndarray:
-        """BER of every channel (``NaN`` for channels that carried no bits).
-
-        Computed from the payload-position count split
-        (:attr:`channel_bits`/:attr:`channel_bit_errors`) — no per-channel
-        result objects are materialised.
-        """
-        bits = self.channel_bits.astype(float)
-        return np.where(
-            bits > 0, self.channel_bit_errors / np.maximum(bits, 1.0), np.nan
-        )
-
-    @property
-    def aggregate_throughput(self) -> float:
-        """Alias of :attr:`throughput`: payload bits per second of parallel link time."""
-        return self.throughput
-
-    def summary(self) -> str:
-        return f"{super().summary()} across {self.channels} channels"
 
 
 class MultichannelOpticalLink(OpticalLink):
@@ -353,11 +301,6 @@ class MultichannelOpticalLink(OpticalLink):
             symbol_bit_errors=errors,
             channel_bits=channel_bits,
             channel_bit_errors=channel_bit_errors,
-            # A module-level function, so the result pickles.
-            _channel_results_builder=partial(
-                _channel_results,
-                values, decoded_flat, origins_flat, errors, channel_bits, elapsed, k,
-            ),
         )
 
     # -- result assembly ---------------------------------------------------------
@@ -376,58 +319,3 @@ class MultichannelOpticalLink(OpticalLink):
             f"crosstalk={'on' if self.crosstalk is not None else 'off'})"
         )
 
-
-def _channel_results(
-    values: np.ndarray,
-    decoded: np.ndarray,
-    origins: np.ndarray,
-    errors: np.ndarray,
-    channel_bits: np.ndarray,
-    elapsed: float,
-    k: int,
-) -> Tuple[TransmissionResult, ...]:
-    """Per-channel :class:`TransmissionResult` views of one array pass.
-
-    One ``bincount`` pass splits the symbol stream back per channel (the
-    flat symbol index ``i`` rode channel ``i % C``, ``C`` being the size of
-    ``channel_bits``); the per-symbol arrays are sliced rather than rebuilt
-    per channel.  Each view's ``transmitted_bits`` are cut to
-    ``channel_bits[c]``, so the zero padding of a final partial symbol is
-    left out exactly as in the count split, and its ``received_bits`` unpack
-    on first read.
-    """
-    count = int(values.size)
-    channels = int(channel_bits.size)
-    sent_matrix = ints_to_bit_matrix(values, k).astype(np.uint8)
-    channel_index = np.arange(count) % channels
-    symbol_errors = np.bincount(
-        channel_index[decoded != values], minlength=channels
-    )
-    # Per-channel detection breakdown: fold (channel, origin) pairs into
-    # one bincount (origin codes -1..3 shift to 0..4).
-    origin_codes = sorted(ORIGIN_BY_CODE)
-    kinds = len(origin_codes) + 1
-    folded = np.bincount(
-        channel_index * kinds + (origins.astype(np.int64) + 1),
-        minlength=channels * kinds,
-    ).reshape(channels, kinds)
-    results = []
-    for channel in range(channels):
-        counts = {"missed": int(folded[channel, 0])}
-        for position, code in enumerate(origin_codes, start=1):
-            counts[ORIGIN_BY_CODE[code].value] = int(folded[channel, position])
-        results.append(
-            TransmissionResult(
-                transmitted_bits=sent_matrix[channel::channels]
-                .ravel()[: int(channel_bits[channel])],
-                received_bits=None,
-                symbols_sent=int(values[channel::channels].size),
-                symbol_errors=int(symbol_errors[channel]),
-                detection_counts=counts,
-                elapsed_time=elapsed,
-                bits_per_symbol=k,
-                decoded_values=decoded[channel::channels],
-                symbol_bit_errors=errors[channel::channels],
-            )
-        )
-    return tuple(results)

@@ -11,16 +11,11 @@ measured arrival wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.modulation.symbols import (
-    SlotGrid,
-    bit_matrix_to_ints,
-    bits_to_int,
-    int_to_bits,
-)
+from repro.modulation.symbols import SlotGrid, bit_matrix_to_ints, bits_to_int
 
 
 @dataclass(frozen=True)
@@ -30,9 +25,6 @@ class PpmSymbol:
     value: int
     slot: int
     pulse_time: float
-
-    def bits(self, width: int) -> List[int]:
-        return int_to_bits(self.value, width)
 
 
 class PpmCodec:
@@ -96,13 +88,6 @@ class PpmCodec:
             raise ValueError(f"values must lie within [0, {self.grid.slot_count})")
         return (values + 0.5) * self.grid.slot_duration
 
-    def pulse_schedule(self, bits: Sequence[int]) -> np.ndarray:
-        """Absolute pulse emission times for a bit stream (symbols back to back)."""
-        symbols = self.encode_bits(bits)
-        return np.asarray(
-            [index * self.grid.symbol_duration + symbol.pulse_time for index, symbol in enumerate(symbols)]
-        )
-
     # -- decoding -------------------------------------------------------------
     def decode_time(self, arrival_time: float) -> int:
         """Decode a measured arrival time (within one symbol) to the symbol value.
@@ -117,19 +102,6 @@ class PpmCodec:
     def decode_times(self, arrival_times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`decode_time` over an array of measured arrival times."""
         return self.grid.slots_of_times(arrival_times)
-
-    def decode_to_bits(self, arrival_time: Optional[float], erasure_value: int = 0) -> List[int]:
-        """Decode one symbol to K bits; a missed detection (``None``) decodes to ``erasure_value``."""
-        if arrival_time is None:
-            return int_to_bits(erasure_value, self.bits_per_symbol)
-        return int_to_bits(self.decode_time(arrival_time), self.bits_per_symbol)
-
-    def decode_stream(self, arrival_times: Sequence[Optional[float]]) -> List[int]:
-        """Decode a sequence of per-symbol arrival times into a flat bit list."""
-        bits: List[int] = []
-        for arrival in arrival_times:
-            bits.extend(self.decode_to_bits(arrival))
-        return bits
 
     # -- analysis ---------------------------------------------------------------
     def hamming_distance_matrix(self) -> np.ndarray:

@@ -83,11 +83,7 @@ from repro.scenarios.faults import (
 )
 from repro.scenarios.metrics import PointOutcome, available_metrics
 from repro.scenarios.scenario import Scenario
-from repro.simulation.montecarlo import (
-    MonteCarloRunner,
-    NocTrafficTrial,
-    link_batch_trial,
-)
+from repro.simulation.montecarlo import LinkBatchTrial, MonteCarloRunner, NocTrafficTrial
 from repro.simulation.randomness import split_seed
 from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings
 
@@ -329,7 +325,7 @@ def evaluate_point(
 
     # The shared chunked-link trial defines the reproducibility protocol
     # (seed draw, payload draw, transmission order) in one place.
-    batch_trial = link_batch_trial(
+    batch_trial = LinkBatchTrial(
         config,
         backend=backend,
         channel=channel,

@@ -3,14 +3,13 @@
 All stochastic models draw from a :class:`RandomSource`, a thin wrapper over
 ``numpy.random.Generator`` that adds the domain-specific distributions used by
 the photonics/SPAD models (Poisson arrival streams, exponential inter-arrival
-times, truncated Gaussians) and supports deterministic splitting so that
-independent subsystems get independent but reproducible streams.
+times, Gaussian and Bernoulli draws) and supports deterministic splitting so
+that independent subsystems get independent but reproducible streams.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,28 +46,10 @@ class RandomSource:
         return RandomSource(split_seed(self._seed, label))
 
     # -- scalar draws ---------------------------------------------------------
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(self._rng.uniform(low, high))
-
     def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
         if std < 0:
             raise ValueError(f"std must be non-negative, got {std}")
         return float(self._rng.normal(mean, std))
-
-    def truncated_normal(self, mean: float, std: float, low: float, high: float) -> float:
-        """Gaussian draw rejected until it lies within ``[low, high]``.
-
-        Used for physical quantities that cannot go negative (delays,
-        efficiencies).  Falls back to clipping after 1000 rejections to keep
-        worst-case runtime bounded.
-        """
-        if low > high:
-            raise ValueError(f"low ({low}) must not exceed high ({high})")
-        for _ in range(1000):
-            value = self.normal(mean, std)
-            if low <= value <= high:
-                return value
-        return float(min(max(mean, low), high))
 
     def exponential(self, rate: float) -> float:
         """Exponential inter-arrival time for a Poisson process of ``rate`` [1/s]."""
@@ -76,28 +57,10 @@ class RandomSource:
             raise ValueError(f"rate must be positive, got {rate}")
         return float(self._rng.exponential(1.0 / rate))
 
-    def poisson(self, mean: float) -> int:
-        if mean < 0:
-            raise ValueError(f"mean must be non-negative, got {mean}")
-        return int(self._rng.poisson(mean))
-
     def bernoulli(self, probability: float) -> bool:
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be within [0, 1], got {probability}")
         return bool(self._rng.random() < probability)
-
-    def choice(self, options: Sequence, probabilities: Optional[Sequence[float]] = None):
-        if len(options) == 0:
-            raise ValueError("options must be non-empty")
-        index = self._rng.choice(len(options), p=probabilities)
-        return options[int(index)]
-
-    def integers(self, low: int, high: int, size: Optional[int] = None):
-        """Uniform integers in ``[low, high)``."""
-        result = self._rng.integers(low, high, size=size)
-        if size is None:
-            return int(result)
-        return result
 
     # -- vectorised draws ------------------------------------------------------
     def poisson_arrival_times(self, rate: float, duration: float) -> np.ndarray:

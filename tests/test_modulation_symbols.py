@@ -99,16 +99,6 @@ class TestPpmCodec:
         with pytest.raises(ValueError):
             codec.encode_bits([])
 
-    def test_pulse_schedule_spacing(self, codec):
-        schedule = codec.pulse_schedule([0, 0, 0, 0, 0, 0])
-        # Two symbols, both slot 0: pulses separated by one symbol duration.
-        assert schedule[1] - schedule[0] == pytest.approx(codec.grid.symbol_duration)
-
-    def test_decode_stream_with_erasure(self, codec):
-        bits = codec.decode_stream([codec.encode_value(6).pulse_time, None])
-        assert bits[:3] == [1, 1, 0]
-        assert bits[3:] == [0, 0, 0]
-
     def test_bit_mapping_distance_metrics(self, codec):
         matrix = codec.hamming_distance_matrix()
         assert matrix.shape == (8, 8)
@@ -116,6 +106,3 @@ class TestPpmCodec:
         assert matrix[0, 7] == 3
         assert codec.expected_bit_errors_per_symbol_error() > 1.0
         assert codec.adjacent_slot_bit_errors() <= codec.expected_bit_errors_per_symbol_error() + 1.0
-
-    def test_symbol_bits_helper(self, codec):
-        assert codec.encode_value(5).bits(3) == [1, 0, 1]
