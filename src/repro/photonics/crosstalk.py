@@ -72,11 +72,12 @@ class CrosstalkModel:
     floor: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.channel_pitch <= 0:
+        # Written so that NaN fails them too.
+        if not self.channel_pitch > 0:
             raise ValueError("channel_pitch must be positive")
-        if self.beam_diameter <= 0:
+        if not self.beam_diameter > 0:
             raise ValueError("beam_diameter must be positive")
-        if self.detector_diameter <= 0:
+        if not self.detector_diameter > 0:
             raise ValueError("detector_diameter must be positive")
         if not 0 <= self.floor < 1:
             raise ValueError("floor must be within [0, 1)")

@@ -165,6 +165,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_run_file_with_a_nan_load_exits_1_and_stores_nothing(self, capsys, tmp_path):
+        # It used to exit 0 and store a point of 0 bits with NaN metrics.
+        path = tmp_path / "nan-load.json"
+        path.write_text(json.dumps({
+            "name": "nan-load",
+            "metrics": ["delivery_ratio", "mean_latency"],
+            "link_overrides": {"noc_offered_load": float("nan")},
+        }))
+        store = tmp_path / "store"
+        assert run_cli("run", "--file", str(path), "--store", str(store), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "noc_offered_load" in err, err
+        assert not store.exists() or not any(p.is_file() for p in store.rglob("*"))
+
     def test_unknown_scenario_exits_1_with_message(self, capsys):
         assert run_cli("run", "no-such-scenario") == 1
         assert "unknown scenario" in capsys.readouterr().err

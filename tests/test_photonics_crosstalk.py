@@ -34,6 +34,11 @@ class TestCouplingScalar:
         with pytest.raises(ValueError):
             CrosstalkModel(floor=1.0)
 
+    @pytest.mark.parametrize("name", ["channel_pitch", "beam_diameter", "detector_diameter"])
+    def test_nan_lengths_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            CrosstalkModel(**{name: float("nan")})
+
 
 class TestCrosstalkMatrixInvariants:
     CHANNELS = 12
