@@ -179,6 +179,13 @@ class TestRun:
         assert err.startswith("error: ") and "noc_offered_load" in err, err
         assert not store.exists() or not any(p.is_file() for p in store.rglob("*"))
 
+    def test_cluster_executor_without_workers_is_a_one_line_error(self, capsys):
+        assert run_cli("run", "ber-vs-photons", "--bits", "64", "--no-store",
+                       "--executor", "cluster") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "workers" in err and "Traceback" not in err
+
     def test_unknown_scenario_exits_1_with_message(self, capsys):
         assert run_cli("run", "no-such-scenario") == 1
         assert "unknown scenario" in capsys.readouterr().err

@@ -11,10 +11,12 @@ The process-pool recovery tests are marked ``chaos`` and also run as a
 standalone CI job (``pytest -m chaos``) under a hard timeout.
 """
 
+import json
 import os
 
 import pytest
 
+from repro.cluster import ClusterExecutor, ClusterTaskError, ClusterWorker
 from repro.scenarios import (
     ChaosExecutor,
     ChaosSchedule,
@@ -25,6 +27,7 @@ from repro.scenarios import (
     RetryPolicy,
     Scenario,
     SerialExecutor,
+    ThreadExecutor,
     get_scenario,
     resolve_executor,
     run_scenario,
@@ -385,3 +388,76 @@ class TestAcceptanceBitIdentical:
             failure_policy="fail_fast",
         )
         assert chaotic.to_mapping() == clean.to_mapping()
+
+
+@pytest.mark.chaos
+@pytest.mark.cluster
+class TestCloseOutParity:
+    """Every executor settles the same failed attempts the same way.
+
+    One ``REPRO_CHAOS`` schedule of corrupt results runs through serial,
+    thread, process and a localhost fleet.  The cluster runs with
+    ``fan_out=1``: chunks share their point's fault key, so a fan-out would
+    multiply the faulty attempts.  At this schedule point 0 fails once and
+    recovers, point 1 fails both attempts and point 2 runs clean.
+    """
+
+    SCHEDULE = ChaosSchedule(seed=3, corrupt_rate=0.5)
+
+    @pytest.fixture()
+    def fleet(self):
+        workers = [ClusterWorker(listen="127.0.0.1:0", name=f"parity{i}") for i in range(2)]
+        addresses = [worker.start() for worker in workers]
+        yield addresses
+        for worker in workers:
+            worker.stop()
+
+    @staticmethod
+    def executors(fleet, failure_policy):
+        retry = RetryPolicy(max_attempts=2)
+        return {
+            "serial": SerialExecutor(retry=retry, failure_policy=failure_policy),
+            "thread": ThreadExecutor(workers=2, retry=retry, failure_policy=failure_policy),
+            "process": ProcessExecutor(workers=2, retry=retry, failure_policy=failure_policy),
+            "cluster": ClusterExecutor(
+                workers=fleet, fan_out=1, retry=retry, failure_policy=failure_policy
+            ),
+        }
+
+    def test_continue_closes_out_the_same_points(self, fleet, monkeypatch):
+        monkeypatch.setenv(CHAOS_ENV, json.dumps(self.SCHEDULE.to_mapping()))
+        seen = {}
+        for name, executor in self.executors(fleet, "continue").items():
+            try:
+                report = ExperimentRunner(
+                    small_scenario(), seed=3, executor=executor
+                ).session().report()
+            finally:
+                getattr(executor, "close", lambda: None)()
+            seen[name] = (
+                sorted((f.index, f.error_type, f.message, f.attempts) for f in report.failures),
+                [point.to_mapping() for point in report.points],
+                executor.stats["retries"],
+                executor.stats["failures"],
+            )
+        failures, points, retries, failed = seen["serial"]
+        assert [entry[:2] for entry in failures] == [(1, "InjectedCorruption")]
+        assert failures[0][3] == 2 and "attempt 2" in failures[0][2]
+        assert len(points) == 2 and (retries, failed) == (2, 1)
+        for name in ("thread", "process", "cluster"):
+            assert seen[name] == seen["serial"], name
+
+    def test_fail_fast_raises_each_executors_error(self, fleet, monkeypatch):
+        monkeypatch.setenv(CHAOS_ENV, json.dumps(self.SCHEDULE.to_mapping()))
+        for name, executor in self.executors(fleet, "fail_fast").items():
+            runner = ExperimentRunner(small_scenario(), seed=3, executor=executor)
+            try:
+                if name == "cluster":
+                    with pytest.raises(ClusterTaskError) as info:
+                        runner.run()
+                    assert info.value.error_type == "InjectedCorruption"
+                else:
+                    with pytest.raises(InjectedCorruption):
+                        runner.run()
+            finally:
+                getattr(executor, "close", lambda: None)()
