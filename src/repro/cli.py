@@ -28,9 +28,9 @@ Eight subcommands cover the run/inspect/serve loop:
 * ``repro serve`` — boot the :mod:`repro.service` HTTP daemon on the same
   store: completed runs become O(1) cache hits, identical in-flight
   requests coalesce, and progress streams as server-sent events;
-* ``repro worker`` — join the distributed fleet: listen for a coordinator
-  (``--listen host:port``, port 0 for ephemeral; prints a machine-parseable
-  ``worker listening on host:port`` line) or dial one (``--connect``);
+* ``repro worker --listen host:port`` — join the distributed fleet: await a
+  coordinator that dials this address (port 0 for ephemeral; prints a
+  machine-parseable ``worker listening on host:port`` line);
 * ``repro workers <addrs>`` — probe a fleet's workers and list their status.
 
 Distributed runs reuse the ordinary run surface: ``repro run <scenario>
@@ -270,15 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="default chunk size for requests that omit one")
 
     worker_cmd = commands.add_parser(
-        "worker", help="join the distributed execution fleet"
+        "worker", help="join the distributed execution fleet",
+        description="Evaluate chunk tasks for a coordinator that dials this "
+                    "worker: `repro run --executor cluster --workers "
+                    "host:port,…` on the coordinator's side.",
     )
-    worker_cmd.add_argument("--listen", default=None, metavar="HOST:PORT",
+    worker_cmd.add_argument("--listen", required=True, metavar="HOST:PORT",
                             help="bind and await the coordinator (port 0 picks "
                                  "an ephemeral one; the bound address is "
                                  "printed on stdout)")
-    worker_cmd.add_argument("--connect", default=None, metavar="HOST:PORT",
-                            help="dial a listening coordinator instead "
-                                 "(re-dials while it is away)")
     worker_cmd.add_argument("--name", default=None,
                             help="display name for telemetry (default worker-<pid>)")
     worker_cmd.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",
@@ -456,9 +456,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.heartbeat is not None:
         kwargs["heartbeat_interval"] = args.heartbeat
-    worker = ClusterWorker(
-        listen=args.listen, connect=args.connect, name=args.name, **kwargs
-    )
+    worker = ClusterWorker(listen=args.listen, name=args.name, **kwargs)
 
     def _ready(host: str, port: int) -> None:
         # Machine-parseable readiness line on stdout (the cluster smoke
@@ -466,8 +464,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         print(f"worker listening on {host}:{port}", flush=True)
         _status(f"cluster worker {worker.name!r} awaiting a coordinator (Ctrl-C to stop)")
 
-    if args.connect is not None:
-        _status(f"cluster worker {worker.name!r} dialling {args.connect} (Ctrl-C to stop)")
     try:
         worker.serve_forever(on_ready=_ready)
     except KeyboardInterrupt:

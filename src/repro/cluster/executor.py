@@ -4,27 +4,24 @@
 :class:`~repro.scenarios.executors.Executor` protocol as the serial and
 process executors — ``map_tasks(tasks)`` yielding ``(index, outcome)`` in
 completion order — but dispatches over sockets to
-:class:`~repro.cluster.worker.ClusterWorker` processes, in either topology:
-
-* **dial mode** (``workers="host:port,…"``): the coordinator dials listening
-  workers (the CLI's ``repro run --executor cluster --workers …`` shape);
-* **listen mode** (``bind=("host", port)``): the coordinator binds a socket
-  and workers dial in (``repro worker --connect``) — an elastic fleet that
-  grows mid-run, since a late joiner simply steals from the queues.
+:class:`~repro.cluster.worker.ClusterWorker` processes: the coordinator
+dials the listening workers it is given (``workers="host:port,…"``, the
+CLI's ``repro run --executor cluster --workers …``, each worker started by
+``repro worker --listen host:port``).
 
 Scheduling is **pull-based with work stealing**: chunk tasks are dealt
 round-robin into per-worker queues up front; a worker that drains its own
-queue takes from the global requeue backlog, then steals from the longest
+queue takes a due retry or requeued chunk from the shared
+:class:`~repro.scenarios.faults.AttemptQueue`, then steals from the longest
 surviving queue — so one slow machine never strands its share of the grid.
 
 Inside a point, :mod:`repro.cluster.chunks` fans the symbol budget out into
 chunk-aligned sub-tasks and folds the partial outcomes back in ascending
 symbol order, which keeps cluster reports **bit-identical** to serial and
 process runs — the executor changes completion order and wall-clock, never
-content.  The failure semantics mirror the process pool, built on the same
-:class:`~repro.scenarios.faults.RetryPolicy` /
-:class:`~repro.scenarios.faults.PointFailure` machinery: a failed attempt
-retries with deterministic backoff, a worker that hangs up (or stops
+content.  The failure semantics are the process pool's, settled by the
+same rule (:meth:`~repro.scenarios.faults.AttemptQueue.failed`): a failed
+attempt retries with deterministic backoff, a worker that hangs up (or stops
 heartbeating) has its in-flight chunk charged one attempt
 (:class:`~repro.scenarios.faults.WorkerLostError`) and requeued elsewhere,
 its queued work redistributed uncharged, and an overdue chunk
@@ -38,11 +35,8 @@ so adaptive-budget waves re-use the fleet instead of re-dialling per wave.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import select
-import socket
-import threading
 import time
 from collections import deque
 from typing import (
@@ -75,6 +69,7 @@ from repro.scenarios.executors import (
     validate_worker_count,
 )
 from repro.scenarios.faults import (
+    AttemptQueue,
     PointFailure,
     PointTimeoutError,
     RetryPolicy,
@@ -87,14 +82,16 @@ from repro.scenarios.metrics import PointOutcome
 class ClusterTaskError(RuntimeError):
     """A worker-side evaluation error re-raised coordinator-side.
 
-    Only the exception's type name and message cross the wire; the original
-    class is preserved on :attr:`error_type` (and in ``PointFailure``
-    records, so reports look identical to an in-process failure).
+    Only the exception's type name and message cross the wire; they are
+    kept on :attr:`error_type` and :attr:`message`, which is what a
+    ``PointFailure`` records, so reports look identical to an in-process
+    failure.
     """
 
     def __init__(self, error_type: str, message: str) -> None:
         super().__init__(f"{error_type}: {message}")
         self.error_type = error_type
+        self.message = message
 
 
 #: Dispatch-loop poll interval (seconds): bounds worker-death detection and
@@ -118,9 +115,9 @@ class _Link:
         "tasks_done",
     )
 
-    def __init__(self, channel: MessageChannel, address: Optional[Address]) -> None:
+    def __init__(self, channel: MessageChannel, address: Address) -> None:
         self.channel = channel
-        self.address = address  # dial-mode address; None for dialled-in workers
+        self.address = address
         self.name: Optional[str] = None
         self.pid: Optional[int] = None
         self.attached = False
@@ -131,11 +128,7 @@ class _Link:
         self.tasks_done = 0
 
     def label(self) -> str:
-        if self.name:
-            return self.name
-        if self.address is not None:
-            return format_address(self.address)
-        return self.channel.peer
+        return self.name or format_address(self.address)
 
 
 class _Point:
@@ -159,11 +152,7 @@ class ClusterExecutor:
     ----------
     workers:
         Worker addresses to dial: ``"host:port,host:port"`` or a sequence of
-        address strings/pairs (dial mode).
-    bind:
-        ``(host, port)`` to listen on for workers dialling in (listen mode;
-        port 0 binds an ephemeral port — see :attr:`bound_address`).  Exactly
-        one of ``workers``/``bind`` must be given.
+        address strings/pairs.
     fan_out:
         Maximum chunk tasks per grid point; ``None`` scales with the number
         of connected workers.  Fan-out affects scheduling only — results are
@@ -180,27 +169,21 @@ class ClusterExecutor:
 
     def __init__(
         self,
-        workers: Union[None, str, Sequence[Any]] = None,
-        bind: Union[None, str, Address] = None,
+        workers: Union[str, Sequence[Any]],
         fan_out: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         failure_policy: str = "fail_fast",
         connect_timeout: float = 10.0,
         heartbeat_timeout: float = 10.0,
     ) -> None:
+        if workers is None:
+            raise ValueError("the cluster executor needs workers= addresses (host:port,…)")
         if isinstance(workers, int):
             raise WorkerCountError(
                 f"cluster workers are addresses (host:port,…), not a pool size; "
                 f"got {workers!r} — use executor='process' for a local pool"
             )
-        if (workers is None) == (bind is None):
-            raise ValueError(
-                "pass exactly one of workers= (addresses to dial) and "
-                "bind= (an address to listen on)"
-            )
-        self.addresses: Tuple[Address, ...] = (
-            parse_addresses(workers) if workers is not None else ()
-        )
+        self.addresses: Tuple[Address, ...] = parse_addresses(workers)
         # Shared worker-count validation: the fan-out factor is the cluster's
         # "how parallel" knob, checked by the same rule as a pool size.
         self.fan_out = validate_worker_count(fan_out)
@@ -222,52 +205,14 @@ class ClusterExecutor:
         }
         self._links: List[_Link] = []
         self._task_ids = itertools.count(1)
-        self._closed = False
-        # Listen mode: adopt dial-in connections from an accept thread.
-        self.bound_address: Optional[Address] = None
-        self._listener: Optional[socket.socket] = None
-        self._incoming: List[socket.socket] = []
-        self._incoming_lock = threading.Lock()
-        if bind is not None:
-            self._start_listener(bind)
+
+    def _bump(self, key: str) -> None:
+        self.stats[key] += 1
 
     # -- fleet management ------------------------------------------------------
-    def _start_listener(self, bind: Union[str, Address]) -> None:
-        from repro.cluster.protocol import parse_address
-
-        address = parse_address(bind)
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(address)
-        listener.listen(16)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self.bound_address = listener.getsockname()[:2]
-
-        def _accept_loop() -> None:
-            while not self._closed and self._listener is not None:
-                try:
-                    conn, _addr = listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                with self._incoming_lock:
-                    self._incoming.append(conn)
-
-        threading.Thread(
-            target=_accept_loop, name="repro-cluster-accept", daemon=True
-        ).start()
-
-    def _adopt_incoming(self) -> None:
-        with self._incoming_lock:
-            fresh, self._incoming = self._incoming, []
-        for conn in fresh:
-            self._links.append(_Link(MessageChannel(conn), address=None))
-
     def _dial_missing(self) -> None:
         """Dial every configured address that has no live link."""
-        connected = {link.address for link in self._links if link.address is not None}
+        connected = {link.address for link in self._links}
         for address in self.addresses:
             if address in connected:
                 continue
@@ -282,15 +227,10 @@ class ClusterExecutor:
         deadline = time.monotonic() + self.connect_timeout
         while True:
             self._dial_missing()
-            self._adopt_incoming()
             if self._links:
                 return
             if time.monotonic() >= deadline:
-                where = (
-                    ", ".join(format_address(a) for a in self.addresses)
-                    or (self.bound_address and format_address(self.bound_address))
-                    or "?"
-                )
+                where = ", ".join(format_address(a) for a in self.addresses)
                 raise RuntimeError(
                     f"no cluster workers reachable within {self.connect_timeout}s "
                     f"({where}); start some with `repro worker`"
@@ -312,7 +252,8 @@ class ClusterExecutor:
             return
         require_plain_scenarios(tasks, boundary="the cluster wire")
         scenario = _task_scenario(tasks[0])
-        policy = self.retry or RetryPolicy(max_attempts=1)
+        attempts = AttemptQueue(self.retry, self.failure_policy, self._bump)
+        timeout = attempts.policy.timeout
         self._ensure_workers()
 
         fan_out = self.fan_out or max(1, len(self._links))
@@ -324,20 +265,17 @@ class ClusterExecutor:
             self.stats["chunk_tasks"] += len(chunks)
             self.stats["max_fan_out"] = max(self.stats["max_fan_out"], len(chunks))
             all_chunks.extend((chunk, 1) for chunk in chunks)
-        # Deal round-robin into per-worker queues; late joiners start empty
-        # and steal.  Stale state from an abandoned previous stream is
-        # discarded first: queued chunks are dropped and a still-running
-        # stale task is forgotten (its result will carry an unknown task_id
-        # and be ignored; the worker's `ready` after it re-parks the link).
+        # Deal round-robin into per-worker queues.  Stale state from an
+        # abandoned previous stream is discarded first: queued chunks are
+        # dropped and a still-running stale task is forgotten (its result
+        # will carry an unknown task_id and be ignored; the worker's `ready`
+        # after it re-parks the link).
         for link in self._links:
             link.queue.clear()
             link.in_flight_id = None
         for position, entry in enumerate(all_chunks):
             self._links[position % len(self._links)].queue.append(entry)
 
-        pending: "deque[Tuple[PointTask, int]]" = deque()
-        delayed: List[Tuple[float, int, PointTask, int]] = []
-        tiebreak = itertools.count()
         in_flight: Dict[int, Tuple[PointTask, int, _Link, float]] = {}
         emit: "deque[Tuple[int, Union[PointOutcome, PointFailure]]]" = deque()
         state = {"resolved": 0}
@@ -349,66 +287,25 @@ class ClusterExecutor:
                 )
             return point.config
 
-        def purge_point(index: int) -> None:
-            """Drop every queued chunk of a failed point (in-flight results
-            for it are simply ignored on arrival)."""
-            for link in self._links:
-                link.queue = deque(
-                    entry for entry in link.queue if entry[0].index != index
-                )
-            nonlocal_pending = [e for e in pending if e[0].index != index]
-            pending.clear()
-            pending.extend(nonlocal_pending)
-            kept = [entry for entry in delayed if entry[2].index != index]
-            if len(kept) != len(delayed):
-                delayed[:] = kept
-                heapq.heapify(delayed)
-
-        def chunk_failed(
-            chunk: PointTask, attempt: int, error_type: str, message: str
-        ) -> None:
-            """Retry a failed chunk attempt, or close its whole point out."""
+        def chunk_failed(chunk: PointTask, attempt: int, error: Exception) -> None:
+            """Settle a failed chunk attempt; a closed-out point drops its chunks."""
             point = points[chunk.index]
-            if point.resolved:
+            failure = attempts.failed(chunk, attempt, error, point.first_dispatch)
+            if failure is None:
                 return
-            if attempt < policy.max_attempts:
-                self.stats["retries"] += 1
-                delay = policy.delay(chunk.seed, attempt)
-                if delay > 0:
-                    heapq.heappush(
-                        delayed,
-                        (time.monotonic() + delay, next(tiebreak), chunk, attempt + 1),
-                    )
-                else:
-                    pending.append((chunk, attempt + 1))
-                return
-            self.stats["failures"] += 1
             point.resolved = True
             state["resolved"] += 1
-            purge_point(chunk.index)
-            if self.failure_policy == "continue":
-                started = point.first_dispatch or time.monotonic()
-                emit.append(
-                    (
-                        chunk.index,
-                        PointFailure(
-                            index=chunk.index,
-                            parameters=point.task.parameters,
-                            error_type=error_type,
-                            message=message,
-                            attempts=policy.max_attempts,
-                            elapsed=time.monotonic() - started,
-                        ),
-                    )
-                )
-                return
-            if error_type == "WorkerLostError":
-                raise WorkerLostError(message)
-            if error_type == "PointTimeoutError":
-                raise PointTimeoutError(message)
-            raise ClusterTaskError(error_type, message)
+            for link in self._links:
+                link.queue = deque(e for e in link.queue if e[0].index != chunk.index)
+            emit.append((chunk.index, failure))
 
-        def lose_link(link: _Link, error_type: str, message: str) -> None:
+        def requeue(link: _Link) -> None:
+            """Hand a dropped link's queued chunks back uncharged."""
+            for entry in link.queue:
+                attempts.put(*entry)
+            link.queue.clear()
+
+        def lose_link(link: _Link, message: str) -> None:
             """A worker died or hung: requeue its work, drop the connection.
 
             The in-flight chunk is charged one attempt (the worker may have
@@ -416,23 +313,21 @@ class ClusterExecutor:
             redistribute uncharged.
             """
             self._drop_link(link)
-            if link.in_flight_id is not None:
-                entry = in_flight.pop(link.in_flight_id, None)
-                link.in_flight_id = None
-                if entry is not None:
-                    chunk, attempt, _link, _started = entry
-                    self.stats["tasks_requeued"] += 1
-                    chunk_failed(chunk, attempt, error_type, message)
-            if link.queue:
-                pending.extend(link.queue)
-                link.queue.clear()
+            entry = in_flight.pop(link.in_flight_id, None)
+            link.in_flight_id = None
+            if entry is not None:
+                self.stats["tasks_requeued"] += 1
+                chunk_failed(entry[0], entry[1], WorkerLostError(message))
+            requeue(link)
 
         def take_work(link: _Link) -> Optional[Tuple[PointTask, int]]:
-            """The link's next chunk: own queue, then backlog, then stealing."""
+            """The link's next chunk: own queue, then a due retry or requeued
+            chunk, then stealing."""
             if link.queue:
                 return link.queue.popleft()
-            if pending:
-                return pending.popleft()
+            entry = attempts.take()
+            if entry is not None:
+                return entry
             victim = max(
                 (other for other in self._links if other is not link and other.queue),
                 key=lambda other: len(other.queue),
@@ -457,8 +352,8 @@ class ClusterExecutor:
             except ChannelClosed as error:
                 # The worker never received the task: requeue it uncharged,
                 # then account for whatever the dead link was holding.
-                pending.appendleft((chunk, attempt))
-                lose_link(link, "WorkerLostError", str(error))
+                attempts.put(chunk, attempt)
+                lose_link(link, str(error))
                 return False
             link.ready = False
             link.in_flight_id = task_id
@@ -494,12 +389,11 @@ class ClusterExecutor:
                     return  # a stale result from a presumed-dead worker
                 chunk, attempt, _link, _started = entry
                 if kind == "task_error":
-                    chunk_failed(
-                        chunk,
-                        attempt,
+                    error = ClusterTaskError(
                         str(message.get("error_type", "RuntimeError")),
                         str(message.get("message", "")),
                     )
+                    chunk_failed(chunk, attempt, error)
                     return
                 link.tasks_done += 1
                 point = points[chunk.index]
@@ -521,11 +415,6 @@ class ClusterExecutor:
                 if emit:
                     yield emit.popleft()
                     continue
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _ready_at, _tie, chunk, attempt = heapq.heappop(delayed)
-                    pending.append((chunk, attempt))
-                self._adopt_incoming()
                 self.stats["workers_connected"] = len(self._links)
                 # Hand work to every idle worker (loop: a steal can cascade).
                 for link in list(self._links):
@@ -538,8 +427,8 @@ class ClusterExecutor:
                 if not self._links:
                     if not any(not point.resolved for point in points.values()):
                         continue
-                    # The whole fleet is gone mid-run: re-dial (dial mode) or
-                    # wait out the connect deadline for joiners (listen mode).
+                    # The whole fleet is gone mid-run: re-dial it, waiting out
+                    # the connect deadline.
                     try:
                         self._ensure_workers()
                     except RuntimeError:
@@ -563,7 +452,7 @@ class ClusterExecutor:
                     try:
                         messages = link.channel.pump()
                     except ChannelClosed as error:
-                        lose_link(link, "WorkerLostError", str(error))
+                        lose_link(link, str(error))
                         continue
                     for message in messages:
                         handle_message(link, message)
@@ -572,44 +461,31 @@ class ClusterExecutor:
                     if link.attached and now - link.last_seen > self.heartbeat_timeout:
                         lose_link(
                             link,
-                            "WorkerLostError",
                             f"worker {link.label()} stopped heartbeating "
                             f"({self.heartbeat_timeout}s)",
                         )
-                if policy.timeout is not None:
-                    for task_id, entry in list(in_flight.items()):
-                        chunk, attempt, link, started = entry
-                        if now - started <= policy.timeout:
+                if timeout is not None:
+                    for task_id, (chunk, attempt, link, started) in list(in_flight.items()):
+                        if now - started <= timeout:
                             continue
                         # The worker is hung on this chunk: it loses the
                         # connection, and the chunk is charged a timeout.
                         self._drop_link(link)
                         in_flight.pop(task_id, None)
                         link.in_flight_id = None
-                        if link.queue:
-                            pending.extend(link.queue)
-                            link.queue.clear()
-                        chunk_failed(
-                            chunk,
-                            attempt,
-                            "PointTimeoutError",
+                        requeue(link)
+                        error = PointTimeoutError(
                             f"point {chunk.index} chunk at symbol "
                             f"{chunk.start_symbol} exceeded the "
-                            f"{policy.timeout}s budget on {link.label()}",
+                            f"{timeout}s budget on {link.label()}"
                         )
+                        chunk_failed(chunk, attempt, error)
         finally:
             self.stats["workers_connected"] = len(self._links)
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
         """Detach from the fleet: polite shutdowns, then close everything."""
-        self._closed = True
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
         for link in self._links:
             try:
                 link.channel.send({"type": "shutdown"})
@@ -626,8 +502,5 @@ class ClusterExecutor:
         self.close()
 
     def __repr__(self) -> str:
-        if self.addresses:
-            where = ",".join(format_address(a) for a in self.addresses)
-            return f"ClusterExecutor(workers={where!r})"
-        bound = self.bound_address and format_address(self.bound_address)
-        return f"ClusterExecutor(bind={bound!r})"
+        where = ",".join(format_address(a) for a in self.addresses)
+        return f"ClusterExecutor(workers={where!r})"

@@ -1,24 +1,19 @@
 """The cluster worker: evaluate chunk tasks pulled over a socket.
 
-A :class:`ClusterWorker` is the process behind ``repro worker``.  It speaks
-the :mod:`repro.cluster.protocol` dialogue in either direction:
+A :class:`ClusterWorker` is the process behind ``repro worker --listen
+host:port``.  It binds a socket and the coordinator
+(:class:`~repro.cluster.executor.ClusterExecutor`, the CLI's ``--workers
+host:port,…``) dials it.  Port 0 binds an ephemeral port; the bound address
+is reported through ``on_ready`` (the CLI prints a machine-parseable line
+from it, which the cluster smoke harness reads).
 
-* **listen mode** (``repro worker --listen host:port``): the worker binds a
-  socket and the coordinator dials *it* — the topology the CLI's
-  ``--workers host:port,…`` flag and the cluster smoke harness use.  Port 0
-  binds an ephemeral port; the bound address is reported through
-  ``on_ready`` (the CLI prints a machine-parseable line from it).
-* **connect mode** (``repro worker --connect host:port``): the worker dials
-  a listening coordinator (:class:`~repro.cluster.executor.ClusterExecutor`
-  built with ``bind=``) and keeps re-dialling while the coordinator is
-  away — elastic fleets join and leave without coordination.
-
-Either way the per-connection dialogue is identical: the worker announces
-itself (``hello``), the peer claims the connection (``attach``) or asks for
-``status`` (the ``repro workers`` probe), and an attached worker pulls tasks
-(``ready`` → ``task`` → ``result``/``task_error`` → ``ready`` …) while a
-daemon thread heartbeats on the same socket — even mid-evaluation, so a
-worker grinding through a long chunk is distinguishable from a dead one.
+On each connection the worker speaks the :mod:`repro.cluster.protocol`
+dialogue: it announces itself (``hello``), the peer claims the connection
+(``attach``) or asks for ``status`` (the ``repro workers`` probe), and an
+attached worker pulls tasks (``ready`` → ``task`` → ``result``/``task_error``
+→ ``ready`` …) while a daemon thread heartbeats on the same socket — even
+mid-evaluation, so a worker grinding through a long chunk is
+distinguishable from a dead one.
 
 Task evaluation is *exactly* the process-pool worker entry point
 (:func:`~repro.scenarios.executors.evaluate_task_attempt`): the task is
@@ -53,9 +48,6 @@ from repro.scenarios.metrics import PointOutcome
 #: Seconds between heartbeat frames on an attached connection.
 DEFAULT_HEARTBEAT_SECONDS = 1.0
 
-#: How long a worker in connect mode sleeps between dial attempts.
-_RECONNECT_SECONDS = 1.0
-
 #: Poll granularity of blocking loops (accept, recv) so ``stop()`` lands fast.
 _POLL_SECONDS = 0.2
 
@@ -78,9 +70,6 @@ class ClusterWorker:
     ----------
     listen:
         ``"host:port"`` (or pair) to bind and await the coordinator on.
-    connect:
-        ``"host:port"`` (or pair) of a listening coordinator to dial.
-        Exactly one of ``listen``/``connect`` must be given.
     name:
         Display name for telemetry (defaults to ``worker-<pid>``).
     heartbeat_interval:
@@ -89,15 +78,11 @@ class ClusterWorker:
 
     def __init__(
         self,
-        listen: Union[None, str, Address] = None,
-        connect: Union[None, str, Address] = None,
+        listen: Union[str, Address],
         name: Optional[str] = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_SECONDS,
     ) -> None:
-        if (listen is None) == (connect is None):
-            raise ValueError("pass exactly one of listen= and connect=")
-        self.listen_address = parse_address(listen) if listen is not None else None
-        self.connect_address = parse_address(connect) if connect is not None else None
+        self.listen_address = parse_address(listen)
         self.name = name or f"worker-{os.getpid()}"
         self.heartbeat_interval = float(heartbeat_interval)
         self.tasks_done = 0
@@ -120,19 +105,40 @@ class ClusterWorker:
         self, on_ready: Optional[Callable[[str, int], None]] = None
     ) -> None:
         """Serve until :meth:`stop` (or, in the CLI, SIGINT)."""
-        if self.listen_address is not None:
-            self._serve_listening(on_ready)
-        else:
-            self._serve_connecting()
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind(self.listen_address)
+        listener.listen(8)
+        listener.settimeout(_POLL_SECONDS)
+        self._listener = listener
+        host, port = listener.getsockname()[:2]
+        self.bound_address = (host, port)
+        if on_ready is not None:
+            on_ready(host, port)
+        try:
+            while not self._stop.is_set():
+                try:
+                    conn, _addr = listener.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break  # listener closed by stop()
+                thread = threading.Thread(
+                    target=self._run_connection,
+                    args=(MessageChannel(conn),),
+                    name=f"repro-{self.name}-conn",
+                    daemon=True,
+                )
+                thread.start()
+        finally:
+            self.stop()
 
     def start(self) -> Address:
         """Run :meth:`serve_forever` on a daemon thread (tests, benchmarks).
 
-        Listen mode only; blocks until the socket is bound and returns the
-        actual address (resolving an ephemeral port 0).
+        Blocks until the socket is bound and returns the actual address
+        (resolving an ephemeral port 0).
         """
-        if self.listen_address is None:
-            raise ValueError("start() needs a listen-mode worker")
         ready = threading.Event()
 
         def _on_ready(host: str, port: int) -> None:
@@ -180,54 +186,6 @@ class ClusterWorker:
             "tasks_done": self.tasks_done,
             "uptime": round(time.monotonic() - self._started, 3),
         }
-
-    # -- listen mode -----------------------------------------------------------
-    def _serve_listening(
-        self, on_ready: Optional[Callable[[str, int], None]]
-    ) -> None:
-        assert self.listen_address is not None
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self.listen_address)
-        listener.listen(8)
-        listener.settimeout(_POLL_SECONDS)
-        self._listener = listener
-        host, port = listener.getsockname()[:2]
-        self.bound_address = (host, port)
-        if on_ready is not None:
-            on_ready(host, port)
-        try:
-            while not self._stop.is_set():
-                try:
-                    conn, _addr = listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break  # listener closed by stop()
-                thread = threading.Thread(
-                    target=self._run_connection,
-                    args=(MessageChannel(conn),),
-                    name=f"repro-{self.name}-conn",
-                    daemon=True,
-                )
-                thread.start()
-        finally:
-            self.stop()
-
-    # -- connect mode ----------------------------------------------------------
-    def _serve_connecting(self) -> None:
-        assert self.connect_address is not None
-        while not self._stop.is_set():
-            try:
-                channel = connect(self.connect_address, timeout=5.0)
-            except OSError:
-                if self._stop.wait(_RECONNECT_SECONDS):
-                    return
-                continue
-            self._run_connection(channel)
-            # The coordinator went away (or detached); re-dial until stopped.
-            if self._stop.wait(_RECONNECT_SECONDS):
-                return
 
     # -- the per-connection dialogue -------------------------------------------
     def _run_connection(self, channel: MessageChannel) -> None:
@@ -316,12 +274,8 @@ class ClusterWorker:
             stop_heartbeat.set()
 
     def __repr__(self) -> str:
-        mode = (
-            f"listen={format_address(self.bound_address or self.listen_address)}"
-            if self.listen_address is not None
-            else f"connect={format_address(self.connect_address)}"
-        )
-        return f"ClusterWorker({self.name!r}, {mode})"
+        where = format_address(self.bound_address or self.listen_address)
+        return f"ClusterWorker({self.name!r}, listen={where})"
 
 
 def probe_worker(

@@ -50,12 +50,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import heapq
-import itertools
+import math
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -74,6 +72,7 @@ from typing import (
 import numpy as np
 
 from repro.scenarios.faults import (
+    AttemptQueue,
     PointFailure,
     PointTimeoutError,
     RetryPolicy,
@@ -515,44 +514,34 @@ def _evaluate_with_retry(
     The shared attempt loop of the in-process executors (serial and thread):
     the executor contributes its ``retry``/``failure_policy`` settings and a
     ``_bump`` counter hook (plain increments serially, lock-guarded under
-    threads).  Pre-emption is impossible in-process, so a ``timeout`` is
-    enforced *post hoc*: an attempt that overran is discarded and retried.
+    threads), and :meth:`AttemptQueue.failed` settles each failed attempt.
+    Pre-emption is impossible in-process, so a ``timeout`` is enforced
+    *post hoc*: an attempt that overran is discarded and retried.
     """
-    policy = executor.retry or RetryPolicy(max_attempts=1)
+    attempts = AttemptQueue(executor.retry, executor.failure_policy, executor._bump)
+    attempts.put(task)
+    timeout = attempts.policy.timeout
     started = time.monotonic()
-    last_error: Optional[BaseException] = None
-    for attempt in range(1, policy.max_attempts + 1):
+    while True:
+        entry = attempts.take()
+        if entry is None:
+            attempts.wait(math.inf)  # a retry waiting out its backoff
+            continue
+        _task, attempt = entry
         attempt_started = time.monotonic()
         try:
             outcome = evaluate_task_attempt(task, attempt)
-        except Exception as error:
-            last_error = error
-        else:
             elapsed = time.monotonic() - attempt_started
-            if policy.timeout is not None and elapsed > policy.timeout:
-                last_error = PointTimeoutError(
+            if timeout is not None and elapsed > timeout:
+                raise PointTimeoutError(
                     f"point {task.index} attempt {attempt} ran {elapsed:.3f}s, "
-                    f"over the {policy.timeout}s budget"
+                    f"over the {timeout}s budget"
                 )
-            else:
-                return outcome
-        if attempt < policy.max_attempts:
-            executor._bump("retries")
-            delay = policy.delay(task.seed, attempt)
-            if delay > 0:
-                time.sleep(delay)
-    executor._bump("failures")
-    assert last_error is not None
-    if executor.failure_policy == "continue":
-        return PointFailure(
-            index=task.index,
-            parameters=task.parameters,
-            error_type=type(last_error).__name__,
-            message=str(last_error),
-            attempts=policy.max_attempts,
-            elapsed=time.monotonic() - started,
-        )
-    raise last_error
+            return outcome
+        except Exception as error:
+            failure = attempts.failed(task, attempt, error, started)
+            if failure is not None:
+                return failure
 
 
 @runtime_checkable
@@ -733,6 +722,9 @@ class ProcessExecutor:
         self.failure_policy = validate_failure_policy(failure_policy)
         self.stats: Dict[str, int] = {"retries": 0, "failures": 0, "pool_rebuilds": 0}
 
+    def _bump(self, key: str) -> None:
+        self.stats[key] += 1
+
     @staticmethod
     def _terminate_workers(pool: concurrent.futures.ProcessPoolExecutor) -> None:
         """Hard-kill a pool's worker processes (hung workers never exit on
@@ -749,7 +741,10 @@ class ProcessExecutor:
         if not tasks:
             return
         require_plain_scenarios(tasks, boundary="a process boundary")
-        policy = self.retry or RetryPolicy(max_attempts=1)
+        attempts = AttemptQueue(self.retry, self.failure_policy, self._bump)
+        for task in tasks:
+            attempts.put(task)
+        timeout = attempts.policy.timeout
         workers = self.workers or usable_cpu_count()
         workers = max(1, min(workers, len(tasks)))
 
@@ -757,43 +752,8 @@ class ProcessExecutor:
             return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
 
         pool = new_pool()
-        pending: "deque[Tuple[PointTask, int]]" = deque((task, 1) for task in tasks)
-        delayed: List[Tuple[float, int, PointTask, int]] = []  # (ready_at, tiebreak, ...)
-        tiebreak = itertools.count()
         in_flight: Dict[concurrent.futures.Future, Tuple[PointTask, int, float]] = {}
         first_dispatch: Dict[int, float] = {}
-
-        def after_failed_attempt(
-            task: PointTask, attempt: int, error: BaseException
-        ) -> Optional[PointFailure]:
-            """Requeue a failed attempt, or close the point out.
-
-            Returns the :class:`PointFailure` to yield (``"continue"`` with
-            attempts exhausted), ``None`` when a retry was scheduled, and
-            raises the original error under ``"fail_fast"``.
-            """
-            if attempt < policy.max_attempts:
-                self.stats["retries"] += 1
-                delay = policy.delay(task.seed, attempt)
-                if delay > 0:
-                    heapq.heappush(
-                        delayed,
-                        (time.monotonic() + delay, next(tiebreak), task, attempt + 1),
-                    )
-                else:
-                    pending.append((task, attempt + 1))
-                return None
-            self.stats["failures"] += 1
-            if self.failure_policy == "continue":
-                return PointFailure(
-                    index=task.index,
-                    parameters=task.parameters,
-                    error_type=type(error).__name__,
-                    message=str(error),
-                    attempts=policy.max_attempts,
-                    elapsed=time.monotonic() - first_dispatch.get(task.index, time.monotonic()),
-                )
-            raise error
 
         def rebuild_pool() -> None:
             nonlocal pool
@@ -802,23 +762,24 @@ class ProcessExecutor:
             self.stats["pool_rebuilds"] += 1
 
         try:
-            while pending or delayed or in_flight:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _ready, _tie, task, attempt = heapq.heappop(delayed)
-                    pending.append((task, attempt))
+            while attempts or in_flight:
                 pool_broken = False
-                while pending and len(in_flight) < workers:
-                    task, attempt = pending.popleft()
+                while len(in_flight) < workers:
+                    entry = attempts.take()
+                    if entry is None:
+                        break
+                    task, attempt = entry
                     try:
                         future = pool.submit(evaluate_task_attempt, task, attempt)
                     except (concurrent.futures.BrokenExecutor, RuntimeError):
                         # The pool died between polls; requeue and rebuild.
-                        pending.appendleft((task, attempt))
+                        attempts.put(task, attempt)
                         pool_broken = True
                         break
-                    in_flight[future] = (task, attempt, time.monotonic())
+                    now = time.monotonic()
+                    in_flight[future] = (task, attempt, now)
                     first_dispatch.setdefault(task.index, now)
+                failed: List[Tuple[PointTask, int, Exception]] = []
                 if in_flight and not pool_broken:
                     done, _running = concurrent.futures.wait(
                         set(in_flight),
@@ -838,57 +799,49 @@ class ProcessExecutor:
                             pool_broken = True
                             break
                         except concurrent.futures.CancelledError:
-                            pending.append((task, attempt))  # uncharged requeue
+                            attempts.put(task, attempt)  # uncharged requeue
                         except Exception as error:
-                            failure = after_failed_attempt(task, attempt, error)
-                            if failure is not None:
-                                yield task.index, failure
+                            failed.append((task, attempt, error))
                         else:
                             yield task.index, result
                 if pool_broken or getattr(pool, "_broken", False):
                     # Which in-flight task killed the worker is unknowable, so
                     # each is charged one attempt and requeued (or closed out).
-                    casualties = list(in_flight.values())
-                    in_flight.clear()
-                    rebuild_pool()
-                    error: BaseException = concurrent.futures.process.BrokenProcessPool(
+                    error = concurrent.futures.process.BrokenProcessPool(
                         "a worker process died while the task was in flight"
                     )
-                    for task, attempt, _started in casualties:
-                        failure = after_failed_attempt(task, attempt, error)
-                        if failure is not None:
-                            yield task.index, failure
-                    continue
-                if policy.timeout is not None and in_flight:
+                    for task, attempt, _started in in_flight.values():
+                        failed.append((task, attempt, error))
+                    in_flight.clear()
+                    rebuild_pool()
+                elif timeout is not None and in_flight:
                     now = time.monotonic()
-                    overdue = {
+                    overdue = [
                         future
                         for future, (_t, _a, started) in in_flight.items()
-                        if now - started > policy.timeout
-                    }
+                        if now - started > timeout
+                    ]
                     if overdue:
                         # A genuinely hung worker cannot be cancelled — kill
                         # the pool.  Only overdue tasks are charged an attempt;
                         # innocents requeue at their current attempt number.
-                        entries = list(in_flight.items())
+                        for future in overdue:
+                            task, attempt, _started = in_flight.pop(future)
+                            error = PointTimeoutError(
+                                f"point {task.index} attempt {attempt} exceeded the "
+                                f"{timeout}s budget"
+                            )
+                            failed.append((task, attempt, error))
+                        for task, attempt, _started in in_flight.values():
+                            attempts.put(task, attempt)
                         in_flight.clear()
                         rebuild_pool()
-                        for future, (task, attempt, started) in entries:
-                            if future not in overdue:
-                                pending.append((task, attempt))
-                                continue
-                            timeout_error = PointTimeoutError(
-                                f"point {task.index} attempt {attempt} exceeded the "
-                                f"{policy.timeout}s budget"
-                            )
-                            failure = after_failed_attempt(task, attempt, timeout_error)
-                            if failure is not None:
-                                yield task.index, failure
-                elif not in_flight and delayed:
-                    # Everything is waiting out a backoff window; sleep to it.
-                    pause = delayed[0][0] - time.monotonic()
-                    if pause > 0:
-                        time.sleep(min(pause, self._POLL_SECONDS))
+                elif not in_flight:
+                    attempts.wait(self._POLL_SECONDS)  # every attempt is backing off
+                for task, attempt, error in failed:
+                    failure = attempts.failed(task, attempt, error, first_dispatch[task.index])
+                    if failure is not None:
+                        yield task.index, failure
         except KeyboardInterrupt:
             # Ctrl-C must not orphan workers or leave the pool draining the
             # grid: cancel everything queued and hard-stop the workers.

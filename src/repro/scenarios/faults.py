@@ -5,7 +5,7 @@ point seed is derived in the parent before any point runs, and
 ``evaluate_point`` touches no mutable state — so re-executing a task after a
 crash, hang or lost result is always safe: the retried attempt produces a
 **bit-identical** outcome.  This module packages that observation into the
-three pieces the executors build on:
+pieces the executors build on:
 
 * :class:`RetryPolicy` — how many attempts a point gets, the per-task
   timeout, and an exponential backoff whose jitter is *deterministic*
@@ -16,6 +16,12 @@ three pieces the executors build on:
   when every attempt is exhausted under the ``"continue"`` failure policy
   (exception type, message, attempts, elapsed wall time), instead of
   aborting the whole run.
+* :class:`AttemptQueue` — the one retry rule: every executor (serial,
+  thread, process pool, cluster) queues its pending attempts there and
+  settles each failed attempt through :meth:`AttemptQueue.failed`, so a
+  point retries, fails and is reported the same way whatever runs it.
+  How a failure is *detected* stays with each executor: a post-hoc timeout
+  in-process, a killed pool, a lost or silent cluster worker.
 * :class:`ChaosSchedule` / :class:`ChaosExecutor` — deterministic fault
   injection: crashes, delays and corrupted results are injected from a
   seeded schedule keyed on ``(task seed, attempt)``, either by wrapping any
@@ -38,12 +44,14 @@ True
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.simulation.randomness import split_seed
 
@@ -198,6 +206,93 @@ class PointFailure:
         if missing:
             raise ValueError(f"point-failure mapping lacks key(s): {', '.join(missing)}")
         return cls(**data)
+
+
+class AttemptQueue:
+    """The attempts an executor still owes, and the rule for a failed one.
+
+    Every executor keeps its pending attempts here: each point's first
+    attempt, attempts requeued uncharged (a task a broken pool never ran,
+    the queue of a lost cluster worker) and retries, which :meth:`take`
+    hands out only once their :meth:`RetryPolicy.delay` has passed.
+
+    :meth:`failed` is the one retry rule.  While attempts remain it queues
+    the next one; once they are exhausted it closes the point out: a
+    :class:`PointFailure` under ``"continue"``, the error re-raised under
+    ``"fail_fast"``.  A closed point takes no further attempt and is never
+    charged again, so a cluster point's other chunks drop out by themselves.
+
+    ``bump`` counts ``"retries"`` and ``"failures"`` into the executor's
+    ``stats`` (the thread executor passes a lock-guarded one).  Tasks are
+    :class:`~repro.scenarios.executors.PointTask` values (or cluster chunks
+    of one), keyed by ``index``.
+    """
+
+    def __init__(
+        self,
+        retry: Optional[RetryPolicy],
+        failure_policy: str,
+        bump: Callable[[str], None],
+    ) -> None:
+        self.policy = retry or RetryPolicy(max_attempts=1)
+        self.failure_policy = failure_policy
+        self._bump = bump
+        self._heap: List[Tuple[float, int, Any, int]] = []  # (due, order, task, attempt)
+        self._order = itertools.count()
+        self._closed: Set[int] = set()
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def put(self, task: Any, attempt: int = 1, delay: float = 0.0) -> None:
+        """Queue ``attempt`` of ``task``, due ``delay`` seconds from now."""
+        due = time.monotonic() + delay
+        heapq.heappush(self._heap, (due, next(self._order), task, attempt))
+
+    def take(self) -> Optional[Tuple[Any, int]]:
+        """The earliest due ``(task, attempt)`` of an open point, or ``None``."""
+        now = time.monotonic()
+        while self._heap and self._heap[0][0] <= now:
+            _due, _order, task, attempt = heapq.heappop(self._heap)
+            if task.index not in self._closed:
+                return task, attempt
+        return None
+
+    def wait(self, limit: float) -> None:
+        """Sleep until the earliest queued attempt is due, at most ``limit`` s."""
+        if self._heap:
+            time.sleep(max(0.0, min(self._heap[0][0] - time.monotonic(), limit)))
+
+    def failed(
+        self, task: Any, attempt: int, error: Exception, started: float
+    ) -> Optional[PointFailure]:
+        """Settle a failed attempt: queue a retry, or close the point out.
+
+        Returns ``None`` when nothing is to be reported (a retry is queued,
+        or the point was closed before), the point's :class:`PointFailure`
+        under ``"continue"``, and re-raises ``error`` under ``"fail_fast"``.
+        ``started`` is when the point's first attempt began.  A worker's
+        error re-raised here (:class:`~repro.cluster.ClusterTaskError`) is
+        recorded under the type name and message the worker reported.
+        """
+        if task.index in self._closed:
+            return None
+        if attempt < self.policy.max_attempts:
+            self._bump("retries")
+            self.put(task, attempt + 1, self.policy.delay(task.seed, attempt))
+            return None
+        self._bump("failures")
+        self._closed.add(task.index)
+        if self.failure_policy == "fail_fast":
+            raise error
+        return PointFailure(
+            index=task.index,
+            parameters=task.parameters,
+            error_type=getattr(error, "error_type", type(error).__name__),
+            message=getattr(error, "message", str(error)),
+            attempts=self.policy.max_attempts,
+            elapsed=time.monotonic() - started,
+        )
 
 
 #: Fault kinds a :class:`ChaosSchedule` injects.
