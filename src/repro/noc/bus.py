@@ -325,7 +325,8 @@ class OpticalBus:
     Parameters
     ----------
     topology:
-        The die stack and node layout.
+        The die stack and node layout: at most 255 nodes, since packets
+        carry 8-bit addresses and the last one is broadcast.
     config:
         PPM link configuration shared by every node pair (the attenuation of
         the specific span is applied per transfer through the channel model).
@@ -366,6 +367,10 @@ class OpticalBus:
     ) -> None:
         if not emitted_photons > 0:  # NaN fails too
             raise ValueError(f"emitted_photons must be positive, got {emitted_photons!r}")
+        if topology.node_count > Packet.BROADCAST:  # 8-bit addresses, the last is broadcast
+            raise ValueError(
+                f"a bus addresses at most {Packet.BROADCAST} nodes, got {topology.node_count}"
+            )
         self.topology = topology
         self.config = config
         self.emitted_photons = emitted_photons

@@ -35,8 +35,9 @@ def check_payload_bits(payload: Sequence[int]) -> None:
 class Packet:
     """A fixed-header packet: destination, source, payload bits.
 
-    The header uses 8 bits per address field, so a stack can hold up to 256
-    addressable dies — comfortably above the paper's "hundreds of dies".
+    The header uses 8 bits per address field and reserves the last address
+    for broadcast, so a bus can address up to 255 dies — comfortably above
+    the paper's "hundreds of dies".
     """
 
     source: int

@@ -262,6 +262,18 @@ class TestSettings:
         with pytest.raises(ValueError, match=message):
             OpticalBus(topology(), config=CONFIG, **settings)
 
+    def test_bus_refuses_more_nodes_than_its_addresses(self):
+        # Packets carry 8-bit addresses and 255 is broadcast: on a 256-die
+        # stack a unicast to node 255 went out to every die.
+        with pytest.raises(ValueError, match="at most 255 nodes, got 256"):
+            OpticalBus(topology(256), config=CONFIG)
+        bus = OpticalBus(topology(255), config=CONFIG)
+        bus.offer(Packet(253, 254, [1, 0, 1, 1]))
+        statistics = bus.run()
+        (outcome,) = bus.outcomes
+        assert outcome.destination == 254 and outcome.delivered
+        assert statistics.packets_delivered == 1 and statistics.bits_delivered == 36
+
     @pytest.mark.parametrize("max_slots", [True, 2.5, float("nan")], ids=repr)
     def test_run_refuses_a_non_integer_horizon(self, max_slots):
         bus = OpticalBus(topology(), config=CONFIG)
