@@ -47,6 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -140,16 +141,20 @@ class RetryPolicy:
     max_backoff: float = 30.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
+        def finite(value: Any) -> bool:  # a real number, not a bool; NaN and inf fail
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            return real and math.isfinite(value)
+
+        if type(self.max_attempts) is not int or self.max_attempts < 1:
             raise ValueError(f"max_attempts must be a positive int, got {self.max_attempts!r}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive (or None), got {self.timeout!r}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be non-negative, got {self.backoff!r}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
-        if self.max_backoff < 0:
-            raise ValueError(f"max_backoff must be non-negative, got {self.max_backoff!r}")
+        if self.timeout is not None and not (finite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be finite and > 0 (or None), got {self.timeout!r}")
+        if not (finite(self.backoff) and self.backoff >= 0):
+            raise ValueError(f"backoff must be finite and non-negative, got {self.backoff!r}")
+        if not (finite(self.backoff_factor) and self.backoff_factor >= 1.0):
+            raise ValueError(f"backoff_factor must be finite and >= 1, got {self.backoff_factor!r}")
+        if not (finite(self.max_backoff) and self.max_backoff >= 0):
+            raise ValueError(f"max_backoff must be finite and >= 0, got {self.max_backoff!r}")
 
     def delay(self, seed: int, attempt: int) -> float:
         """Seconds to wait before re-dispatching ``attempt + 1``.

@@ -277,6 +277,16 @@ class TestRetryAndResumeFlags:
                        "--no-store") == 1
         assert "--retry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--retry-timeout", "--retry-backoff"])
+    def test_nan_retry_settings_exit_1_and_store_nothing(self, capsys, tmp_path, flag):
+        # A NaN timeout never fired and a NaN backoff retried at once; both ran.
+        store = tmp_path / "store"
+        assert run_cli("run", "ber-vs-photons", "--bits", "64", "--quiet", "--retry", "2",
+                       flag, "nan", "--store", str(store)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag.split("-")[-1] in err, err
+        assert not store.exists() or not any(p.is_file() for p in store.rglob("*"))
+
     def test_resume_conflicts_with_no_store(self, capsys):
         assert run_cli("run", "ber-vs-photons", "--resume", "--no-store") == 1
         assert "--no-store" in capsys.readouterr().err

@@ -62,6 +62,19 @@ class TestRetryPolicy:
             RetryPolicy(backoff=-1)
         with pytest.raises(ValueError, match="backoff_factor"):
             RetryPolicy(backoff_factor=0.5)
+        # Bools and non-finite values: NaN used to pass every comparison.
+        nan, inf = float("nan"), float("inf")
+        for name, values in (
+            ("max_attempts", (True, 2.0)),
+            ("timeout", (True, nan, inf, -inf, "5")),
+            ("backoff", (True, nan, inf)),
+            ("backoff_factor", (True, nan, inf)),
+            ("max_backoff", (True, nan, inf, -1.0)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=f"^{name} must"):
+                    RetryPolicy(**{name: value})
+        RetryPolicy(max_attempts=1, timeout=1, backoff=0, backoff_factor=1, max_backoff=0)
 
     def test_delay_is_deterministic_and_bounded(self):
         policy = RetryPolicy(max_attempts=5, backoff=1.0, backoff_factor=2.0, max_backoff=3.0)
