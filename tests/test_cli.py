@@ -186,6 +186,12 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "workers" in err and "Traceback" not in err
 
+    def test_worker_without_listen_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("worker")
+        assert info.value.code == 2
+        assert "--listen" in capsys.readouterr().err
+
     def test_unknown_scenario_exits_1_with_message(self, capsys):
         assert run_cli("run", "no-such-scenario") == 1
         assert "unknown scenario" in capsys.readouterr().err

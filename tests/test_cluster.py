@@ -20,8 +20,9 @@ The contracts under test, in the order the subsystem sells them:
 * **shared validation** — the process pool's worker count and the cluster's
   fan-out reject bad values with the same typed :class:`WorkerCountError`.
 
-Socket-driving tests carry the ``cluster`` marker; the chunk/wire layers
-are plain unit tests.
+Socket-driving tests carry the ``cluster`` marker, and the retry, worker-death
+and timeout tests also the ``chaos`` marker; the chunk/wire layers are plain
+unit tests.
 """
 
 import random
@@ -253,6 +254,7 @@ class TestClusterExecutor:
                                  workers=addresses)
         assert clustered.to_mapping() == serial.to_mapping()
 
+    @pytest.mark.chaos
     def test_worker_death_mid_run_requeues_and_stays_bit_identical(self):
         died = threading.Event()
 
@@ -296,6 +298,7 @@ class TestClusterExecutor:
             for worker in healthy:
                 worker.stop()
 
+    @pytest.mark.chaos
     def test_retryable_worker_errors_replay_bit_identically(self, fleet):
         class FlakyWorker(ClusterWorker):
             def evaluate(self, task, attempt):
@@ -320,6 +323,7 @@ class TestClusterExecutor:
         finally:
             flaky.stop()
 
+    @pytest.mark.chaos
     def test_exhausted_points_fail_fast_or_continue(self, fleet):
         class BrokenWorker(ClusterWorker):
             def evaluate(self, task, attempt):
@@ -345,6 +349,7 @@ class TestClusterExecutor:
         finally:
             broken.stop()
 
+    @pytest.mark.chaos
     def test_hung_chunks_trip_the_retry_timeout(self, fleet):
         class HungWorker(ClusterWorker):
             def evaluate(self, task, attempt):

@@ -7,8 +7,9 @@ serial run, because point evaluation is a pure function of its pre-seeded
 task.  Fault injection is deterministic (seeded :class:`ChaosSchedule`), so
 these tests are exact, not flaky-by-design.
 
-The process-pool recovery tests are marked ``chaos`` and also run as a
-standalone CI job (``pytest -m chaos``) under a hard timeout.
+The recovery tests of the serial, process-pool and cluster retry loops are
+marked ``chaos`` and also run as a standalone CI job (``pytest -m chaos``)
+under a hard timeout.
 """
 
 import json
@@ -157,6 +158,7 @@ class TestChaosSchedule:
             ChaosExecutor(42, ChaosSchedule())
 
 
+@pytest.mark.chaos
 class TestSerialRecovery:
     def test_crash_and_corrupt_retries_are_bit_identical(self):
         scenario = small_scenario()
@@ -206,6 +208,7 @@ class TestSerialRecovery:
             runner.run()
 
 
+@pytest.mark.chaos
 class TestContinuePolicy:
     def test_exhausted_points_become_structured_failures(self):
         scenario = small_scenario()
