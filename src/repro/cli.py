@@ -270,15 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="default chunk size for requests that omit one")
 
     worker_cmd = commands.add_parser(
-        "worker", help="join the distributed execution fleet",
-        description="Evaluate chunk tasks for a coordinator that dials this "
-                    "worker: `repro run --executor cluster --workers "
-                    "host:port,…` on the coordinator's side.",
+        "worker", help="join the distributed execution fleet"
     )
     worker_cmd.add_argument("--listen", required=True, metavar="HOST:PORT",
-                            help="bind and await the coordinator (port 0 picks "
-                                 "an ephemeral one; the bound address is "
-                                 "printed on stdout)")
+                            help="bind and await the coordinator, which dials "
+                                 "it (`repro run --executor cluster --workers "
+                                 "host:port,…`); port 0 picks an ephemeral "
+                                 "one, and the bound address is printed on stdout")
     worker_cmd.add_argument("--name", default=None,
                             help="display name for telemetry (default worker-<pid>)")
     worker_cmd.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",

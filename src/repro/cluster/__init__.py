@@ -10,9 +10,11 @@ serial and process executors already share:
   point into chunk-aligned sub-tasks (absolute-offset chunk seeds make
   them independent) and folding partial outcomes back in symbol order.
 * :mod:`repro.cluster.worker` / :mod:`repro.cluster.executor` — the
-  ``repro worker`` process and the coordinator-side
-  :class:`ClusterExecutor` with pull-based work stealing, heartbeats,
-  per-task timeouts, and requeue-on-worker-death.
+  ``repro worker --listen host:port`` process and the coordinator-side
+  :class:`ClusterExecutor`, which dials those workers, with pull-based work
+  stealing, heartbeats, per-task timeouts, and requeue-on-worker-death.
+  Failed attempts are settled by the retry rule every executor shares
+  (:class:`~repro.scenarios.faults.AttemptQueue`).
 
 The headline invariant: reports are a function of ``(scenario, seed,
 chunk_symbols)`` — never of the executor, the fleet size, worker deaths,

@@ -689,17 +689,20 @@ class ProcessExecutor:
         independent of ``workers`` — parallelism changes completion order,
         never content.
     retry:
-        Optional :class:`~repro.scenarios.faults.RetryPolicy`.  Beyond the
-        serial semantics (retry failed attempts with deterministic backoff),
-        the pool enforces the policy's ``timeout`` pre-emptively — a worker
-        still running past the budget is treated as hung, the pool is torn
-        down and rebuilt, and only the overdue task is charged an attempt
-        (innocent in-flight tasks are requeued uncharged).  A dead worker
-        (``BrokenProcessPool``: segfault, OOM kill, ``os._exit``) likewise
-        rebuilds the pool; since the culprit cannot be identified, every
-        in-flight task is charged one attempt and requeued.  Because point
-        seeds are pre-derived and evaluation is pure, re-execution after any
-        of this is bit-identical to an unfailed run.
+        Optional :class:`~repro.scenarios.faults.RetryPolicy`.  Failed
+        attempts are settled by the retry rule every executor shares
+        (:meth:`~repro.scenarios.faults.AttemptQueue.failed`: retry with
+        deterministic backoff, then close the point out).  Beyond the
+        serial semantics the pool enforces the policy's ``timeout``
+        pre-emptively — a worker still running past the budget is treated
+        as hung, the pool is torn down and rebuilt, and only the overdue
+        task is charged an attempt (innocent in-flight tasks are requeued
+        uncharged).  A dead worker (``BrokenProcessPool``: segfault, OOM
+        kill, ``os._exit``) likewise rebuilds the pool; since the culprit
+        cannot be identified, every in-flight task is charged one attempt
+        and requeued.  Because point seeds are pre-derived and evaluation
+        is pure, re-execution after any of this is bit-identical to an
+        unfailed run.
     failure_policy:
         ``"fail_fast"`` (default) re-raises the final error of an exhausted
         point; ``"continue"`` yields a structured

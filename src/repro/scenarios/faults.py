@@ -216,21 +216,17 @@ class PointFailure:
 class AttemptQueue:
     """The attempts an executor still owes, and the rule for a failed one.
 
-    Every executor keeps its pending attempts here: each point's first
-    attempt, attempts requeued uncharged (a task a broken pool never ran,
-    the queue of a lost cluster worker) and retries, which :meth:`take`
-    hands out only once their :meth:`RetryPolicy.delay` has passed.
-
-    :meth:`failed` is the one retry rule.  While attempts remain it queues
-    the next one; once they are exhausted it closes the point out: a
-    :class:`PointFailure` under ``"continue"``, the error re-raised under
-    ``"fail_fast"``.  A closed point takes no further attempt and is never
+    Pending attempts wait here: each point's first attempt, attempts
+    requeued uncharged (a task a broken pool never ran, a lost cluster
+    worker's queue) and retries, which :meth:`take` hands out once their
+    :meth:`RetryPolicy.delay` has passed.  :meth:`failed` is the one retry
+    rule; a point it closes out takes no further attempt and is never
     charged again, so a cluster point's other chunks drop out by themselves.
 
     ``bump`` counts ``"retries"`` and ``"failures"`` into the executor's
     ``stats`` (the thread executor passes a lock-guarded one).  Tasks are
-    :class:`~repro.scenarios.executors.PointTask` values (or cluster chunks
-    of one), keyed by ``index``.
+    :class:`~repro.scenarios.executors.PointTask` values or cluster chunks
+    of one, keyed by ``index``.
     """
 
     def __init__(
@@ -273,9 +269,10 @@ class AttemptQueue:
     ) -> Optional[PointFailure]:
         """Settle a failed attempt: queue a retry, or close the point out.
 
-        Returns ``None`` when nothing is to be reported (a retry is queued,
-        or the point was closed before), the point's :class:`PointFailure`
-        under ``"continue"``, and re-raises ``error`` under ``"fail_fast"``.
+        While attempts remain, queues the next one after the policy's delay
+        and returns ``None`` (as it does for a point closed before).  Once
+        they are exhausted it returns the point's :class:`PointFailure`
+        under ``"continue"`` and re-raises ``error`` under ``"fail_fast"``.
         ``started`` is when the point's first attempt began.  A worker's
         error re-raised here (:class:`~repro.cluster.ClusterTaskError`) is
         recorded under the type name and message the worker reported.
