@@ -287,11 +287,12 @@ class AttemptQueue:
         self._closed.add(task.index)
         if self.failure_policy == "fail_fast":
             raise error
+        remote_type = getattr(error, "error_type", None)  # a ClusterTaskError
         return PointFailure(
             index=task.index,
             parameters=task.parameters,
-            error_type=getattr(error, "error_type", type(error).__name__),
-            message=getattr(error, "message", str(error)),
+            error_type=remote_type or type(error).__name__,
+            message=error.message if remote_type else str(error),
             attempts=self.policy.max_attempts,
             elapsed=time.monotonic() - started,
         )
