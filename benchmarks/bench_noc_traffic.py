@@ -34,7 +34,7 @@ from statistics import median
 from repro.analysis.report import ReportTable, TextReport
 from repro.analysis.units import NS, format_si
 from repro.core.config import LinkConfig
-from repro.simulation.montecarlo import MonteCarloRunner, NocTrafficTrial
+from repro.simulation.montecarlo import NocTrafficTrial, chunk_generators
 
 PACKETS = 128  # >=64-packet acceptance workload
 ROUNDS = 7  # timed rounds per path; the median of each path is recorded
@@ -53,11 +53,6 @@ RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_noc.json"
 
 def run_traffic(backend: str):
     """Drain the uniform-traffic workload on one backend; returns (stats, seconds)."""
-    captured = {}
-
-    def capture(bus) -> None:
-        captured["stats"] = bus.statistics
-
     trial = NocTrafficTrial(
         config=CONFIG,
         backend=backend,
@@ -65,15 +60,13 @@ def run_traffic(backend: str):
         traffic="uniform",
         offered_load=OFFERED_LOAD,
         packet_bits=PACKET_BITS,
-        on_result=capture,
     )
     start = time.perf_counter()
     # One chunk = one bus run: the whole workload is a single epoch-batched
     # (or scalar) drain, the shape ExperimentRunner compiles noc points into.
-    MonteCarloRunner(seed=11, label="bench-noc").run_batch(
-        trial, trials=PACKETS, chunk_size=PACKETS
-    )
-    return captured["stats"], time.perf_counter() - start
+    ((count, generator),) = chunk_generators(11, "bench-noc", PACKETS, PACKETS)
+    bus = trial(generator, count)
+    return bus.statistics, time.perf_counter() - start
 
 
 def run_comparison(rounds: int = ROUNDS):

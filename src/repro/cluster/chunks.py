@@ -1,8 +1,8 @@
 """Chunk-level fan-out: splitting one grid point across the fleet.
 
 A point's Monte-Carlo budget is already evaluated in chunks whose seeds are
-**absolute**: :meth:`~repro.simulation.montecarlo.MonteCarloRunner.run_batch`
-seeds the chunk starting at symbol ``o`` with
+**absolute**: :func:`~repro.simulation.montecarlo.chunk_generators` seeds
+the chunk starting at symbol ``o`` with
 ``split_seed(seed, f"{label}:batch:{o}")`` whatever range the run covers.
 So the sub-task covering symbols ``[a, b)`` of a point — expressed as
 ``dataclasses.replace(task, start_symbol=a, symbols=b - a)`` — evaluates
@@ -19,8 +19,9 @@ Eligibility is deliberately narrow, because the merge must be **exact**:
   counts, detection counts, per-channel int64 splits) — integer sums are
   associative under any grouping, so any split is bit-identical;
 * importance points carry floating-point weighted accumulators whose
-  summation *grouping* is observable (``np.sum`` reduces pairwise within a
-  chunk run), so they are dispatched unsplit;
+  summation *grouping* is observable (``weighted_error_sum`` is one
+  pairwise ``np.sum`` over the whole installment's per-symbol values), so
+  they are dispatched unsplit;
 * NoC traffic points have no ``start_symbol`` semantics (bus state is
   sequential) and their outcomes refuse to merge — unsplit as well.
 

@@ -2,26 +2,25 @@
 
 The stochastic parts of the link model (photon arrivals, SPAD avalanches,
 afterpulsing, TDC sampling) are drawn in bulk by the link backends; this
-package supplies the seeded random streams they draw from and the chunked
-Monte-Carlo runner and its two trials, :class:`LinkBatchTrial` (one PPM
-symbol through a link) and :class:`NocTrafficTrial` (one packet over the
-bus), that the experiment layer compiles scenarios onto.
+package supplies the seeded random streams they draw from, the chunk seeds
+of a Monte-Carlo point (:func:`chunk_generators`) and its two trials,
+:class:`LinkBatchTrial` (one PPM symbol through a link) and
+:class:`NocTrafficTrial` (one packet over the bus), that the experiment
+layer compiles scenarios onto.
 """
 
 from repro.simulation.randomness import RandomSource, split_seed
 from repro.simulation.montecarlo import (
     TRAFFIC_PATTERNS,
     LinkBatchTrial,
-    MonteCarloResult,
-    MonteCarloRunner,
     NocTrafficTrial,
+    chunk_generators,
 )
 
 __all__ = [
     "RandomSource",
     "split_seed",
-    "MonteCarloRunner",
-    "MonteCarloResult",
+    "chunk_generators",
     "LinkBatchTrial",
     "NocTrafficTrial",
     "TRAFFIC_PATTERNS",

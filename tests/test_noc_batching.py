@@ -33,8 +33,8 @@ from repro.photonics.stack import DieStack
 from repro.scenarios import ExperimentRunner, Scenario
 from repro.simulation.montecarlo import (
     TRAFFIC_PATTERNS,
-    MonteCarloRunner,
     NocTrafficTrial,
+    chunk_generators,
 )
 
 NOC_SOURCES = Path(__file__).resolve().parent.parent / "src" / "repro" / "noc"
@@ -337,20 +337,18 @@ class TestNocTrafficTrial:
 
     @pytest.mark.parametrize("pattern", TRAFFIC_PATTERNS)
     def test_patterns_run_and_deliver(self, pattern):
-        stats = []
         trial = NocTrafficTrial(
             config=CONFIG.with_detected_photons(20_000.0),
             backend="batch",
             traffic=pattern,
             offered_load=0.7,
-            on_result=lambda bus: stats.append(bus.statistics),
         )
-        samples = MonteCarloRunner(seed=2, label=f"noc-{pattern}").run_batch(
-            trial, trials=24, chunk_size=12
-        ).samples
-        assert samples.size == 24
-        assert np.isfinite(samples).sum() >= 12  # most packets deliver
+        stats = [
+            trial(generator, count).statistics
+            for count, generator in chunk_generators(2, f"noc-{pattern}", 24, 12)
+        ]
         assert sum(s.packets_offered for s in stats) == 24
+        assert sum(s.packets_delivered for s in stats) >= 12  # most packets deliver
 
     def test_latency_grows_with_offered_load(self):
         def mean_latency(load):
@@ -359,10 +357,9 @@ class TestNocTrafficTrial:
                 backend="batch",
                 offered_load=load,
             )
-            samples = MonteCarloRunner(seed=4, label="load").run_batch(
-                trial, trials=48, chunk_size=48
-            ).samples
-            return float(np.nanmean(samples))
+            ((count, generator),) = chunk_generators(4, "load", 48, 48)
+            traffic = trial(generator, count).traffic
+            return float(traffic.latency[traffic.delivered].mean())
         assert mean_latency(2.0) > mean_latency(0.1)
 
 

@@ -3,74 +3,38 @@
 import numpy as np
 import pytest
 
-from repro.simulation.montecarlo import MonteCarloResult, MonteCarloRunner
+from repro.simulation.montecarlo import chunk_generators
 
 
-class TestRunBatch:
+def uniform_draws(*args, **kwargs):
+    """Each chunk's ``count`` uniform draws, concatenated in chunk order."""
+    return np.concatenate(
+        [generator.uniform(size=count) for count, generator in chunk_generators(*args, **kwargs)]
+    )
+
+
+class TestChunkGenerators:
     def test_reproducible_for_same_seed_and_chunking(self):
-        trial = lambda rng, count: rng.uniform(size=count)
-        first = MonteCarloRunner(seed=1).run_batch(trial, trials=100, chunk_size=32)
-        second = MonteCarloRunner(seed=1).run_batch(trial, trials=100, chunk_size=32)
-        assert np.array_equal(first.samples, second.samples)
+        first = uniform_draws(1, "montecarlo", trials=100, chunk_size=32)
+        second = uniform_draws(1, "montecarlo", trials=100, chunk_size=32)
+        assert np.array_equal(first, second)
 
     def test_chunks_draw_independent_streams(self):
-        trial = lambda rng, count: rng.uniform(size=count)
-        result = MonteCarloRunner(seed=2).run_batch(trial, trials=100, chunk_size=10)
-        assert len(set(result.samples.tolist())) == 100
-
-    def test_mean_of_uniform(self):
-        trial = lambda rng, count: rng.uniform(size=count)
-        result = MonteCarloRunner(seed=3).run_batch(trial, trials=5000)
-        assert result.mean == pytest.approx(0.5, abs=0.03)
+        draws = uniform_draws(2, "montecarlo", trials=100, chunk_size=10)
+        assert len(set(draws.tolist())) == 100
 
     def test_partial_final_chunk(self):
-        result = MonteCarloRunner(seed=4).run_batch(
-            lambda rng, count: np.full(count, 1.0), trials=25, chunk_size=10
-        )
-        assert result.trials == 25
-        assert result.mean == 1.0
+        counts = [count for count, _ in chunk_generators(4, "montecarlo", 25, 10)]
+        assert counts == [10, 10, 5]
 
-    def test_progress_reports_chunk_boundaries(self):
-        seen = []
-        MonteCarloRunner(seed=5).run_batch(
-            lambda rng, count: np.zeros(count),
-            trials=25,
-            chunk_size=10,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        assert seen == [(10, 25), (20, 25), (25, 25)]
+    def test_continued_run_draws_the_tail_of_a_longer_run(self):
+        # Chunk seeds are absolute: trials [20, 50) of one run are the run
+        # continued from trial 20.
+        whole = uniform_draws(7, "montecarlo", trials=50, chunk_size=10)
+        tail = uniform_draws(7, "montecarlo", trials=30, chunk_size=10, first_trial=20)
+        assert np.array_equal(tail, whole[20:])
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MonteCarloRunner(seed=6).run_batch(
-                lambda rng, count: np.zeros(count + 1), trials=10
-            )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MonteCarloRunner().run_batch(lambda rng, count: np.zeros(count), trials=0)
-        with pytest.raises(ValueError):
-            MonteCarloRunner().run_batch(
-                lambda rng, count: np.zeros(count), trials=10, chunk_size=0
-            )
-
-
-class TestMonteCarloResult:
-    def test_statistics(self):
-        result = MonteCarloResult(samples=np.array([1.0, 2.0, 3.0]))
-        assert result.trials == 3
-        assert result.minimum == 1.0
-        assert result.maximum == 3.0
-        assert result.mean == pytest.approx(2.0)
-        assert result.std == pytest.approx(1.0)
-        assert result.standard_error() == pytest.approx(1.0 / np.sqrt(3))
-        assert result.percentile(50) == pytest.approx(2.0)
-
-    def test_single_sample_std_zero(self):
-        result = MonteCarloResult(samples=np.array([5.0]))
-        assert result.std == 0.0
-
-    def test_empty_raises(self):
-        result = MonteCarloResult(samples=np.array([]))
-        with pytest.raises(ValueError):
-            _ = result.mean
+    def test_validation_raises_at_the_call(self):
+        for trials, chunk_size, first_trial in [(0, 10, 0), (10, 0, 0), (10, 10, -1)]:
+            with pytest.raises(ValueError):
+                chunk_generators(0, "montecarlo", trials, chunk_size, first_trial)
