@@ -384,12 +384,15 @@ class ExperimentSession:
 
         Closing the executor stream runs its cleanup deterministically (for
         :class:`~repro.scenarios.executors.ProcessExecutor`, pending grid
-        points are cancelled) instead of waiting for garbage collection.
-        Idempotent; a closed, incomplete session cannot produce a report.
+        points are cancelled) instead of waiting for garbage collection, and
+        closes an executor the runner built from a name or ``workers=`` (a
+        passed-in one stays its owner's).  Idempotent; a closed, incomplete
+        session cannot produce a report.
         """
         self._closed = True
-        if self._stream is not None:
-            close = getattr(self._stream, "close", None)
+        owned = self._executor if self._runner._owns_executor else None
+        for resource in (self._stream, owned):
+            close = getattr(resource, "close", None)
             if close is not None:
                 close()
 
