@@ -46,8 +46,8 @@ Exit status is 0 on success, 2 for usage errors (argparse), 1 for domain
 errors (unknown scenario, missing artefact), 3 for a corrupt artefact
 (:class:`~repro.scenarios.store.CorruptArtifactError` — the file exists but
 fails digest/format verification), 4 for ``probe`` misses and — typed as
-:data:`EXIT_PORT_BIND`, also 4 — a ``serve`` socket that cannot be bound
-(:class:`~repro.service.ServiceBindError`); messages go to stderr.
+:data:`EXIT_PORT_BIND`, also 4 — a ``serve`` or ``worker`` socket that
+cannot be bound (port in use, privileged port); messages go to stderr.
 
 Fault tolerance: ``repro run --retry N [--retry-timeout S]`` retries failing
 or hung points deterministically; ``--failure-policy continue`` records
@@ -85,8 +85,9 @@ EXIT_CORRUPT_ARTIFACT = 3
 #: — a grep-style "no match", not an error.
 EXIT_CACHE_MISS = 4
 
-#: Exit status of ``repro serve`` when the socket cannot be bound (port in
-#: use, privileged port): typed so supervisors can tell it from a crash.
+#: Exit status of ``repro serve`` and ``repro worker`` when the socket cannot
+#: be bound (port in use, privileged port): typed so supervisors can tell it
+#: from a crash.
 EXIT_PORT_BIND = 4
 
 DEFAULT_STORE = "artifacts"
@@ -276,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="bind and await the coordinator, which dials "
                                  "it (`repro run --executor cluster --workers "
                                  "host:port,…`); port 0 picks an ephemeral "
-                                 "one, and the bound address is printed on stdout")
+                                 "one, and the bound address is printed on stdout; "
+                                 "an address that cannot be bound exits 4")
     worker_cmd.add_argument("--name", default=None,
                             help="display name for telemetry (default worker-<pid>)")
     worker_cmd.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",
@@ -449,7 +451,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterWorker
+    from repro.cluster import ClusterWorker, format_address
 
     kwargs = {}
     if args.heartbeat is not None:
@@ -466,6 +468,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         worker.serve_forever(on_ready=_ready)
     except KeyboardInterrupt:
         worker.stop()
+    except OSError as error:
+        if worker.bound_address is not None:
+            raise  # the socket was bound: not a bind failure
+        where = format_address(worker.listen_address)
+        print(f"error: cannot bind {where}: {error.strerror or error}", file=sys.stderr)
+        return EXIT_PORT_BIND
     return 0
 
 

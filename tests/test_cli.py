@@ -192,6 +192,24 @@ class TestRun:
         assert info.value.code == 2
         assert "--listen" in capsys.readouterr().err
 
+    def test_worker_on_occupied_port_exits_4_with_typed_error(self, capsys):
+        import socket
+
+        from repro.cli import EXIT_PORT_BIND
+
+        blocker = socket.socket()
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        port = blocker.getsockname()[1]
+        try:
+            code = run_cli("worker", "--listen", f"127.0.0.1:{port}")
+        finally:
+            blocker.close()
+        assert code == EXIT_PORT_BIND == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot bind") and err.count("\n") == 1, err
+        assert f"127.0.0.1:{port}" in err
+
     def test_unknown_scenario_exits_1_with_message(self, capsys):
         assert run_cli("run", "no-such-scenario") == 1
         assert "unknown scenario" in capsys.readouterr().err
