@@ -226,17 +226,30 @@ def task_to_wire(task: PointTask) -> Dict[str, Any]:
     }
 
 
+def _wire_int(mapping: Any, name: str, default: Any = None) -> int:
+    """``mapping[name]`` as an int; a missing or non-integer field raises
+    :class:`ValueError` naming it."""
+    value = mapping.get(name, default) if isinstance(mapping, dict) else None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"task frame field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def task_from_wire(mapping: Dict[str, Any]) -> PointTask:
     """Rebuild the task worker-side (the ``live_scenario=None`` path of
-    :func:`~repro.scenarios.executors.evaluate_task`)."""
+    :func:`~repro.scenarios.executors.evaluate_task`); a missing or
+    mistyped field raises :class:`ValueError` naming it."""
+    for name, kind in (("scenario", dict), ("parameters", dict), ("backend", str)):
+        if not isinstance(mapping, dict) or not isinstance(mapping.get(name), kind):
+            raise ValueError(f"task frame field {name!r} must be a {kind.__name__}")
     return PointTask(
         scenario=mapping["scenario"],
         parameters=mapping["parameters"],
-        seed=int(mapping["seed"]),
-        backend=str(mapping["backend"]),
-        chunk_symbols=int(mapping["chunk_symbols"]),
-        index=int(mapping["index"]),
-        start_symbol=int(mapping.get("start_symbol", 0)),
+        seed=_wire_int(mapping, "seed"),
+        backend=mapping["backend"],
+        chunk_symbols=_wire_int(mapping, "chunk_symbols"),
+        index=_wire_int(mapping, "index"),
+        start_symbol=_wire_int(mapping, "start_symbol", 0),
         symbols=mapping.get("symbols"),
     )
 
