@@ -68,7 +68,6 @@ from typing import Optional, Sequence
 from repro import frontdoor
 from repro.analysis.report import ReportTable
 from repro.core.backend import available_backends
-from repro.kernels import KERNEL_NAMES
 from repro.scenarios import (
     CorruptArtifactError,
     ReportStore,
@@ -146,11 +145,6 @@ def _request_flags() -> argparse.ArgumentParser:
     # at runtime must stay usable, so validation happens in resolve_backend.
     flags.add_argument("--backend", default=None,
                        help=f"link backend override ({', '.join(available_backends())})")
-    flags.add_argument("--kernel", default=None, choices=KERNEL_NAMES,
-                       help="compute kernel for the hot loops (default: the "
-                            "REPRO_KERNEL env var, else auto — the fastest "
-                            "available; all kernels are bit-identical, but a "
-                            "pinned kernel is part of the cache key)")
     flags.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     flags.add_argument("--bits", type=int, default=None,
                        help="payload bits per grid point (default: the scenario's budget)")
@@ -183,7 +177,6 @@ def _request(args: argparse.Namespace) -> frontdoor.RunRequest:
         trial_mode=args.trial_mode,
         ci_target=args.ci_target,
         max_symbols=args.max_symbols,
-        kernel=args.kernel,
     )
 
 

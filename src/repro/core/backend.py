@@ -58,19 +58,12 @@ class BackendCapabilities:
         (:class:`~repro.spad.device.ImportanceSettings`) and produces
         likelihood-weighted rare-event transmissions whose weighted error
         statistics are unbiased estimates of the naive path's.
-    supports_kernel:
-        The backend accepts ``kernel=`` and dispatches its sequential hot
-        loops through the compute-kernel registry
-        (:func:`repro.kernels.get_kernel`); every kernel is bit-identical to
-        the ``"python"`` reference, so the flag gates plumbing, not
-        semantics.
     """
 
     supports_batch: bool
     supports_multichannel: bool = False
     draw_for_draw_reference: bool = False
     supports_importance: bool = False
-    supports_kernel: bool = False
 
 
 @runtime_checkable
@@ -181,7 +174,6 @@ def make_link(
     crosstalk: Optional[CrosstalkModel] = None,
     channel_gains: Optional[Sequence[float]] = None,
     importance: Optional[ImportanceSettings] = None,
-    kernel: Optional[str] = None,
 ) -> LinkBackend:
     """Construct a link through the backend registry.
 
@@ -215,11 +207,6 @@ def make_link(
         Optional :class:`~repro.spad.device.ImportanceSettings` switching
         the link to importance-sampled rare-event transmission; only
         backends whose capabilities flag ``supports_importance`` accept it.
-    kernel:
-        Optional compute-kernel name (see :func:`repro.kernels.get_kernel`)
-        the link's detection loops dispatch through; only backends whose
-        capabilities flag ``supports_kernel`` accept it.  ``None`` defers to
-        ``$REPRO_KERNEL`` / ``"auto"`` at detection time.
 
     >>> link = make_link(backend="batch", seed=1)
     >>> link.transmit_bits([1, 0, 1, 1]).symbols_sent
@@ -234,14 +221,7 @@ def make_link(
             f"backend {entry.name!r} does not support importance sampling; "
             f"use a backend with supports_importance (e.g. 'batch')"
         )
-    if kernel is not None and not entry.capabilities.supports_kernel:
-        raise ValueError(
-            f"backend {entry.name!r} does not support compute kernels; "
-            f"use a backend with supports_kernel (e.g. 'batch')"
-        )
     extra = {} if importance is None else {"importance": importance}
-    if kernel is not None:
-        extra["kernel"] = kernel
     if entry.capabilities.supports_multichannel:
         return entry.factory(
             resolved_config,
@@ -269,9 +249,7 @@ register_backend(
 register_backend(
     "batch",
     FastOpticalLink,
-    BackendCapabilities(
-        supports_batch=True, supports_importance=True, supports_kernel=True
-    ),
+    BackendCapabilities(supports_batch=True, supports_importance=True),
     aliases=("fast",),
 )
 register_backend(
@@ -281,7 +259,6 @@ register_backend(
         supports_batch=True,
         supports_multichannel=True,
         supports_importance=True,
-        supports_kernel=True,
     ),
     aliases=("array",),
 )

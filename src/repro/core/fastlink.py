@@ -92,11 +92,9 @@ class FastOpticalLink(OpticalLink):
         channel: Optional[OpticalChannel] = None,
         seed: int = 0,
         importance: Optional[ImportanceSettings] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         super().__init__(config=config, channel=channel, seed=seed)
         self.importance = importance
-        self.kernel = kernel
 
     def transmit_bits(self, bits: Sequence[int]) -> TransmissionResult:
         """Send a payload over the link, simulating every symbol in one batch.
@@ -160,8 +158,8 @@ def transmit_segments(
     (:func:`~repro.core.link.decode_detections`), each segment on its own
     link's TDC.  Every link is reset first and draws from its own stream, so
     the pass equals G separate :meth:`FastOpticalLink.transmit_bits` calls
-    bit for bit.  The links share one PPM slot grid and the first link's
-    kernel; importance sampling needs G = 1.
+    bit for bit.  The links share one PPM slot grid; importance sampling
+    needs G = 1.
     """
     first = links[0]
     k = first.config.ppm_bits
@@ -192,7 +190,6 @@ def transmit_segments(
             pulse_offsets,
             first.mean_photons_at_detector(),
             importance=first.importance,
-            kernel=first.kernel,
         )
     else:
         segments = starts
@@ -202,7 +199,6 @@ def transmit_segments(
             pulse_offsets,
             starts,
             [link.mean_photons_at_detector() for link in links],
-            kernel=first.kernel,
         )
-    decoded = decode_detections(links, times, origins, first.kernel, segments=segments)
+    decoded = decode_detections(links, times, origins, segments=segments)
     return SegmentedPass(values, decoded, origins, weights[0] if weights else None)

@@ -348,13 +348,12 @@ def decode_detections(
     links: Sequence[OpticalLink],
     times: np.ndarray,
     origins: np.ndarray,
-    kernel: Optional[str],
     channels: int = 1,
     segments: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Symbol values of a detection pass's windows through the links' receivers.
 
-    The batch engines' TDC-and-slot step, one ``kernel`` ``decode_windows``
+    The batch engines' TDC-and-slot step, one ``decode_windows`` kernel
     call: each detection is made window-relative, clipped into the TDC
     range, converted as :meth:`TimeToDigitalConverter.convert_array` does,
     clipped into the window and decoded as :meth:`PpmCodec.decode_times`
@@ -378,7 +377,7 @@ def decode_detections(
         tables = tuple(column[0] for column in tables)
     first = links[0]
     grid = first.codec.grid
-    return get_kernel(kernel).decode_windows(
+    return get_kernel().decode_windows(
         times,
         origins,
         channels,

@@ -119,7 +119,6 @@ class MultichannelOpticalLink(OpticalLink):
         crosstalk: Optional[CrosstalkModel] = None,
         channel_gains: Optional[Sequence[float]] = None,
         importance: Optional[ImportanceSettings] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         super().__init__(config, channel=channel, seed=seed)
         if channels < 1:
@@ -130,7 +129,6 @@ class MultichannelOpticalLink(OpticalLink):
                 "(interference couples channel likelihoods)"
             )
         self.importance = importance
-        self.kernel = kernel
         self.channels = int(channels)
         self.crosstalk = crosstalk
         self.channel_gains: Optional[np.ndarray] = None
@@ -264,13 +262,12 @@ class MultichannelOpticalLink(OpticalLink):
             secondary_photons=secondary_photons,
             background_mean=background,
             importance=self.importance,
-            kernel=self.kernel,
         )
         # Weights align to the flat payload symbol order (symbol i rode
         # channel i % C in window i // C); grid-padding windows drop out.
         symbol_weights = grid_weights[0].reshape(-1)[:symbol_count] if grid_weights else None
 
-        decoded = decode_detections((self,), times, origins, self.kernel, self.channels)
+        decoded = decode_detections((self,), times, origins, self.channels)
 
         # Statistics cover the real payload symbols only (flat symbol index
         # i = window*C + channel < symbol_count); grid-padding windows are

@@ -183,14 +183,8 @@ class RunRequest:
         trial_mode: Optional[str] = None,
         ci_target: Optional[float] = None,
         max_symbols: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> "RunRequest":
-        """Resolve loose inputs (CLI flags, HTTP body fields) into a request.
-
-        ``kernel`` pins the scenario's compute kernel
-        (:meth:`Scenario.with_kernel`); ``None`` leaves the scenario as-is,
-        deferring to the ``REPRO_KERNEL`` environment at execution time.
-        """
+        """Resolve loose inputs (CLI flags, HTTP body fields) into a request."""
         if isinstance(scenario, Scenario):
             if file is not None:
                 raise ValueError("pass exactly one of a scenario and --file PATH")
@@ -222,8 +216,6 @@ class RunRequest:
             raise ValueError(
                 f"scenario must be a name, a Scenario or a mapping, got {scenario!r}"
             )
-        if kernel is not None:
-            resolved = resolved.with_kernel(kernel)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"seed must be an int, got {seed!r}")
         require_positive_int("chunk_symbols", chunk_symbols)
@@ -319,8 +311,9 @@ def probe(store: ReportStore, request: RunRequest) -> Dict[str, Any]:
     artefact exists for this exact run — ``artifact`` names it) or
     ``"pending"`` (it would have to be simulated).  ``kernels`` reports the
     compute kernels available in *this* interpreter
-    (:func:`repro.kernels.available_kernels`) — what ``kernel="auto"`` can
-    select from here.
+    (:func:`repro.kernels.available_kernels`) — what ``$REPRO_KERNEL``, or
+    its ``"auto"`` default, selects from here.  The kernel is never part of
+    the request: every tier produces the same report.
     """
     from repro.kernels import available_kernels
 

@@ -6,8 +6,8 @@ carried from the previous one: the dead-time winner scan behind
 :meth:`~repro.spad.device.SpadDevice.detect_in_windows` and
 :func:`~repro.spad.array.detect_in_windows_multichannel`, and the
 round-robin arbitration of :meth:`~repro.noc.bus.OpticalBus.run`.  This
-package makes those loops *pluggable*: callers resolve a :class:`Kernel` by
-name and the engine dispatches through it.  :mod:`repro.kernels.reference`
+package makes those loops *pluggable*: the engines resolve a :class:`Kernel`
+with :func:`get_kernel` where they run and dispatch through it.  :mod:`repro.kernels.reference`
 defines the semantics of the scan, and every registered implementation is
 locked bit-identical to it by ``tests/test_kernels.py`` and
 ``scripts/regression_check.py``.
@@ -45,8 +45,8 @@ Kernels
     available.
 ``"vector"``
     The same three functions as ``"python"``.  The name stays accepted by
-    ``--kernel``, the service and ``$REPRO_KERNEL``; it is the ``"auto"``
-    pick on hosts without a C compiler.
+    ``$REPRO_KERNEL``; it is the ``"auto"`` pick on hosts without a C
+    compiler.
 ``"cext"``
     ctypes-bound C ports of the scan and the decode, compiled on first use
     with the host toolchain (:mod:`repro.kernels.cext`).
@@ -55,10 +55,12 @@ Kernels
     Not a kernel but a resolution rule: the fastest available tier,
     preferring ``cext`` > ``vector`` > ``python``.
 
-Selection order: an explicit ``kernel=`` argument (threaded through
-``make_link``, ``Scenario``, the CLI ``--kernel`` flag and the service) beats
-the ``REPRO_KERNEL`` environment variable, which beats the ``"auto"``
-default.  Naming an unavailable kernel falls back to ``"python"`` with a
+Selection: the ``REPRO_KERNEL`` environment variable, else ``"auto"``, read
+each time the scan, the decode or the arbitration runs.  It is the only
+selector: no scenario, link, CLI flag or service request names a kernel,
+so the choice never enters a report, a digest or a cache key.
+:func:`get_kernel` also takes a name, for benchmarks and tier-comparison
+tests.  Naming an unavailable kernel falls back to ``"python"`` with a
 one-time :class:`RuntimeWarning` — runs degrade, they don't die.
 
 The ``cext`` tier releases the GIL while a chunk is inside a kernel, which
@@ -66,8 +68,7 @@ is what makes :class:`~repro.scenarios.executors.ThreadExecutor` worthwhile:
 threads run grid points genuinely in parallel with zero pickling/IPC cost.
 
 This package is a leaf — it imports NumPy and nothing from the rest of
-:mod:`repro`, so any layer (including ``Scenario`` validation) can import it
-without cycles.
+:mod:`repro`, so any layer can import it without cycles.
 """
 
 from __future__ import annotations

@@ -346,13 +346,11 @@ class OpticalBus:
         Grants accumulated per epoch before a flush (a positive int).  Any
         value yields the same arbitration (hence the same slots and
         latencies); larger epochs amortise more link work per transmission.
-    kernel:
-        Compute-kernel name (see :func:`repro.kernels.get_kernel`; ``None``
-        defers to ``$REPRO_KERNEL`` / ``"auto"``).  :meth:`run` arbitrates
-        through the kernel's ``arbitrate``, the same exact walk on every
-        tier, so the kernel never changes grants, slots or statistics
-        (locked by ``tests/test_kernels.py``).  The kernel also flows into
-        the links of kernel-capable backends.
+
+    :meth:`run` arbitrates through the resolved compute kernel's
+    ``arbitrate`` (:func:`repro.kernels.get_kernel`), the same exact walk on
+    every tier, so the kernel never changes grants, slots or statistics
+    (locked by ``tests/test_kernels.py``).
     """
 
     def __init__(
@@ -363,7 +361,6 @@ class OpticalBus:
         seed: int = 0,
         backend: Optional[str] = None,
         epoch_packets: int = 64,
-        kernel: Optional[str] = None,
     ) -> None:
         if not emitted_photons > 0:  # NaN fails too
             raise ValueError(f"emitted_photons must be positive, got {emitted_photons!r}")
@@ -377,12 +374,7 @@ class OpticalBus:
         self._seed = seed
         self.backend = resolve_backend(backend)
         self.epoch_packets = _positive_count("epoch_packets", epoch_packets)
-        self.kernel = kernel
-        capabilities = backend_capabilities(self.backend)
-        self._batched = capabilities.supports_batch
-        # The link-level kernel only reaches backends that accept it; the
-        # bus-level arbitration kernel applies regardless of backend.
-        self._link_kernel = kernel if capabilities.supports_kernel else None
+        self._batched = backend_capabilities(self.backend).supports_batch
         self.statistics = BusStatistics()
         nodes = topology.node_count
         self._traffic = TrafficTable.empty(config.ppm_bits)
@@ -418,7 +410,6 @@ class OpticalBus:
                 config,
                 backend=self.backend,
                 seed=self.link_seed(source, destination),
-                kernel=self._link_kernel,
             )
         return self._links[key]
 
@@ -443,7 +434,6 @@ class OpticalBus:
                 channels=len(receivers),
                 channel_gains=gains,
                 seed=self.link_seed(source, "broadcast"),
-                kernel=self.kernel,
             )
         return self._broadcast_links[source]
 
@@ -457,7 +447,6 @@ class OpticalBus:
                 config,
                 backend=self.backend,
                 seed=self.link_seed(source, f"broadcast:{node}"),
-                kernel=self._link_kernel,
             )
         return self._broadcast_scalar_links[key]
 
@@ -593,7 +582,7 @@ class OpticalBus:
         destinations = table.destination[queued]
         deliverable = (destinations == Packet.BROADCAST) | (destinations < nodes)
         costs = np.where(deliverable, table.symbols[queued], 1)
-        granted, starts, final_slot, self._next_node = get_kernel(self.kernel).arbitrate(
+        granted, starts, final_slot, self._next_node = get_kernel().arbitrate(
             table.arrival[queued], costs, bounds, self._next_node, self._slot,
             self._slot + max_slots,
         )

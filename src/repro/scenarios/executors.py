@@ -288,7 +288,6 @@ def evaluate_point(
         channels=channels if channels > 1 else None,
         crosstalk=scenario.crosstalk_for_point(parameters),
         importance=importance,
-        kernel=scenario.kernel,
     )
     bit_errors = symbol_errors = 0
     detection_counts: Dict[str, int] = {}
@@ -388,7 +387,6 @@ def evaluate_noc_point(
             traffic=str(noc["traffic"]),
             offered_load=offered_load,
             packet_bits=packet_bits,
-            kernel=scenario.kernel,
         )
         chunk_packets = max(1, chunk_symbols // trial.slots_per_packet)
         label = scenario.point_label(parameters)

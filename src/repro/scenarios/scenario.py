@@ -175,13 +175,6 @@ class Scenario:
     max_symbols:
         Optional hard cap on the symbols an adaptive point may simulate
         before giving up on ``ci_target``.
-    kernel:
-        Optional compute-kernel name (see :func:`repro.kernels.get_kernel`)
-        pinned into every point's link; ``None`` (default) defers to
-        ``$REPRO_KERNEL`` / ``"auto"`` at detection time.  Kernels are
-        bit-identical by contract, so the choice never changes a report —
-        only how fast it is produced.  Requires a backend whose capabilities
-        flag ``supports_kernel``.
     """
 
     name: str
@@ -196,7 +189,6 @@ class Scenario:
     trial_mode: str = "naive"
     ci_target: Optional[float] = None
     max_symbols: Optional[int] = None
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -335,20 +327,6 @@ class Scenario:
                     "max_symbols caps an adaptive budget and has no effect "
                     "without ci_target"
                 )
-        if self.kernel is not None:
-            from repro.kernels import KERNEL_NAMES
-
-            if self.kernel not in KERNEL_NAMES:
-                raise ValueError(
-                    f"kernel must be one of {', '.join(KERNEL_NAMES)}, "
-                    f"got {self.kernel!r}"
-                )
-            if not backend_capabilities(self.backend).supports_kernel:
-                raise ValueError(
-                    f"backend {self.backend!r} does not support compute "
-                    f"kernels; use a backend with supports_kernel "
-                    f"(e.g. 'batch')"
-                )
 
     def __hash__(self) -> int:
         # The generated frozen-dataclass __hash__ would raise on the dict
@@ -368,7 +346,6 @@ class Scenario:
                 self.trial_mode,
                 self.ci_target,
                 self.max_symbols,
-                self.kernel,
             )
         )
 
@@ -506,10 +483,10 @@ class Scenario:
     def to_mapping(self) -> Dict[str, Any]:
         """Plain-data form of the scenario (JSON-serialisable).
 
-        The rare-event and kernel fields (``trial_mode``, ``ci_target``,
-        ``max_symbols``, ``kernel``) are emitted only when they differ from
-        their defaults, so the canonical mapping — and every digest derived
-        from it — of a pre-existing naive scenario is unchanged.
+        The rare-event fields (``trial_mode``, ``ci_target``,
+        ``max_symbols``) are emitted only when they differ from their
+        defaults, so the canonical mapping — and every digest derived from
+        it — of a pre-existing naive scenario is unchanged.
         """
         mapping = {
             "name": self.name,
@@ -528,8 +505,6 @@ class Scenario:
             mapping["ci_target"] = self.ci_target
         if self.max_symbols is not None:
             mapping["max_symbols"] = self.max_symbols
-        if self.kernel is not None:
-            mapping["kernel"] = self.kernel
         return mapping
 
     @classmethod
@@ -556,10 +531,6 @@ class Scenario:
     def with_channels(self, channels: int) -> "Scenario":
         """Copy running a different number of parallel channels."""
         return dataclasses.replace(self, channels=channels)
-
-    def with_kernel(self, kernel: Optional[str]) -> "Scenario":
-        """Copy pinned to a compute kernel (``None`` restores the default)."""
-        return dataclasses.replace(self, kernel=kernel)
 
     def with_trial_mode(
         self,

@@ -175,9 +175,8 @@ class RunRegistry:
             # those writes.
             "artifacts": len(self.store.list()),
             "executor": {"name": self._executor_name(), **executor_stats},
-            # The compute kernels this server can dispatch ("auto" resolves
-            # to the fastest of these) — clients use it to decide whether a
-            # kernel="cext" request is worth sending here.
+            # The compute kernels this server can dispatch: its
+            # $REPRO_KERNEL, or "auto" (the fastest of these), picks one.
             "kernels": list(available_kernels()),
         }
 

@@ -11,8 +11,9 @@ POST      ``/runs``                   submit a run request (dedupes in flight, c
                                       completed runs); body fields: ``scenario`` (library
                                       name or scenario mapping), ``seed``, ``backend``,
                                       ``chunk_symbols``, ``bits``, ``trial_mode``,
-                                      ``ci_target``, ``max_symbols``, ``kernel`` —
-                                      all but ``scenario`` optional
+                                      ``ci_target``, ``max_symbols`` — all but
+                                      ``scenario`` optional; the compute kernel is
+                                      the server's ``$REPRO_KERNEL``, never a field
 GET       ``/runs``                   status snapshots of every known run
 GET       ``/runs/{id}``              one run's status (``id`` is the run key digest)
 GET       ``/runs/{id}/events``       the run's server-sent event stream: one ``point``
@@ -70,7 +71,7 @@ def _run_request_from_fields(fields: Dict[str, Any]) -> frontdoor.RunRequest:
     """Build a :class:`~repro.frontdoor.RunRequest` from loose HTTP fields."""
     known = {
         "scenario", "seed", "backend", "chunk_symbols", "bits",
-        "trial_mode", "ci_target", "max_symbols", "kernel",
+        "trial_mode", "ci_target", "max_symbols",
     }
     unknown = sorted(set(fields) - known)
     if unknown:
@@ -87,7 +88,6 @@ def _run_request_from_fields(fields: Dict[str, Any]) -> frontdoor.RunRequest:
             trial_mode=fields.get("trial_mode"),
             ci_target=fields.get("ci_target"),
             max_symbols=fields.get("max_symbols"),
-            kernel=fields.get("kernel"),
         )
     except (TypeError, ValueError) as error:
         raise HttpError(400, str(error)) from error

@@ -82,9 +82,6 @@ class LinkBatchTrial:
     #: link runs the importance-sampled path and the result carries each
     #: symbol's likelihood weight (``symbol_weights``).
     importance: object = None
-    #: Optional compute-kernel name forwarded to :func:`make_link`; kernels
-    #: are bit-identical by contract, so this never changes the result.
-    kernel: Optional[str] = None
 
     def __call__(self, generator: np.random.Generator, count: int):
         # Imported lazily: repro.core.link imports this package's randomness
@@ -99,7 +96,6 @@ class LinkBatchTrial:
             channels=self.channels,
             crosstalk=self.crosstalk,
             importance=self.importance,
-            kernel=self.kernel,
         )
         payload = generator.integers(0, 2, size=count * self.config.ppm_bits)
         return link.transmit_bits(payload)
@@ -156,9 +152,6 @@ class NocTrafficTrial:
     traffic: str = "uniform"
     offered_load: float = 0.5
     packet_bits: int = 64
-    #: Optional compute-kernel name forwarded to the bus (arbitration +
-    #: link kernels); bit-identical by contract.
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Every check is written so that NaN fails it; a bool is no count.
@@ -234,7 +227,6 @@ class NocTrafficTrial:
             emitted_photons=self.config.mean_detected_photons,
             seed=bus_seed,
             backend=self.backend,
-            kernel=self.kernel,
         )
         nodes = topology.node_count
         sources = generator.integers(0, nodes, size=count)

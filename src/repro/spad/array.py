@@ -120,7 +120,6 @@ def detect_in_windows_multichannel(
     background_mean=0.0,
     start_time: float = 0.0,
     importance: Optional[ImportanceSettings] = None,
-    kernel: Optional[str] = None,
 ) -> Tuple[np.ndarray, ...]:
     """Batch window detection across ``C`` parallel channels at once.
 
@@ -167,11 +166,6 @@ def detect_in_windows_multichannel(
         floor of many far channels.  Also reported as crosstalk.
     start_time:
         Absolute start of window 0 [s].
-    kernel:
-        Compute-kernel name (see :func:`repro.kernels.get_kernel`; ``None``
-        defers to ``$REPRO_KERNEL`` / ``"auto"``).  Every kernel is
-        bit-identical to :mod:`repro.kernels.reference` on the same
-        pre-drawn randomness, so the choice affects speed only.
 
     Returns ``(times, origins)``: ``(S, C)`` absolute detection times (``NaN``
     when a window reported nothing) and int8 origin codes (see
@@ -267,7 +261,7 @@ def detect_in_windows_multichannel(
         relative, valid, interference, dark_counts, dark_rel,
         background_counts, background_rel, trap_filled, trap_release,
     )
-    times, origins, _, _, *weights = get_kernel(kernel).scan_windows(
+    times, origins, _, _, *weights = get_kernel().scan_windows(
         *draws, device.quenching.dead_time, device.quenching.effective_gate_recovery,
         duration, float(start_time), -np.inf, np.inf,
         np.arange(channels) * windows, factors, candidate_origins,

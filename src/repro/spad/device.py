@@ -350,7 +350,6 @@ class SpadDevice:
         mean_photons: float = 1.0,
         start_time: float = 0.0,
         importance: Optional[ImportanceSettings] = None,
-        kernel: Optional[str] = None,
     ) -> Tuple[np.ndarray, ...]:
         """Batch analogue of :meth:`detect_in_window` over consecutive windows.
 
@@ -366,11 +365,10 @@ class SpadDevice:
         vectorised: the dead-time/re-arm state and the pending afterpulse of
         window ``i`` depend on the winning detection of window ``i-1``.  The
         scan dispatches through the compute-kernel layer
-        (:func:`repro.kernels.get_kernel`): ``kernel`` selects an
-        implementation by name, ``None`` defers to ``$REPRO_KERNEL`` and the
-        ``"auto"`` preference.  Every kernel is bit-identical to the
-        ``"python"`` reference, so the choice affects speed only.  The pass
-        is :func:`detect_in_segments` with this device alone.
+        (:func:`repro.kernels.get_kernel`, which ``$REPRO_KERNEL`` or the
+        ``"auto"`` preference resolves).  Every kernel is bit-identical to
+        the ``"python"`` reference, so the choice affects speed only.  The
+        pass is :func:`detect_in_segments` with this device alone.
 
         Returns ``(times, origins)``: absolute detection times (``NaN`` when
         the window reported nothing) and int8 origin codes (see
@@ -393,7 +391,7 @@ class SpadDevice:
         """
         return detect_in_segments(
             (self,), window_duration, photon_offsets, (0,), (mean_photons,), start_time,
-            importance, kernel,
+            importance,
         )
 
     def _batch_offsets(
@@ -479,7 +477,6 @@ def detect_in_segments(
     mean_photons: Sequence[float],
     start_time: float = 0.0,
     importance: Optional[ImportanceSettings] = None,
-    kernel: Optional[str] = None,
 ) -> Tuple[np.ndarray, ...]:
     """The batch pass of G devices, back to back in one segmented scan.
 
@@ -532,7 +529,7 @@ def detect_in_segments(
     last_fire = -inf if first._last_fire_time is None else first._last_fire_time
     pending = inf if first._pending_afterpulse is None else first._pending_afterpulse
     segments = starts if len(devices) > 1 else None  # one device: the plain scan
-    out_times, out_origins, last_fire, pending, *weights = get_kernel(kernel).scan_windows(
+    out_times, out_origins, last_fire, pending, *weights = get_kernel().scan_windows(
         photon_rel,
         photon_valid,
         dark_rel,

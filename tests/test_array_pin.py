@@ -17,6 +17,7 @@ A change that moves an array sample path on purpose regenerates the table
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def _budget(value, channels, low, high):
     return np.geomspace(low, high, channels) if value == "per-channel" else value
 
 
-def array_digest(name, kernel):
+def array_digest(name):
     case = ARRAY_CASES[name]
     channels = case["shape"][1]
     photons = _budget(case["photons"], channels, 0.5, 60.0)
@@ -160,7 +161,6 @@ def array_digest(name, kernel):
             secondary_photons=[secondary_photons] * len(shifts),
             background_mean=background,
             start_time=case["start"],
-            kernel=kernel,
         )
         parts += [times, origins]
     return _digest(*parts)
@@ -180,11 +180,11 @@ LINK_DIGESTS = {
 }
 
 
-def link_digest(name, kernel):
+def link_digest(name):
     parts = []
     for seed in SEEDS:
         link = make_link(
-            LinkConfig(), backend="multichannel", seed=seed, kernel=kernel, **LINK_CASES[name]
+            LinkConfig(), backend="multichannel", seed=seed, **LINK_CASES[name]
         )
         for _ in range(2):  # the second transmit continues the link's streams
             result = link.transmit_random(1003, payload_seed=seed)
@@ -194,22 +194,25 @@ def link_digest(name, kernel):
 
 @pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("name", list(ARRAY_CASES))
-def test_array_pass_is_pinned(name, kernel):
-    assert array_digest(name, kernel) == ARRAY_DIGESTS[name]
+def test_array_pass_is_pinned(name, kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert array_digest(name) == ARRAY_DIGESTS[name]
 
 
 @pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("name", list(LINK_CASES))
-def test_multichannel_link_symbols_are_pinned(name, kernel):
-    assert link_digest(name, kernel) == LINK_DIGESTS[name]
+def test_multichannel_link_symbols_are_pinned(name, kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert link_digest(name) == LINK_DIGESTS[name]
 
 
 if __name__ == "__main__":
+    os.environ["REPRO_KERNEL"] = "python"
     for title, cases, digest in (
         ("ARRAY_DIGESTS", ARRAY_CASES, array_digest),
         ("LINK_DIGESTS", LINK_CASES, link_digest),
     ):
         print(f"{title} = {{")
         for case in cases:
-            print(f'    "{case}": "{digest(case, "python")}",')
+            print(f'    "{case}": "{digest(case)}",')
         print("}")

@@ -186,6 +186,21 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "workers" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    def test_kernel_flag_is_a_usage_error(self, capsys, command):
+        # $REPRO_KERNEL is the one kernel selector; no flag pins one.
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, "ber-vs-photons", "--kernel", "cext")
+        assert info.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
+    def test_scenario_file_naming_a_kernel_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        mapping = dict(get_scenario("ber-vs-photons").to_mapping(), kernel="cext")
+        path.write_text(json.dumps(mapping))
+        assert run_cli("run", "--file", str(path), "--no-store", "--quiet") == 1
+        assert "unknown scenario key(s): kernel" in capsys.readouterr().err
+
     def test_worker_without_listen_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli("worker")
@@ -542,13 +557,12 @@ class TestProbe:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--kernel", "python"),
             ("--backend", "fast"),  # an alias: both sides must key on "batch"
             ("--file", None),
             ("--trial-mode", "importance", "--ci-target", "0.2", "--max-symbols", "256"),
             ("--chunk-symbols", "64"),
         ],
-        ids=["kernel", "backend-alias", "file", "importance", "chunk-symbols"],
+        ids=["backend-alias", "file", "importance", "chunk-symbols"],
     )
     def test_stored_run_probes_as_a_hit_under_the_same_flags(self, capsys, tmp_path, flags):
         if flags == ("--file", None):
@@ -576,7 +590,7 @@ class TestProbe:
             run_cli(command, "--help")
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("scenario", "--file", "--backend", "--kernel", "--seed", "--bits",
+        for flag in ("scenario", "--file", "--backend", "--seed", "--bits",
                      "--chunk-symbols", "--trial-mode", "--ci-target", "--max-symbols",
                      "--store", "--json"):
             assert flag in out, flag

@@ -159,7 +159,7 @@ def test_docs_cover_the_kernel_layer():
     # (README install + kernels sections, ARCHITECTURE design section).
     readme = README.read_text()
     assert "## Compute kernels" in readme
-    for anchor in ("--kernel cext", "--executor thread", "REPRO_KERNEL"):
+    for anchor in ("--executor thread", "REPRO_KERNEL"):
         assert anchor in readme, f"README kernels section lost {anchor!r}"
     doc = (README.parent / "docs" / "ARCHITECTURE.md").read_text()
     assert "## Compute kernels" in doc

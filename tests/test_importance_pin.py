@@ -15,6 +15,7 @@ table (``python tests/test_importance_pin.py`` prints it) and says so.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ DEVICE_DIGESTS = {
 }
 
 
-def device_digest(name, kernel):
+def device_digest(name):
     settings, photons, quenching, afterpulse, calls, windows = DEVICE_CASES[name]
     parts = []
     for seed in SEEDS:
@@ -125,7 +126,6 @@ def device_digest(name, kernel):
                 photons,
                 start_time=call * windows * WINDOW,
                 importance=settings,
-                kernel=kernel,
             )
             parts += [times, origins, weights, device._last_fire_time, device._pending_afterpulse]
     return _digest(*parts)
@@ -163,7 +163,7 @@ ARRAY_DIGESTS = {
 }
 
 
-def array_digest(name, kernel):
+def array_digest(name):
     settings, channels, per_channel, quenching, windows = ARRAY_CASES[name]
     # Per-channel budgets straddle the miss floor: the first channels miss
     # often (floor idle), the last almost never (floor binds).
@@ -180,7 +180,6 @@ def array_digest(name, kernel):
             generator=np.random.default_rng(300 + seed),
             start_time=seed * WINDOW,
             importance=settings,
-            kernel=kernel,
         )
         parts += [times, origins, weights]
     return _digest(*parts)
@@ -205,12 +204,11 @@ LINK_DIGESTS = {
 }
 
 
-def link_digest(name, kernel):
+def link_digest(name):
     parts = []
     for seed in SEEDS:
         link = make_link(
-            LinkConfig(), seed=seed, importance=ImportanceSettings(), kernel=kernel,
-            **LINK_CASES[name],
+            LinkConfig(), seed=seed, importance=ImportanceSettings(), **LINK_CASES[name],
         )
         for _ in range(2):  # the second transmit continues the link's streams
             result = link.transmit_random(1003, payload_seed=seed)
@@ -220,23 +218,27 @@ def link_digest(name, kernel):
 
 @pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("name", list(DEVICE_CASES))
-def test_device_importance_pass_is_pinned(name, kernel):
-    assert device_digest(name, kernel) == DEVICE_DIGESTS[name]
+def test_device_importance_pass_is_pinned(name, kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert device_digest(name) == DEVICE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("name", list(ARRAY_CASES))
-def test_array_importance_pass_is_pinned(name, kernel):
-    assert array_digest(name, kernel) == ARRAY_DIGESTS[name]
+def test_array_importance_pass_is_pinned(name, kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert array_digest(name) == ARRAY_DIGESTS[name]
 
 
 @pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("name", list(LINK_CASES))
-def test_importance_link_symbols_are_pinned(name, kernel):
-    assert link_digest(name, kernel) == LINK_DIGESTS[name]
+def test_importance_link_symbols_are_pinned(name, kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert link_digest(name) == LINK_DIGESTS[name]
 
 
 if __name__ == "__main__":
+    os.environ["REPRO_KERNEL"] = "python"
     for title, cases, digest in (
         ("DEVICE_DIGESTS", DEVICE_CASES, device_digest),
         ("ARRAY_DIGESTS", ARRAY_CASES, array_digest),
@@ -244,5 +246,5 @@ if __name__ == "__main__":
     ):
         print(f"{title} = {{")
         for case in cases:
-            print(f'    "{case}": "{digest(case, "python")}",')
+            print(f'    "{case}": "{digest(case)}",')
         print("}")

@@ -3,8 +3,8 @@
 The load-bearing contract of :mod:`repro.kernels`: every registered kernel
 is **bit-identical** to :mod:`repro.kernels.reference` — same detection times,
 same origins, same carried detector state, same arbitration grants — so
-kernel selection (explicit, ``REPRO_KERNEL``, or ``"auto"``) can never change
-a report.  The suite locks that at three levels:
+kernel selection (``REPRO_KERNEL``, or ``"auto"``) can never change a
+report.  The suite locks that at three levels:
 
 * raw kernel functions on randomised inputs (scan, arbitration), each
   tier against :mod:`repro.kernels.reference`, and the array pass's
@@ -39,6 +39,7 @@ from repro.kernels import (
     round_robin_schedule,
 )
 from repro import kernels
+from repro.frontdoor import RunRequest
 from repro.core import FastOpticalLink, LinkConfig, MultichannelOpticalLink
 from repro.core.fastlink import transmit_segments
 from repro.kernels import reference
@@ -58,6 +59,7 @@ from repro.scenarios import (
     get_scenario,
     named_scenarios,
 )
+from repro.scenarios.store import report_digest
 
 DURATION = 2e-8
 DEAD_TIME = 1.1e-8
@@ -207,9 +209,10 @@ class TestRegistry:
                 return scan(*args, **kwargs)
 
             monkeypatch.setitem(registry, name, dataclasses.replace(kernel, scan_windows=counted))
+            monkeypatch.setenv("REPRO_KERNEL", name)
             detect_in_windows_multichannel(
                 SpadDevice(), 2e-8, offsets, 5.0, generator=np.random.default_rng(2),
-                importance=importance, kernel=name, **crosstalk,
+                importance=importance, **crosstalk,
             )
             assert len(calls) == 1, name
             assert calls[0].tolist() == list(range(0, 240, 40)), name  # a segment per channel
@@ -236,9 +239,9 @@ class TestRegistry:
             monkeypatch.setitem(
                 registry, name, dataclasses.replace(kernel, scan_windows=scan, decode_windows=decode)
             )
+            monkeypatch.setenv("REPRO_KERNEL", name)
             links = [
-                FastOpticalLink(LinkConfig(ppm_bits=4, mean_detected_photons=5.0 + g), seed=g,
-                                kernel=name)
+                FastOpticalLink(LinkConfig(ppm_bits=4, mean_detected_photons=5.0 + g), seed=g)
                 for g in range(len(counts))
             ]
             transmit_segments(links, bits, starts)
@@ -1381,18 +1384,6 @@ class TestScenarioEquivalence:
             report = ExperimentRunner(scenario, seed=5).run().to_mapping()
             assert report == expected, name
 
-    def test_explicit_scenario_kernel_matches_the_default(self):
-        # The kernel= field threads end-to-end (scenario -> trial -> link ->
-        # device); only the scenario mapping may differ from a default run.
-        scenario = _equivalence_scenario()
-        expected = ExperimentRunner(scenario, seed=3).run().to_mapping()
-        for name in available_kernels():
-            pinned = ExperimentRunner(
-                scenario.with_kernel(name), seed=3
-            ).run().to_mapping()
-            assert pinned["scenario"].pop("kernel") == name
-            assert pinned == expected, name
-
     @pytest.mark.scenario_smoke
     def test_every_named_scenario_bit_identical_across_kernels(self, monkeypatch):
         # The acceptance contract of the kernel layer: for every library
@@ -1407,25 +1398,11 @@ class TestScenarioEquivalence:
                 report = ExperimentRunner(scenario, seed=0).run().to_mapping()
                 assert report == expected, (name, kernel_name)
 
-
-class TestScenarioKernelField:
-    def test_kernel_validated_against_known_names(self):
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            _equivalence_scenario().with_kernel("cuda")
-
-    def test_kernel_requires_a_capable_backend(self):
-        with pytest.raises(ValueError, match="support"):
-            Scenario(
-                name="scalar-kernel",
-                backend="scalar",
-                bits_per_point=64,
-                kernel="vector",
-            )
-
-    def test_kernel_round_trips_through_the_mapping(self):
-        scenario = _equivalence_scenario().with_kernel("vector")
-        mapping = scenario.to_mapping()
-        assert mapping["kernel"] == "vector"
-        assert Scenario.from_mapping(mapping) == scenario
-        # Unset kernel stays out of the mapping: committed digests are stable.
-        assert "kernel" not in _equivalence_scenario().to_mapping()
+    def test_every_tier_has_one_run_key_and_one_report(self, monkeypatch):
+        # $REPRO_KERNEL is the one kernel selector and no request names a
+        # kernel, so every tier keys, runs and stores the same artefact.
+        for name in available_kernels():
+            monkeypatch.setenv("REPRO_KERNEL", name)
+            request = RunRequest.build("ber-vs-photons", seed=3, bits=256)
+            assert request.run_key() == "e582981374c2", name
+            assert report_digest(request.runner().run()) == "97157a0783f0", name

@@ -16,13 +16,15 @@ itself returns: the SHA-256 of the canonical JSON of each outcome's
 * one ``noc-load-latency`` point and one ``noc-traffic-mix`` hotspot point,
   each drained in several bus runs.
 
-Each case runs on every available kernel tier (kernels are bit-identical by
-contract).  A change that moves a point's sample path on purpose regenerates
-the table (``python tests/test_point_pin.py`` prints it) and says so.
+Each case runs on every available kernel tier, selected through
+``$REPRO_KERNEL`` (kernels are bit-identical by contract).  A change that
+moves a point's sample path on purpose regenerates the table (``python
+tests/test_point_pin.py`` prints it) and says so.
 """
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -69,9 +71,9 @@ DIGESTS = {
 }
 
 
-def point_digest(name, kernel=None):
+def point_digest(name):
     scenario_name, variant, parameters, start_symbol, symbols, chunk_symbols = CASES[name]
-    scenario = VARIANTS[variant](get_scenario(scenario_name)).with_kernel(kernel)
+    scenario = VARIANTS[variant](get_scenario(scenario_name))
     outcome = evaluate_point(
         scenario,
         parameters,
@@ -88,12 +90,14 @@ def point_digest(name, kernel=None):
 
 @pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("name", list(CASES))
-def test_point_outcome_is_pinned(name, kernel):
-    assert point_digest(name, kernel) == DIGESTS[name]
+def test_point_outcome_is_pinned(name, kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert point_digest(name) == DIGESTS[name]
 
 
 if __name__ == "__main__":
+    os.environ["REPRO_KERNEL"] = "python"
     print("DIGESTS = {")
     for case in CASES:
-        print(f'    "{case}": "{point_digest(case, "python")}",')
+        print(f'    "{case}": "{point_digest(case)}",')
     print("}")

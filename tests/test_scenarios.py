@@ -261,6 +261,12 @@ class TestScenarioMappingRoundTrip:
         with pytest.raises(ValueError, match="'name'"):
             Scenario.from_mapping({})
 
+    def test_a_kernel_key_is_an_unknown_key(self):
+        # $REPRO_KERNEL is the one kernel selector; a scenario cannot pin one.
+        mapping = dict(get_scenario("ber-vs-photons").to_mapping(), kernel="cext")
+        with pytest.raises(ValueError, match=r"unknown scenario key\(s\): kernel"):
+            Scenario.from_mapping(mapping)
+
     def test_channels_field_round_trips(self):
         scenario = Scenario(
             name="x",

@@ -25,6 +25,7 @@ tables (``python tests/test_segment_pin.py`` prints them) and says so.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def _digest(*parts) -> str:
     return digest.hexdigest()[:16]
 
 
-def detect_digest(name, kernel):
+def detect_digest(name):
     case = DETECT_CASES[name]
     counts = case["counts"]
     start = case.get("start", 3.0) * WINDOW
@@ -126,7 +127,6 @@ def detect_digest(name, kernel):
             offsets[starts[segment]:starts[segment] + counts[segment]] = np.nan
         times, origins = detect_in_segments(
             devices, WINDOW, offsets, starts, BUDGETS[: len(counts)], start_time=start,
-            kernel=kernel,
         )
         parts += [times, origins]
         parts += [(device._last_fire_time, device._pending_afterpulse) for device in devices]
@@ -136,14 +136,13 @@ def detect_digest(name, kernel):
 TRANSMIT_DIGEST = "3ad57429c27e04ae"
 
 
-def transmit_digest(kernel):
+def transmit_digest():
     counts = test_core_fastlink.TestSegmentedPass.SYMBOLS
     starts = np.cumsum((0,) + counts[:-1])
     parts = []
     for seed in SEEDS:
         links = test_core_fastlink.TestSegmentedPass().links()
         for link in links:
-            link.kernel = kernel
             link.transmit_bits([1, 0, 1, 1])  # state the pass resets
         rng = np.random.default_rng(500 + seed)
         bits = rng.integers(0, 2, 4 * sum(counts)).astype(np.uint8)
@@ -154,18 +153,21 @@ def transmit_digest(kernel):
 
 @pytest.mark.parametrize("kernel", available_kernels())
 @pytest.mark.parametrize("name", list(DETECT_CASES))
-def test_detect_in_segments_is_pinned(name, kernel):
-    assert detect_digest(name, kernel) == DETECT_DIGESTS[name]
+def test_detect_in_segments_is_pinned(name, kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert detect_digest(name) == DETECT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("kernel", available_kernels())
-def test_transmit_segments_is_pinned(kernel):
-    assert transmit_digest(kernel) == TRANSMIT_DIGEST
+def test_transmit_segments_is_pinned(kernel, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    assert transmit_digest() == TRANSMIT_DIGEST
 
 
 if __name__ == "__main__":
+    os.environ["REPRO_KERNEL"] = "python"
     print("DETECT_DIGESTS = {")
     for case in DETECT_CASES:
-        print(f'    "{case}": "{detect_digest(case, "python")}",')
+        print(f'    "{case}": "{detect_digest(case)}",')
     print("}")
-    print(f'TRANSMIT_DIGEST = "{transmit_digest("python")}"')
+    print(f'TRANSMIT_DIGEST = "{transmit_digest()}"')

@@ -299,6 +299,17 @@ class TestErrors:
             client._request("GET", "/compare?a=x")
         assert excinfo.value.status == 400
 
+    def test_a_kernel_field_is_a_400_naming_it(self, client):
+        # The server's $REPRO_KERNEL picks the kernel; a request cannot.
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/runs", body={"scenario": SCENARIO, "kernel": "cext"})
+        assert excinfo.value.status == 400
+        assert "unknown run field(s): kernel" in str(excinfo.value)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/probe?scenario={SCENARIO}&kernel=cext")
+        assert excinfo.value.status == 400
+        assert "unknown run field(s): kernel" in str(excinfo.value)
+
     @pytest.mark.parametrize(
         "field, value", [("bits", True), ("bits", float("nan")), ("chunk_symbols", True)]
     )

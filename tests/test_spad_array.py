@@ -117,11 +117,10 @@ class TestBatchWindows:
         )
         assert np.all(origins == 3)  # the earlier interference pulse wins every window
 
-    def test_unknown_kernel_rejected(self):
+    def test_unknown_kernel_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "psychic")
         with pytest.raises(ValueError, match="unknown kernel"):
-            detect_in_windows_multichannel(
-                SpadDevice(), 32 * NS, np.full((2, 2), 1 * NS), kernel="psychic"
-            )
+            detect_in_windows_multichannel(SpadDevice(), 32 * NS, np.full((2, 2), 1 * NS))
 
     def test_dead_time_couples_consecutive_windows(self):
         # With a dead time spanning several windows and no gated recovery,
