@@ -112,7 +112,6 @@ class _Link:
         "queue",
         "in_flight_id",
         "last_seen",
-        "tasks_done",
     )
 
     def __init__(self, channel: MessageChannel, address: Address) -> None:
@@ -125,7 +124,6 @@ class _Link:
         self.queue: "deque[Tuple[PointTask, int]]" = deque()
         self.in_flight_id: Optional[int] = None
         self.last_seen = time.monotonic()
-        self.tasks_done = 0
 
     def label(self) -> str:
         return self.name or format_address(self.address)
@@ -384,7 +382,7 @@ class ClusterExecutor:
                 task_id = message.get("task_id")
                 if link.in_flight_id == task_id:
                     link.in_flight_id = None
-                entry = in_flight.pop(task_id, None)
+                entry = in_flight.pop(task_id, None) if isinstance(task_id, int) else None
                 if entry is None:
                     return  # a stale result from a presumed-dead worker
                 chunk, attempt, _link, _started = entry
@@ -395,13 +393,19 @@ class ClusterExecutor:
                     )
                     chunk_failed(chunk, attempt, error)
                     return
-                link.tasks_done += 1
                 point = points[chunk.index]
                 if point.resolved:
                     return  # the point already failed; drop the partial
-                point.parts[chunk.start_symbol] = outcome_from_wire(
-                    point_config(point), message["outcome"]
-                )
+                try:
+                    outcome = outcome_from_wire(point_config(point), message["outcome"])
+                except (AttributeError, LookupError, TypeError, ValueError) as error:
+                    # Charged like a hang-up mid-task: the worker is lost.
+                    self._drop_link(link)
+                    requeue(link)
+                    reason = f"worker {link.label()} sent a result that does not rebuild"
+                    chunk_failed(chunk, attempt, WorkerLostError(f"{reason}: {error}"))
+                    return
+                point.parts[chunk.start_symbol] = outcome
                 if len(point.parts) == point.expected:
                     merged = merge_chunk_outcomes(point.parts)
                     point.resolved = True

@@ -137,17 +137,28 @@ class MessageChannel:
 
     # -- reading ---------------------------------------------------------------
     def _decode_buffer(self) -> None:
-        """Move every complete frame from the byte buffer to the decoded queue."""
+        """Move every complete frame from the byte buffer to the decoded queue.
+
+        A frame that is not a UTF-8 JSON object, or one over
+        :data:`MAX_MESSAGE_BYTES` whether or not its newline has arrived,
+        raises :class:`ChannelClosed`: the peer does not speak the protocol.
+        """
         while True:
-            newline = self._buffer.find(b"\n")
+            newline = self._buffer.find(b"\n", 0, MAX_MESSAGE_BYTES + 1)
             if newline < 0:
                 if len(self._buffer) > MAX_MESSAGE_BYTES:
-                    raise ChannelClosed("peer sent an overlong unframed message")
+                    raise ChannelClosed(f"{self.peer} sent an overlong message")
                 return
             line = bytes(self._buffer[:newline])
             del self._buffer[: newline + 1]
             if line.strip():
-                self._decoded.append(json.loads(line.decode("utf-8")))
+                try:
+                    message = json.loads(line.decode("utf-8"))
+                except (ValueError, RecursionError):  # UTF-8, JSON, nesting
+                    message = None
+                if not isinstance(message, dict):
+                    raise ChannelClosed(f"{self.peer} sent a frame that is not a JSON object")
+                self._decoded.append(message)
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
         """Blocking read of one message.
@@ -250,7 +261,7 @@ def task_from_wire(mapping: Dict[str, Any]) -> PointTask:
         chunk_symbols=_wire_int(mapping, "chunk_symbols"),
         index=_wire_int(mapping, "index"),
         start_symbol=_wire_int(mapping, "start_symbol", 0),
-        symbols=mapping.get("symbols"),
+        symbols=None if mapping.get("symbols") is None else _wire_int(mapping, "symbols"),
     )
 
 

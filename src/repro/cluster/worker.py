@@ -30,7 +30,7 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Union
 
 from repro.cluster.protocol import (
     Address,
@@ -139,23 +139,25 @@ class ClusterWorker:
         """Run :meth:`serve_forever` on a daemon thread (tests, benchmarks).
 
         Blocks until the socket is bound and returns the actual address
-        (resolving an ephemeral port 0).
+        (resolving an ephemeral port 0); an address that cannot be bound
+        raises its :class:`OSError` here as soon as the thread fails.
         """
         ready = threading.Event()
+        failed: List[OSError] = []
 
-        def _on_ready(host: str, port: int) -> None:
-            self.bound_address = (host, port)
-            ready.set()
+        def _serve() -> None:
+            try:
+                self.serve_forever(on_ready=lambda host, port: ready.set())
+            except OSError as error:
+                failed.append(error)
+                ready.set()
 
-        self._thread = threading.Thread(
-            target=self.serve_forever,
-            kwargs={"on_ready": _on_ready},
-            name=f"repro-{self.name}",
-            daemon=True,
-        )
+        self._thread = threading.Thread(target=_serve, name=f"repro-{self.name}", daemon=True)
         self._thread.start()
         if not ready.wait(timeout=10.0):
             raise RuntimeError(f"worker {self.name!r} never bound its socket")
+        if failed:
+            raise failed[0]
         assert self.bound_address is not None
         return self.bound_address
 

@@ -426,7 +426,10 @@ def _task_scenario(task: PointTask) -> Scenario:
     ``Scenario.from_mapping`` validates them against the local registry,
     which in a fresh worker interpreter (``spawn`` start method) lacks any
     runtime-registered metrics.  Unknown names are therefore dropped before
-    rebuilding; results are unaffected.
+    rebuilding; results are unaffected.  The task's parameters must name one
+    grid point, each value spelled as the point's label spells it (the label
+    seeds the point's chunks); otherwise :class:`ValueError` names the
+    parameter.
     """
     if task.live_scenario is not None:
         return task.live_scenario
@@ -434,7 +437,12 @@ def _task_scenario(task: PointTask) -> Scenario:
     known = set(available_metrics())
     kept = [name for name in mapping.get("metrics", ()) if name in known]
     mapping["metrics"] = kept or ["ber"]
-    return Scenario.from_mapping(mapping)
+    scenario = Scenario.from_mapping(mapping)
+    for name in sorted(set(scenario.sweep_axes) | set(task.parameters)):
+        value = task.parameters.get(name)
+        if repr(value) not in map(repr, scenario.sweep_axes.get(name, ())):
+            raise ValueError(f"task parameter {name!r} is not on the grid, got {value!r}")
+    return scenario
 
 
 def evaluate_task(task: PointTask) -> PointOutcome:

@@ -26,17 +26,25 @@ unit tests.
 """
 
 import gc
+import json
 import random
+import select
+import socket
 import threading
 import time
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
+    ChannelClosed,
     ClusterExecutor,
     ClusterTaskError,
     ClusterWorker,
+    MessageChannel,
     WorkerDeath,
     connect,
     fan_out_eligible,
@@ -67,6 +75,7 @@ from repro.scenarios.executors import (
     resolve_executor,
     validate_worker_count,
 )
+from repro.cluster import protocol
 from repro.scenarios.faults import WorkerLostError
 
 
@@ -265,7 +274,16 @@ class TestClusterExecutor:
         frames = [
             (1, without_seed, "seed"),
             (2, {**task, "chunk_symbols": "x"}, "chunk_symbols"),
-            (3, task, None),
+            (3, {**task, "symbols": "x"}, "symbols"),
+            # Off the grid: a value of the wrong type, the right number
+            # spelled as another label (another chunk seed), a missing axis
+            # and a name that is no axis.
+            (4, {**task, "parameters": {"mean_detected_photons": "lots"}},
+             "mean_detected_photons"),
+            (5, {**task, "parameters": {"mean_detected_photons": 20}}, "mean_detected_photons"),
+            (6, {**task, "parameters": {}}, "mean_detected_photons"),
+            (7, {**task, "parameters": {**task["parameters"], "ppm_bits": 4}}, "ppm_bits"),
+            (8, task, None),
         ]
         channel = connect(fleet[0])
         try:
@@ -489,3 +507,256 @@ class TestFleetWideBitIdentity:
             clustered = run_scenario(scenario, seed=21, chunk_symbols=64,
                                      executor=executor)
         assert clustered.to_mapping() == serial.to_mapping()
+
+
+# -- hostile frames ------------------------------------------------------------
+class FrameSender:
+    """A fake listening worker that answers its first task with a bad frame.
+
+    ``frame`` is the raw bytes to send, or a callable of the task id giving
+    them.  The sender then waits for the coordinator to hang up.
+    """
+
+    def __init__(self, frame):
+        self.frame = frame
+        self.sent = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(10.0)
+        self.address = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        try:
+            conn, _ = self._listener.accept()
+        except OSError:
+            return
+        channel = MessageChannel(conn)
+        try:
+            channel.send({"type": "hello", "name": "sender", "pid": 0})
+            while True:
+                message = channel.recv(timeout=10.0)
+                if message is None:
+                    return
+                if message["type"] == "attach":
+                    channel.send({"type": "ready"})
+                elif message["type"] == "task" and not self.sent.is_set():
+                    frame = self.frame
+                    conn.sendall(frame(message["task_id"]) if callable(frame) else frame)
+                    self.sent.set()
+        except ChannelClosed:
+            pass
+        finally:
+            channel.close()
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=10.0)
+
+
+def _bad_result(task_id):
+    frame = {"type": "result", "task_id": task_id, "outcome": {"no_such_field": 1}}
+    return json.dumps(frame).encode() + b"\n"
+
+
+BAD_FRAMES = {
+    "garbage": b"not json at all\n",
+    "json-array": b"[1, 2, 3]\n",
+    "not-utf8": b"\xff\xfe{}\n",
+    "result-that-does-not-rebuild": _bad_result,
+}
+
+
+def _loopback_channel():
+    """A raw writer socket and a :class:`MessageChannel` reading from it over TCP."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        writer = socket.create_connection(listener.getsockname()[:2])
+        conn, _ = listener.accept()
+    return writer, MessageChannel(conn)
+
+
+def _until_closed(channel):
+    """Read a channel until it closes, skipping heartbeats; fail on silence."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        message = channel.recv(timeout=10.0)
+        assert message is None or message["type"] in ("hello", "ready", "heartbeat")
+
+
+@pytest.mark.cluster
+class TestHostileFrames:
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("frame", list(BAD_FRAMES.values()), ids=list(BAD_FRAMES))
+    def test_a_bad_frame_costs_the_worker_and_the_run_completes(self, frame):
+        sender = FrameSender(frame)
+
+        class PatientWorker(ClusterWorker):
+            def evaluate(self, task, attempt):
+                # Busy until the sender has answered, so it cannot steal the
+                # sender's queue before its first task goes out.
+                sender.sent.wait(timeout=30.0)
+                return super().evaluate(task, attempt)
+
+        patient = PatientWorker(listen="127.0.0.1:0", name="patient")
+        address = patient.start()
+        try:
+            scenario = small_scenario()
+            serial = run_scenario(scenario, seed=4, chunk_symbols=64)
+            with ClusterExecutor(workers=[sender.address, address], fan_out=4,
+                                 retry=RetryPolicy(max_attempts=3)) as executor:
+                clustered = run_scenario(scenario, seed=4, chunk_symbols=64,
+                                         executor=executor)
+                assert sender.sent.is_set()
+                assert executor.stats["workers_lost"] == 1
+                assert executor.stats["retries"] == 1
+            assert clustered.to_mapping() == serial.to_mapping()
+        finally:
+            patient.stop()
+            sender.close()
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("frame", list(BAD_FRAMES.values()), ids=list(BAD_FRAMES))
+    def test_with_no_attempt_left_a_bad_frame_is_a_lost_worker(self, frame):
+        sender = FrameSender(frame)
+        tasks = make_point_tasks(small_scenario(), seed=6, backend="batch", chunk_symbols=64)
+        try:
+            with ClusterExecutor(workers=[sender.address]) as executor:
+                with pytest.raises(WorkerLostError, match="JSON object|does not rebuild"):
+                    list(executor.map_tasks(tasks))
+        finally:
+            sender.close()
+
+    @pytest.mark.parametrize(
+        "line", [b"not json\n", b"[1, 2]\n", b"\xff\n", b"7\n"],
+        ids=["garbage", "json-array", "not-utf8", "json-scalar"],
+    )
+    def test_a_bad_line_closes_only_its_connection(self, monkeypatch, line):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        worker = ClusterWorker(listen="127.0.0.1:0", name="w")
+        address = worker.start()
+        channels = [connect(address) for _ in range(3)]
+        healthy, opening, attached = channels
+        try:
+            for channel in (healthy, attached):
+                assert channel.recv(timeout=5.0)["type"] == "hello"
+                channel.send({"type": "attach"})
+            opening._sock.sendall(line)  # the connection's first message
+            attached._sock.sendall(line)  # a message of the task loop
+            for channel in (opening, attached):
+                with pytest.raises(ChannelClosed):
+                    _until_closed(channel)
+            task = make_point_tasks(small_scenario(), seed=5, backend="batch",
+                                    chunk_symbols=64)[0]
+            healthy.send({"type": "task", "task_id": 1, "task": task_to_wire(task)})
+            while (reply := healthy.recv(timeout=10.0))["type"] != "result":
+                assert reply["type"] in ("ready", "heartbeat")
+            deadline = time.monotonic() + 5.0
+            while len(worker._channels) > 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert len(worker._channels) == 1
+        finally:
+            for channel in channels:
+                channel.close()
+            worker.stop()
+        assert hooked == []
+
+    def test_an_overlong_framed_line_closes_the_channel(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 1024)
+        at_cap = json.dumps({"type": "x", "pad": "y" * 1000}).encode()
+        at_cap = at_cap.replace(b'"y', b'"' + b"y" * (1024 - len(at_cap)) + b"y")
+        assert len(at_cap) == 1024
+        writer, reader = _loopback_channel()
+        try:
+            writer.sendall(at_cap + b"\n")
+            assert reader.recv(timeout=5.0)["type"] == "x"
+            overlong = json.dumps({"type": "x", "pad": "y" * 5000}).encode()
+            writer.sendall(overlong + b"\n")
+            with pytest.raises(ChannelClosed, match="overlong"):
+                reader.recv(timeout=5.0)
+        finally:
+            writer.close()
+            reader.close()
+
+    def test_start_on_an_occupied_port_raises_at_once(self, monkeypatch):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        with socket.create_server(("127.0.0.1", 0)) as blocker:
+            worker = ClusterWorker(listen=blocker.getsockname()[:2], name="late")
+            started = time.monotonic()
+            with pytest.raises(OSError):
+                worker.start()
+            assert time.monotonic() - started < 2.0
+            worker._thread.join(timeout=5.0)
+        assert hooked == []
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6,
+)
+_ENCODED = _JSON_VALUES.map(lambda value: json.dumps(value).encode())
+#: One line's bytes: garbage, JSON (objects, arrays, scalars), truncated JSON,
+#: and runs past the small cap the property patches in.
+_LINES = st.one_of(
+    st.binary(max_size=40),
+    _ENCODED,
+    st.tuples(_ENCODED, st.integers(0, 30)).map(lambda pair: pair[0][: pair[1]]),
+    st.binary(min_size=200, max_size=400),
+)
+_CAP = 256
+
+
+def _expected_messages(data):
+    """The messages a channel must yield from ``data``, and whether it may
+    yield them all (no frame in it closes the channel)."""
+    messages = []
+    for line in data.split(b"\n")[:-1]:
+        if len(line) > _CAP:
+            return messages, False
+        if not line.strip():
+            continue
+        try:
+            message = json.loads(line.decode("utf-8"))
+        except ValueError:
+            return messages, False
+        if not isinstance(message, dict):
+            return messages, False
+        messages.append(message)
+    return messages, len(data.rsplit(b"\n", 1)[-1]) <= _CAP
+
+
+@pytest.mark.cluster
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.tuples(_LINES, st.booleans()), max_size=8), pump=st.booleans())
+def test_a_channel_yields_json_objects_or_closes(lines, pump):
+    # Framed or not, whatever the peer sends, each read yields dict
+    # messages or raises ChannelClosed, and nothing else.
+    data = b"".join(line + (b"\n" if framed else b"") for line, framed in lines)
+    received = []
+    writer, reader = _loopback_channel()
+    try:
+        writer.sendall(data)
+        writer.shutdown(socket.SHUT_WR)
+        with mock.patch.object(protocol, "MAX_MESSAGE_BYTES", _CAP):
+            with pytest.raises(ChannelClosed):
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    if pump:
+                        select.select([reader], [], [], 1.0)
+                        received += reader.pump()
+                    else:
+                        message = reader.recv(timeout=1.0)
+                        if message is not None:
+                            received.append(message)
+    finally:
+        writer.close()
+        reader.close()
+    assert all(isinstance(message, dict) for message in received)
+    expected, complete = _expected_messages(data)
+    assert json.dumps(received) == json.dumps(expected[: len(received)])
+    if complete:
+        assert len(received) == len(expected)
