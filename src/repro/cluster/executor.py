@@ -396,10 +396,12 @@ class ClusterExecutor:
                 point = points[chunk.index]
                 if point.resolved:
                     return  # the point already failed; drop the partial
+                config = point_config(point)
                 try:
-                    outcome = outcome_from_wire(point_config(point), message["outcome"])
+                    outcome = outcome_from_wire(config, message["outcome"])
                 except (AttributeError, LookupError, TypeError, ValueError) as error:
                     # Charged like a hang-up mid-task: the worker is lost.
+                    self.stats["tasks_requeued"] += 1
                     self._drop_link(link)
                     requeue(link)
                     reason = f"worker {link.label()} sent a result that does not rebuild"

@@ -7,10 +7,10 @@ carried from the previous one: the dead-time winner scan behind
 :func:`~repro.spad.array.detect_in_windows_multichannel`, and the
 round-robin arbitration of :meth:`~repro.noc.bus.OpticalBus.run`.  This
 package makes those loops *pluggable*: the engines resolve a :class:`Kernel`
-with :func:`get_kernel` where they run and dispatch through it.  :mod:`repro.kernels.reference`
-defines the semantics of the scan, and every registered implementation is
-locked bit-identical to it by ``tests/test_kernels.py`` and
-``scripts/regression_check.py``.
+with :func:`get_kernel` where they run and dispatch through it.
+:mod:`repro.kernels.reference` defines the semantics of the scan, and every
+registered implementation is locked bit-identical to it by
+``tests/test_kernels.py`` and ``scripts/regression_check.py``.
 
 The scan takes optional **segment starts**: at each one the device restarts
 armed and trap-free and the window clock restarts at ``base``, so one call

@@ -564,6 +564,8 @@ BAD_FRAMES = {
     "json-array": b"[1, 2, 3]\n",
     "not-utf8": b"\xff\xfe{}\n",
     "result-that-does-not-rebuild": _bad_result,
+    # Answers no task in flight: ignored, the sender then falls silent.
+    "unhashable-task-id": b'{"type": "result", "task_id": [1], "outcome": {}}\n',
 }
 
 
@@ -597,13 +599,14 @@ class TestHostileFrames:
                 sender.sent.wait(timeout=30.0)
                 return super().evaluate(task, attempt)
 
-        patient = PatientWorker(listen="127.0.0.1:0", name="patient")
+        patient = PatientWorker(listen="127.0.0.1:0", name="patient", heartbeat_interval=0.2)
         address = patient.start()
         try:
             scenario = small_scenario()
             serial = run_scenario(scenario, seed=4, chunk_symbols=64)
             with ClusterExecutor(workers=[sender.address, address], fan_out=4,
-                                 retry=RetryPolicy(max_attempts=3)) as executor:
+                                 retry=RetryPolicy(max_attempts=3),
+                                 heartbeat_timeout=2.0) as executor:
                 clustered = run_scenario(scenario, seed=4, chunk_symbols=64,
                                          executor=executor)
                 assert sender.sent.is_set()
@@ -620,15 +623,16 @@ class TestHostileFrames:
         sender = FrameSender(frame)
         tasks = make_point_tasks(small_scenario(), seed=6, backend="batch", chunk_symbols=64)
         try:
-            with ClusterExecutor(workers=[sender.address]) as executor:
-                with pytest.raises(WorkerLostError, match="JSON object|does not rebuild"):
+            with ClusterExecutor(workers=[sender.address], heartbeat_timeout=2.0) as executor:
+                with pytest.raises(WorkerLostError,
+                                   match="JSON object|does not rebuild|heartbeating"):
                     list(executor.map_tasks(tasks))
         finally:
             sender.close()
 
     @pytest.mark.parametrize(
-        "line", [b"not json\n", b"[1, 2]\n", b"\xff\n", b"7\n"],
-        ids=["garbage", "json-array", "not-utf8", "json-scalar"],
+        "line", [b"not json\n", b"[1, 2]\n", b"\xff\n", b"7\n", b"[" * 100_000 + b"\n"],
+        ids=["garbage", "json-array", "not-utf8", "json-scalar", "deep-nesting"],
     )
     def test_a_bad_line_closes_only_its_connection(self, monkeypatch, line):
         hooked = []
