@@ -70,50 +70,26 @@ Backend contract: all backends share the physics and the
 seed, and are *statistically* (not draw-for-draw) equivalent to each other.
 """
 
-from repro.core import (
-    BackendCapabilities,
-    FastOpticalLink,
-    LinkBackend,
-    LinkConfig,
-    MultichannelOpticalLink,
-    MultichannelResult,
-    OpticalLink,
-    TdcDesign,
-    available_backends,
-    backend_capabilities,
-    detection_cycle,
-    make_link,
-    measurement_window,
-    register_backend,
-    resolve_backend,
-    throughput,
-)
-from repro.noc import BroadcastResult, OpticalBus, Packet, StackTopology, broadcast
-from repro.scenarios import (
-    ChaosExecutor,
-    ChaosSchedule,
-    CorruptArtifactError,
-    ExperimentReport,
-    ExperimentRunner,
-    ExperimentSession,
-    PointFailure,
-    ProcessExecutor,
-    ReportStore,
-    RetryPolicy,
-    Scenario,
-    SerialExecutor,
-    get_scenario,
-    named_scenarios,
-    run_scenario,
-)
-from repro.frontdoor import RunRequest, scenario_catalogue
-from repro.service import (
-    ExperimentService,
-    ServiceBindError,
-    ServiceClient,
-    serve_app,
-)
-from repro.simulation import NocTrafficTrial
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".core": (
+        "BackendCapabilities", "FastOpticalLink", "LinkBackend", "LinkConfig",
+        "MultichannelOpticalLink", "MultichannelResult", "OpticalLink", "TdcDesign",
+        "available_backends", "backend_capabilities", "detection_cycle", "make_link",
+        "measurement_window", "register_backend", "resolve_backend", "throughput",
+    ),
+    ".noc": ("BroadcastResult", "OpticalBus", "Packet", "StackTopology", "broadcast"),
+    ".scenarios": (
+        "ChaosExecutor", "ChaosSchedule", "CorruptArtifactError", "ExperimentReport",
+        "ExperimentRunner", "ExperimentSession", "PointFailure", "ProcessExecutor",
+        "ReportStore", "RetryPolicy", "Scenario", "SerialExecutor", "get_scenario",
+        "named_scenarios", "run_scenario",
+    ),
+    ".frontdoor": ("RunRequest", "scenario_catalogue"),
+    ".service": ("ExperimentService", "ServiceBindError", "ServiceClient", "serve_app"),
+    ".simulation": ("NocTrafficTrial",),
+})
 
 __version__ = "1.6.0"
 

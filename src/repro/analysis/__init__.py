@@ -1,20 +1,16 @@
 """Analysis helpers: units, confidence intervals, plotting and reports."""
 
-from repro.analysis.units import (
-    GHZ,
-    KELVIN_0C,
-    MHZ,
-    NS,
-    PS,
-    US,
-    db_to_linear,
-    format_engineering,
-    format_si,
-    linear_to_db,
-)
-from repro.analysis.statistics import binomial_confidence_95
-from repro.analysis.plotting import ascii_heatmap, ascii_line_plot
-from repro.analysis.report import ReportTable, TextReport
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".units": (
+        "GHZ", "KELVIN_0C", "MHZ", "NS", "PS", "US", "db_to_linear",
+        "format_engineering", "format_si", "linear_to_db",
+    ),
+    ".statistics": ("binomial_confidence_95",),
+    ".plotting": ("ascii_heatmap", "ascii_line_plot"),
+    ".report": ("ReportTable", "TextReport"),
+})
 
 __all__ = [
     "PS",

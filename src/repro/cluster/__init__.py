@@ -21,27 +21,20 @@ chunk_symbols)`` — never of the executor, the fleet size, worker deaths,
 or retries.  ``--executor cluster`` changes wall-clock, not content.
 """
 
-from repro.cluster.chunks import (
-    fan_out_eligible,
-    merge_chunk_outcomes,
-    split_point_task,
-    task_symbols,
-)
-from repro.cluster.executor import ClusterExecutor, ClusterTaskError
-from repro.cluster.protocol import (
-    Address,
-    ChannelClosed,
-    MessageChannel,
-    connect,
-    format_address,
-    outcome_from_wire,
-    outcome_to_wire,
-    parse_address,
-    parse_addresses,
-    task_from_wire,
-    task_to_wire,
-)
-from repro.cluster.worker import ClusterWorker, WorkerDeath, probe_worker
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".chunks": (
+        "fan_out_eligible", "merge_chunk_outcomes", "split_point_task", "task_symbols",
+    ),
+    ".executor": ("ClusterExecutor", "ClusterTaskError"),
+    ".protocol": (
+        "Address", "ChannelClosed", "MessageChannel", "connect", "format_address",
+        "outcome_from_wire", "outcome_to_wire", "parse_address", "parse_addresses",
+        "task_from_wire", "task_to_wire",
+    ),
+    ".worker": ("ClusterWorker", "WorkerDeath", "probe_worker"),
+})
 
 __all__ = [
     "Address",

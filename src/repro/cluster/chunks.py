@@ -48,6 +48,45 @@ def task_symbols(scenario: Scenario, task: PointTask) -> int:
     return max(1, -(-scenario.bits_per_point // config.ppm_bits))
 
 
+def check_chunk_outcome(scenario: Scenario, task: PointTask, outcome: PointOutcome) -> None:
+    """Raise :class:`ValueError` unless ``outcome`` fits the task it answers.
+
+    A NoC point's outcome carries its bus counters.  A link point's carries
+    none; it holds exactly the task's symbol budget at ``ppm_bits`` bits a
+    symbol, the scenario's channel count with a per-channel split that adds
+    up to the totals (multichannel points only), and the weighted
+    accumulators exactly when the scenario samples by importance.  Chunks
+    that pass merge without error, so one worker's bad result can cost that
+    worker, never the run.
+    """
+    if scenario.noc_for_point(task.parameters) is not None:
+        if outcome.noc is None:
+            raise ValueError("a NoC point's outcome must carry its bus counters")
+        return
+    budget = task_symbols(scenario, task)
+    channels = scenario.channels
+    weighted = scenario.trial_mode == "importance"
+    if outcome.noc is not None:
+        problem = "bus counters on a link point"
+    elif outcome.symbols != budget:
+        problem = f"{outcome.symbols} symbols for a budget of {budget}"
+    elif outcome.bits != outcome.symbols * outcome.config.ppm_bits:
+        problem = f"{outcome.bits} bits for {outcome.symbols} symbols"
+    elif outcome.channels != channels:
+        problem = f"{outcome.channels} channels on a {channels}-channel point"
+    elif len(outcome.channel_bits) != (channels if channels > 1 else 0) or (
+        channels > 1
+        and (sum(outcome.channel_bits), sum(outcome.channel_bit_errors))
+        != (outcome.bits, outcome.bit_errors)
+    ):
+        problem = "a per-channel split that does not add up to the point"
+    elif outcome.is_weighted != weighted:
+        problem = "weighted accumulators " + ("missing" if weighted else "on a naive point")
+    else:
+        return
+    raise ValueError(f"the outcome does not fit its chunk task: {problem}")
+
+
 def fan_out_eligible(scenario: Scenario, task: PointTask) -> bool:
     """Whether splitting this task is guaranteed bit-identical to not splitting.
 

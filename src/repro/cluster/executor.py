@@ -50,7 +50,7 @@ from typing import (
     Union,
 )
 
-from repro.cluster.chunks import merge_chunk_outcomes, split_point_task
+from repro.cluster.chunks import check_chunk_outcome, merge_chunk_outcomes, split_point_task
 from repro.cluster.protocol import (
     Address,
     ChannelClosed,
@@ -399,6 +399,7 @@ class ClusterExecutor:
                 config = point_config(point)
                 try:
                     outcome = outcome_from_wire(config, message["outcome"])
+                    check_chunk_outcome(scenario, chunk, outcome)
                 except (AttributeError, LookupError, TypeError, ValueError) as error:
                     # Charged like a hang-up mid-task: the worker is lost.
                     self.stats["tasks_requeued"] += 1

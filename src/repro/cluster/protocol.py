@@ -43,9 +43,10 @@ does.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.scenarios.executors import PointTask
 from repro.scenarios.metrics import PointOutcome
@@ -278,6 +279,64 @@ def outcome_to_wire(outcome: PointOutcome) -> Dict[str, Any]:
     return mapping
 
 
+#: What each checked outcome value must be, by the test that decides it
+#: (``type(value) is int`` refuses bools, which JSON ``true`` decodes to).
+_WIRE_KINDS: Dict[str, Callable[[Any], bool]] = {
+    "a non-negative integer": lambda value: type(value) is int and value >= 0,
+    "a finite float": lambda value: type(value) is float and math.isfinite(value),
+    "a finite non-negative number": (
+        lambda value: type(value) in (int, float) and 0 <= value < math.inf
+    ),
+}
+
+
+def _check(value: Any, name: str, kind: str) -> None:
+    if not _WIRE_KINDS[kind](value):
+        raise ValueError(f"outcome field {name} must be {kind}, got {value!r}")
+
+
+def _check_each(values: Any, name: str, container: type, kind: str) -> None:
+    """``values`` is a ``container`` (list, or object keyed by strings) of ``kind``."""
+    if not isinstance(values, container):
+        raise ValueError(
+            f"outcome field {name} must be a {container.__name__}, got {values!r}"
+        )
+    valid = _WIRE_KINDS[kind]
+    for key, value in values.items() if container is dict else enumerate(values):
+        if container is dict and not isinstance(key, str):
+            raise ValueError(f"outcome field {name} has a key that is no string: {key!r}")
+        if not valid(value):
+            _check(value, f"{name}[{key!r}]", kind)
+
+
 def outcome_from_wire(config: Any, mapping: Dict[str, Any]) -> PointOutcome:
-    """Inverse of :func:`outcome_to_wire`, given the locally rebuilt config."""
+    """Inverse of :func:`outcome_to_wire`, given the locally rebuilt config.
+
+    A worker's outcome is untrusted input, so every value is checked before
+    the outcome is rebuilt: counts are non-negative integers (never bools),
+    mapping keys are strings, the weighted sums and strata are finite floats
+    and the bus counters finite non-negative numbers.  A value that fails
+    raises :class:`ValueError` naming its field, and an unknown field raises
+    :class:`TypeError`.  Whether the outcome fits the task it answers is
+    :func:`~repro.cluster.chunks.check_chunk_outcome`'s question.
+    """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"an outcome must be a JSON object, got {mapping!r}")
+    for name in ("bits", "bit_errors", "symbols", "symbol_errors", "channels"):
+        _check(mapping.get(name), name, "a non-negative integer")
+    for name in ("channel_bits", "channel_bit_errors"):
+        _check_each(mapping.get(name, []), name, list, "a non-negative integer")
+    counts = mapping.get("detection_counts", {})
+    _check_each(counts, "detection_counts", dict, "a non-negative integer")
+    _check_each(mapping.get("error_strata", {}), "error_strata", dict, "a finite float")
+    if mapping.get("noc") is not None:
+        _check_each(mapping["noc"], "noc", dict, "a finite non-negative number")
+    for name in (
+        "weighted_error_sum",
+        "weighted_error_sumsq",
+        "weighted_symbol_error_sum",
+        "weighted_symbol_error_sumsq",
+    ):
+        if mapping.get(name) is not None:
+            _check(mapping[name], name, "a finite float")
     return PointOutcome.from_accumulator_mapping(config, mapping)

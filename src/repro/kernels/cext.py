@@ -29,7 +29,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 from typing import Optional, Tuple
@@ -274,6 +273,8 @@ def _build_library() -> Optional[Path]:
         except OSError:
             pass
         return library
+    import subprocess  # compile-only: a warm cache never starts the compiler
+
     try:
         cache.mkdir(parents=True, exist_ok=True)
         # Build in a scratch dir inside the cache so the final os.replace is

@@ -8,9 +8,13 @@ symbol/bit primitives the codec is built on and on-off keying, the ablation
 baseline PPM is compared against.
 """
 
-from repro.modulation.symbols import SlotGrid, bits_to_int, int_to_bits
-from repro.modulation.ppm import PpmCodec, PpmSymbol
-from repro.modulation.line_coding import OnOffKeyingCodec
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".symbols": ("SlotGrid", "bits_to_int", "int_to_bits"),
+    ".ppm": ("PpmCodec", "PpmSymbol"),
+    ".line_coding": ("OnOffKeyingCodec",),
+})
 
 __all__ = [
     "SlotGrid",

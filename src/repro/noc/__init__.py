@@ -8,10 +8,14 @@ topologies, packets, a time-slotted vertical optical bus with round-robin
 arbitration and a broadcast primitive.
 """
 
-from repro.noc.packet import Packet
-from repro.noc.topology import NodeAddress, StackTopology
-from repro.noc.bus import BusStatistics, OpticalBus, PacketOutcome
-from repro.noc.broadcast import BroadcastResult, broadcast
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".packet": ("Packet",),
+    ".topology": ("NodeAddress", "StackTopology"),
+    ".bus": ("BusStatistics", "OpticalBus", "PacketOutcome"),
+    ".broadcast": ("BroadcastResult", "broadcast"),
+})
 
 __all__ = [
     "Packet",

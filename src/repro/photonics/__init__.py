@@ -6,13 +6,17 @@ propagation across thinned stacked dies, micro-optics coupling, Fresnel
 interface losses and crosstalk between neighbouring channels.
 """
 
-from repro.photonics.silicon import SiliconAbsorption, silicon_absorption_coefficient
-from repro.photonics.led import MicroLed, MicroLedConfig
-from repro.photonics.driver import LedDriver, LedDriverConfig
-from repro.photonics.microoptics import MicroLens, coupling_efficiency
-from repro.photonics.stack import DieLayer, DieStack
-from repro.photonics.channel import OpticalChannel, ChannelBudget
-from repro.photonics.crosstalk import CrosstalkModel
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".silicon": ("SiliconAbsorption", "silicon_absorption_coefficient"),
+    ".led": ("MicroLed", "MicroLedConfig"),
+    ".driver": ("LedDriver", "LedDriverConfig"),
+    ".microoptics": ("MicroLens", "coupling_efficiency"),
+    ".stack": ("DieLayer", "DieStack"),
+    ".channel": ("OpticalChannel", "ChannelBudget"),
+    ".crosstalk": ("CrosstalkModel",),
+})
 
 __all__ = [
     "SiliconAbsorption",

@@ -43,53 +43,33 @@ Quickstart
 6
 """
 
-from repro.scenarios.metrics import (
-    PointOutcome,
-    available_metrics,
-    register_metric,
-    resolve_metric,
-)
-from repro.scenarios.scenario import SPECIAL_PARAMETERS, Scenario
-from repro.scenarios.library import (
-    get_scenario,
-    named_scenarios,
-    register_scenario,
-)
-from repro.scenarios.executors import (
-    Executor,
-    PointTask,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    WorkerCountError,
-    available_executors,
-    evaluate_point,
-    make_point_tasks,
-    resolve_executor,
-)
-from repro.scenarios.faults import (
-    ChaosExecutor,
-    ChaosSchedule,
-    PointFailure,
-    PointTimeoutError,
-    RetryPolicy,
-    WorkerLostError,
-)
-from repro.scenarios.session import ExperimentSession
-from repro.scenarios.runner import (
-    ExperimentPoint,
-    ExperimentReport,
-    ExperimentRunner,
-    run_scenario,
-)
-from repro.scenarios.store import (
-    CorruptArtifactError,
-    ReportStore,
-    RunCheckpoint,
-    artifact_id,
-    run_digest,
-)
-from repro.scenarios.smoke import SmokeFailure, run_smoke
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".metrics": (
+        "PointOutcome", "available_metrics", "register_metric", "resolve_metric",
+    ),
+    ".scenario": ("SPECIAL_PARAMETERS", "Scenario"),
+    ".library": ("get_scenario", "named_scenarios", "register_scenario"),
+    ".executors": (
+        "Executor", "PointTask", "ProcessExecutor", "SerialExecutor", "ThreadExecutor",
+        "WorkerCountError", "available_executors", "evaluate_point", "make_point_tasks",
+        "resolve_executor",
+    ),
+    ".faults": (
+        "ChaosExecutor", "ChaosSchedule", "PointFailure", "PointTimeoutError",
+        "RetryPolicy", "WorkerLostError",
+    ),
+    ".session": ("ExperimentSession",),
+    ".runner": (
+        "ExperimentPoint", "ExperimentReport", "ExperimentRunner", "run_scenario",
+    ),
+    ".store": (
+        "CorruptArtifactError", "ReportStore", "RunCheckpoint", "artifact_id",
+        "run_digest",
+    ),
+    ".smoke": ("SmokeFailure", "run_smoke"),
+})
 
 __all__ = [
     "Scenario",

@@ -48,7 +48,6 @@ never saw the registration — import-time registration (a module that calls
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -56,6 +55,7 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterator,
@@ -85,6 +85,9 @@ from repro.scenarios.scenario import Scenario
 from repro.simulation.montecarlo import LinkBatchTrial, NocTrafficTrial, chunk_generators
 from repro.simulation.randomness import split_seed
 from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the pools import it when they start
+    import concurrent.futures
 
 
 @dataclass(frozen=True)
@@ -633,6 +636,8 @@ class ThreadExecutor:
             return
         workers = self.workers or usable_cpu_count()
         workers = max(1, min(workers, len(tasks)))
+        import concurrent.futures
+
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
         try:
             futures = {
@@ -724,6 +729,7 @@ class ProcessExecutor:
         timeout = attempts.policy.timeout
         workers = self.workers or usable_cpu_count()
         workers = max(1, min(workers, len(tasks)))
+        import concurrent.futures
 
         def new_pool() -> concurrent.futures.ProcessPoolExecutor:
             return concurrent.futures.ProcessPoolExecutor(max_workers=workers)

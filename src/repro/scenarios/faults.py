@@ -48,7 +48,6 @@ import heapq
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -407,6 +406,8 @@ def inject_fault(schedule: ChaosSchedule, task_seed: int, attempt: int) -> None:
     if fault is None:
         return
     if fault == "crash":
+        import multiprocessing
+
         if multiprocessing.parent_process() is not None:
             os._exit(113)  # hard death inside a pool worker: no traceback, no result
         raise InjectedWorkerCrash(

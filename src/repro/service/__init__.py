@@ -25,10 +25,14 @@ cache-key policy is shared with the rest of the CLI through
 HTTP and vice versa.
 """
 
-from repro.service.app import ExperimentService, ServiceBindError, serve_app
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.registry import RunHandle, RunRegistry
-from repro.service.sse import decode_lines, encode_event
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".app": ("ExperimentService", "ServiceBindError", "serve_app"),
+    ".client": ("ServiceClient", "ServiceError"),
+    ".registry": ("RunHandle", "RunRegistry"),
+    ".sse": ("decode_lines", "encode_event"),
+})
 
 __all__ = [
     "ExperimentService",

@@ -30,7 +30,7 @@ import asyncio
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.scenarios.executors import WorkersArg
 from repro.scenarios.runner import DEFAULT_CHUNK_SYMBOLS
@@ -51,6 +51,9 @@ REQUEST_TIMEOUT = 30.0
 #: Largest accepted request body (scenario mappings are a few KiB).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Largest accepted request head, the request line and headers together.
+MAX_HEAD_BYTES = 64 * 1024
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -60,8 +63,65 @@ _REASONS = {
     408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Optional[Tuple[str, str, Any]]:
+    """``(method, target, body)`` of one request; ``None`` if the client
+    closes before its request line.
+
+    A request the server must refuse before routing raises
+    :class:`~repro.service.routes.HttpError`: 400 for a malformed request
+    line, a ``Content-Length`` that is no non-negative integer or a body
+    that is not JSON, 413 for a body over :data:`MAX_BODY_BYTES` and 431 for
+    a head over :data:`MAX_HEAD_BYTES` (a single line stops sooner, at the
+    stream reader's 64 KiB limit).  A body cut short by the client raises
+    :class:`asyncio.IncompleteReadError`.
+    """
+    head_bytes = 0
+    too_large = f"request head over {MAX_HEAD_BYTES} bytes"
+
+    async def head_line() -> bytes:
+        nonlocal head_bytes
+        try:
+            line = await reader.readline()
+        except ValueError:  # one line past the stream reader's own limit
+            raise HttpError(431, too_large) from None
+        head_bytes += len(line)
+        if head_bytes > MAX_HEAD_BYTES:
+            raise HttpError(431, too_large)
+        return line
+
+    request_line = await head_line()
+    if not request_line:
+        return None
+    try:
+        method, target, _version = request_line.decode("latin-1").split()
+    except ValueError:
+        raise HttpError(400, "malformed request line") from None
+    headers: Dict[str, str] = {}
+    while True:
+        line = await head_line()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    text = headers.get("content-length") or "0"
+    if not (text.isascii() and text.isdigit()):
+        raise HttpError(400, f"Content-Length must be a non-negative integer, got {text!r}")
+    length = int(text)
+    if length > MAX_BODY_BYTES:
+        raise HttpError(413, "request body too large")
+    body: Any = None
+    if length:
+        raw = await reader.readexactly(length)
+        try:
+            body = json.loads(raw)
+        except (ValueError, RecursionError) as error:  # UTF-8, JSON, nesting
+            raise HttpError(400, f"body is not valid JSON: {error}") from None
+    return method, target, body
 
 
 class ServiceBindError(OSError):
@@ -199,42 +259,16 @@ class ExperimentService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await asyncio.wait_for(reader.readline(), REQUEST_TIMEOUT)
+            request = await asyncio.wait_for(_read_request(reader), REQUEST_TIMEOUT)
         except asyncio.TimeoutError:
+            await self._send_json(writer, 408, {"error": "request timed out"})
             return
-        if not request_line:
+        except HttpError as error:
+            await self._send_json(writer, error.status, {"error": str(error)})
             return
-        try:
-            method, target, _version = request_line.decode("latin-1").split()
-        except ValueError:
-            await self._send_json(writer, 400, {"error": "malformed request line"})
-            return
-        headers: Dict[str, str] = {}
-        while True:
-            try:
-                line = await asyncio.wait_for(reader.readline(), REQUEST_TIMEOUT)
-            except asyncio.TimeoutError:
-                await self._send_json(writer, 408, {"error": "request timed out"})
-                return
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body: Any = None
-        length = int(headers.get("content-length", 0) or 0)
-        if length:
-            if length > MAX_BODY_BYTES:
-                await self._send_json(writer, 413, {"error": "request body too large"})
-                return
-            try:
-                raw = await asyncio.wait_for(reader.readexactly(length), REQUEST_TIMEOUT)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                return
-            try:
-                body = json.loads(raw)
-            except json.JSONDecodeError as error:
-                await self._send_json(writer, 400, {"error": f"body is not valid JSON: {error}"})
-                return
+        if request is None:
+            return  # the client hung up before sending a request line
+        method, target, body = request
         path, _, query_string = target.partition("?")
         path = unquote(path)
         query = {

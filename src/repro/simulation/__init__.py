@@ -9,13 +9,14 @@ of a Monte-Carlo point (:func:`chunk_generators`) and its two trials,
 layer compiles scenarios onto.
 """
 
-from repro.simulation.randomness import RandomSource, split_seed
-from repro.simulation.montecarlo import (
-    TRAFFIC_PATTERNS,
-    LinkBatchTrial,
-    NocTrafficTrial,
-    chunk_generators,
-)
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".randomness": ("RandomSource", "split_seed"),
+    ".montecarlo": (
+        "TRAFFIC_PATTERNS", "LinkBatchTrial", "NocTrafficTrial", "chunk_generators",
+    ),
+})
 
 __all__ = [
     "RandomSource",

@@ -20,12 +20,16 @@ composes them into a stochastic detector usable by the link simulator, and
 over every pixel of the receiver arrays used for parallel optical buses.
 """
 
-from repro.spad.pdp import PdpCurve, default_cmos_pdp
-from repro.spad.dark_counts import DarkCountModel
-from repro.spad.afterpulsing import AfterpulsingModel
-from repro.spad.jitter import JitterModel
-from repro.spad.quenching import QuenchingCircuit, QuenchingMode
-from repro.spad.device import DetectionEvent, SpadConfig, SpadDevice
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.exports(__name__, {
+    ".pdp": ("PdpCurve", "default_cmos_pdp"),
+    ".dark_counts": ("DarkCountModel",),
+    ".afterpulsing": ("AfterpulsingModel",),
+    ".jitter": ("JitterModel",),
+    ".quenching": ("QuenchingCircuit", "QuenchingMode"),
+    ".device": ("DetectionEvent", "SpadConfig", "SpadDevice"),
+})
 
 __all__ = [
     "PdpCurve",

@@ -28,6 +28,7 @@ unit tests.
 import gc
 import json
 import random
+import re
 import select
 import socket
 import threading
@@ -76,6 +77,7 @@ from repro.scenarios.executors import (
     validate_worker_count,
 )
 from repro.cluster import protocol
+from repro.cluster.chunks import check_chunk_outcome
 from repro.scenarios.faults import WorkerLostError
 
 
@@ -192,6 +194,86 @@ class TestWireFormats:
         assert outcome.noc is not None
         wired = outcome_from_wire(outcome.config, outcome_to_wire(outcome))
         assert wired.noc == outcome.noc
+
+    @staticmethod
+    def _chunk_and_wire(scenario, fan_out=2):
+        """The last chunk task of the scenario's first point and its outcome."""
+        task = make_point_tasks(scenario, seed=5, backend=scenario.backend,
+                                chunk_symbols=64)[0]
+        chunk = split_point_task(scenario, task, fan_out)[-1]
+        return chunk, outcome_to_wire(evaluate_task(chunk))
+
+    @pytest.mark.parametrize("scenario", [
+        small_scenario(),
+        small_scenario(channels=4),
+        small_scenario().with_trial_mode("importance"),
+        get_scenario("noc-load-latency").with_budget(512),
+    ], ids=["link", "multichannel", "importance", "noc"])
+    def test_every_true_outcome_passes_the_checks(self, scenario):
+        chunk, wired = self._chunk_and_wire(scenario)
+        config, _channel = scenario.config_for_point(chunk.parameters)
+        outcome = outcome_from_wire(config, json.loads(json.dumps(wired)))
+        check_chunk_outcome(scenario, chunk, outcome)
+        assert outcome_to_wire(outcome) == wired
+
+    @pytest.mark.parametrize("fields, field", [
+        ({"detection_counts": {"photon": "x"}}, "detection_counts['photon']"),
+        ({"detection_counts": {"photon": -1}}, "detection_counts['photon']"),
+        ({"detection_counts": {"photon": True}}, "detection_counts['photon']"),
+        ({"detection_counts": {3: 1}}, "detection_counts"),
+        ({"detection_counts": [1]}, "detection_counts"),
+        ({"bits": True}, "bits"),
+        ({"symbols": 2.0}, "symbols"),
+        ({"bit_errors": None}, "bit_errors"),
+        ({"channel_bits": [1, "x"]}, "channel_bits[1]"),
+        ({"channel_bit_errors": {"0": 1}}, "channel_bit_errors"),
+        ({"error_strata": {"photon": 1}}, "error_strata['photon']"),
+        ({"noc": {"good_bits": -1}}, "noc['good_bits']"),
+        ({"noc": {"total_latency": float("inf")}}, "noc['total_latency']"),
+        ({"weighted_error_sum": float("nan"), "weighted_error_sumsq": 0.0,
+          "weighted_symbol_error_sum": 0.0, "weighted_symbol_error_sumsq": 0.0},
+         "weighted_error_sum"),
+    ])
+    def test_a_mistyped_value_is_refused_naming_its_field(self, fields, field):
+        chunk, wired = self._chunk_and_wire(small_scenario())
+        config, _channel = small_scenario().config_for_point(chunk.parameters)
+        with pytest.raises(ValueError, match=re.escape(f"outcome field {field} ")):
+            outcome_from_wire(config, {**wired, **fields})
+
+    @pytest.mark.parametrize("scenario, change, problem", [
+        (small_scenario(), lambda o: {**o, "bits": 10**30}, "bits for"),
+        (small_scenario(), lambda o: {**o, "symbols": o["symbols"] + 1,
+                                      "bits": (o["symbols"] + 1) * 2}, "symbols for a budget"),
+        (small_scenario(), lambda o: {**o, "channels": 2}, "channels on a 1-channel point"),
+        (small_scenario(), lambda o: {**o, "noc": {"good_bits": 1}}, "bus counters"),
+        (small_scenario(), lambda o: {**o, "weighted_error_sum": 0.0,
+                                      "weighted_error_sumsq": 0.0,
+                                      "weighted_symbol_error_sum": 0.0,
+                                      "weighted_symbol_error_sumsq": 0.0}, "weighted"),
+        (small_scenario().with_trial_mode("importance"),
+         lambda o: {key: value for key, value in o.items() if "weighted" not in key}, "weighted"),
+        (small_scenario(channels=4),
+         lambda o: {**o, "channel_bits": o["channel_bits"][:-1],
+                    "channel_bit_errors": o["channel_bit_errors"][:-1]}, "per-channel split"),
+        (small_scenario(channels=4),
+         lambda o: {**o, "channel_bits": [bits + 1 for bits in o["channel_bits"]]},
+         "per-channel split"),
+    ], ids=["bits", "symbols", "channels", "noc-on-link", "weighted-on-naive",
+            "naive-on-importance", "split-length", "split-sum"])
+    def test_an_outcome_that_does_not_fit_its_chunk_is_refused(self, scenario, change, problem):
+        chunk, wired = self._chunk_and_wire(scenario)
+        config, _channel = scenario.config_for_point(chunk.parameters)
+        outcome = outcome_from_wire(config, change(wired))
+        with pytest.raises(ValueError, match=problem):
+            check_chunk_outcome(scenario, chunk, outcome)
+
+    def test_a_noc_outcome_without_its_bus_counters_is_refused(self):
+        scenario = get_scenario("noc-load-latency").with_budget(512)
+        chunk, wired = self._chunk_and_wire(scenario)
+        config, _channel = scenario.config_for_point(chunk.parameters)
+        del wired["noc"]
+        with pytest.raises(ValueError, match="bus counters"):
+            check_chunk_outcome(scenario, chunk, outcome_from_wire(config, wired))
 
     def test_address_parsing(self):
         assert parse_address("somehost:70") == ("somehost", 70)
@@ -513,8 +595,8 @@ class TestFleetWideBitIdentity:
 class FrameSender:
     """A fake listening worker that answers its first task with a bad frame.
 
-    ``frame`` is the raw bytes to send, or a callable of the task id giving
-    them.  The sender then waits for the coordinator to hang up.
+    ``frame`` is the raw bytes to send, or a callable of the task frame
+    giving them.  The sender then waits for the coordinator to hang up.
     """
 
     def __init__(self, frame):
@@ -542,7 +624,7 @@ class FrameSender:
                     channel.send({"type": "ready"})
                 elif message["type"] == "task" and not self.sent.is_set():
                     frame = self.frame
-                    conn.sendall(frame(message["task_id"]) if callable(frame) else frame)
+                    conn.sendall(frame(message) if callable(frame) else frame)
                     self.sent.set()
         except ChannelClosed:
             pass
@@ -554,9 +636,23 @@ class FrameSender:
         self._thread.join(timeout=10.0)
 
 
-def _bad_result(task_id):
-    frame = {"type": "result", "task_id": task_id, "outcome": {"no_such_field": 1}}
+def _result(task_frame, outcome):
+    frame = {"type": "result", "task_id": task_frame["task_id"], "outcome": outcome}
     return json.dumps(frame).encode() + b"\n"
+
+
+def _bad_result(task_frame):
+    return _result(task_frame, {"no_such_field": 1})
+
+
+def _tampered_result(**fields):
+    """The task's true outcome with ``fields`` overwritten."""
+
+    def frame(task_frame):
+        outcome = outcome_to_wire(evaluate_task(task_from_wire(task_frame["task"])))
+        return _result(task_frame, {**outcome, **fields})
+
+    return frame
 
 
 BAD_FRAMES = {
@@ -564,6 +660,10 @@ BAD_FRAMES = {
     "json-array": b"[1, 2, 3]\n",
     "not-utf8": b"\xff\xfe{}\n",
     "result-that-does-not-rebuild": _bad_result,
+    # Rebuilt unchecked, the first aborted the run in the merge and the
+    # second merged 10**30 bits into the point.
+    "count-that-is-no-int": _tampered_result(detection_counts={"photon": "x"}),
+    "bits-beyond-the-budget": _tampered_result(bits=10**30),
     # Answers no task in flight: ignored, the sender then falls silent.
     "unhashable-task-id": b'{"type": "result", "task_id": [1], "outcome": {}}\n',
 }

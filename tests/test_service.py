@@ -23,10 +23,15 @@ to through :class:`~repro.service.ServiceClient` over actual sockets.
 """
 
 import json
+import logging
+import select
 import socket
 import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import frontdoor, run_scenario
 from repro.cli import EXIT_PORT_BIND, main as cli_main
@@ -38,6 +43,7 @@ from repro.service import (
     ServiceError,
     serve_app,
 )
+from repro.service import app as app_module
 
 #: Small but real: 6 grid points of the BER waterfall.
 SCENARIO = "ber-vs-photons"
@@ -340,3 +346,130 @@ class TestErrors:
             assert "cannot bind" in capsys.readouterr().err
         finally:
             blocker.close()
+
+
+def _raw_exchange(port, data):
+    """Send ``data`` as the whole request, then read until the server closes.
+
+    The write half is shut after ``data``, so a head without its blank line
+    or a body shorter than its ``Content-Length`` ends at the client's EOF
+    instead of the request deadline.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        try:
+            while chunk := sock.recv(1 << 16):
+                reply += chunk
+        except ConnectionResetError:
+            pass  # closed with part of an over-long head unread: the reply came first
+    return reply
+
+
+def _status_and_payload(reply):
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line = head.split(b"\r\n", 1)[0].decode("latin-1")
+    version, status, _reason = status_line.split(" ", 2)
+    assert version == "HTTP/1.1"
+    return int(status), json.loads(body)
+
+
+def _unhandled(caplog):
+    return [record.getMessage() for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR]
+
+
+#: Request heads (and bodies) the server must answer before routing.
+MALFORMED_REQUESTS = {
+    "length-not-a-number": (b"POST /runs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    "negative-length": (b"POST /runs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    "header-line-over-64-kib": (
+        b"GET /stats HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+    "request-line-over-64-kib": (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 431),
+    "head-over-64-kib-in-short-lines": (
+        b"GET /stats HTTP/1.1\r\n" + b"X-Pad: aaaaaaaaaa\r\n" * 4_000 + b"\r\n", 431),
+    "body-not-utf8": (b"POST /runs HTTP/1.1\r\nContent-Length: 3\r\n\r\n\xff\xfe{", 400),
+    "body-nested-too-deep": (
+        b"POST /runs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + b"[" * 100_000, 400),
+}
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("request_bytes, status", list(MALFORMED_REQUESTS.values()),
+                             ids=list(MALFORMED_REQUESTS))
+    def test_each_gets_its_status_and_the_next_request_is_served(
+        self, service, client, caplog, request_bytes, status
+    ):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        answered, payload = _status_and_payload(_raw_exchange(service.port, request_bytes))
+        assert answered == status
+        assert isinstance(payload["error"], str) and payload["error"]
+        assert client.stats()["runs"] == 0
+        assert _unhandled(caplog) == []
+
+    def test_one_deadline_covers_the_whole_head(self, service, monkeypatch, caplog):
+        # A client trickling header lines used to get a fresh deadline per
+        # line, so it could hold the connection forever; now the head and
+        # the body share one deadline.
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        monkeypatch.setattr(app_module, "REQUEST_TIMEOUT", 0.5)
+        with socket.create_connection(("127.0.0.1", service.port), timeout=10.0) as sock:
+            sock.sendall(b"GET /stats HTTP/1.1\r\n")
+            started = time.monotonic()
+            while time.monotonic() - started < 10.0:
+                if select.select([sock], [], [], 0.1)[0]:
+                    break
+                try:
+                    sock.sendall(b"X-Trickle: 1\r\n")
+                except OSError:
+                    break
+            answered_after = time.monotonic() - started
+            reply = b""
+            try:
+                while chunk := sock.recv(1 << 16):
+                    reply += chunk
+            except ConnectionResetError:
+                pass
+        assert answered_after < 3.0
+        assert _status_and_payload(reply)[0] == 408
+        assert _unhandled(caplog) == []
+
+
+_REQUEST_LINES = st.sampled_from([
+    b"GET /stats HTTP/1.1", b"GET /scenarios HTTP/1.1", b"POST /runs HTTP/1.1",
+    b"GET /runs/abc HTTP/1.1", b"GET /runs/abc/events HTTP/1.1",
+    b"GET /artifacts/%00 HTTP/1.1", b"GET /compare?a=x&b=y&metric=ber HTTP/1.1",
+    b"GET /probe?scenario=no-such HTTP/1.1", b"DELETE /stats HTTP/1.1", b"GET HTTP/1.1",
+])
+_HEADER_LINES = st.one_of(
+    st.binary(max_size=40),
+    st.binary(max_size=8).map(lambda value: b"Content-Length: " + value),
+    st.integers(-5, 40).map(lambda value: b"Content-Length: %d" % value),
+    st.sampled_from([b"Host: x", b": empty name", b"No-Colon", b"X-Tab:\tvalue"]),
+)
+_HEADS = st.tuples(
+    st.one_of(_REQUEST_LINES, st.binary(max_size=40)),
+    st.lists(_HEADER_LINES, max_size=5),
+    st.sampled_from([b"\r\n", b"\n"]),
+    st.booleans(),
+    st.binary(max_size=40),
+).map(lambda parts: parts[2].join([parts[0], *parts[1]])
+      + (parts[2] * 2 if parts[3] else b"") + parts[4])
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request_bytes=_HEADS)
+def test_any_head_gets_a_response_or_a_clean_close(service, caplog, request_bytes):
+    # The server stays up across every example: nothing a client sends may
+    # end in a traceback or leave the next client unserved.
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    reply = _raw_exchange(service.port, request_bytes)
+    if reply:
+        status, payload = _status_and_payload(reply)
+        assert 200 <= status < 600
+        if status >= 400:
+            assert isinstance(payload["error"], str)
+    assert _unhandled(caplog) == []
+    assert _status_and_payload(_raw_exchange(service.port, b"GET /stats HTTP/1.1\r\n\r\n"))[0] == 200
