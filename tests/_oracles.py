@@ -16,6 +16,12 @@ arbitrates with the kernels' exact walk
 :meth:`RoundRobinArbiter.snapshot`, :meth:`RoundRobinArbiter.commit_grants`
 applies its outcome, and grants and queues must match repeated
 :meth:`RoundRobinArbiter.grant` calls.
+
+:func:`epoch_by_epoch_run` is :meth:`repro.noc.bus.OpticalBus.run` as it
+flushed before a run became one pass: each epoch of ``epoch_packets``
+deliverable grants on its own, one link call per ``(source, destination)``
+group and one statistics update per epoch.
+``tests/test_noc_batching.py::TestRunPass`` holds the bus's run to it.
 """
 
 import heapq
@@ -253,3 +259,93 @@ class RoundRobinArbiter:
     @property
     def grants_issued(self) -> int:
         return self._grants
+
+
+def epoch_by_epoch_run(bus, max_slots: int = 10_000):
+    """Drain ``bus`` as one :meth:`OpticalBus.run` call, flushing epoch by epoch.
+
+    Arbitration is the bus's own: one kernel call fixes every grant's slot
+    span.  The grants then go out in epochs: epoch ``e`` holds deliverable
+    grants ``e*E .. e*E + E - 1`` (``E = bus.epoch_packets``), after the
+    undeliverable ones granted since epoch ``e - 1``'s last.  Each epoch
+    records its undeliverable rows first, then its ``(source, destination)``
+    groups in first-grant order, rows in grant order.  A unicast group is
+    one ``transmit_bits`` call on its link with the rows' padded bits back
+    to back (one call per packet on the scalar backend), and each packet
+    counts the mismatches over its own bits; a source's broadcasts go
+    through the bus's broadcast flush.  The statistics are updated once per
+    epoch.  Returns ``bus.statistics``.
+    """
+    from repro.kernels import get_kernel
+    from repro.noc.packet import Packet
+
+    table = bus.traffic
+    nodes = bus.topology.node_count
+    queued = np.flatnonzero(table.start < 0)
+    queued = queued[np.argsort(table.source[queued], kind="stable")]
+    bounds = np.zeros(nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(table.source[queued], minlength=nodes), out=bounds[1:])
+    destinations = table.destination[queued]
+    deliverable = (destinations == Packet.BROADCAST) | (destinations < nodes)
+    costs = np.where(deliverable, table.symbols[queued], 1)
+    granted, starts, final_slot, bus._next_node = get_kernel().arbitrate(
+        table.arrival[queued], costs, bounds, bus._next_node, bus._slot,
+        bus._slot + max_slots,
+    )
+    rows = queued[granted]
+    table.start[rows] = starts
+    table.end[rows] = starts + costs[granted]
+    bus._queued -= np.bincount(table.source[rows], minlength=nodes)
+    carried = deliverable[granted]
+    bus.statistics.busy_slots += int(costs[granted][carried].sum())
+    epoch: List[int] = []
+    flushed = 0
+    for row, carries in zip(rows.tolist(), carried.tolist()):
+        if flushed == bus.epoch_packets:
+            _flush_one_epoch(bus, epoch)
+            epoch, flushed = [], 0
+        epoch.append(row)
+        flushed += carries
+    if epoch:
+        _flush_one_epoch(bus, epoch)
+    bus.statistics.total_slots += max(final_slot - bus._slot, 1)
+    bus._slot = final_slot
+    return bus.statistics
+
+
+def _flush_one_epoch(bus, epoch: List[int]) -> None:
+    """Send and record one epoch's rows, given in grant order."""
+    from repro.noc.packet import Packet
+
+    table = bus.traffic
+    nodes = bus.topology.node_count
+    undeliverable: List[int] = []
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for row in epoch:
+        destination = int(table.destination[row])
+        if destination != Packet.BROADCAST and destination >= nodes:
+            undeliverable.append(row)
+        else:
+            groups.setdefault((int(table.source[row]), destination), []).append(row)
+    k = bus.config.ppm_bits
+    for (source, destination), group in groups.items():
+        if destination == Packet.BROADCAST:
+            bus._flush_broadcast(np.array(group, dtype=np.int64))
+            continue
+        link = bus._link_for(source, destination)
+        if not bus._batched:
+            for row in group:
+                table.bit_errors[row] = link.transmit_bits(table.row_bits(row)).bit_errors
+            continue
+        padded = [
+            table.buffer[table.offset[row] : table.offset[row] + table.symbols[row] * k]
+            for row in group
+        ]
+        result = link.transmit_bits(np.concatenate(padded))
+        mismatches = np.asarray(result.transmitted_bits) != np.asarray(result.received_bits)
+        cursor = 0
+        for row, bits in zip(group, padded):
+            table.bit_errors[row] = int(mismatches[cursor : cursor + table.bits[row]].sum())
+            cursor += bits.size
+    order = undeliverable + [row for group in groups.values() for row in group]
+    bus._record(np.array(order, dtype=np.int64))
