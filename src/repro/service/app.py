@@ -54,6 +54,12 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Largest accepted request head, the request line and headers together.
 MAX_HEAD_BYTES = 64 * 1024
 
+#: After a 413 the server half-closes, then reads and drops the refused body,
+#: at most this many bytes for at most :data:`DRAIN_SECONDS`, so that a client
+#: still sending can finish and read the answer instead of a reset.
+DRAIN_BYTES = 4 * MAX_BODY_BYTES
+DRAIN_SECONDS = 2.0
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -66,6 +72,40 @@ _REASONS = {
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+
+class _BodyTooLarge(HttpError):
+    """The 413 of a request whose declared body is over :data:`MAX_BODY_BYTES`."""
+
+    def __init__(self, length: int) -> None:
+        super().__init__(413, "request body too large")
+        self.length = length
+
+
+async def _drain_refused_body(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, length: int
+) -> None:
+    """Half-close after a 413, then read and drop up to ``length`` body bytes.
+
+    At most :data:`DRAIN_BYTES` within :data:`DRAIN_SECONDS`; the client's
+    EOF or either limit ends it, and the caller closes as for any response.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+    remaining = min(length, DRAIN_BYTES)
+
+    async def drain() -> None:
+        nonlocal remaining
+        while remaining > 0:
+            chunk = await reader.read(min(remaining, 1 << 16))
+            if not chunk:
+                return
+            remaining -= len(chunk)
+
+    try:
+        await asyncio.wait_for(drain(), DRAIN_SECONDS)
+    except asyncio.TimeoutError:
+        pass
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Optional[Tuple[str, str, Any]]:
@@ -113,7 +153,7 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Tuple[str, str
         raise HttpError(400, f"Content-Length must be a non-negative integer, got {text!r}")
     length = int(text)
     if length > MAX_BODY_BYTES:
-        raise HttpError(413, "request body too large")
+        raise _BodyTooLarge(length)
     body: Any = None
     if length:
         raw = await reader.readexactly(length)
@@ -265,6 +305,8 @@ class ExperimentService:
             return
         except HttpError as error:
             await self._send_json(writer, error.status, {"error": str(error)})
+            if isinstance(error, _BodyTooLarge):
+                await _drain_refused_body(reader, writer, error.length)
             return
         if request is None:
             return  # the client hung up before sending a request line

@@ -333,6 +333,62 @@ class TestErrors:
         assert excinfo.value.status == 400
         assert "ci_target must be a positive finite number" in str(excinfo.value)
 
+    def test_keys_resolve_inside_the_store_only(self, service, client, tmp_path,
+                                                monkeypatch, capsys, caplog):
+        # A key used to be tried as a path from the server's working
+        # directory first: a JSON file there answered 409, not 404, and a
+        # name too long for the file system dropped the connection.
+        outside = tmp_path / "cwd"
+        outside.mkdir()
+        (outside / "BENCHMARK.json").write_text('{"workloads": []}')
+        (outside / "setup.py").write_text("print('hello')\n")
+        monkeypatch.chdir(outside)
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        client.run_and_wait(SCENARIO, seed=5, bits=BITS)
+        (artifact,) = client.artifacts()
+        for key in ("BENCHMARK.json", "BENCHMARK", "setup.py", "../cwd/BENCHMARK.json",
+                    str(outside / "BENCHMARK.json"), "a" * 300):
+            for call in (lambda: client.artifact(key),
+                         lambda: client.compare(key, artifact, "ber"),
+                         lambda: client.compare(artifact, key, "ber")):
+                with pytest.raises(ServiceError) as excinfo:
+                    call()
+                assert excinfo.value.status == 404, key
+        assert client.compare(artifact, artifact, "ber")["points"]
+        assert _unhandled(caplog) == []
+        # The shell still takes a path.
+        store = service.store.root
+        assert cli_main(["show", str(store / f"{artifact}.json"), "--store", "elsewhere"]) == 0
+        assert "ber-vs-photons" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["invalid-utf8", "nested-too-deep"])
+    def test_a_damaged_artifact_is_a_409(self, service, client, caplog, damage):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        client.run_and_wait(SCENARIO, seed=5, bits=BITS)
+        (artifact,) = client.artifacts()
+        path = service.store.root / f"{artifact}.json"
+        text = path.read_bytes()
+        if damage == "invalid-utf8":
+            path.write_bytes(text.replace(b'"format"', b'"form\xffat"', 1))
+        else:
+            path.write_bytes(b"[" * 100_000 + text)
+        for call in (lambda: client.artifact(artifact),
+                     lambda: client.compare(artifact, artifact, "ber")):
+            with pytest.raises(ServiceError) as excinfo:
+                call()
+            assert excinfo.value.status == 409
+        assert _unhandled(caplog) == []
+
+    def test_an_oversized_body_gets_its_413_while_still_sending(self, client, caplog):
+        # The server used to close with the body unread, so a client still
+        # sending got a reset (BrokenPipeError) instead of the answer.
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/runs", body={"scenario": "x" * 9_000_000})
+        assert excinfo.value.status == 413
+        assert client.stats()["runs"] == 0
+        assert _unhandled(caplog) == []
+
     def test_bind_failure_is_typed_and_maps_to_exit_4(self, tmp_path, capsys):
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))
