@@ -6,6 +6,7 @@ that it exits 0 and leaves a loadable artefact behind — the contract the
 README quickstart sells.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -483,6 +484,23 @@ class TestRegressionCheckExitCodes:
         bogus.write_text("{truncated")
         assert gate.main([]) == 3
         assert "unreadable" in capsys.readouterr().err
+
+    def test_bit_identical_needs_the_reference_digest_not_just_its_ber(
+        self, gate, tmp_path, capsys
+    ):
+        # A reference with the same ber column but another report elsewhere
+        # (here its description): only the content digest tells them apart.
+        (reference,) = gate.REFERENCE_DIR.glob("ber-vs-photons__*.json")
+        envelope = json.loads(reference.read_text())
+        envelope["report"]["scenario"]["description"] += " (edited)"
+        canonical = json.dumps(envelope["report"], sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        envelope["artifact"] = f"{reference.stem.rsplit('__', 1)[0]}__{digest}"
+        (tmp_path / f"{envelope['artifact']}.json").write_text(json.dumps(envelope))
+        gate.REFERENCE_DIR = tmp_path
+        assert gate.main(["--mode", "bit-identical"]) == 1
+        assert f"reference {digest}" in capsys.readouterr().err
+        assert gate.main(["--mode", "confidence"]) == 0
 
 
 @pytest.mark.scenario_smoke
