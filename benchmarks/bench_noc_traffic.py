@@ -1,4 +1,4 @@
-"""NOC TRAFFIC — epoch-batched optical bus vs. the scalar slot-by-slot loop.
+"""NOC TRAFFIC — one-pass optical bus vs. the scalar slot-by-slot loop.
 
 Times the refactored NoC layer on the workload the experiment layer actually
 executes for ``noc-*`` scenarios: :class:`repro.simulation.montecarlo.
@@ -7,12 +7,13 @@ NocTrafficTrial` chunks of uniform-traffic packets drained through the slotted
 table: the trial offers its drawn arrays with one
 :meth:`~repro.noc.bus.OpticalBus.offer_many`, and the arbitration, the
 epochs and the recorded outcomes are array passes over the table's rows.
-The batched path sends all of an epoch's ``(source, destination)`` groups
-in one segmented pass (:func:`repro.core.fastlink.transmit_segments`), each
-group a segment on its own ``"batch"`` link and its padded bits one gather
-from the table's buffer (broadcast would be one ``(S, C)`` multichannel
-pass); the baseline is the same arbitration driving the scalar engine one
-packet at a time — the pre-refactor slot loop.
+The batched path sends all of the run's ``(epoch, source, destination)``
+groups in one segmented pass (:func:`repro.core.fastlink.transmit_segments`),
+each group a segment on its pair's ``"batch"`` link and the run's padded
+bits one gather from the table's buffer (broadcast would be one ``(S, C)``
+multichannel pass per epoch and source); the baseline is the same
+arbitration driving the scalar engine one packet at a time — the
+pre-refactor slot loop.
 
 Both paths are constructed through :func:`repro.core.backend.make_link` and
 are statistically equivalent by the backend contract (locked by
@@ -62,7 +63,7 @@ def run_traffic(backend: str):
         packet_bits=PACKET_BITS,
     )
     start = time.perf_counter()
-    # One chunk = one bus run: the whole workload is a single epoch-batched
+    # One chunk = one bus run: the whole workload is a single one-pass
     # (or scalar) drain, the shape ExperimentRunner compiles noc points into.
     ((count, generator),) = chunk_generators(11, "bench-noc", PACKETS, PACKETS)
     bus = trial(generator, count)
@@ -124,7 +125,7 @@ def test_noc_traffic_speedup(benchmark):
 
     report = TextReport(
         "NOC TRAFFIC",
-        "epoch-batched optical bus vs. the scalar slot-by-slot loop",
+        "one-pass optical bus vs. the scalar slot-by-slot loop",
         paper_claim="an entirely optical through-chip bus that could service "
                     "hundreds of thinned stacked dies (broadcast by construction)",
     )
@@ -134,7 +135,7 @@ def test_noc_traffic_speedup(benchmark):
         f"{scalar_stats.delivery_ratio:.3f}", f"{scalar_stats.bit_error_rate:.2e}",
     )
     table.add_row(
-        "epoch-batched bus", f"{batched_elapsed:.3f} s", format_si(batched_rate, "slot/s"),
+        "one-pass bus", f"{batched_elapsed:.3f} s", format_si(batched_rate, "slot/s"),
         f"{batched_stats.delivery_ratio:.3f}", f"{batched_stats.bit_error_rate:.2e}",
     )
     report.add_table(

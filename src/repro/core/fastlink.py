@@ -48,7 +48,8 @@ lie back to back: one encode, one detection over the G devices
 and one segmented decode, each link's segment on its own TDC.  Each link is
 its own segment with its own random stream, so the pass equals one
 :meth:`FastOpticalLink.transmit_bits` call per link bit for bit, without the
-per-call overhead; the NoC bus sends each epoch's unicast groups this way.
+per-call overhead; the NoC bus sends a run's unicast groups this way, one
+segment per epoch and link, so a link may own several segments.
 ``transmit_bits`` is its G = 1 case, so the engine has one body.
 
 The result is the same :class:`~repro.core.link.TransmissionResult` the scalar

@@ -16,7 +16,8 @@ The scan takes optional **segment starts**: at each one the device restarts
 armed and trap-free and the window clock restarts at ``base``, so one call
 scans many independent links back to back
 (:func:`~repro.spad.device.detect_in_segments`, which the NoC bus uses for
-each epoch's unicast groups) or every channel of an array, channel-major.
+a run's unicast groups, a segment per epoch and link) or every channel of
+an array, channel-major.
 Without segments it is the plain scan, bit for bit.  It takes optional
 per-window **likelihood factors** and then returns the importance weights
 too, and optional **candidate origins**, so an array pass lists its
@@ -29,8 +30,8 @@ window decodes on its own.  It is a kernel because NumPy costs time per
 pass and per call: the decode is about 20 array passes, whatever the
 number of windows.  It takes optional segment starts too, with one TDC
 (taps, LSB, clock period, modulus) per segment and each segment's windows
-counted from 0, as the segmented scan clocks them: a NoC epoch's links,
-each on its own receiver, decode in one call.  Its NumPy form in
+counted from 0, as the segmented scan clocks them: a NoC bus run's
+groups, each on its link's receiver, decode in one call.  Its NumPy form in
 :mod:`repro.kernels.reference` is also the body of
 ``TimeToDigitalConverter.convert_array`` and ``SlotGrid.slots_of_times``.
 

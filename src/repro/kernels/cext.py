@@ -6,7 +6,7 @@ library cached by source digest, and loaded through :mod:`ctypes`.  No build
 backend, no wheels, no install step — hosts without a compiler simply don't
 register the kernel and :func:`repro.kernels.get_kernel` resolves elsewhere.
 It ports the scan, which serves every detection pass (one device, a NoC
-epoch, a whole array), and the decode.
+bus run, a whole array), and the decode.
 
 Bit-identity with the Python reference is a *compiler-flag* contract: the
 build pins ``-ffp-contract=off -fno-fast-math`` (no FMA contraction, strict

@@ -41,7 +41,7 @@ def tile_symbols_for_receivers(
     Each symbol row is repeated ``channels`` times so the round-robin stripe
     of the multichannel pass (flat symbol ``r*C + c`` is row ``r`` on channel
     ``c``) hands every receiver the full symbol stream.  The single
-    definition of the broadcast channel layout — the bus's epoch flush and
+    definition of the broadcast channel layout — the bus's run flush and
     :func:`broadcast` both build their payloads through it.
     """
     rows = padded_bits.size // ppm_bits

@@ -110,7 +110,7 @@ class Packet:
         packet *before* concatenation keeps every packet's symbol boundaries
         where a packet-at-a-time transmission would put them, so per-packet
         error statistics stay comparable between the scalar slot loop and one
-        epoch-sized transmission.
+        segmented transmission of many packets.
         """
         bits = np.zeros(self.symbol_count(ppm_bits) * ppm_bits, dtype=np.uint8)
         bits[: self.total_bits] = self.serialize()

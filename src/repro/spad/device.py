@@ -488,11 +488,13 @@ def detect_in_segments(
     (:func:`_draw_windows`), and one kernel ``scan_windows`` call with the
     segment starts resolves every segment and returns each one's final
     state, so the results and every device's state equal G separate
-    :meth:`~SpadDevice.detect_in_windows` calls bit for bit.  The devices
-    share one quenching circuit (one scan has one dead time).  The first
-    device may carry detector state in; the others must be fresh (armed, no
-    trap pending), as the segmented scan starts them.  G = 1 is
-    :meth:`SpadDevice.detect_in_windows`.
+    :meth:`~SpadDevice.detect_in_windows` calls bit for bit.  One device
+    may own several segments (a NoC link carries one per epoch of a bus
+    run): it draws them in order, each as a call of its own, and keeps its
+    last segment's state.  The devices share one quenching circuit (one
+    scan has one dead time).  The first device may carry detector state
+    in; the others must be fresh (armed, no trap pending), as the segmented
+    scan starts them.  G = 1 is :meth:`SpadDevice.detect_in_windows`.
 
     Returns ``(times, origins)`` over all windows, segment-major.  With
     ``importance`` (G = 1 only) the device draws from the floored
