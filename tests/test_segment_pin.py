@@ -1,6 +1,6 @@
 """Pinned raw outputs of the segmented single-device passes.
 
-The NoC bus sends each epoch's unicast groups as one segmented pass: one
+The NoC bus sends a run's unicast groups as one segmented pass: one
 detection over the groups' devices
 (:func:`~repro.spad.device.detect_in_segments`) and one decode on the
 groups' own TDCs (:func:`~repro.core.fastlink.transmit_segments`).
