@@ -415,7 +415,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_show(args: argparse.Namespace) -> int:
     store = ReportStore(args.store)
-    report = store.load(args.artifact)
+    report = store.load(args.artifact, paths=True)
     if args.json:
         print(json.dumps(report.to_mapping(), indent=2))
     else:
@@ -426,7 +426,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     store = ReportStore(args.store)
     try:
-        comparison = store.compare(args.artifact_a, args.artifact_b, args.metric)
+        comparison = store.compare(args.artifact_a, args.artifact_b, args.metric, paths=True)
     except KeyError as error:  # point.metric: unknown metric name
         raise ValueError(error.args[0]) from None
     if args.json:
