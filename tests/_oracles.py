@@ -22,11 +22,18 @@ flushed before a run became one pass: each epoch of ``epoch_packets``
 deliverable grants on its own, one link call per ``(source, destination)``
 group and one statistics update per epoch.
 ``tests/test_noc_batching.py::TestRunPass`` holds the bus's run to it.
+
+:func:`link_error_oracle` is the exact error rate of a single-channel link:
+the Markov chain the scan's semantics imply, over the detector state at a
+window start.  ``tests/test_link_oracle.py`` holds the ``batch`` and
+``multichannel`` engines to it at every single-channel named-scenario point.
 """
 
+import functools
 import heapq
+import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -349,3 +356,323 @@ def _flush_one_epoch(bus, epoch: List[int]) -> None:
             cursor += bits.size
     order = undeliverable + [row for group in groups.values() for row in group]
     bus._record(np.array(order, dtype=np.int64))
+
+
+# -- the exact single-channel link ------------------------------------------------
+
+#: Width of the blind-state bins [s].  A window that fires ``u`` before its
+#: end, ``u`` below the gate recovery, leaves the next window blind until
+#: ``dead_time - u``; the chain bins ``u`` this finely, each bin at its centre.
+BLIND_BIN = 50e-12
+
+#: Transition cells per PPM slot before the blind region.
+_CELLS_PER_SLOT = 4
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+class LinkErrorRates(NamedTuple):
+    """Symbol and bit error rates of one chunk of windows."""
+
+    ser: float
+    ber: float
+
+
+class _Physics(NamedTuple):
+    """What a link's error chain depends on, the TDC aside."""
+
+    ppm_bits: int
+    slot: float
+    window: float
+    p_detect: float
+    sigma: float
+    tail_fraction: float
+    tail_constant: float
+    dark_rate: float
+    fill: float
+    trap_constant: float
+    dead_time: float
+    gate_recovery: float
+
+
+class _Chain(NamedTuple):
+    """The detector-state chain: state ``2 * b + pending``, bin ``b = 0`` armed."""
+
+    physics: _Physics
+    #: Ready time of each state, from its window's start (0 when armed).
+    ready: np.ndarray
+    #: 1.0 in the states with a trap release pending, else 0.0.
+    pending: np.ndarray
+    #: ``(M, S)``: chance that value ``v``'s photon lands before state ``s``'s ready time.
+    photon_before: np.ndarray
+    #: ``(S, S)`` one-window transition probabilities, averaged over the sent value.
+    transitions: np.ndarray
+
+
+def link_error_oracle(link, symbols: int, blind_bin: float = BLIND_BIN) -> LinkErrorRates:
+    """Exact SER and BER of ``symbols`` windows on ``link``, armed and trap-free at the first.
+
+    The semantics of :func:`repro.kernels.reference.scan_windows` make a
+    single-channel link a Markov chain over the detector state at a window
+    start: armed, or blind until ``r = dead_time - u`` after a fire ``u``
+    before the last window's end (``u`` below the gate recovery), each with
+    or without a trap release pending.  The release delay is exponential,
+    so a flag is enough.  From ``r`` on, three independent candidates
+    compete: the photon (detected with the pulse's probability, Gaussian
+    plus exponential-tail jitter, clipped at 0, lost past the window), the
+    dark counts (Poisson) and a pending release.  The earliest one fires,
+    so the chance that nothing fired before ``t`` is the product of the
+    three survivals, exactly.  The link's own decode is constant between
+    breakpoints found on it (:func:`_decode_cells`), so the decoded value
+    of a window has an exact distribution; a window with no fire decodes
+    to 0.  The fire time sets the next state: blind when it falls within
+    the gate recovery of the window's end, and a new release pending past
+    the next start with ``fill * exp(-(T - t) / tau)``.  Without a fire, a
+    pending release outlives the window with ``exp(-T / tau)``.
+
+    The sent values are uniform and independent of the state, so the chain
+    averages over them, and a chunk's rates are its state occupancy over
+    ``symbols`` windows dotted with each state's expected errors.  Two
+    approximations remain, both in the smooth hazards and neither in the
+    decode: a blind bin is ``blind_bin`` wide and sits at its centre, and a
+    new release's survival to the next start is taken at the midpoint of
+    its fire's cell (a quarter slot wide, one bin wide in the blind region).
+    ``tests/test_link_oracle.py`` checks that a five times finer bin moves
+    the rates by less than ``1e-6``.  The transitions do not depend on the
+    TDC, so the links of one operating point share one chain (cached on
+    :class:`_Physics`) and differ only in their error weights.  Crosstalk,
+    bus queueing and TDC metastability are outside the model.
+    """
+    physics = _link_physics(link)
+    chain = _detector_chain(physics, float(blind_bin))
+    occupancy = _occupancy(physics, float(blind_bin), int(symbols))
+    ser, bit_errors = occupancy @ _error_weights(link, chain)
+    return LinkErrorRates(float(ser), float(bit_errors) / link.config.ppm_bits)
+
+
+def _link_physics(link) -> _Physics:
+    spad, config = link.spad, link.config
+    jitter, trap = spad.jitter, spad.afterpulsing
+    return _Physics(
+        config.ppm_bits,
+        config.slot_duration,
+        config.symbol_duration,
+        spad.detection_probability_for_photons(link.mean_photons_at_detector()),
+        jitter.sigma,
+        jitter.tail_fraction,
+        jitter.tail_constant,
+        spad.dark_count_rate,
+        trap.probability,
+        trap.time_constant,
+        spad.quenching.dead_time,
+        spad.quenching.effective_gate_recovery,
+    )
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF through ``math.erfc``: 0 below -40, 1 above 40."""
+    out = (z > 40.0).astype(float)
+    inside = np.abs(z) <= 40.0
+    out[inside] = _erfc(-z[inside] / math.sqrt(2.0)).astype(float) / 2.0
+    return out
+
+
+def _jitter_cdf(x: np.ndarray, sigma: float, fraction: float, constant: float) -> np.ndarray:
+    """``P(jitter < x)``: a Gaussian core, delayed by an exponential with chance ``fraction``.
+
+    The tail part is the ex-Gaussian CDF ``Phi(y) - exp(s^2/2 - y s) Phi(y - s)``
+    (``y = x / sigma``, ``s = sigma / constant``); where ``y - s`` is below
+    -30 its second term is the normal density at ``y`` times the Mills
+    ratio's asymptotic series, as the product would underflow.  Zero below
+    ``-40 sigma``.
+    """
+    if sigma == 0.0:
+        return np.where(x > 0.0, 1.0 - fraction * np.exp(-np.maximum(x, 0.0) / constant), 0.0)
+    y = x / sigma
+    cdf = _normal_cdf(y)
+    if fraction > 0.0:
+        s = sigma / constant
+        z = y - s
+        tail = np.zeros_like(y)
+        near = (y >= -40.0) & (z >= -30.0)
+        tail[near] = np.exp(s * s / 2.0 - y[near] * s) * _normal_cdf(z[near])
+        far = (y >= -40.0) & (z < -30.0)
+        zf = z[far]
+        density = np.exp(-y[far] ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
+        tail[far] = density / -zf * (1.0 - zf**-2 + 3.0 * zf**-4 - 15.0 * zf**-6)
+        cdf = cdf - fraction * tail
+    return np.where(y < -40.0, 0.0, cdf)
+
+
+def _photon_cdf(physics: _Physics, times: np.ndarray) -> np.ndarray:
+    """``(M, n)``: chance that value ``v``'s photon lands before each window-relative time.
+
+    The pulse sits at its slot's centre and its jittered time is clipped at
+    0, so every photon lands before any ``t > 0`` that its unclipped time
+    does not reach, and none lands before ``t = 0``.
+    """
+    offsets = (np.arange(1 << physics.ppm_bits) + 0.5) * physics.slot
+    cdf = _jitter_cdf(
+        times[None, :] - offsets[:, None],
+        physics.sigma, physics.tail_fraction, physics.tail_constant,
+    )
+    return np.where(times[None, :] > 0.0, cdf, 0.0)
+
+
+def _other_survival(physics: _Physics, ready, pending, edges: np.ndarray) -> np.ndarray:
+    """``(S, n)``: chance that no dark count and no pending release fired in ``[ready, edge)``."""
+    ready = ready[:, None]
+    clipped = np.maximum(edges[None, :], ready)
+    tau = physics.trap_constant
+    release = pending[:, None] * (np.exp(-ready / tau) - np.exp(-clipped / tau))
+    return np.exp(-physics.dark_rate * (clipped - ready)) * (1.0 - release)
+
+
+@functools.lru_cache(maxsize=None)
+def _detector_chain(physics: _Physics, blind_bin: float) -> _Chain:
+    window, gate, tau = physics.window, physics.gate_recovery, physics.trap_constant
+    bins = max(1, math.ceil(gate / blind_bin))
+    width = gate / bins
+    bin_ready = np.concatenate([[0.0], physics.dead_time - (np.arange(bins) + 0.5) * width])
+    ready = np.repeat(bin_ready, 2)
+    pending = np.tile([0.0, 1.0], bins + 1)
+    photon_before = _photon_cdf(physics, ready)
+
+    # Fire cells: a quarter slot before the blind region, one bin inside it.
+    early = math.ceil((window - gate) / physics.slot * _CELLS_PER_SLOT)
+    edges = np.concatenate([
+        np.linspace(0.0, window - gate, early + 1),
+        window - gate + width * np.arange(1, bins + 1),
+    ])
+    edges[-1] = window
+    # Averaged over the sent value, only the photon's CDF needs the average.
+    mean_before = photon_before.mean(axis=0)
+    photon = np.where(
+        edges[None, :] > ready[:, None],
+        _photon_cdf(physics, edges).mean(axis=0)[None, :] - mean_before[:, None],
+        0.0,
+    )
+    others = _other_survival(physics, ready, pending, edges)
+    survival = (1.0 - physics.p_detect * photon) * others
+    fired = survival[:, :-1] - survival[:, 1:]
+
+    # A fire in cell j leads to blind bin 0 (armed) or, in the blind region,
+    # the bin of its time to the window's end; a new release is pending at
+    # the next start with the chance it outlives that time.
+    middles = (edges[:-1] + edges[1:]) / 2.0
+    refill = physics.fill * np.exp(-(window - middles) / tau)
+    target = np.zeros(middles.size, dtype=np.int64)
+    target[early:] = bins - np.arange(bins)
+    cells = np.arange(middles.size)
+    moves = np.zeros((middles.size, ready.size))
+    moves[cells, 2 * target] = 1.0 - refill
+    moves[cells, 2 * target + 1] = refill
+    transitions = fired @ moves
+    # No fire: armed next, the pending release kept if it lies past the window.
+    missed = survival[:, -1]
+    kept = (
+        pending
+        * (1.0 - physics.p_detect * photon[:, -1])
+        * np.exp(-physics.dark_rate * (window - ready))
+        * math.exp(-window / tau)
+    )
+    transitions[:, 0] += missed - kept
+    transitions[:, 1] += kept
+    return _Chain(physics, ready, pending, photon_before, transitions)
+
+
+@functools.lru_cache(maxsize=None)
+def _occupancy(physics: _Physics, blind_bin: float, symbols: int) -> np.ndarray:
+    """Mean state distribution over ``symbols`` windows from the armed, trap-free state."""
+    if symbols < 1:
+        raise ValueError("symbols must be positive")
+    transitions = _detector_chain(physics, blind_bin).transitions
+    state = np.zeros(len(transitions))
+    state[0] = 1.0
+    total = np.zeros_like(state)
+    for done in range(symbols):
+        total += state
+        following = state @ transitions
+        if np.abs(following - state).sum() < 1e-14:
+            total += following * (symbols - done - 1)
+            break
+        state = following
+    return total / symbols
+
+
+def _decode_cells(link) -> Tuple[np.ndarray, np.ndarray]:
+    """Edges and values of the pieces of ``[0, T)`` on which the link's decode is constant.
+
+    The TDC code can only step on a coarse clock edge, where the time to the
+    next edge crosses a tap, or where the TDC range clips; with a grid of a
+    sixteenth of a slot these probes cut the window into pieces that each
+    decode to one value (``decode_detections``, every probe in window 0).
+    Between two neighbouring pieces that decode differently, bisection on
+    the same decode finds the first float of the later value.
+    """
+    from repro.core.link import decode_detections
+
+    window, slot = link.config.symbol_duration, link.config.slot_duration
+    tdc = link.tdc
+    period, modulus = tdc.coarse.period, tdc.coarse.modulus
+    clock_edges = period * np.arange(1, modulus + 1)
+    steps = np.concatenate([
+        clock_edges,
+        (clock_edges[:, None] - np.asarray(tdc.delay_line.tap_times)[None, :]).ravel(),
+        [modulus * period * 0.999999],
+        np.arange(1, math.ceil(window / slot * 16)) * slot / 16.0,
+    ])
+    probes = np.unique(np.concatenate([[0.0, window], steps[(steps > 0.0) & (steps < window)]]))
+
+    def decode(times: np.ndarray) -> np.ndarray:
+        return decode_detections((link,), times, np.zeros(times.size, dtype=np.int8), times.size)
+
+    middles = (probes[:-1] + probes[1:]) / 2.0
+    values = decode(middles)
+    change = np.flatnonzero(values[1:] != values[:-1])
+    low, high, before = middles[change], middles[change + 1], values[change]
+    while True:
+        half = low + (high - low) / 2.0
+        open_ = (half > low) & (half < high)
+        if not open_.any():
+            break
+        same = decode(half) == before
+        low = np.where(open_ & same, half, low)
+        high = np.where(open_ & ~same, half, high)
+    return np.concatenate([[0.0], high, [window]]), np.concatenate([values[:1], values[change + 1]])
+
+
+def _error_weights(link, chain: _Chain) -> np.ndarray:
+    """``(S, 2)``: expected symbol errors and bit errors of a window in each state, on this link.
+
+    With the decode's cells ``[E_j, E_j+1)`` valued ``d_j``, a sent value
+    ``v``'s expected errors from a state are ``sum_j w(d_j, v) * (S(E_j) -
+    S(E_j+1)) + w(0, v) * S(T)``, ``S`` the chance that nothing fired before
+    a time, clipped at the ready time.  Summed by parts this is
+    ``w(d_j0, v) + sum_(j > j0) dw_j * S(E_j)``, ``j0`` the cell holding the
+    ready time; ``S`` is ``(1 + p * G_v(r) - p * G_v(E_j)) * H(E_j)`` with
+    ``H`` the dark-count and release survival, so two matrix products over
+    the cells give every state's weight at once.
+    """
+    physics = chain.physics
+    p_detect = physics.p_detect
+    edges, decoded = _decode_cells(link)
+    values = np.arange(1 << physics.ppm_bits)
+    popcount = np.array([bin(value).count("1") for value in range(len(values))], dtype=float)
+    photon = _photon_cdf(physics, edges[1:])
+    others = _other_survival(physics, chain.ready, chain.pending, edges[1:])
+    first = np.searchsorted(edges, chain.ready, side="right") - 1
+    others = np.where(np.arange(1, edges.size)[None, :] > first[:, None], others, 0.0).T
+    weights = []
+    for per_cell, per_miss in (
+        ((decoded[None, :] != values[:, None]).astype(float), (values != 0).astype(float)),
+        (popcount[decoded[None, :] ^ values[:, None]], popcount),
+    ):
+        step = np.diff(np.concatenate([per_cell, per_miss[:, None]], axis=1), axis=1)
+        expected = (
+            per_cell[:, first]
+            + (1.0 + p_detect * chain.photon_before) * (step @ others)
+            - p_detect * ((step * photon) @ others)
+        )
+        weights.append(expected.mean(axis=0))
+    return np.stack(weights, axis=1)
