@@ -16,8 +16,8 @@ physical process, one TDC ``searchsorted`` over the flattened hit times, one
 PPM decode — instead of paying C constructions and C sets of small array
 operations per chunk.
 
-Writes the measurements to ``BENCH_multichannel.json`` at the repository root
-(the ``BENCH_fastpath.json`` pattern).  The acceptance bar is a >=5x
+Writes the measurements to ``BENCH_multichannel.json`` at the repository
+root.  The acceptance bar is a >=5x
 symbols*channels/sec speedup at C=64.
 """
 

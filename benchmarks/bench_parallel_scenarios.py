@@ -5,7 +5,7 @@ points) twice through ``ExperimentRunner``: once on the
 :class:`~repro.scenarios.executors.SerialExecutor` and once on a
 :class:`~repro.scenarios.executors.ProcessExecutor` with ``WORKERS``
 processes, and records points/sec for both in ``BENCH_parallel.json`` at the
-repository root (the ``BENCH_fastpath.json`` pattern).
+repository root, as every timing tracker records its measurement.
 
 Because every point's seed is derived before dispatch, the two runs are
 **bit-identical** — this benchmark asserts ``to_mapping()`` equality on top

@@ -15,7 +15,7 @@ benchmark harness.
 import pytest
 
 from repro.analysis.report import ReportTable, TextReport
-from repro.core.backend import backend_capabilities
+from repro.core.backend import available_backends
 from repro.scenarios import named_scenarios
 from repro.scenarios.smoke import run_smoke
 
@@ -53,7 +53,7 @@ def test_scenario_library_smoke(benchmark):
     assert len(reports) == len(named_scenarios())
     assert len(reports) >= 4
     for experiment in reports:
-        assert backend_capabilities(experiment.backend).supports_batch
+        assert experiment.backend in available_backends()
         assert len(experiment.points) >= 1
 
 

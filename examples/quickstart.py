@@ -36,8 +36,8 @@ def bits_to_text(bits: list) -> str:
 def main() -> None:
     config = LinkConfig(ppm_bits=4)
     # make_link is the package's front door: backends are selected by name
-    # ("batch" is the vectorised default, "scalar" the symbol-by-symbol
-    # reference) so no caller hard-codes a link class.
+    # ("batch" is the single-channel default, "multichannel" the SPAD-array
+    # engine) so no caller hard-codes a link class.
     link = make_link(config, backend="batch", seed=2026)
 
     message = "hello from the optical through-chip bus!"

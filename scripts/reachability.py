@@ -8,10 +8,8 @@ profiler hook loaded into every Python process:
 
 * the examples under ``examples/``;
 * every named scenario under ``repro run`` on the default backend,
-  ``--backend scalar`` (single-channel scenarios only: the scalar backend
-  refuses parallel channels), ``--backend multichannel`` and
-  ``--executor thread --workers 2``, plus ``repro probe``, ``repro list``,
-  ``repro show`` and ``repro compare``;
+  ``--backend multichannel`` and ``--executor thread --workers 2``, plus
+  ``repro probe``, ``repro list``, ``repro show`` and ``repro compare``;
 * ``--trial-mode importance --ci-target`` runs on the default and the
   multichannel backend, and one ``--executor process --workers 2`` run;
 * the figure benchmarks (every ``benchmarks/bench_*.py`` except the timing
@@ -60,8 +58,7 @@ REPO = Path(__file__).resolve().parent.parent
 TIMING_TRACKERS = frozenset(
     f"bench_{name}.py"
     for name in (
-        "fastpath_speedup", "multichannel", "noc_traffic", "parallel_scenarios",
-        "cluster", "kernels", "rareevent",
+        "multichannel", "parallel_scenarios", "cluster", "kernels", "rareevent",
     )
 )
 #: Payload bits per grid point for the scenario runs.
@@ -140,18 +137,16 @@ def production_jobs(root: Path, store: Path) -> List[Job]:
     """Every run except ``show``/``compare``, which read what these store."""
     sys.path.insert(0, str(root / "src"))
     try:
-        from repro.scenarios import get_scenario, named_scenarios
+        from repro.scenarios import named_scenarios
 
-        scenarios = [(name, get_scenario(name).channels) for name in named_scenarios()]
+        scenarios = list(named_scenarios())
     finally:
         sys.path.pop(0)
     budget = ["--bits", str(BITS), "--store", str(store), "--quiet"]
     jobs = [Job(f"example {path.name}", [sys.executable, str(path)], 300)
             for path in sorted((root / "examples").glob("*.py"))]
-    for name, channels in scenarios:
+    for name in scenarios:
         variants = [[], ["--backend", "multichannel"], ["--executor", "thread", "--workers", "2"]]
-        if channels == 1:  # the scalar backend refuses parallel channels
-            variants.append(["--backend", "scalar"])
         for variant in variants:
             jobs.append(Job(" ".join(["run", name, *variant]),
                             _repro("run", name, *budget, *variant), 300))

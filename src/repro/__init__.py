@@ -39,9 +39,8 @@ Quickstart
 ----------
 
 Links are built through the backend registry — ``"batch"`` (the vectorised
-default), ``"scalar"`` (the draw-for-draw reference path) or
-``"multichannel"`` (the parallel SPAD-array engine), never by naming an
-engine class:
+default) or ``"multichannel"`` (the parallel SPAD-array engine), never by
+naming an engine class:
 
 >>> from repro import LinkConfig, make_link
 >>> link = make_link(LinkConfig(ppm_bits=4), backend="batch", seed=1)

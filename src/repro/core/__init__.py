@@ -16,8 +16,7 @@ This package ties the substrates together into the system the paper proposes:
   crosstalk between neighbours.
 * :mod:`repro.core.backend` — the :class:`LinkBackend` protocol and registry:
   :func:`make_link` is the single front door through which every consumer
-  constructs a link, selecting ``"batch"``, ``"scalar"`` or
-  ``"multichannel"`` by name.
+  constructs a link, selecting ``"batch"`` or ``"multichannel"`` by name.
 * :mod:`repro.core.error_model` / :mod:`repro.core.ber` — analytic and
   Monte-Carlo symbol/bit error rates from jitter, dark counts, afterpulsing
   and missed detections.

@@ -1,8 +1,7 @@
 """Link-backend protocol and registry — the package's front door for links.
 
-The package has three link engines: the scalar symbol-by-symbol
-:class:`~repro.core.link.OpticalLink`, the vectorised batch
-:class:`~repro.core.fastlink.FastOpticalLink`, and the SPAD-array
+The package has two link engines: the vectorised batch
+:class:`~repro.core.fastlink.FastOpticalLink` and the SPAD-array
 :class:`~repro.core.multilink.MultichannelOpticalLink`.  Instead of every
 consumer hard-coding which class it instantiates, this module defines the
 :class:`LinkBackend` protocol the engines satisfy, a registry of named
@@ -16,11 +15,12 @@ Backend contract
 Every backend simulates the same physics (same models, same distributions,
 same decision rules) and is individually deterministic per seed, but backends
 are only required to be *statistically* equivalent to one another — not
-draw-for-draw identical.  The ``"scalar"`` backend is the draw-for-draw
-reference for legacy results; the ``"batch"`` backend (alias ``"fast"``) is
-the default and the one every Monte-Carlo-scale consumer should run; the
+draw-for-draw identical.  The ``"batch"`` backend (alias ``"fast"``) is the
+default and the one every Monte-Carlo-scale consumer should run; the
 ``"multichannel"`` backend (alias ``"array"``) widens the batch pass to
-``channels`` parallel links with optional optical crosstalk.
+``channels`` parallel links with optional optical crosstalk.  The reference
+both are held to is exact: the detector-state chain of
+``tests/_oracles.py::link_error_oracle`` (``tests/test_link_oracle.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple, runtime_
 
 from repro.core.config import LinkConfig
 from repro.core.fastlink import FastOpticalLink
-from repro.core.link import OpticalLink, TransmissionResult
+from repro.core.link import TransmissionResult
 from repro.core.multilink import MultichannelOpticalLink
 from repro.photonics.channel import OpticalChannel
 from repro.photonics.crosstalk import CrosstalkModel
@@ -43,16 +43,10 @@ class BackendCapabilities:
 
     Attributes
     ----------
-    supports_batch:
-        The transmit path simulates whole payloads as array passes (the
-        vectorised engine); scalar backends iterate symbol by symbol.
     supports_multichannel:
         The backend accepts ``channels=``/``crosstalk=`` and simulates
         ``(symbols, channels)`` SPAD-array passes — the 64x64 imager of
         ref [5] — as the ``"multichannel"`` backend does.
-    draw_for_draw_reference:
-        This backend defines the reference sample path for a given seed
-        (legacy results are reproduced draw for draw against it).
     supports_importance:
         The backend accepts ``importance=``
         (:class:`~repro.spad.device.ImportanceSettings`) and produces
@@ -60,9 +54,7 @@ class BackendCapabilities:
         statistics are unbiased estimates of the naive path's.
     """
 
-    supports_batch: bool
     supports_multichannel: bool = False
-    draw_for_draw_reference: bool = False
     supports_importance: bool = False
 
 
@@ -70,9 +62,10 @@ class BackendCapabilities:
 class LinkBackend(Protocol):
     """Structural protocol every link backend implements.
 
-    Both :class:`~repro.core.link.OpticalLink` and
-    :class:`~repro.core.fastlink.FastOpticalLink` satisfy it; third-party
-    backends registered through :func:`register_backend` must as well.
+    Both :class:`~repro.core.fastlink.FastOpticalLink` and
+    :class:`~repro.core.multilink.MultichannelOpticalLink` satisfy it;
+    third-party backends registered through :func:`register_backend` must as
+    well.
     ``transmit_bits`` takes a list or array of 0/1, and the returned
     :class:`~repro.core.link.TransmissionResult` carries ``transmitted_bits``
     and ``received_bits`` as 1-D ``np.uint8`` arrays of payload length, and
@@ -185,9 +178,8 @@ def make_link(
     config:
         Link configuration; the default :class:`LinkConfig` when ``None``.
     backend:
-        Registered backend name (``"batch"``, ``"scalar"``,
-        ``"multichannel"``) or alias (``"fast"``, ``"array"``); ``None``
-        selects the default batch engine.
+        Registered backend name (``"batch"``, ``"multichannel"``) or alias
+        (``"fast"``, ``"array"``); ``None`` selects the default batch engine.
     channel:
         Optional optical channel, forwarded to the backend factory.
     seed:
@@ -242,23 +234,14 @@ def make_link(
 
 
 register_backend(
-    "scalar",
-    OpticalLink,
-    BackendCapabilities(supports_batch=False, draw_for_draw_reference=True),
-)
-register_backend(
     "batch",
     FastOpticalLink,
-    BackendCapabilities(supports_batch=True, supports_importance=True),
+    BackendCapabilities(supports_importance=True),
     aliases=("fast",),
 )
 register_backend(
     "multichannel",
     MultichannelOpticalLink,
-    BackendCapabilities(
-        supports_batch=True,
-        supports_multichannel=True,
-        supports_importance=True,
-    ),
+    BackendCapabilities(supports_multichannel=True, supports_importance=True),
     aliases=("array",),
 )

@@ -9,7 +9,9 @@ Two independent estimators of the same quantity:
   :mod:`repro.core.backend` — and counts disagreements.
 
 The benchmarks use the Monte-Carlo estimate and report the analytic value next
-to it as a sanity check.
+to it as a sanity check.  Neither is the reference: the engines behind the
+Monte-Carlo estimate are held to the exact detector-state chain of
+``tests/_oracles.py::link_error_oracle`` (``tests/test_link_oracle.py``).
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ def monte_carlo_bit_error_rate(
     ``backend`` selects a registered link backend by name (see
     :mod:`repro.core.backend`; :func:`~repro.core.backend.make_link` is the
     only way links are constructed): ``"batch"`` — the default — runs the
-    vectorised engine, ``"scalar"`` the symbol-by-symbol link.  Backends are
-    statistically equivalent but not draw-for-draw identical.
+    single-channel engine, ``"multichannel"`` the SPAD-array engine.
+    Backends are statistically equivalent but not draw-for-draw identical.
     """
     if bits <= 0:
         raise ValueError("bits must be positive")

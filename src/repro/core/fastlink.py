@@ -1,20 +1,13 @@
-"""Vectorised batch transmission engine — the link simulator's fast path.
+"""Vectorised batch transmission engine — the single-channel link simulator.
 
-:class:`FastOpticalLink` is a drop-in replacement for
-:class:`~repro.core.link.OpticalLink` that simulates all S symbols of a
-payload at once instead of one per Python-interpreter iteration.  The paper's
-headline figures (BER vs. range, the TP/DC surfaces) are statistical estimates
-needing 10^5–10^7 simulated PPM symbols per operating point; at that scale the
-scalar path is interpreter-bound, not model-bound.
-
-Scalar-vs-batch contract
-------------------------
-The batch engine is *statistically equivalent* to the scalar path — same
-physical models, same distributions, same decision rules — but not draw-for-
-draw identical: randomness is consumed in bulk array draws (one per physical
-process) rather than interleaved per event, so the two paths produce different
-(equally valid) sample paths from the same seed.  Each path is individually
-deterministic given its seed.
+:class:`FastOpticalLink` simulates all S symbols of a payload at once instead
+of one per Python-interpreter iteration.  The paper's headline figures (BER
+vs. range, the TP/DC surfaces) are statistical estimates needing 10^5–10^7
+simulated PPM symbols per operating point, which only array passes make
+affordable.  Randomness is consumed in bulk array draws (one per physical
+process), so a transmission is deterministic given its seed; its error
+rates match the exact detector-state chain of
+``tests/_oracles.py::link_error_oracle`` (``tests/test_link_oracle.py``).
 
 The pipeline is NumPy end to end, from the payload array the caller passes
 in to the per-symbol error counts of the result:
@@ -52,9 +45,8 @@ per-call overhead; the NoC bus sends a run's unicast groups this way, one
 segment per epoch and link, so a link may own several segments.
 ``transmit_bits`` is its G = 1 case, so the engine has one body.
 
-The result is the same :class:`~repro.core.link.TransmissionResult` the scalar
-path returns, at a ≥10× (typically 30–100×) symbols/sec advantage on
-10^5-symbol workloads (see ``benchmarks/bench_fastpath_speedup.py``).
+The result is the :class:`~repro.core.link.TransmissionResult` every
+backend returns.
 """
 
 from __future__ import annotations
@@ -72,13 +64,10 @@ from repro.spad.device import ORIGIN_BY_CODE, ImportanceSettings, detect_in_segm
 
 
 class FastOpticalLink(OpticalLink):
-    """Drop-in :class:`OpticalLink` whose transmit path is the batch engine.
+    """An :class:`OpticalLink` whose transmit path is the batch engine.
 
-    Construction, configuration, seeding and the returned
-    :class:`TransmissionResult` are identical to the scalar link; only
-    :meth:`transmit_bits` is overridden.  Use the scalar class when you need
-    draw-for-draw reproduction of legacy results, the fast class everywhere
-    throughput matters.
+    Construction, configuration and seeding are :class:`OpticalLink`'s;
+    :meth:`transmit_bits` simulates a payload in one batch pass.
 
     ``importance`` switches the detection core to the importance-sampled
     rare-event path (:class:`~repro.spad.device.ImportanceSettings`): the
@@ -100,10 +89,10 @@ class FastOpticalLink(OpticalLink):
     def transmit_bits(self, bits: Sequence[int]) -> TransmissionResult:
         """Send a payload over the link, simulating every symbol in one batch.
 
-        Same contract as :meth:`OpticalLink.transmit_bits`: the payload is
-        padded with zeros to a whole number of symbols and error statistics
-        cover the original bit positions.  The pass is
-        :func:`transmit_segments` with this link alone.
+        ``bits`` is a list or array of 0/1.  The payload is padded with
+        zeros to a whole number of symbols and error statistics cover the
+        original bit positions.  The pass is :func:`transmit_segments` with
+        this link alone.
         """
         payload = self._payload_array(bits)
         sent = transmit_segments((self,), payload, (0,))

@@ -1,21 +1,26 @@
-"""End-to-end optical PPM link simulator.
+"""The optical PPM link: its construction, its result and its receiver.
 
 :class:`OpticalLink` wires the substrates together exactly as in Figure 1 of
 the paper: a PPM encoder drives the micro-LED schedule, the optical channel
-attenuates and delays the pulse, the SPAD stochastically reports the first
-detection in each measurement window (signal photon, dark count or
-afterpulse), the two-level TDC digitises the time of arrival, and the PPM
-decoder maps it back to bits.
+attenuates the pulse, the SPAD reports the first detection in each
+measurement window (signal photon, dark count or afterpulse), the two-level
+TDC digitises the time of arrival, and the PPM decoder maps it back to bits.
+It builds those parts from a :class:`~repro.core.config.LinkConfig` and a
+seed; the engines that transmit over them subclass it
+(:class:`~repro.core.fastlink.FastOpticalLink`,
+:class:`~repro.core.multilink.MultichannelOpticalLink`), and
+:func:`~repro.core.backend.make_link` builds them by name.  Every engine
+returns a :class:`TransmissionResult` and decodes its detections with
+:func:`decode_detections`.
 
-The simulator works symbol by symbol (one measurement window per symbol), so
-dead time and afterpulsing carry over between consecutive symbols exactly as
-in the hardware.
+Dead time and afterpulsing carry over between consecutive measurement
+windows (one per symbol) exactly as in the hardware.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -160,7 +165,10 @@ class TransmissionResult:
 
 
 class OpticalLink:
-    """One transmitter-to-receiver PPM channel.
+    """One transmitter-to-receiver PPM channel: the parts every engine transmits over.
+
+    An engine subclass adds ``transmit_bits``; :meth:`transmit_random` sends
+    a random payload through it.
 
     Parameters
     ----------
@@ -240,8 +248,8 @@ class OpticalLink:
     def _payload_array(bits: Sequence[int]) -> np.ndarray:
         """Validated ``uint8`` copy of a payload given as a list or array of 0/1.
 
-        Every backend's :meth:`transmit_bits` starts here, so all of them
-        accept and reject the same inputs.
+        Every engine's ``transmit_bits`` starts here, so all of them accept
+        and reject the same inputs.
         """
         raw = np.asarray(bits)
         if raw.ndim != 1 or raw.size == 0:
@@ -255,75 +263,6 @@ class OpticalLink:
         if not valid:
             raise ValueError("bits must be 0 or 1")
         return raw.astype(np.uint8)
-
-    def transmit_bits(self, bits: Sequence[int]) -> TransmissionResult:
-        """Send a payload over the link and return the decoded result.
-
-        ``bits`` is a list or array of 0/1.  The payload is padded with zeros
-        to a whole number of symbols; error statistics are computed over the
-        original (unpadded) bit positions.
-        """
-        payload = self._payload_array(bits)
-        k = self.config.ppm_bits
-        padded = payload.tolist()
-        remainder = len(padded) % k
-        if remainder:
-            padded += [0] * (k - remainder)
-
-        symbols = self.codec.encode_bits(padded)
-        symbol_duration = self.config.symbol_duration
-        mean_photons = self.mean_photons_at_detector()
-
-        decoded_values: List[int] = []
-        symbol_errors = 0
-        detection_counts = {
-            "photon": 0,
-            "dark_count": 0,
-            "afterpulse": 0,
-            # A single isolated channel never reports crosstalk; the key is
-            # present so every backend shares one detection-count shape.
-            "crosstalk": 0,
-            "missed": 0,
-        }
-        self.spad.reset()
-
-        for index, symbol in enumerate(symbols):
-            window_start = index * symbol_duration
-            # Gated operation: the receiver re-arms the SPAD at the start of
-            # every measurement window (this is what lets the detection cycle
-            # be matched to the PPM range, as the paper's DC(N, C) assumes).
-            self.spad.rearm(window_start)
-            # The channel's propagation delay shifts every symbol identically,
-            # so the receiver's window is assumed aligned to it (clock
-            # recovery) and the pulse lands at its window-relative slot time.
-            photon_time = window_start + symbol.pulse_time
-            detection = self.spad.detect_in_window(
-                window_start, symbol_duration, photon_time, mean_photons
-            )
-            if detection is None:
-                detection_counts["missed"] += 1
-                decoded_value = 0
-            else:
-                detection_counts[detection.origin.value] += 1
-                relative = detection.time - window_start
-                conversion = self.tdc.convert(min(relative, self.tdc.usable_range * 0.999999))
-                measured = min(max(conversion.measured_time, 0.0), symbol_duration * 0.999999)
-                decoded_value = self.codec.decode_time(measured)
-            decoded_values.append(decoded_value)
-            if decoded_value != symbol.value:
-                symbol_errors += 1
-
-        elapsed = len(symbols) * symbol_duration
-        return TransmissionResult(
-            transmitted_bits=payload,
-            received_bits=None,
-            symbols_sent=len(symbols),
-            symbol_errors=symbol_errors,
-            detection_counts=detection_counts,
-            elapsed_time=elapsed,
-            bits_per_symbol=k,
-            decoded_values=np.asarray(decoded_values, dtype=np.int64),
-        )
 
     def transmit_random(self, bit_count: int, payload_seed: int = 1234) -> TransmissionResult:
         """Transmit ``bit_count`` random bits (convenience for benchmarks)."""
@@ -353,7 +292,7 @@ def decode_detections(
 ) -> np.ndarray:
     """Symbol values of a detection pass's windows through the links' receivers.
 
-    The batch engines' TDC-and-slot step, one ``decode_windows`` kernel
+    The engines' TDC-and-slot step, one ``decode_windows`` kernel
     call: each detection is made window-relative, clipped into the TDC
     range, converted as :meth:`TimeToDigitalConverter.convert_array` does,
     clipped into the window and decoded as :meth:`PpmCodec.decode_times`
@@ -364,8 +303,8 @@ def decode_detections(
     """
     if any(link.tdc.metastability is not None for link in links):
         raise ValueError(
-            "the batch decode does not model TDC metastability; "
-            "use the scalar OpticalLink for a TDC with a metastability model"
+            "the link decode does not model TDC metastability; study a TDC with a "
+            "metastability model through TimeToDigitalConverter.convert_array"
         )
     tables = (
         [link.tdc.coarse.period for link in links],

@@ -90,8 +90,8 @@ class MultichannelOpticalLink(OpticalLink):
         Per-channel link configuration (all channels are identical pixels).
     channel:
         Optional shared :class:`~repro.photonics.channel.OpticalChannel`; as
-        for the scalar link, it turns ``mean_detected_photons`` into the
-        *emitted* photon count.
+        for every :class:`~repro.core.link.OpticalLink`, it turns
+        ``mean_detected_photons`` into the *emitted* photon count.
     seed:
         Seed for all stochastic behaviour.
     channels:

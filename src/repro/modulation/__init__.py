@@ -12,7 +12,7 @@ from repro import _lazy
 
 __getattr__, __dir__ = _lazy.exports(__name__, {
     ".symbols": ("SlotGrid", "bits_to_int", "int_to_bits"),
-    ".ppm": ("PpmCodec", "PpmSymbol"),
+    ".ppm": ("PpmCodec",),
     ".line_coding": ("OnOffKeyingCodec",),
 })
 
@@ -21,6 +21,5 @@ __all__ = [
     "bits_to_int",
     "int_to_bits",
     "PpmCodec",
-    "PpmSymbol",
     "OnOffKeyingCodec",
 ]

@@ -10,21 +10,11 @@ measured arrival wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.modulation.symbols import SlotGrid, bit_matrix_to_ints, bits_to_int
-
-
-@dataclass(frozen=True)
-class PpmSymbol:
-    """One encoded PPM symbol."""
-
-    value: int
-    slot: int
-    pulse_time: float
+from repro.modulation.symbols import SlotGrid, bit_matrix_to_ints
 
 
 class PpmCodec:
@@ -38,39 +28,11 @@ class PpmCodec:
         return self.grid.bits_per_symbol
 
     # -- encoding -------------------------------------------------------------
-    def encode_value(self, value: int) -> PpmSymbol:
-        """Encode an integer in ``[0, 2^K)`` as a pulse position."""
-        if not 0 <= value < self.grid.slot_count:
-            raise ValueError(
-                f"value must be within [0, {self.grid.slot_count}), got {value}"
-            )
-        slot = value
-        return PpmSymbol(value=value, slot=slot, pulse_time=self.grid.slot_center(slot))
-
-    def encode_bits(self, bits: Sequence[int]) -> List[PpmSymbol]:
-        """Encode a bit stream into consecutive PPM symbols.
+    def encode_bits_to_values(self, bits: Sequence[int]) -> np.ndarray:
+        """Encode a bit stream as one array of PPM symbol values, in transmission order.
 
         The bit count must be a multiple of K (pad upstream if needed);
-        symbols are returned in transmission order.
-        """
-        if len(bits) == 0:
-            raise ValueError("bits must be non-empty")
-        if len(bits) % self.bits_per_symbol != 0:
-            raise ValueError(
-                f"bit count {len(bits)} is not a multiple of K={self.bits_per_symbol}"
-            )
-        symbols = []
-        for start in range(0, len(bits), self.bits_per_symbol):
-            group = bits[start : start + self.bits_per_symbol]
-            symbols.append(self.encode_value(bits_to_int(group)))
-        return symbols
-
-    def encode_bits_to_values(self, bits: Sequence[int]) -> np.ndarray:
-        """Vectorised :meth:`encode_bits`: symbol values only, as one array.
-
-        The batch transmission engine works on symbol-value arrays rather than
-        :class:`PpmSymbol` objects; pulse times follow from
-        :meth:`pulse_times_for_values`.
+        pulse times follow from :meth:`pulse_times_for_values`.
         """
         if len(bits) == 0:
             raise ValueError("bits must be non-empty")
@@ -89,18 +51,13 @@ class PpmCodec:
         return (values + 0.5) * self.grid.slot_duration
 
     # -- decoding -------------------------------------------------------------
-    def decode_time(self, arrival_time: float) -> int:
-        """Decode a measured arrival time (within one symbol) to the symbol value.
-
-        Arrival times inside the guard interval decode to the last slot —
-        consistent with :meth:`SlotGrid.slot_of_time` — because a detection
-        there is most likely a late pulse from the last slot.
-        """
-        slot = self.grid.slot_of_time(arrival_time)
-        return slot
-
     def decode_times(self, arrival_times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`decode_time` over an array of measured arrival times."""
+        """Symbol values of measured arrival times (each within one symbol).
+
+        Arrival times inside the guard interval decode to the last slot,
+        because a detection there is most likely a late pulse from the last
+        slot.
+        """
         return self.grid.slots_of_times(arrival_times)
 
     # -- analysis ---------------------------------------------------------------

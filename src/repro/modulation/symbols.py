@@ -167,31 +167,11 @@ class SlotGrid:
         """Bits per second when symbols are sent back to back."""
         return self.bits_per_symbol / self.symbol_duration
 
-    def slot_start(self, slot: int) -> float:
-        """Start time of ``slot`` within the symbol [s]."""
-        if not 0 <= slot < self.slot_count:
-            raise ValueError(f"slot must be within [0, {self.slot_count}), got {slot}")
-        return slot * self.slot_duration
-
-    def slot_center(self, slot: int) -> float:
-        """Centre time of ``slot`` within the symbol [s]."""
-        return self.slot_start(slot) + self.slot_duration / 2.0
-
-    def slot_of_time(self, time: float) -> int:
-        """Slot index containing ``time``; times in the guard interval map to the last slot.
+    def slots_of_times(self, times: np.ndarray) -> np.ndarray:
+        """Slot index containing each arrival time; the guard interval maps to the last slot.
 
         Raises :class:`ValueError` for times outside the symbol range.
         """
-        if time < 0 or time >= self.symbol_duration:
-            raise ValueError(
-                f"time {time} outside the symbol range [0, {self.symbol_duration})"
-            )
-        if time >= self.data_window:
-            return self.slot_count - 1
-        return int(time / self.slot_duration)
-
-    def slots_of_times(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`slot_of_time` over an array of arrival times."""
         return _reference.slots_of_times(
             np.asarray(times, dtype=float),
             self.slot_duration,

@@ -7,25 +7,22 @@ here transmits one packet from a source die to every other die and reports
 which receivers decoded it correctly, given that each receiver sees a
 different attenuation (more intermediate silicon for farther dies).
 
-On a multichannel-capable backend (the default) the whole broadcast is **one
-``(S, C)`` array pass**: receiver ``c`` is channel ``c`` of a
-:func:`~repro.core.backend.make_link`-built ``"multichannel"`` link whose
-``channel_gains`` carry the per-receiver stack attenuations, and the packet's
-symbol stream is tiled across the channels so every die decodes the full
-packet.  Passing a single-channel backend name falls back to one independent
-link per receiver (the scalar reference path); both are statistically
-equivalent per the backend contract.  Per-receiver seeds follow the central
+The whole broadcast is **one ``(S, C)`` array pass**: receiver ``c`` is
+channel ``c`` of a :func:`~repro.core.backend.make_link`-built
+``"multichannel"`` link whose ``channel_gains`` carry the per-receiver stack
+attenuations, and the packet's symbol stream is tiled across the channels so
+every die decodes the full packet.  The link's seed follows the central
 seed-derivation policy (:func:`~repro.simulation.randomness.split_seed`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.core.backend import backend_capabilities, make_link, resolve_backend
+from repro.core.backend import make_link
 from repro.core.config import LinkConfig
 from repro.modulation.symbols import bit_matrix_to_ints, symbol_bit_errors
 from repro.noc.packet import Packet
@@ -105,57 +102,39 @@ def broadcast(
     config: LinkConfig = LinkConfig(),
     emitted_photons: float = 2000.0,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> BroadcastResult:
     """Send ``packet`` from ``source_node`` to every other node of the stack.
 
     Each receiver sees the emitted pulse energy scaled by its own span
     transmission; success means the packet decoded with zero bit errors.
-    ``backend`` selects the engine: ``None`` (or any multichannel-capable
-    name) runs all receivers as one ``(S, C)`` pass, a single-channel name
-    (``"batch"``, ``"scalar"``) simulates receivers one link at a time.
+    All receivers are one ``(S, C)`` pass of a ``"multichannel"`` link.
     """
     if emitted_photons <= 0:
         raise ValueError("emitted_photons must be positive")
     if source_node >= topology.node_count:
         raise ValueError("source_node is not part of the topology")
-    resolved = resolve_backend("multichannel" if backend is None else backend)
     receivers = [node for node in range(topology.node_count) if node != source_node]
     result = BroadcastResult(source=source_node)
     if not receivers:
         return result
     gains = [topology.channel_transmission(source_node, node) for node in receivers]
-    bits = packet.serialize()
-    if backend_capabilities(resolved).supports_multichannel:
-        channels = len(receivers)
-        k = config.ppm_bits
-        padded = packet.padded_bits(k)
-        tiled = tile_symbols_for_receivers(padded, k, channels)
-        link = make_link(
-            config.with_detected_photons(emitted_photons),
-            backend=resolved,
-            channels=channels,
-            channel_gains=gains,
-            seed=split_seed(seed, f"noc:broadcast:{source_node}"),
-        )
-        outcome = link.transmit_bits(tiled)
-        errors_per_receiver = per_receiver_bit_errors(
-            padded, outcome.decoded_values, k, np.array([0]), np.array([len(bits)])
-        )[0]
-        for node, errors in zip(receivers, errors_per_receiver):
-            result.receivers[node] = int(errors) == 0
-            result.bit_errors[node] = int(errors)
-    else:
-        for node, transmission in zip(receivers, gains):
-            receiver_config = config.with_detected_photons(emitted_photons * transmission)
-            link = make_link(
-                receiver_config,
-                backend=resolved,
-                seed=split_seed(seed, f"noc:broadcast:{source_node}->{node}"),
-            )
-            outcome = link.transmit_bits(bits)
-            result.receivers[node] = outcome.bit_errors == 0
-            result.bit_errors[node] = outcome.bit_errors
+    channels = len(receivers)
+    k = config.ppm_bits
+    padded = packet.padded_bits(k)
+    link = make_link(
+        config.with_detected_photons(emitted_photons),
+        backend="multichannel",
+        channels=channels,
+        channel_gains=gains,
+        seed=split_seed(seed, f"noc:broadcast:{source_node}"),
+    )
+    outcome = link.transmit_bits(tile_symbols_for_receivers(padded, k, channels))
+    errors_per_receiver = per_receiver_bit_errors(
+        padded, outcome.decoded_values, k, np.array([0]), np.array([len(packet.serialize())])
+    )[0]
+    for node, errors in zip(receivers, errors_per_receiver):
+        result.receivers[node] = int(errors) == 0
+        result.bit_errors[node] = int(errors)
     return result
 
 
@@ -166,7 +145,6 @@ def minimum_photons_for_full_coverage(
     candidate_levels=(100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0),
     probe_payload_bits: int = 64,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> float:
     """Smallest emitted photon level (from ``candidate_levels``) reaching every die.
 
@@ -182,7 +160,6 @@ def minimum_photons_for_full_coverage(
             config=config,
             emitted_photons=level,
             seed=seed,
-            backend=backend,
         )
         if outcome.coverage == 1.0:
             return float(level)

@@ -26,8 +26,8 @@ segmented decode, each group on its own link's TDC (a run over
 group rides its pair's link, built through the backend registry
 (:func:`repro.core.backend.make_link`), and draws from that link's own
 random stream, a link's groups in epoch order, so every packet gets the bit
-errors one call per group would give.  Other batch backends send one call
-per group.  Broadcast packets go further: all receiving dies of a slot are
+errors one call per group would give.  The ``"multichannel"`` backend sends
+one call per group.  Broadcast packets go further: all receiving dies of a slot are
 one ``(S, C)`` pass on the ``"multichannel"`` backend, with per-receiver
 stack attenuations as channel gains, one call per epoch and source.
 Outcomes — slots, bit errors, delivery, latency, a broadcast's receiver
@@ -37,8 +37,7 @@ the columns only when asked.
 
 Arbitration — and therefore every slot assignment and latency — is identical
 whatever the backend; only the error statistics are stochastic, and those are
-*statistically* equivalent between the scalar slot-by-slot loop
-(``backend="scalar"``) and the batched path, per the backend contract
+*statistically* equivalent between the backends, per the backend contract
 (locked by ``tests/test_noc_batching.py``).
 
 Per-link seeds follow the central seed-derivation policy
@@ -55,7 +54,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import backend_capabilities, make_link, resolve_backend
+from repro.core.backend import make_link, resolve_backend
 from repro.core.config import LinkConfig
 from repro.core.fastlink import transmit_segments
 from repro.kernels import get_kernel
@@ -374,9 +373,8 @@ class OpticalBus:
     backend:
         Registered link backend the bus transmits through (``None`` selects
         the default batch engine).  ``"batch"`` sends a run's unicast groups
-        in one segmented pass, other batch-capable backends in one
-        transmission per group; the ``"scalar"`` backend replays the legacy
-        packet-at-a-time slot loop.
+        in one segmented pass, ``"multichannel"`` in one transmission per
+        group.
     epoch_packets:
         Deliverable grants per epoch (a positive int).  Each link restarts
         (a fresh detector) at every epoch it carries and sizes its draws by
@@ -411,7 +409,6 @@ class OpticalBus:
         self._seed = seed
         self.backend = resolve_backend(backend)
         self.epoch_packets = _positive_count("epoch_packets", epoch_packets)
-        self._batched = backend_capabilities(self.backend).supports_batch
         self.statistics = BusStatistics()
         nodes = topology.node_count
         self._traffic = TrafficTable.empty(config.ppm_bits)
@@ -424,7 +421,6 @@ class OpticalBus:
         self._slot = 0  # persistent slot clock: run() continues, never rewinds
         self._links: Dict[Tuple[int, int], object] = {}
         self._broadcast_links: Dict[int, object] = {}
-        self._broadcast_scalar_links: Dict[Tuple[int, int], object] = {}
 
     # -- link management ---------------------------------------------------------
     def link_seed(self, source: int, destination) -> int:
@@ -473,19 +469,6 @@ class OpticalBus:
                 seed=self.link_seed(source, "broadcast"),
             )
         return self._broadcast_links[source]
-
-    def _broadcast_scalar_link_for(self, source: int, node: int):
-        """Per-receiver link of the scalar broadcast path (one die at a time)."""
-        key = (source, node)
-        if key not in self._broadcast_scalar_links:
-            transmission = self.topology.channel_transmission(source, node)
-            config = self.config.with_detected_photons(self.emitted_photons * transmission)
-            self._broadcast_scalar_links[key] = make_link(
-                config,
-                backend=self.backend,
-                seed=self.link_seed(source, f"broadcast:{node}"),
-            )
-        return self._broadcast_scalar_links[key]
 
     def span_transmission(self, source: int, destination: int) -> float:
         """Optical transmission of the span between two nodes."""
@@ -604,8 +587,8 @@ class OpticalBus:
         transmits the whole run's groups: one segmented pass for every
         unicast group on ``"batch"`` (several passes of whole groups past
         :data:`PASS_WINDOWS` windows or :data:`PASS_TAPS` TDC taps), one
-        call per group on other batch backends, packet at a time on the
-        scalar reference, and one broadcast call per epoch and source.  The
+        call per group on ``"multichannel"``, and one broadcast call per
+        epoch and source.  The
         run is recorded once, epoch by epoch: each epoch's undeliverable
         rows, then its groups.  A unicast row to no node of the topology
         burns one slot and is recorded undelivered.  Rows still queued when
@@ -683,24 +666,15 @@ class OpticalBus:
         (:func:`repro.core.fastlink.transmit_segments`) of whole groups, at
         most :data:`PASS_WINDOWS` windows and :data:`PASS_TAPS` TDC taps
         each (a larger group alone), each group on its own link and stream
-        — one pass for a run of ordinary size.  Other batch backends send
-        one call per group, and the scalar reference one call per packet.
-        A pass's padded bits are one gather from the table's buffer.
+        — one pass for a run of ordinary size.  The ``multichannel`` backend
+        sends one call per group.  A pass's padded bits are one gather from
+        the table's buffer.
         """
         table = self._traffic
         links = [
             self._link_for(int(table.source[group[0]]), int(table.destination[group[0]]))
             for group in groups
         ]
-        if not self._batched:
-            return np.array(
-                [
-                    link.transmit_bits(table.row_bits(row)).bit_errors
-                    for link, group in zip(links, groups)
-                    for row in group.tolist()
-                ],
-                dtype=np.int64,
-            )
         k = self.config.ppm_bits
         heads = np.cumsum([0] + [group.size for group in groups[:-1]])
         windows = np.add.reduceat(table.symbols[np.concatenate(groups)], heads)
@@ -736,30 +710,13 @@ class OpticalBus:
         if not receivers:
             return  # a single-node "stack": nobody to receive, recorded undelivered
         k = self.config.ppm_bits
-        channels = len(receivers)
-        if self._batched:
-            # One (S, C) pass for the whole group: the rows' symbols tiled
-            # across the C receiver channels by the shared broadcast layout
-            # (repro.noc.broadcast defines it once).
-            sent, starts = table.padded(rows)
-            link = self._broadcast_link_for(source)
-            result = link.transmit_bits(tile_symbols_for_receivers(sent, k, channels))
-            errors = per_receiver_bit_errors(
-                sent, result.decoded_values, k, starts, table.bits[rows]
-            )
-        else:
-            errors = np.array(
-                [
-                    [
-                        self._broadcast_scalar_link_for(source, node)
-                        .transmit_bits(table.row_bits(row))
-                        .bit_errors
-                        for node in receivers
-                    ]
-                    for row in rows.tolist()
-                ],
-                dtype=np.int64,
-            )
+        # One (S, C) pass for the whole group: the rows' symbols tiled across
+        # the C receiver channels by the shared broadcast layout
+        # (repro.noc.broadcast defines it once).
+        sent, starts = table.padded(rows)
+        link = self._broadcast_link_for(source)
+        result = link.transmit_bits(tile_symbols_for_receivers(sent, k, len(receivers)))
+        errors = per_receiver_bit_errors(sent, result.decoded_values, k, starts, table.bits[rows])
         table.bit_errors[rows] = errors.sum(axis=1)
         for row, split in zip(rows.tolist(), errors.tolist()):
             table.receiver_errors[row] = dict(zip(receivers, split))

@@ -109,8 +109,8 @@ class Packet:
         The symbol-aligned form the batched bus concatenates: padding each
         packet *before* concatenation keeps every packet's symbol boundaries
         where a packet-at-a-time transmission would put them, so per-packet
-        error statistics stay comparable between the scalar slot loop and one
-        segmented transmission of many packets.
+        error statistics do not depend on how many packets share one
+        segmented transmission.
         """
         bits = np.zeros(self.symbol_count(ppm_bits) * ppm_bits, dtype=np.uint8)
         bits[: self.total_bits] = self.serialize()

@@ -57,8 +57,8 @@ class LinkBatchTrial:
 
     Each Monte-Carlo trial is one PPM symbol pushed through a link built via
     the backend registry (:func:`repro.core.backend.make_link`), so callers
-    select the engine by name — ``"batch"`` (default), ``"scalar"`` or
-    ``"multichannel"`` — instead of instantiating a concrete link class.
+    select the engine by name — ``"batch"`` (default) or ``"multichannel"``
+    — instead of instantiating a concrete link class.
     Calling it defines the reproducibility protocol shared by every chunked
     link experiment (the scenario runner included): one link seed drawn from
     the chunk generator, then the chunk's payload bits, then one

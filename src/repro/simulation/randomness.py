@@ -1,10 +1,10 @@
 """Random-number management.
 
 All stochastic models draw from a :class:`RandomSource`, a thin wrapper over
-``numpy.random.Generator`` that adds the domain-specific distributions used by
-the photonics/SPAD models (Poisson arrival streams, exponential inter-arrival
-times, Gaussian and Bernoulli draws) and supports deterministic splitting so
-that independent subsystems get independent but reproducible streams.
+``numpy.random.Generator`` (which the engines' bulk array draws use directly)
+that adds the few checked draws of the TDC models (Bernoulli, Gaussian and
+uniform arrays) and supports deterministic splitting so that independent
+subsystems get independent but reproducible streams.
 """
 
 from __future__ import annotations
@@ -46,38 +46,12 @@ class RandomSource:
         return RandomSource(split_seed(self._seed, label))
 
     # -- scalar draws ---------------------------------------------------------
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        if std < 0:
-            raise ValueError(f"std must be non-negative, got {std}")
-        return float(self._rng.normal(mean, std))
-
-    def exponential(self, rate: float) -> float:
-        """Exponential inter-arrival time for a Poisson process of ``rate`` [1/s]."""
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        return float(self._rng.exponential(1.0 / rate))
-
     def bernoulli(self, probability: float) -> bool:
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be within [0, 1], got {probability}")
         return bool(self._rng.random() < probability)
 
     # -- vectorised draws ------------------------------------------------------
-    def poisson_arrival_times(self, rate: float, duration: float) -> np.ndarray:
-        """Event times of a homogeneous Poisson process on ``[0, duration)``.
-
-        Returns a sorted array; empty when no event occurred.
-        """
-        if rate < 0:
-            raise ValueError(f"rate must be non-negative, got {rate}")
-        if duration < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
-        if rate == 0 or duration == 0:
-            return np.empty(0)
-        count = self._rng.poisson(rate * duration)
-        times = self._rng.uniform(0.0, duration, size=count)
-        return np.sort(times)
-
     def normal_array(self, mean: float, std: float, size: int) -> np.ndarray:
         if std < 0:
             raise ValueError(f"std must be non-negative, got {std}")

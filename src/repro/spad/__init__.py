@@ -28,7 +28,7 @@ __getattr__, __dir__ = _lazy.exports(__name__, {
     ".afterpulsing": ("AfterpulsingModel",),
     ".jitter": ("JitterModel",),
     ".quenching": ("QuenchingCircuit", "QuenchingMode"),
-    ".device": ("DetectionEvent", "SpadConfig", "SpadDevice"),
+    ".device": ("SpadConfig", "SpadDevice"),
 })
 
 __all__ = [
@@ -41,5 +41,4 @@ __all__ = [
     "QuenchingMode",
     "SpadConfig",
     "SpadDevice",
-    "DetectionEvent",
 ]

@@ -19,12 +19,10 @@ suppress afterpulsing errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.analysis.units import NS
-from repro.simulation.randomness import RandomSource
 
 
 @dataclass(frozen=True)
@@ -72,19 +70,3 @@ class AfterpulsingModel:
         start = self.survival_after(dead_time)
         end = self.survival_after(dead_time + window)
         return self.probability * (start - end)
-
-    def sample_release_delay(
-        self,
-        random_source: RandomSource,
-        dead_time: float = 0.0,
-    ) -> Optional[float]:
-        """Sample the delay (from the avalanche) of an observable afterpulse.
-
-        Returns ``None`` when no observable afterpulse occurs.  The returned
-        delay is always greater than ``dead_time``.
-        """
-        if not random_source.bernoulli(self.effective_probability(dead_time)):
-            return None
-        # Exponential release conditioned on release after the dead time; by
-        # the memoryless property this is dead_time + Exp(time_constant).
-        return dead_time + random_source.exponential(1.0 / self.time_constant)

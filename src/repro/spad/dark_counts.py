@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.simulation.randomness import RandomSource
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,3 @@ class DarkCountModel:
         """Probability of at least one dark count in ``window`` (Poisson)."""
         mean = self.expected_counts(window, temperature, excess_bias)
         return float(1.0 - np.exp(-mean))
-
-    def sample_arrival_times(
-        self,
-        window: float,
-        random_source: RandomSource,
-        temperature: Optional[float] = None,
-        excess_bias: Optional[float] = None,
-    ) -> np.ndarray:
-        """Dark-count arrival times within ``[0, window)`` [s], sorted."""
-        return random_source.poisson_arrival_times(self.rate(temperature, excess_bias), window)

@@ -3,10 +3,10 @@
 :class:`SpadDevice` combines the photon detection probability, dead-time
 (quenching), dark-count, afterpulsing and jitter sub-models into a stochastic
 detector with one interface, the measurement window: given the arrival time
-of the (attenuated) optical pulse within a window, :meth:`detect_in_window`
-returns which detection — signal photon, dark count or afterpulse — the SPAD
-actually reports first, if any.  :meth:`detect_in_windows` is its batch
-analogue over many consecutive windows.
+of the (attenuated) optical pulse within each of many consecutive windows,
+:meth:`SpadDevice.detect_in_windows` returns which detection — signal
+photon, dark count or afterpulse — the SPAD reports first in each, if any.
+:func:`detect_in_segments` runs several devices back to back in one pass.
 
 The device keeps the time of its last avalanche so that dead time and
 afterpulsing carry over from one window to the next, exactly the coupling that
@@ -112,14 +112,6 @@ class ImportanceSettings:
 
 
 @dataclass(frozen=True)
-class DetectionEvent:
-    """A single reported SPAD detection."""
-
-    time: float
-    origin: DetectionOrigin
-
-
-@dataclass(frozen=True)
 class SpadConfig:
     """Static configuration of a SPAD receiver pixel.
 
@@ -181,7 +173,6 @@ class SpadDevice:
         self._random = random_source if random_source is not None else RandomSource(0)
         self._last_fire_time: Optional[float] = None
         self._pending_afterpulse: Optional[float] = None
-        self._rearmed_at: Optional[float] = None
         self._pdp_cache: Optional[Tuple[SpadConfig, PdpCurve, float]] = None
 
     # -- static characteristics ------------------------------------------------
@@ -224,125 +215,8 @@ class SpadDevice:
         """Forget any previous avalanche (device armed and trap-free)."""
         self._last_fire_time = None
         self._pending_afterpulse = None
-        self._rearmed_at = None
 
-    def is_ready(self, time: float) -> bool:
-        """True when the device can fire at absolute time ``time``.
-
-        The device is ready once the programmed dead time has elapsed, or — in
-        gated operation — once it has been explicitly re-armed via
-        :meth:`rearm` after the physical quench/recharge time.
-        """
-        if self._last_fire_time is None:
-            return True
-        if (
-            self._rearmed_at is not None
-            and self._rearmed_at > self._last_fire_time
-            and time >= self._rearmed_at
-        ):
-            return True
-        return self.quenching.is_ready(time - self._last_fire_time)
-
-    def rearm(self, time: float) -> bool:
-        """Force a gated re-arm at ``time`` (e.g. at a measurement-window start).
-
-        Succeeds only when the physical quench/recharge time has elapsed since
-        the last avalanche; returns whether the device is armed afterwards.
-        Gated re-arming is how the receiver matches the SPAD detection cycle
-        to the PPM range as the paper assumes (``DC(N, C)`` = the TDC range)
-        even when the programmed free-running dead time is longer than one
-        symbol.
-        """
-        if self._last_fire_time is None:
-            return True
-        if time < self._last_fire_time:
-            raise ValueError("cannot re-arm before the last avalanche")
-        if self.quenching.can_rearm(time - self._last_fire_time):
-            self._rearmed_at = time
-            return True
-        return self.is_ready(time)
-
-    def _register_fire(self, time: float) -> None:
-        self._last_fire_time = time
-        self._rearmed_at = None
-        # Sample the trap release over the full distribution; whether the
-        # release actually re-triggers the device depends on it being armed at
-        # that instant (dead time or gated hold), which detect_in_window checks.
-        if self._random.bernoulli(self.afterpulsing.probability):
-            release = self._random.exponential(1.0 / self.afterpulsing.time_constant)
-            self._pending_afterpulse = time + release
-        else:
-            self._pending_afterpulse = None
-
-    # -- window-based detection ---------------------------------------------------
-    def detect_in_window(
-        self,
-        window_start: float,
-        window_duration: float,
-        photon_time: Optional[float] = None,
-        mean_photons: float = 1.0,
-    ) -> Optional[DetectionEvent]:
-        """First detection reported inside a measurement window.
-
-        Parameters
-        ----------
-        window_start:
-            Absolute start time of the window [s].
-        window_duration:
-            Window length [s].
-        photon_time:
-            Absolute arrival time of the optical pulse, or ``None`` when no
-            pulse is sent in this window.
-        mean_photons:
-            Mean number of photons of the pulse reaching the active area.
-
-        Returns the earliest :class:`DetectionEvent`, or ``None``.  The
-        device state (dead time, pending afterpulse) is updated.
-        """
-        if window_duration <= 0:
-            raise ValueError("window_duration must be positive")
-        candidates: List[DetectionEvent] = []
-
-        # Signal photon.
-        if photon_time is not None:
-            if photon_time < window_start or photon_time >= window_start + window_duration:
-                raise ValueError("photon_time must lie inside the window")
-            if self._random.bernoulli(self.detection_probability_for_photons(mean_photons)):
-                jittered = photon_time + self.jitter.sample(self._random)
-                jittered = max(window_start, jittered)
-                if jittered < window_start + window_duration:
-                    candidates.append(DetectionEvent(jittered, DetectionOrigin.PHOTON))
-
-        # Dark counts.
-        dark_times = self.dark_counts.sample_arrival_times(
-            window_duration,
-            self._random,
-            temperature=self.config.temperature,
-            excess_bias=self.config.excess_bias,
-        )
-        for offset in dark_times:
-            candidates.append(DetectionEvent(window_start + float(offset), DetectionOrigin.DARK_COUNT))
-
-        # Afterpulse pending from a previous avalanche.
-        pending = self._pending_afterpulse
-        if pending is not None and window_start <= pending < window_start + window_duration:
-            candidates.append(DetectionEvent(pending, DetectionOrigin.AFTERPULSE))
-
-        # Earliest candidate for which the device is armed wins.
-        winner: Optional[DetectionEvent] = None
-        for event in sorted(candidates, key=lambda item: item.time):
-            if self.is_ready(event.time):
-                winner = event
-                break
-        # A trap release whose time falls inside this window is consumed either
-        # way: it fired if the device was armed, or was absorbed if it was not.
-        if pending is not None and pending < window_start + window_duration:
-            self._pending_afterpulse = None
-        if winner is not None:
-            self._register_fire(winner.time)
-        return winner
-
-    # -- batch window-based detection ----------------------------------------------
+    # -- window-based detection ----------------------------------------------------
     def detect_in_windows(
         self,
         window_duration: float,
@@ -351,13 +225,16 @@ class SpadDevice:
         start_time: float = 0.0,
         importance: Optional[ImportanceSettings] = None,
     ) -> Tuple[np.ndarray, ...]:
-        """Batch analogue of :meth:`detect_in_window` over consecutive windows.
+        """First detection in each of consecutive measurement windows.
 
         Simulates one measurement window per entry of ``photon_offsets``
         (arrival time of the optical pulse *relative to its window start*;
         ``NaN`` marks a window with no pulse), with window ``i`` spanning
-        ``[start_time + i*T, start_time + (i+1)*T)``.  As in the scalar path,
-        the receiver attempts a gated re-arm at every window start.
+        ``[start_time + i*T, start_time + (i+1)*T)``.  The receiver re-arms
+        the device at a window start once the gate recovery has passed since
+        its last avalanche (gated operation, which lets the detection cycle
+        match the PPM range as the paper's ``DC(N, C)`` assumes); otherwise
+        the device stays blind until the dead time has passed.
 
         All randomness — photon detection, jitter, dark-count arrivals and
         afterpulse trap releases — is pre-drawn as arrays; the only remaining
@@ -373,8 +250,7 @@ class SpadDevice:
         Returns ``(times, origins)``: absolute detection times (``NaN`` when
         the window reported nothing) and int8 origin codes (see
         :data:`ORIGIN_BY_CODE`; ``-1`` = missed).  Device state (last fire,
-        pending afterpulse) is updated so batches can be chained with scalar
-        calls.
+        pending afterpulse) is updated so batches can be chained.
 
         When ``importance`` is given, the photon/dark/afterpulse draws are
         taken from floored proposal distributions (see
@@ -414,7 +290,6 @@ class SpadDevice:
         """Persist a scan's carry-over state (kernel sentinels) for chained calls."""
         self._last_fire_time = None if isinf(last_fire) else last_fire
         self._pending_afterpulse = None if isinf(pending) else pending
-        self._rearmed_at = None
 
     # -- aggregate characteristics ---------------------------------------------------
     def saturated_count_rate(self) -> float:

@@ -57,13 +57,6 @@ class JitterModel:
         mixed = (1 - self.tail_fraction) * core_var + self.tail_fraction * tail_var
         return float(np.sqrt(mixed))
 
-    def sample(self, random_source: RandomSource) -> float:
-        """Draw one jitter value [s]; the tail only delays (never advances)."""
-        core = random_source.normal(0.0, self.sigma)
-        if self.tail_fraction > 0 and random_source.bernoulli(self.tail_fraction):
-            return core + random_source.exponential(1.0 / self.tail_constant)
-        return core
-
     def sample_array(self, random_source, size) -> np.ndarray:
         """Vectorised draw of jitter values [s].
 

@@ -77,18 +77,6 @@ class QuenchingCircuit:
         """Physical minimum re-arm time, never longer than the programmed dead time [s]."""
         return min(self.gate_recovery, self.dead_time)
 
-    def is_ready(self, elapsed_since_fire: float) -> bool:
-        """True when the SPAD can detect again ``elapsed_since_fire`` after an avalanche."""
-        if elapsed_since_fire < 0:
-            raise ValueError("elapsed_since_fire must be non-negative")
-        return elapsed_since_fire >= self.dead_time
-
-    def can_rearm(self, elapsed_since_fire: float) -> bool:
-        """True when a gated front end could force a re-arm this long after an avalanche."""
-        if elapsed_since_fire < 0:
-            raise ValueError("elapsed_since_fire must be non-negative")
-        return elapsed_since_fire >= self.effective_gate_recovery
-
     def detection_efficiency_factor(self, elapsed_since_fire: float) -> float:
         """Relative detection efficiency during/after recharge (0..1).
 

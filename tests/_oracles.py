@@ -278,8 +278,7 @@ def epoch_by_epoch_run(bus, max_slots: int = 10_000):
     records its undeliverable rows first, then its ``(source, destination)``
     groups in first-grant order, rows in grant order.  A unicast group is
     one ``transmit_bits`` call on its link with the rows' padded bits back
-    to back (one call per packet on the scalar backend), and each packet
-    counts the mismatches over its own bits; a source's broadcasts go
+    to back, and each packet counts the mismatches over its own bits; a source's broadcasts go
     through the bus's broadcast flush.  The statistics are updated once per
     epoch.  Returns ``bus.statistics``.
     """
@@ -340,10 +339,6 @@ def _flush_one_epoch(bus, epoch: List[int]) -> None:
             bus._flush_broadcast(np.array(group, dtype=np.int64))
             continue
         link = bus._link_for(source, destination)
-        if not bus._batched:
-            for row in group:
-                table.bit_errors[row] = link.transmit_bits(table.row_bits(row)).bit_errors
-            continue
         padded = [
             table.buffer[table.offset[row] : table.offset[row] + table.symbols[row] * k]
             for row in group

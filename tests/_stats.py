@@ -1,8 +1,9 @@
 """Shared statistical assertions for equivalence tests.
 
 Several suites compare two Monte-Carlo estimates that share physics but not
-draws — scalar vs batch NoC paths, multichannel vs independent links, the
-importance-sampling estimator vs naive Monte-Carlo.  Each used to roll its
+draws — batch vs multichannel NoC paths, multichannel vs independent links,
+the importance-sampling estimator vs naive Monte-Carlo — or one estimate
+with the exact rate of ``tests/_oracles.py::link_error_oracle``.  Each used to roll its
 own "within ~5 sigma of binomial noise" arithmetic; this module is the one
 place that owns it, so every comparison states its false-positive budget the
 same way:
@@ -10,6 +11,7 @@ same way:
 * :func:`two_proportion_z` / :func:`assert_proportions_equal` — the pooled
   two-proportion z-test, the right tool for "same error rate, independent
   draws" claims;
+* :func:`assert_rate_matches` — one Monte-Carlo rate against an exact one;
 * :func:`assert_intervals_overlap` — for estimators that publish their own
   confidence intervals (e.g. weighted importance-sampling means vs binomial
   naive means), where a proportion test does not apply;
@@ -91,6 +93,32 @@ def assert_proportions_equal(
         f"{label}: {successes_a}/{total_a} vs {successes_b}/{total_b} "
         f"differ by {abs(z):.2f} sigma (threshold {threshold:.2f}, "
         f"{comparisons} comparison(s))"
+    )
+
+
+def assert_rate_matches(
+    observed: float,
+    expected: float,
+    trials: int,
+    *,
+    sigma: float = 5.0,
+    comparisons: int = 1,
+    label: str = "rate",
+) -> None:
+    """Assert a Monte-Carlo rate over ``trials`` draws matches an exact rate.
+
+    The standard error is the binomial one at the exact rate, its variance
+    floored at ``1 / trials`` as in :func:`two_proportion_z`.  A per-trial
+    share in ``[0, 1]`` (a symbol's share of wrong bits) has at most that
+    variance, so a BER checked over its symbols as ``trials`` is checked
+    conservatively.
+    """
+    threshold = bonferroni_sigma(sigma, comparisons)
+    variance = max(expected * (1.0 - expected), 1.0 / trials)
+    z = (observed - expected) / math.sqrt(variance / trials)
+    assert abs(z) <= threshold, (
+        f"{label}: {observed:.5g} over {trials} trials is {z:+.2f} sigma from the "
+        f"exact {expected:.5g} (threshold {threshold:.2f})"
     )
 
 

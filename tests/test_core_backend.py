@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from _oracles import link_error_oracle
+from _stats import assert_rate_matches
 from repro.core.backend import (
     BackendCapabilities,
     LinkBackend,
@@ -15,20 +17,24 @@ from repro.core.backend import (
 from repro.core.ber import monte_carlo_bit_error_rate
 from repro.core.config import LinkConfig
 from repro.core.fastlink import FastOpticalLink
-from repro.core.link import OpticalLink, TransmissionResult
+from repro.core.link import TransmissionResult
+from repro.core.multilink import MultichannelOpticalLink
 
 MODERATE = LinkConfig(ppm_bits=4, mean_detected_photons=5.0)
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"scalar", "batch"}
+        assert set(available_backends()) >= {"batch", "multichannel"}
 
     def test_resolve_default_and_alias(self):
         assert resolve_backend(None) == "batch"
         assert resolve_backend("fast") == "batch"
-        assert resolve_backend("scalar") == "scalar"
         assert resolve_backend("array") == "multichannel"
+
+    def test_the_retired_scalar_backend_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown link backend 'scalar'"):
+            resolve_backend("scalar")
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(ValueError, match="available:"):
@@ -39,13 +45,11 @@ class TestRegistry:
             resolve_backend(True)
 
     def test_capabilities(self):
-        assert backend_capabilities("batch").supports_batch
-        assert not backend_capabilities("scalar").supports_batch
-        assert backend_capabilities("scalar").draw_for_draw_reference
         # Single-channel engines do not accept channels=; the array engine does.
         assert not backend_capabilities("batch").supports_multichannel
         assert backend_capabilities("multichannel").supports_multichannel
-        assert backend_capabilities("multichannel").supports_batch
+        assert backend_capabilities("batch").supports_importance
+        assert backend_capabilities("multichannel").supports_importance
         assert backend_capabilities(None) == backend_capabilities("batch")
 
     def test_channels_rejected_without_multichannel_support(self):
@@ -56,14 +60,12 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(
-                "batch", FastOpticalLink, BackendCapabilities(supports_batch=True)
-            )
+            register_backend("batch", FastOpticalLink, BackendCapabilities())
         with pytest.raises(ValueError, match="already registered"):
             register_backend(
                 "mine",
                 FastOpticalLink,
-                BackendCapabilities(supports_batch=True),
+                BackendCapabilities(),
                 aliases=("fast",),
             )
 
@@ -72,14 +74,12 @@ class TestRegistry:
 
         def factory(config, channel=None, seed=0):
             calls.append((config, channel, seed))
-            return OpticalLink(config, channel=channel, seed=seed)
+            return FastOpticalLink(config, channel=channel, seed=seed)
 
-        register_backend(
-            "test-custom", factory, BackendCapabilities(supports_batch=False)
-        )
+        register_backend("test-custom", factory, BackendCapabilities())
         try:
             link = make_link(MODERATE, backend="test-custom", seed=5)
-            assert isinstance(link, OpticalLink)
+            assert isinstance(link, FastOpticalLink)
             assert calls == [(MODERATE, None, 5)]
             assert "test-custom" in available_backends()
         finally:
@@ -87,24 +87,24 @@ class TestRegistry:
             register_backend(
                 "test-custom",
                 factory,
-                BackendCapabilities(supports_batch=False),
+                BackendCapabilities(),
                 replace=True,
             )
 
 
 class TestMakeLink:
     def test_returns_registered_classes(self):
-        assert isinstance(make_link(MODERATE, backend="scalar"), OpticalLink)
         batch = make_link(MODERATE, backend="batch")
         assert isinstance(batch, FastOpticalLink)
         assert type(make_link(MODERATE)) is FastOpticalLink
+        assert type(make_link(MODERATE, backend="multichannel")) is MultichannelOpticalLink
 
     def test_default_config(self):
         link = make_link()
         assert link.config == LinkConfig()
 
     def test_links_satisfy_protocol(self):
-        for backend in ("scalar", "batch"):
+        for backend in ("batch", "multichannel"):
             link = make_link(MODERATE, backend=backend)
             assert isinstance(link, LinkBackend)
             result = link.transmit_bits([1, 0, 1, 1])
@@ -123,7 +123,6 @@ class TestArrayContract:
 
     LINKS = [
         pytest.param("batch", None, id="batch"),
-        pytest.param("scalar", None, id="scalar"),
         pytest.param("multichannel", 1, id="multichannel-C1"),
         pytest.param("multichannel", 3, id="multichannel-C3"),
     ]
@@ -174,30 +173,27 @@ class TestArrayContract:
 
 
 class TestBackendParity:
-    """Same seed => statistically equivalent results across backends."""
+    """Same seed => each backend matches the exact oracle of the seed's link."""
 
     BITS = 16_000
+    BACKENDS = ("batch", "multichannel")
 
     def test_ber_parity_within_monte_carlo_tolerance(self):
-        results = {
-            backend: make_link(MODERATE, backend=backend, seed=21).transmit_random(self.BITS)
-            for backend in ("scalar", "batch")
-        }
-        p = max(results["scalar"].bit_error_rate, 1.0 / self.BITS)
-        tolerance = 5.0 * 2.0 * np.sqrt(2.0 * p * (1 - p) / self.BITS)
-        assert abs(
-            results["scalar"].bit_error_rate - results["batch"].bit_error_rate
-        ) < tolerance
+        symbols = self.BITS // MODERATE.ppm_bits
+        oracle = link_error_oracle(make_link(MODERATE, seed=21), symbols)
+        for backend in self.BACKENDS:
+            result = make_link(MODERATE, backend=backend, seed=21).transmit_random(self.BITS)
+            assert_rate_matches(
+                result.bit_error_rate, oracle.ber, symbols, comparisons=2, label=backend
+            )
 
     def test_estimator_parity_through_backend_argument(self):
-        estimates = {
-            backend: monte_carlo_bit_error_rate(MODERATE, bits=8_000, seed=3, backend=backend)
-            for backend in ("scalar", "batch")
-        }
-        combined = estimates["scalar"].confidence_95 + estimates["batch"].confidence_95
-        assert estimates["scalar"].ber == pytest.approx(
-            estimates["batch"].ber, abs=5.0 * combined
-        )
+        # The estimator builds its link from seed + 1.
+        symbols = 8_000 // MODERATE.ppm_bits
+        oracle = link_error_oracle(make_link(MODERATE, seed=4), symbols)
+        for backend in self.BACKENDS:
+            estimate = monte_carlo_bit_error_rate(MODERATE, bits=8_000, seed=3, backend=backend)
+            assert_rate_matches(estimate.ber, oracle.ber, symbols, comparisons=2, label=backend)
 
 
 class TestFastRemoval:

@@ -1,18 +1,19 @@
 """Tests for repro.core.fastlink — the vectorised batch transmission engine.
 
-The batch path must be statistically equivalent to the scalar path (same
-physics, same distributions) and individually deterministic per seed; it is
-*not* required to be draw-for-draw identical to the scalar path.
+The batch path must match the exact link oracle (``tests/_oracles.py``)
+within Monte-Carlo noise and be individually deterministic per seed.
 """
 
 import numpy as np
 import pytest
 
+from _oracles import link_error_oracle
+from _stats import assert_proportions_equal, assert_rate_matches
 from repro.analysis.units import NS, PS
-from repro.core.ber import monte_carlo_bit_error_rate
+from repro.core.backend import make_link
 from repro.core.config import LinkConfig
 from repro.core.fastlink import FastOpticalLink, transmit_segments
-from repro.core.link import OpticalLink, TransmissionResult
+from repro.core.link import TransmissionResult
 from repro.core.throughput import TdcDesign
 from repro.modulation.symbols import ints_to_bit_matrix
 from repro.simulation.randomness import RandomSource
@@ -31,59 +32,45 @@ BRIGHT = LinkConfig(ppm_bits=4, mean_detected_photons=200.0)
 
 
 class TestStatisticalEquivalence:
-    """Scalar vs. batch on identical configs, within Monte-Carlo tolerance."""
+    """Batch on one link against the exact link oracle, within Monte-Carlo tolerance."""
 
     BITS = 24_000
 
     @pytest.fixture(scope="class")
-    def pair(self):
-        scalar = OpticalLink(MODERATE, seed=42).transmit_random(self.BITS)
+    def run(self):
+        link = FastOpticalLink(MODERATE, seed=42)
+        return link_error_oracle(link, self.BITS // MODERATE.ppm_bits), link.transmit_random(self.BITS)
+
+    def test_ber_within_monte_carlo_tolerance(self, run):
+        oracle, batch = run
+        assert_rate_matches(batch.bit_error_rate, oracle.ber, batch.symbols_sent, label="BER")
+
+    def test_ser_within_monte_carlo_tolerance(self, run):
+        oracle, batch = run
+        assert_rate_matches(batch.symbol_error_rate, oracle.ser, batch.symbols_sent, label="SER")
+
+    def test_detection_origin_distributions_match(self):
+        # The oracle does not split by origin; the two engines share physics,
+        # so their detection-origin counts agree as independent samples.
         batch = FastOpticalLink(MODERATE, seed=42).transmit_random(self.BITS)
-        return scalar, batch
-
-    def test_ber_within_monte_carlo_tolerance(self, pair):
-        scalar, batch = pair
-        # Binomial std of each estimate, doubled for symbol-correlated bit
-        # errors, 5 sigma on the combined difference.
-        p = max(scalar.bit_error_rate, 1.0 / self.BITS)
-        tolerance = 5.0 * 2.0 * np.sqrt(2.0 * p * (1 - p) / self.BITS)
-        assert abs(scalar.bit_error_rate - batch.bit_error_rate) < tolerance
-
-    def test_ser_within_monte_carlo_tolerance(self, pair):
-        scalar, batch = pair
-        symbols = scalar.symbols_sent
-        assert batch.symbols_sent == symbols
-        p = max(scalar.symbol_error_rate, 1.0 / symbols)
-        tolerance = 5.0 * np.sqrt(2.0 * p * (1 - p) / symbols)
-        assert abs(scalar.symbol_error_rate - batch.symbol_error_rate) < tolerance
-
-    def test_detection_origin_distributions_match(self, pair):
-        scalar, batch = pair
-        symbols = scalar.symbols_sent
-        assert set(scalar.detection_counts) == set(batch.detection_counts)
-        for origin in scalar.detection_counts:
-            p = max(scalar.detection_counts[origin] / symbols, 1.0 / symbols)
-            tolerance = 5.0 * np.sqrt(2.0 * p * (1 - p) / symbols)
-            delta = abs(scalar.detection_counts[origin] - batch.detection_counts[origin])
-            assert delta / symbols < tolerance, origin
+        array = make_link(MODERATE, backend="multichannel", seed=42).transmit_random(self.BITS)
+        symbols = batch.symbols_sent
+        assert set(array.detection_counts) == set(batch.detection_counts)
+        for origin, count in batch.detection_counts.items():
+            assert_proportions_equal(
+                count, symbols, array.detection_counts[origin], symbols, label=origin
+            )
 
     def test_error_free_regime_agrees_exactly(self):
-        # Wide slots push the jitter mis-slot probability to ~1e-5/symbol, so
-        # both paths must round-trip the payload exactly.
+        # Wide slots push the jitter mis-slot probability to ~1e-5/symbol, and
+        # no pulse of this payload sits in the last 5 ns of its window (which
+        # would blind the next one), so both engines round-trip it exactly.
         config = LinkConfig(ppm_bits=4, slot_duration=4 * NS, mean_detected_photons=200.0)
         payload = [1, 0, 1, 1, 0, 0, 1, 0] * 4
-        scalar = OpticalLink(config, seed=1).transmit_bits(payload)
-        batch = FastOpticalLink(config, seed=1).transmit_bits(payload)
-        assert scalar.bit_errors == 0
-        assert batch.bit_errors == 0
-        assert np.array_equal(batch.received_bits, payload)
-
-    def test_ber_estimator_backend_paths_agree(self):
-        # backend= is the only engine selector (the legacy fast= boolean was
-        # removed with PR 3); both spellings of the estimator must agree.
-        fast = monte_carlo_bit_error_rate(MODERATE, bits=8000, seed=3, backend="batch")
-        scalar = monte_carlo_bit_error_rate(MODERATE, bits=8000, seed=3, backend="scalar")
-        assert fast.ber == pytest.approx(scalar.ber, abs=5.0 * (fast.confidence_95 + scalar.confidence_95))
+        for backend in ("batch", "multichannel"):
+            result = make_link(config, backend=backend, seed=1).transmit_bits(payload)
+            assert result.bit_errors == 0
+            assert np.array_equal(result.received_bits, payload)
 
 
 class TestDeterminism:
@@ -186,7 +173,7 @@ class TestSpadBatchWindows:
             link.spad.detect_in_windows(0.0, np.array([1.0 * NS]))
 
     def test_batch_cannot_start_before_last_avalanche(self):
-        # Mirrors the scalar ``rearm`` guard: device state cannot go backwards.
+        # Device state cannot go backwards.
         link = FastOpticalLink(BRIGHT, seed=9)
         link.transmit_bits([1, 0] * 20)
         assert link.spad._last_fire_time is not None

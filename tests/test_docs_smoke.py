@@ -102,7 +102,7 @@ def test_readme_documents_every_backend_and_subpackage():
     text = README.read_text()
     # The built-in engines (other tests may register throwaway backends, so
     # this deliberately does not iterate available_backends()).
-    for backend in ("scalar", "batch", "multichannel"):
+    for backend in ("batch", "multichannel"):
         assert f'"{backend}"' in text, f"README backend table is missing {backend!r}"
     for subpackage in (
         "repro.core", "repro.spad", "repro.tdc", "repro.photonics",

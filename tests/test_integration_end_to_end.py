@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis.units import NS, PS
+from repro.core.backend import make_link
 from repro.core.ber import analytic_bit_error_rate
 from repro.core.config import LinkConfig
 from repro.core.design_space import DesignSpace
-from repro.core.link import OpticalLink
 from repro.core.throughput import TdcDesign
 from repro.noc.broadcast import broadcast
 from repro.noc.packet import Packet
@@ -32,7 +32,7 @@ class TestDesignFlow:
             spad_dead_time=dead_time,
             mean_detected_photons=150.0,
         )
-        link = OpticalLink(config, seed=11)
+        link = make_link(config, seed=11)
         result = link.transmit_random(2000)
         assert result.bit_error_rate < 0.02
 
@@ -40,7 +40,7 @@ class TestDesignFlow:
         for photons in (1.0, 10.0, 100.0):
             config = LinkConfig(ppm_bits=4, mean_detected_photons=photons, slot_duration=1 * NS)
             analytic = analytic_bit_error_rate(config)
-            simulated = OpticalLink(config, seed=5).transmit_random(4000).bit_error_rate
+            simulated = make_link(config, seed=5).transmit_random(4000).bit_error_rate
             assert simulated == pytest.approx(analytic, abs=0.05)
 
 

@@ -44,22 +44,14 @@ class TestSlotGrid:
         assert grid.symbol_duration == pytest.approx(32 * NS)
         assert grid.raw_bit_rate == pytest.approx(4 / 32e-9)
 
-    def test_slot_times(self):
-        grid = SlotGrid(bits_per_symbol=2, slot_duration=1 * NS)
-        assert grid.slot_start(2) == pytest.approx(2 * NS)
-        assert grid.slot_center(0) == pytest.approx(0.5 * NS)
-        with pytest.raises(ValueError):
-            grid.slot_start(4)
-
-    def test_slot_of_time(self):
+    def test_slots_of_times(self):
         grid = SlotGrid(bits_per_symbol=2, slot_duration=1 * NS, guard_time=2 * NS)
-        assert grid.slot_of_time(0.0) == 0
-        assert grid.slot_of_time(3.5 * NS) == 3
-        assert grid.slot_of_time(5 * NS) == 3  # guard maps to the last slot
+        # The guard interval maps to the last slot.
+        assert grid.slots_of_times(np.array([0.0, 3.5 * NS, 5 * NS])).tolist() == [0, 3, 3]
         with pytest.raises(ValueError):
-            grid.slot_of_time(6 * NS)
+            grid.slots_of_times(np.array([6 * NS]))
         with pytest.raises(ValueError):
-            grid.slot_of_time(-1.0)
+            grid.slots_of_times(np.array([-1.0]))
 
     def test_with_guard(self):
         grid = SlotGrid(bits_per_symbol=2, slot_duration=1 * NS)
@@ -79,25 +71,21 @@ class TestPpmCodec:
     def codec(self):
         return PpmCodec(SlotGrid(bits_per_symbol=3, slot_duration=1 * NS, guard_time=4 * NS))
 
-    def test_encode_value_maps_to_slot_center(self, codec):
-        symbol = codec.encode_value(5)
-        assert symbol.slot == 5
-        assert symbol.pulse_time == pytest.approx(5.5 * NS)
+    def test_pulse_times_are_slot_centres(self, codec):
+        assert codec.pulse_times_for_values(np.array([5]))[0] == pytest.approx(5.5 * NS)
         with pytest.raises(ValueError):
-            codec.encode_value(8)
+            codec.pulse_times_for_values(np.array([8]))
 
     def test_encode_decode_roundtrip_all_values(self, codec):
-        for value in range(8):
-            symbol = codec.encode_value(value)
-            assert codec.decode_time(symbol.pulse_time) == value
+        values = np.arange(8)
+        assert codec.decode_times(codec.pulse_times_for_values(values)).tolist() == values.tolist()
 
     def test_encode_bits_groups_of_k(self, codec):
-        symbols = codec.encode_bits([0, 0, 1, 1, 1, 1])
-        assert [s.value for s in symbols] == [1, 7]
+        assert codec.encode_bits_to_values([0, 0, 1, 1, 1, 1]).tolist() == [1, 7]
         with pytest.raises(ValueError):
-            codec.encode_bits([0, 1])  # not a multiple of K=3
+            codec.encode_bits_to_values([0, 1])  # not a multiple of K=3
         with pytest.raises(ValueError):
-            codec.encode_bits([])
+            codec.encode_bits_to_values([])
 
     def test_bit_mapping_distance_metrics(self, codec):
         matrix = codec.hamming_distance_matrix()

@@ -5,11 +5,11 @@ epoch-batched slot loop:
 
 * no module under ``src/repro/noc`` constructs a link engine directly — links
   come from :func:`repro.core.backend.make_link`;
-* arbitration (slot assignments, latencies) is *identical* between the scalar
-  slot-by-slot loop and the batched/multichannel path, whatever the epoch
-  size;
+* arbitration (slot assignments, latencies) is *identical* between the
+  ``batch`` and ``multichannel`` backends, whatever the epoch size;
 * error statistics (delivery ratio, BER) are *statistically equivalent*
-  between the two paths, per the backend contract;
+  between the two backends, and a broadcast's one ``(S, C)`` pass between it
+  and one link per receiver, per the backend contract;
 * everything is deterministic per seed, and per-link seeds follow the central
   seed-derivation policy (no stream collisions);
 * NoC traffic rides the experiment stack: ``noc_*`` scenario points evaluate
@@ -32,6 +32,7 @@ import repro.noc.bus as bus_module
 from _oracles import epoch_by_epoch_run
 from _stats import assert_proportions_equal
 from repro.analysis.units import NS
+from repro.core.backend import make_link
 from repro.core.config import LinkConfig
 from repro.core.throughput import TdcDesign
 from repro.core.fastlink import transmit_segments
@@ -43,6 +44,7 @@ from repro.simulation.montecarlo import (
     NocTrafficTrial,
     chunk_generators,
 )
+from repro.simulation.randomness import split_seed
 
 NOC_SOURCES = Path(__file__).resolve().parent.parent / "src" / "repro" / "noc"
 
@@ -86,7 +88,7 @@ class TestNoDirectEngineConstruction:
             assert "MultichannelOpticalLink" not in source
 
 
-class TestScalarBatchEquivalence:
+class TestBackendEquivalence:
     def run_bus(self, backend: str, seed: int = 5, packets: int = 64, **kwargs):
         bus = OpticalBus(
             small_topology(),
@@ -101,40 +103,39 @@ class TestScalarBatchEquivalence:
         return bus, stats
 
     def test_slot_assignments_and_latencies_identical(self):
-        # Arbitration is shared between the paths: every packet's slot span
-        # (hence its latency) must match exactly, not just statistically.
-        _, _ = self.run_bus("scalar", packets=24)  # warm path check
-        scalar_bus, _ = self.run_bus("scalar", packets=24)
+        # Arbitration is shared between the backends: every packet's slot
+        # span (hence its latency) must match exactly, not just statistically.
+        array_bus, _ = self.run_bus("multichannel", packets=24)
         batch_bus, _ = self.run_bus("batch", packets=24)
         def spans(bus):
             return sorted(
                 (o.packet.sequence, o.start_slot, o.end_slot, o.latency)
                 for o in bus.outcomes
             )
-        assert spans(scalar_bus) == spans(batch_bus)
+        assert spans(array_bus) == spans(batch_bus)
 
     def test_error_statistics_statistically_equivalent(self):
-        scalar_delivered = batch_delivered = 0
-        scalar_errors = batch_errors = 0
+        array_delivered = batch_delivered = 0
+        array_errors = batch_errors = 0
         offered = bits = 0
         for seed in range(4):
-            _, s = self.run_bus("scalar", seed=seed)
+            _, a = self.run_bus("multichannel", seed=seed)
             _, b = self.run_bus("batch", seed=seed)
-            scalar_delivered += s.packets_delivered
+            array_delivered += a.packets_delivered
             batch_delivered += b.packets_delivered
-            scalar_errors += s.bit_errors
+            array_errors += a.bit_errors
             batch_errors += b.bit_errors
-            offered += s.packets_offered
-            bits += s.bits_delivered
-        # The paths share physics, not draws: both claims go through the
+            offered += a.packets_offered
+            bits += a.bits_delivered
+        # The backends share physics, not draws: both claims go through the
         # shared two-proportion z-test at the 5-sigma budget, Bonferroni-
         # split across the two comparisons.
         assert_proportions_equal(
-            scalar_delivered, offered, batch_delivered, offered,
+            array_delivered, offered, batch_delivered, offered,
             sigma=5.0, comparisons=2, label="delivery ratio",
         )
         assert_proportions_equal(
-            scalar_errors, bits, batch_errors, bits,
+            array_errors, bits, batch_errors, bits,
             sigma=5.0, comparisons=2, label="bit-error rate",
         )
 
@@ -320,7 +321,7 @@ class TestRunPass:
             run(bus, horizon)
         return bus
 
-    @pytest.mark.parametrize("backend", ["batch", "multichannel", "scalar"])
+    @pytest.mark.parametrize("backend", ["batch", "multichannel"])
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(workload=bus_workloads())
     def test_a_run_equals_the_epoch_by_epoch_flush(self, backend, workload):
@@ -397,29 +398,31 @@ class TestRunPass:
 
 
 class TestBroadcastEquivalence:
-    def coverage_counts(self, backend, seeds=range(6), photons=3_000.0):
-        delivered = receivers = 0
-        packet = Packet.broadcast_packet(source=0, payload=[1, 0, 1, 1] * 8)
+    SEEDS = range(6)
+    PHOTONS = 3_000.0
+    PACKET = Packet.broadcast_packet(source=0, payload=[1, 0, 1, 1] * 8)
+
+    def test_multichannel_pass_matches_per_receiver_links(self):
         topology = small_topology()
-        for seed in seeds:
+        delivered = receivers = 0
+        for seed in self.SEEDS:
             result = broadcast(
-                topology,
-                0,
-                packet,
-                config=CONFIG,
-                emitted_photons=photons,
-                seed=seed,
-                backend=backend,
+                topology, 0, self.PACKET, config=CONFIG, emitted_photons=self.PHOTONS, seed=seed
             )
             delivered += result.delivered_count
             receivers += len(result.receivers)
-        return delivered, receivers
-
-    def test_multichannel_pass_matches_per_receiver_links(self):
-        multi, total = self.coverage_counts(None)  # default: one (S, C) pass
-        scalar, _ = self.coverage_counts("batch")
+        # The reference: one batch link per receiver, at its own span's
+        # attenuation.
+        per_link = 0
+        for seed in self.SEEDS:
+            for node in range(1, topology.node_count):
+                config = CONFIG.with_detected_photons(
+                    self.PHOTONS * topology.channel_transmission(0, node)
+                )
+                link = make_link(config, seed=split_seed(seed, f"noc:broadcast:0->{node}"))
+                per_link += link.transmit_bits(self.PACKET.serialize()).bit_errors == 0
         assert_proportions_equal(
-            multi, total, scalar, total, sigma=5.0, label="broadcast coverage"
+            delivered, receivers, per_link, receivers, sigma=5.0, label="broadcast coverage"
         )
 
     def test_broadcast_deterministic_and_seeded_per_receiver(self):
@@ -431,7 +434,7 @@ class TestBroadcastEquivalence:
         assert set(a.receivers) == {0, 2, 3}
 
     def test_bus_broadcast_reaches_every_die_on_both_paths(self):
-        for backend in ("scalar", "batch"):
+        for backend in ("batch", "multichannel"):
             bus = OpticalBus(
                 small_topology(),
                 config=CONFIG,

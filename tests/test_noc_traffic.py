@@ -96,7 +96,6 @@ def digest(value) -> str:
 PINNED = {
     "batch": ("b86127e043a1c7b7", "0113f32438fa2fda"),
     "multichannel": ("b93eafb079f0b773", "96dbc35a3bd5397c"),
-    "scalar": ("5267b5999dd50cc8", "a033bcbb2db8af6c"),
 }
 
 
@@ -118,7 +117,7 @@ class TestOfferMany:
     def bus(self, **kwargs) -> OpticalBus:
         return OpticalBus(topology(), config=CONFIG, **kwargs)
 
-    @pytest.mark.parametrize("backend", ["batch", "scalar"])
+    @pytest.mark.parametrize("backend", ["batch", "multichannel"])
     def test_bulk_offer_gives_the_per_packet_outcomes(self, backend):
         per_packet, bulk = mixed_run(backend), mixed_run(backend, bulk=True)
         assert outcome_fields(bulk) == outcome_fields(per_packet)

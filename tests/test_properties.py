@@ -50,8 +50,7 @@ def test_majority_filter_idempotent_on_clean_codes(value):
 @given(bits=st.lists(st.integers(0, 1), min_size=4, max_size=40).filter(lambda b: len(b) % 4 == 0))
 def test_ppm_encode_decode_roundtrip(bits):
     codec = PpmCodec(SlotGrid(bits_per_symbol=4, slot_duration=1e-9, guard_time=8e-9))
-    symbols = codec.encode_bits(bits)
-    values = codec.decode_times(np.array([symbol.pulse_time for symbol in symbols]))
+    values = codec.decode_times(codec.pulse_times_for_values(codec.encode_bits_to_values(bits)))
     assert [bit for value in values for bit in int_to_bits(int(value), 4)] == list(bits)
 
 
@@ -59,8 +58,8 @@ def test_ppm_encode_decode_roundtrip(bits):
 def test_ppm_pulse_time_within_data_window(value):
     grid = SlotGrid(bits_per_symbol=8, slot_duration=0.5e-9, guard_time=4e-9)
     codec = PpmCodec(grid)
-    symbol = codec.encode_value(value)
-    assert 0 <= symbol.pulse_time < grid.data_window
+    pulse_time = codec.pulse_times_for_values(np.array([value]))[0]
+    assert 0 <= pulse_time < grid.data_window
 
 
 # ------------------------------------------------------------------ paper equations

@@ -124,7 +124,8 @@ class TestImportanceUnbiasedness:
 
 class TestImportanceRefusals:
     def test_scalar_backend_refused(self):
-        with pytest.raises(ValueError, match="importance"):
+        # The retired scalar engine is no backend at all now.
+        with pytest.raises(ValueError, match="unknown link backend 'scalar'"):
             scenario_for("importance", backend="scalar")
 
     def test_crosstalk_refused(self):

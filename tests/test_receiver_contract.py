@@ -30,7 +30,6 @@ K4 = LinkConfig(ppm_bits=4, slot_duration=100 * PS, mean_detected_photons=30.0)
 K3 = LinkConfig(ppm_bits=3, slot_duration=100 * PS, mean_detected_photons=30.0)
 
 CASES = {
-    "scalar": (K4, {"backend": "scalar"}),
     "batch": (K4, {"backend": "batch"}),
     "batch-k3": (K3, {"backend": "batch"}),
     # 24 or 25 symbols on 4 channels, 32 or 33 on 5: grid padding both ways.
@@ -49,22 +48,18 @@ CASES = {
 #: decoded symbol eagerly.  96 bits are whole symbols for K = 3 and 4; 98
 #: bits leave a partial final symbol for both.
 PINNED = {
-    (1, "scalar", 96): ("6372303dfe22", 16, 9),
     (1, "batch", 96): ("c41bce8f3c4d", 21, 13),
     (1, "batch-k3", 96): ("5cfee6db4b11", 17, 13),
     (1, "multichannel-crosstalk", 96): ("4e628bd9ae04", 27, 16),
     (1, "multichannel-gains", 96): ("73e65c1d90df", 30, 21),
-    (1, "scalar", 98): ("d4d729e3a003", 16, 10),
     (1, "batch", 98): ("c5846cb25fd9", 23, 13),
     (1, "batch-k3", 98): ("bd446b10428a", 16, 12),
     (1, "multichannel-crosstalk", 98): ("ae1e2f85dd95", 38, 19),
     (1, "multichannel-gains", 98): ("8e02117ac159", 30, 22),
-    (4, "scalar", 96): ("517198fa327b", 21, 12),
     (4, "batch", 96): ("586ebadce560", 25, 16),
     (4, "batch-k3", 96): ("b6cf4ae283e5", 23, 13),
     (4, "multichannel-crosstalk", 96): ("3b145d58d643", 41, 19),
     (4, "multichannel-gains", 96): ("95bfdca43b47", 19, 13),
-    (4, "scalar", 98): ("499708db93b0", 21, 12),
     (4, "batch", 98): ("aaefb3fc377c", 23, 13),
     (4, "batch-k3", 98): ("6a3196c2e770", 20, 12),
     (4, "multichannel-crosstalk", 98): ("c0341eac6050", 42, 20),

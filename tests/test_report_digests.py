@@ -4,10 +4,9 @@ The kernel tests compare the kernel tiers with one another, so a change to
 the shared data path (payload draw, PPM encode, error count) that moves every
 tier together passes all of them.  This table pins the content digest
 (:func:`repro.scenarios.store.report_digest`) of each named scenario at seed 5
-and 4,096 bits per point on the default kernel, plus ``ber-vs-photons`` on the
-scalar backend, under importance sampling on the batch backend and on a
-four-channel multichannel backend, and ``noc-load-latency`` on the scalar
-backend (its packet-at-a-time flush shares the bus's one arbitration path).
+and 4,096 bits per point on the default kernel, plus ``ber-vs-photons`` under
+importance sampling on the batch backend and on a four-channel multichannel
+backend.
 
 The table holds on every kernel tier: the default run resolves ``"auto"``,
 and every other available tier runs the table again through
@@ -30,7 +29,6 @@ BITS_PER_POINT = 4096
 
 VARIANTS = {
     "default": lambda scenario: scenario,
-    "scalar": lambda scenario: scenario.with_backend("scalar"),
     "importance": lambda scenario: scenario.with_trial_mode("importance"),
     "multichannel-importance": lambda scenario: scenario.with_backend("multichannel")
     .with_channels(4)
@@ -47,8 +45,6 @@ DIGESTS = {
     ("noc-load-latency", "default"): "5542718bb6af",
     ("noc-traffic-mix", "default"): "b5aabc374f5e",
     ("ppm-order-sweep", "default"): "7d1d29c674a1",
-    ("ber-vs-photons", "scalar"): "f4163996e482",
-    ("noc-load-latency", "scalar"): "563720a7e857",
     ("ber-vs-photons", "importance"): "772b1274447a",
     ("ber-vs-photons", "multichannel-importance"): "f37734a8d7ae",
 }

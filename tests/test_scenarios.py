@@ -1,10 +1,13 @@
 """Tests for repro.scenarios — declarative scenarios and the experiment runner."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.units import NS
+from repro.cli import main as cli_main
 from repro.core.config import LinkConfig
 from repro.scenarios import (
     ExperimentRunner,
@@ -18,6 +21,10 @@ from repro.scenarios import (
 from repro.scenarios.metrics import PointOutcome, evaluate_metrics
 
 TINY = dict(bits_per_point=256)
+
+#: Two ``ber-vs-photons`` artefacts (seeds 1 and 2, 64 bits a point) that
+#: the retired ``scalar`` backend stored before it was removed.
+LEGACY_ARTIFACTS = Path(__file__).resolve().parent / "legacy_artifacts"
 
 NAN = float("nan")
 NOC = {"metrics": ["delivery_ratio"]}
@@ -70,6 +77,7 @@ class TestScenarioValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown link backend"):
             Scenario(name="x", backend="gpu")
+
 
     def test_override_and_axis_overlap_rejected(self):
         with pytest.raises(ValueError, match="both overridden and swept"):
@@ -321,9 +329,9 @@ class TestScenarioCompilation:
         assert 0.0 < channel.transmission() < 1.0
 
     def test_with_budget_and_backend(self):
-        scenario = small_scenario().with_budget(64).with_backend("scalar")
+        scenario = small_scenario().with_budget(64).with_backend("multichannel")
         assert scenario.bits_per_point == 64
-        assert scenario.backend == "scalar"
+        assert scenario.backend == "multichannel"
 
     def test_with_channels_and_crosstalk_for_point(self):
         scenario = small_scenario(
@@ -375,8 +383,8 @@ class TestExperimentRunner:
         assert len(decoded["points"]) == 2
 
     def test_backend_override(self):
-        report = run_scenario(small_scenario(), seed=2, backend="scalar")
-        assert report.backend == "scalar"
+        report = run_scenario(small_scenario(), seed=2, backend="multichannel")
+        assert report.backend == "multichannel"
 
     def test_axis_free_scenario_runs_single_point(self):
         scenario = Scenario(
@@ -455,3 +463,52 @@ class TestMetricsRegistry:
         scenario = small_scenario(metrics=("ber", name))
         report = run_scenario(scenario, seed=1)
         assert name in report.points[0].metrics
+
+
+class TestRetiredScalarBackend:
+    """Inputs that name the retired ``scalar`` backend keep typed outcomes.
+
+    A stored scalar artefact still reads; running anything on ``scalar`` is
+    the unknown-backend refusal every boundary gives (the service's side is
+    ``tests/test_service.py::TestRetiredScalarBackend``).
+    """
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        for artifact in LEGACY_ARTIFACTS.glob("*.json"):
+            shutil.copy(artifact, tmp_path)
+        return str(tmp_path)
+
+    @staticmethod
+    def assert_one_line_refusal(capsys):
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: unknown link backend 'scalar'")
+
+    def test_show_and_compare_read_a_stored_scalar_artefact(self, store, capsys):
+        first, second = sorted(path.stem for path in LEGACY_ARTIFACTS.glob("*.json"))
+        assert cli_main(["show", first, "--store", store]) == 0
+        assert "backend=scalar" in capsys.readouterr().out
+        assert cli_main(
+            ["compare", first, second, "--metric", "ber", "--store", store, "--json"]
+        ) == 0
+        assert len(json.loads(capsys.readouterr().out)["points"]) == 6
+
+    @pytest.mark.parametrize("command", ["run", "probe"])
+    def test_the_scalar_flag_is_refused(self, command, store, capsys):
+        argv = [command, "ber-vs-photons", "--backend", "scalar", "--bits", "64", "--store", store]
+        assert cli_main(argv) == 1
+        self.assert_one_line_refusal(capsys)
+
+    def test_a_scalar_scenario_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "scalar.json"
+        mapping = dict(get_scenario("ber-vs-photons").with_budget(64).to_mapping(), backend="scalar")
+        path.write_text(json.dumps(mapping))
+        assert cli_main(["run", "--file", str(path), "--no-store"]) == 1
+        self.assert_one_line_refusal(capsys)
+
+    def test_the_library_refuses_scalar(self):
+        with pytest.raises(ValueError, match="unknown link backend 'scalar'"):
+            small_scenario().with_backend("scalar")
+        with pytest.raises(ValueError, match="unknown link backend 'scalar'"):
+            run_scenario(small_scenario(), seed=2, backend="scalar")

@@ -25,9 +25,11 @@ to through :class:`~repro.service.ServiceClient` over actual sockets.
 import json
 import logging
 import select
+import shutil
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -272,6 +274,34 @@ class TestEventStream:
         assert list(streamed) and len(streamed) == len(report["points"])
         for index, point in streamed.items():
             assert point == report["points"][index]
+
+
+class TestRetiredScalarBackend:
+    """A stored ``scalar`` artefact still serves; a ``scalar`` run is a 400."""
+
+    LEGACY = Path(__file__).resolve().parent / "legacy_artifacts"
+
+    @pytest.fixture()
+    def legacy_service(self, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        for artifact in self.LEGACY.glob("*.json"):
+            shutil.copy(artifact, store)
+        instance = serve_app(port=0, store=store, block=False)
+        yield instance
+        instance.shutdown()
+
+    def test_a_stored_scalar_artefact_is_listed_and_served(self, legacy_service):
+        client = ServiceClient(port=legacy_service.port)
+        keys = sorted(path.stem for path in self.LEGACY.glob("*.json"))
+        assert client.artifacts() == keys
+        assert client.report(keys[0])["backend"] == "scalar"
+
+    def test_a_scalar_run_field_is_a_400(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_run(SCENARIO, backend="scalar", bits=BITS)
+        assert excinfo.value.status == 400
+        assert "unknown link backend 'scalar'" in str(excinfo.value)
 
 
 class TestErrors:

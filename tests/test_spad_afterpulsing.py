@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.units import NS
-from repro.simulation.randomness import RandomSource
 from repro.spad.afterpulsing import AfterpulsingModel
 
 
@@ -40,26 +39,3 @@ class TestProbabilities:
             AfterpulsingModel().survival_after(-1.0)
         with pytest.raises(ValueError):
             AfterpulsingModel().probability_in_window(-1.0, 1.0)
-
-
-class TestSampling:
-    def test_release_always_after_dead_time(self):
-        model = AfterpulsingModel(probability=1.0, time_constant=30 * NS)
-        source = RandomSource(0)
-        for _ in range(200):
-            delay = model.sample_release_delay(source, dead_time=20 * NS)
-            assert delay is None or delay > 20 * NS
-
-    def test_zero_probability_never_releases(self):
-        model = AfterpulsingModel(probability=0.0)
-        source = RandomSource(0)
-        assert all(model.sample_release_delay(source) is None for _ in range(50))
-
-    def test_observed_rate_matches_effective_probability(self):
-        model = AfterpulsingModel(probability=0.5, time_constant=30 * NS)
-        source = RandomSource(1)
-        dead_time = 30 * NS
-        hits = sum(
-            1 for _ in range(4000) if model.sample_release_delay(source, dead_time) is not None
-        )
-        assert hits / 4000 == pytest.approx(model.effective_probability(dead_time), rel=0.15)

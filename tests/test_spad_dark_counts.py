@@ -1,10 +1,8 @@
 """Tests for repro.spad.dark_counts."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.units import NS, US
-from repro.simulation.randomness import RandomSource
 from repro.spad.dark_counts import DarkCountModel
 
 
@@ -52,14 +50,3 @@ class TestWindowStatistics:
     def test_probability_saturates_at_one(self):
         model = DarkCountModel(rate_at_reference=1e9)
         assert model.probability_in_window(1.0) == pytest.approx(1.0)
-
-    def test_sampled_arrival_times_statistics(self):
-        model = DarkCountModel(rate_at_reference=1e6)
-        times = model.sample_arrival_times(window=1e-2, random_source=RandomSource(0))
-        assert times.size == pytest.approx(1e4, rel=0.1)
-        assert np.all((times >= 0) & (times < 1e-2))
-
-    def test_sampling_empty_for_tiny_window(self):
-        model = DarkCountModel(rate_at_reference=10.0)
-        times = model.sample_arrival_times(window=1 * NS, random_source=RandomSource(1))
-        assert times.size == 0

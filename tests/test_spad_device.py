@@ -7,7 +7,7 @@ from repro.analysis.units import NM, NS
 from repro.simulation.randomness import RandomSource
 from repro.spad.afterpulsing import AfterpulsingModel
 from repro.spad.dark_counts import DarkCountModel
-from repro.spad.device import DetectionOrigin, ImportanceSettings, SpadConfig, SpadDevice
+from repro.spad.device import ImportanceSettings, SpadConfig, SpadDevice
 from repro.spad.jitter import JitterModel
 from repro.spad.pdp import PdpCurve
 from repro.spad.quenching import QuenchingCircuit
@@ -73,8 +73,6 @@ class TestStaticCharacteristics:
         with pytest.raises(ValueError, match="mean_photons"):
             device.detection_probability_for_photons(photons)
         with pytest.raises(ValueError, match="mean_photons"):
-            device.detect_in_window(0.0, 40 * NS, photon_time=10 * NS, mean_photons=photons)
-        with pytest.raises(ValueError, match="mean_photons"):
             device.detect_in_windows(40 * NS, np.full(8, 10 * NS), photons)
 
     def test_an_unbounded_budget_is_a_certain_detection(self):
@@ -119,60 +117,61 @@ class TestImportanceSettings:
 
 
 class TestWindowDetection:
+    """One window per pulse offset, window ``i`` starting at ``i * 40 ns``."""
+
+    WINDOW = 40 * NS
+
+    def detect(self, device, offsets, photons=1000.0):
+        return device.detect_in_windows(self.WINDOW, np.array(offsets, dtype=float), photons)
+
     def test_bright_pulse_always_detected(self):
-        device = make_device()
-        event = device.detect_in_window(0.0, 40 * NS, photon_time=10 * NS, mean_photons=1000.0)
-        assert event is not None
-        assert event.origin is DetectionOrigin.PHOTON
-        assert event.time == pytest.approx(10 * NS)
+        times, origins = self.detect(make_device(), [10 * NS])
+        assert origins.tolist() == [0]
+        assert times[0] == pytest.approx(10 * NS)
 
     def test_no_pulse_and_no_noise_gives_nothing(self):
-        device = make_device()
-        assert device.detect_in_window(0.0, 40 * NS, photon_time=None) is None
+        times, origins = self.detect(make_device(), [np.nan])
+        assert origins.tolist() == [-1]
+        assert np.isnan(times[0])
 
     def test_photon_time_must_be_inside_window(self):
         device = make_device()
         with pytest.raises(ValueError):
-            device.detect_in_window(0.0, 40 * NS, photon_time=50 * NS)
+            self.detect(device, [50 * NS])
         with pytest.raises(ValueError):
-            device.detect_in_window(0.0, -1.0, photon_time=None)
+            device.detect_in_windows(-1.0, np.array([np.nan]))
 
     def test_dead_time_blocks_next_window(self):
-        device = make_device(quenching=QuenchingCircuit(dead_time=100 * NS, gate_recovery=5 * NS))
-        first = device.detect_in_window(0.0, 40 * NS, photon_time=30 * NS, mean_photons=1000.0)
-        assert first is not None
-        second = device.detect_in_window(40 * NS, 40 * NS, photon_time=50 * NS, mean_photons=1000.0)
-        assert second is None  # still within the 100 ns dead time
+        # 5 ns after the fire is short of the 20 ns gate recovery, so the next
+        # window stays blind for the 100 ns dead time; the one after re-arms.
+        device = make_device(quenching=QuenchingCircuit(dead_time=100 * NS, gate_recovery=20 * NS))
+        _, origins = self.detect(device, [35 * NS, 10 * NS, 10 * NS])
+        assert origins.tolist() == [0, -1, 0]
 
     def test_rearm_allows_next_window(self):
+        # 10 ns after the fire the gate recovery has passed: the receiver
+        # re-arms the device at the window start despite the dead time.
         device = make_device(quenching=QuenchingCircuit(dead_time=100 * NS, gate_recovery=5 * NS))
-        device.detect_in_window(0.0, 40 * NS, photon_time=30 * NS, mean_photons=1000.0)
-        assert device.rearm(40 * NS) is True
-        second = device.detect_in_window(40 * NS, 40 * NS, photon_time=50 * NS, mean_photons=1000.0)
-        assert second is not None
-
-    def test_rearm_respects_physical_recovery(self):
-        device = make_device(quenching=QuenchingCircuit(dead_time=100 * NS, gate_recovery=20 * NS))
-        device.detect_in_window(0.0, 40 * NS, photon_time=35 * NS, mean_photons=1000.0)
-        assert device.rearm(40 * NS) is False  # only 5 ns since the avalanche
-        with pytest.raises(ValueError):
-            device.rearm(10 * NS)
+        _, origins = self.detect(device, [30 * NS, 10 * NS])
+        assert origins.tolist() == [0, 0]
 
     def test_reset_clears_state(self):
         device = make_device()
-        device.detect_in_window(0.0, 40 * NS, photon_time=30 * NS, mean_photons=1000.0)
+        self.detect(device, [30 * NS])
+        assert device._last_fire_time is not None
         device.reset()
-        assert device.is_ready(0.0)
+        assert device._last_fire_time is None and device._pending_afterpulse is None
+        _, origins = self.detect(device, [10 * NS])  # a pass may start at 0 again
+        assert origins.tolist() == [0]
 
     def test_dark_counts_preempt_late_photons(self):
         device = make_device(
             dark_counts=DarkCountModel(rate_at_reference=1e9),  # absurdly noisy device
             random_source=RandomSource(5),
         )
-        event = device.detect_in_window(0.0, 40 * NS, photon_time=39 * NS, mean_photons=1000.0)
-        assert event is not None
-        assert event.origin is DetectionOrigin.DARK_COUNT
-        assert event.time < 39 * NS
+        times, origins = self.detect(device, [39 * NS])
+        assert origins.tolist() == [1]
+        assert times[0] < 39 * NS
 
     def test_afterpulse_appears_in_later_window(self):
         device = make_device(
@@ -180,14 +179,9 @@ class TestWindowDetection:
             quenching=QuenchingCircuit(dead_time=10 * NS, gate_recovery=5 * NS),
             random_source=RandomSource(3),
         )
-        first = device.detect_in_window(0.0, 40 * NS, photon_time=5 * NS, mean_photons=1000.0)
-        assert first is not None
-        # Scan subsequent windows without any light: only after-pulses can fire.
-        origins = []
-        for index in range(1, 50):
-            start = index * 40 * NS
-            device.rearm(start)
-            event = device.detect_in_window(start, 40 * NS, photon_time=None)
-            if event is not None:
-                origins.append(event.origin)
-        assert DetectionOrigin.AFTERPULSE in origins
+        # One pulse at the end of the first window (a release within the rest
+        # of its own window is absorbed), then windows without any light:
+        # only afterpulses can fire.
+        _, origins = self.detect(device, [39 * NS] + [np.nan] * 49)
+        assert origins[0] == 0
+        assert 2 in origins[1:].tolist()

@@ -40,13 +40,6 @@ class TestSampling:
         assert np.all(samples >= 0)
         assert np.mean(samples) == pytest.approx(200 * PS, rel=0.1)
 
-    def test_scalar_and_array_same_distribution(self):
-        model = JitterModel()
-        source = RandomSource(2)
-        scalars = np.array([model.sample(source) for _ in range(5000)])
-        arrays = model.sample_array(RandomSource(3), 5000)
-        assert np.mean(scalars) == pytest.approx(np.mean(arrays), abs=10 * PS)
-
     def test_sample_array_validation(self):
         with pytest.raises(ValueError):
             JitterModel().sample_array(RandomSource(0), -1)

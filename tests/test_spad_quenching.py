@@ -7,16 +7,6 @@ from repro.spad.quenching import QuenchingCircuit, QuenchingMode
 
 
 class TestDeadTime:
-    def test_ready_after_dead_time(self):
-        circuit = QuenchingCircuit(dead_time=32 * NS)
-        assert not circuit.is_ready(31 * NS)
-        assert circuit.is_ready(32 * NS)
-
-    def test_can_rearm_after_gate_recovery(self):
-        circuit = QuenchingCircuit(dead_time=32 * NS, gate_recovery=5 * NS)
-        assert not circuit.can_rearm(4 * NS)
-        assert circuit.can_rearm(5 * NS)
-
     def test_effective_gate_recovery_clamped_to_dead_time(self):
         circuit = QuenchingCircuit(dead_time=2 * NS, gate_recovery=5 * NS)
         assert circuit.effective_gate_recovery == pytest.approx(2 * NS)
@@ -28,9 +18,7 @@ class TestDeadTime:
     def test_negative_elapsed_rejected(self):
         circuit = QuenchingCircuit()
         with pytest.raises(ValueError):
-            circuit.is_ready(-1.0)
-        with pytest.raises(ValueError):
-            circuit.can_rearm(-1.0)
+            circuit.detection_efficiency_factor(-1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
