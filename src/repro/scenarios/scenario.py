@@ -39,7 +39,9 @@ compiler expands structurally —
 
 Every declared value is checked when the scenario is built, the
 ``LinkConfig`` fields by ``LinkConfig`` itself and the derived keys by type
-and range, so a hostile value fails there rather than mid-run.
+and range, so a hostile value fails there rather than mid-run.  So is every
+field's type: a scenario file may hold any JSON value anywhere, and each one
+that does not fit raises :class:`ValueError` naming its field.
 
 Everything in a scenario is plain data, so :meth:`Scenario.to_mapping` /
 :meth:`Scenario.from_mapping` round-trip losslessly through JSON.
@@ -51,7 +53,9 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.analysis.units import UM
 from repro.core.backend import backend_capabilities, resolve_backend
@@ -97,6 +101,13 @@ _DEFAULT_STACK_THICKNESS = 15.0 * UM
 
 def _known_parameters() -> Tuple[str, ...]:
     return _CONFIG_FIELDS + SPECIAL_PARAMETERS
+
+
+def _listed(what: str, values: Any) -> Tuple[Any, ...]:
+    """``values`` as a tuple; a string, a mapping or a lone value lists nothing."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise ValueError(f"{what} must list its values, got {values!r}")
+    return tuple(values)
 
 
 def require_positive_int(name: str, value: Any) -> None:
@@ -191,15 +202,28 @@ class Scenario:
     max_symbols: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario name must be non-empty")
+        # Container and text types first: a scenario file may hold any JSON
+        # value in any field, and each must fail here, naming the field.
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"scenario name must be a non-empty string, got {self.name!r}")
+        for name in ("description", "backend"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("link_overrides", "sweep_axes"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ValueError(f"{name} must be a mapping, got {getattr(self, name)!r}")
         object.__setattr__(self, "link_overrides", dict(self.link_overrides))
         object.__setattr__(
             self,
             "sweep_axes",
-            {name: tuple(values) for name, values in dict(self.sweep_axes).items()},
+            {
+                name: _listed(f"sweep axis {name!r}", values)
+                for name, values in self.sweep_axes.items()
+            },
         )
-        object.__setattr__(self, "metrics", tuple(self.metrics))
+        object.__setattr__(self, "metrics", _listed("metrics", self.metrics))
+        if not all(isinstance(metric, str) for metric in self.metrics):
+            raise ValueError(f"metrics must be metric names, got {list(self.metrics)!r}")
         known = set(_known_parameters())
         for source, names in (
             ("link_overrides", self.link_overrides),
@@ -227,6 +251,8 @@ class Scenario:
                     LinkConfig(**{name: value})
                 except TypeError:  # a string or null from a scenario file
                     raise ValueError(f"{name} must be a number, got {value!r}") from None
+                except OverflowError:  # an integer no float can hold
+                    raise ValueError(f"{name} is out of range, got {value!r}") from None
         for name in sorted(declared & set(SPECIAL_PARAMETERS)):
             types, test, what = _SPECIAL_CHECKS[name]
             for value in self._declared_values(name):

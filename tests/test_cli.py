@@ -166,6 +166,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"sweep_axes": None},
+            {"link_overrides": None},
+            {"metrics": None},
+            {"metrics": 5},
+            {"metrics": ["ber", 1]},
+            {"sweep_axes": {"mean_detected_photons": None}},
+            {"sweep_axes": "x"},
+        ],
+    )
+    def test_run_file_malformed_containers_are_one_line_errors(self, capsys, tmp_path, mapping):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"name": "x", "metrics": ["ber"], **mapping}))
+        assert run_cli("run", "--file", str(path), "--no-store") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert next(iter(mapping)).split("_")[0] in err  # it names the field
+
     def test_run_file_with_a_nan_load_exits_1_and_stores_nothing(self, capsys, tmp_path):
         # It used to exit 0 and store a point of 0 bits with NaN metrics.
         path = tmp_path / "nan-load.json"

@@ -1,10 +1,13 @@
 """Tests for repro.scenarios — declarative scenarios and the experiment runner."""
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.units import NS
 from repro.cli import main as cli_main
@@ -49,6 +52,16 @@ HOSTILE_SPECIAL = {
 }
 
 
+#: Any JSON value: what a scenario file may hold in any field.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
 def small_scenario(**overrides) -> Scenario:
     settings = dict(
         name="unit-test",
@@ -78,6 +91,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="unknown link backend"):
             Scenario(name="x", backend="gpu")
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(named_scenarios()),
+        field=st.sampled_from([field.name for field in dataclasses.fields(Scenario)]),
+        value=JSON_VALUES,
+    )
+    def test_any_json_in_any_field_round_trips_or_is_a_value_error(self, name, field, value):
+        mapping = dict(get_scenario(name).to_mapping(), **{field: value})
+        try:
+            scenario = Scenario.from_mapping(mapping)
+        except ValueError:
+            return
+        assert Scenario.from_mapping(scenario.to_mapping()) == scenario
 
     def test_override_and_axis_overlap_rejected(self):
         with pytest.raises(ValueError, match="both overridden and swept"):
