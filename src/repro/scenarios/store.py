@@ -45,7 +45,9 @@ from repro.scenarios.runner import ExperimentReport
 ARTIFACT_FORMAT = "repro-report-v1"
 
 #: Format tag of checkpoint files (JSONL, one completed point per line).
-CHECKPOINT_FORMAT = "repro-checkpoint-v1"
+#: Version 2 lines carry their entry's digest; a version 1 journal reads as
+#: foreign, so its points run again.
+CHECKPOINT_FORMAT = "repro-checkpoint-v2"
 
 #: Format tag of run-index entries (run key -> completed artefact id).
 RUN_INDEX_FORMAT = "repro-run-index-v1"
@@ -506,14 +508,23 @@ class ReportStore:
         return f"ReportStore({str(self.root)!r})"
 
 
+def _entry_digest(entry: Mapping[str, Any]) -> str:
+    """Digest of one journal entry: the SHA-256 prefix of its canonical JSON."""
+    return hashlib.sha256(_canonical_json(entry).encode("utf-8")).hexdigest()[:_DIGEST_CHARS]
+
+
 class RunCheckpoint:
     """Append-only JSONL journal of one run's completed points.
 
     Line 1 is a header (``{"format": ..., "run": <key>}``); every following
-    line is ``{"index": <grid index>, "point": <ExperimentPoint mapping>}``.
-    Appends are flushed and fsynced, so a killed run loses at most the point
-    that was mid-write — and :meth:`load` tolerates exactly that: a torn
-    final line is ignored rather than poisoning the resume.
+    line is ``{"index": <grid index>, "point": <ExperimentPoint mapping>,
+    "digest": <digest>}``, the digest that of the line's entry without it
+    (:func:`_entry_digest`).  Appends are flushed and fsynced, so a killed
+    run loses at most the point that was mid-write — and :meth:`load`
+    tolerates exactly that: a torn final line is ignored rather than
+    poisoning the resume.  A line whose digest is missing or wrong stops
+    the read the same way, so a damaged journal gives back a prefix of its
+    entries, never an altered one.
 
     Adaptive-budget runs additionally journal *partial rounds*:
     ``{"index": <grid index>, "partial": <accumulated outcome mapping>}``
@@ -537,9 +548,10 @@ class RunCheckpoint:
         The header must be the first line and name this run; a missing
         file, a foreign format or another run's key yields nothing.  Blank
         lines are skipped, and reading stops at the first torn line — one
-        that is not UTF-8 JSON or nests too deeply to parse: the tail of a
-        killed run, or damage, after which nothing is trusted.  Each line
-        is decoded on its own, so a bad byte stops the read at its line.
+        that is not UTF-8 JSON, nests too deeply to parse, or whose digest
+        is missing or does not match its entry: the tail of a killed run, or
+        damage, after which nothing is trusted.  Each line is decoded on its
+        own, so a bad byte stops the read at its line.
         """
         if not self.path.is_file():
             return
@@ -563,7 +575,9 @@ class RunCheckpoint:
                 entry = json.loads(line.decode("utf-8"))
             except (ValueError, RecursionError):  # UTF-8, JSON, nesting
                 return
-            if isinstance(entry, dict) and isinstance(entry.get("index"), int):
+            if not isinstance(entry, dict) or entry.pop("digest", None) != _entry_digest(entry):
+                return
+            if isinstance(entry.get("index"), int):
                 yield entry
 
     def load(self) -> Dict[int, Mapping[str, Any]]:
@@ -603,7 +617,11 @@ class RunCheckpoint:
                 handle.write(
                     json.dumps({"format": CHECKPOINT_FORMAT, "run": self.run_key}) + "\n"
                 )
-            handle.write(json.dumps(dict(entry)) + "\n")
+            line = dict(entry)
+            # The digest of the entry as it will read back, so the JSON
+            # round trip (tuples to lists, for one) cannot make it differ.
+            line["digest"] = _entry_digest(json.loads(json.dumps(line)))
+            handle.write(json.dumps(line) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
 

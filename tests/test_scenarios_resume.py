@@ -8,6 +8,7 @@ uninterrupted run's.
 """
 
 import json
+import re
 
 import pytest
 
@@ -131,6 +132,36 @@ class TestRunCheckpoint:
         checkpoint.append_partial(1, {"rounds": 2})
         assert checkpoint.load_partials() == {1: {"rounds": 2}}
         assert sorted(checkpoint.load()) == [0]
+
+    def test_an_altered_line_stops_the_read(self, tmp_path):
+        scenario = sweep_scenario()
+        checkpoint = checkpoint_for(ReportStore(tmp_path), scenario)
+        session = ExperimentRunner(scenario, seed=5).session(checkpoint=checkpoint)
+        next(session)
+        next(session)
+        # One bit of the second point's last ber digit: the line still
+        # parses, but no longer matches its digest, so the read stops there.
+        lines = checkpoint.path.read_text().splitlines(keepends=True)
+        at = re.search(r'"ber": [-+.0-9e]+', lines[2]).end() - 1
+        lines[2] = lines[2][:at] + chr(ord(lines[2][at]) ^ 1) + lines[2][at + 1 :]
+        altered = json.loads(lines[2])["point"]["metrics"]["ber"]
+        assert altered != checkpoint.load()[1]["metrics"]["ber"]
+        checkpoint.path.write_text("".join(lines))
+        assert sorted(checkpoint.load()) == [0]
+
+    def test_an_undigested_journal_reruns_its_points(self, tmp_path):
+        checkpoint = checkpoint_for(ReportStore(tmp_path), sweep_scenario())
+        checkpoint.append(0, {"ber": 0.25})
+        header, line = checkpoint.path.read_text().splitlines()
+        undigested = json.dumps({"index": 0, "point": {"ber": 0.25}})
+        assert json.loads(line) == dict(json.loads(undigested), digest=json.loads(line)["digest"])
+        # A journal from before lines carried digests reads as foreign, and
+        # an undigested line under the current header stops the read.
+        old_header = json.dumps(dict(json.loads(header), format="repro-checkpoint-v1"))
+        checkpoint.path.write_text(f"{old_header}\n{undigested}\n")
+        assert checkpoint.load() == {}
+        checkpoint.path.write_text(f"{header}\n{undigested}\n")
+        assert checkpoint.load() == {}
 
     def test_discard_is_idempotent(self, tmp_path):
         checkpoint = checkpoint_for(ReportStore(tmp_path), sweep_scenario())
