@@ -264,6 +264,13 @@ class OpticalLink:
             raise ValueError("bits must be 0 or 1")
         return raw.astype(np.uint8)
 
+    def transmit_bits(self, bits: Sequence[int]) -> TransmissionResult:
+        """Send a payload over the link; each engine subclass defines it."""
+        raise NotImplementedError(
+            "OpticalLink only builds a link's parts; build a link that transmits "
+            "with make_link(config, backend=...)"
+        )
+
     def transmit_random(self, bit_count: int, payload_seed: int = 1234) -> TransmissionResult:
         """Transmit ``bit_count`` random bits (convenience for benchmarks)."""
         if bit_count <= 0:

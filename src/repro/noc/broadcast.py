@@ -130,7 +130,7 @@ def broadcast(
     )
     outcome = link.transmit_bits(tile_symbols_for_receivers(padded, k, channels))
     errors_per_receiver = per_receiver_bit_errors(
-        padded, outcome.decoded_values, k, np.array([0]), np.array([len(packet.serialize())])
+        padded, outcome.decoded_values, k, np.array([0]), np.array([packet.total_bits])
     )[0]
     for node, errors in zip(receivers, errors_per_receiver):
         result.receivers[node] = int(errors) == 0

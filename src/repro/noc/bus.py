@@ -27,9 +27,10 @@ group rides its pair's link, built through the backend registry
 (:func:`repro.core.backend.make_link`), and draws from that link's own
 random stream, a link's groups in epoch order, so every packet gets the bit
 errors one call per group would give.  The ``"multichannel"`` backend sends
-one call per group.  Broadcast packets go further: all receiving dies of a slot are
-one ``(S, C)`` pass on the ``"multichannel"`` backend, with per-receiver
-stack attenuations as channel gains, one call per epoch and source.
+one call per group.  Broadcast packets go further: all receiving dies of a
+slot are one ``(S, C)`` pass on the ``"multichannel"`` backend, with
+per-receiver stack attenuations as channel gains, one call per epoch and
+source.
 Outcomes — slots, bit errors, delivery, latency, a broadcast's receiver
 split — are columns of the table, and the statistics are updated once per
 run; :attr:`OpticalBus.outcomes` builds :class:`PacketOutcome` objects from
@@ -588,9 +589,8 @@ class OpticalBus:
         unicast group on ``"batch"`` (several passes of whole groups past
         :data:`PASS_WINDOWS` windows or :data:`PASS_TAPS` TDC taps), one
         call per group on ``"multichannel"``, and one broadcast call per
-        epoch and source.  The
-        run is recorded once, epoch by epoch: each epoch's undeliverable
-        rows, then its groups.  A unicast row to no node of the topology
+        epoch and source.  The run is recorded once, epoch by epoch: each
+        epoch's undeliverable rows, then its groups.  A unicast row to no node of the topology
         burns one slot and is recorded undelivered.  Rows still queued when
         ``max_slots`` (a positive int) runs out stay queued; a later ``run``
         *continues* the slot clock where this one stopped (waiting time

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 
-
 @dataclass(frozen=True)
 class DarkCountModel:
     """Dark count rate versus temperature and excess bias.

@@ -278,9 +278,9 @@ def epoch_by_epoch_run(bus, max_slots: int = 10_000):
     records its undeliverable rows first, then its ``(source, destination)``
     groups in first-grant order, rows in grant order.  A unicast group is
     one ``transmit_bits`` call on its link with the rows' padded bits back
-    to back, and each packet counts the mismatches over its own bits; a source's broadcasts go
-    through the bus's broadcast flush.  The statistics are updated once per
-    epoch.  Returns ``bus.statistics``.
+    to back, and each packet counts the mismatches over its own bits; a
+    source's broadcasts go through the bus's broadcast flush.  The
+    statistics are updated once per epoch.  Returns ``bus.statistics``.
     """
     from repro.kernels import get_kernel
     from repro.noc.packet import Packet

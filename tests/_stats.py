@@ -3,10 +3,10 @@
 Several suites compare two Monte-Carlo estimates that share physics but not
 draws — batch vs multichannel NoC paths, multichannel vs independent links,
 the importance-sampling estimator vs naive Monte-Carlo — or one estimate
-with the exact rate of ``tests/_oracles.py::link_error_oracle``.  Each used to roll its
-own "within ~5 sigma of binomial noise" arithmetic; this module is the one
-place that owns it, so every comparison states its false-positive budget the
-same way:
+with the exact rate of ``tests/_oracles.py::link_error_oracle``.  Each used
+to roll its own "within ~5 sigma of binomial noise" arithmetic; this module
+is the one place that owns it, so every comparison states its false-positive
+budget the same way:
 
 * :func:`two_proportion_z` / :func:`assert_proportions_equal` — the pooled
   two-proportion z-test, the right tool for "same error rate, independent

@@ -30,6 +30,11 @@ class TestTransmission:
         wide = make_link(LinkConfig(ppm_bits=4, slot_duration=2 * NS), seed=6)
         assert wide.transmit_random(3000).bit_error_rate <= narrow.transmit_random(3000).bit_error_rate
 
+    def test_a_bare_link_points_to_make_link(self):
+        link = OpticalLink(LinkConfig(ppm_bits=4), seed=1)
+        with pytest.raises(NotImplementedError, match="make_link"):
+            link.transmit_random(8)
+
 
 class TestWithChannel:
     def test_channel_attenuates_photon_budget(self):
